@@ -118,6 +118,8 @@ def main(argv=None) -> int:
     p_knead.add_argument("--steps", type=int, default=40)
 
     args = parser.parse_args(argv)
+    if args.command == "expansivity" and args.prop == "open" and args.at is None:
+        p_check.error("--property open requires --at")
 
     if args.command == "scenario":
         if args.scenario_command == "list":

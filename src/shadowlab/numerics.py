@@ -30,7 +30,24 @@ def rat(value: RationalLike) -> Fraction:
 def rat_str(value: Fraction) -> str:
     """Canonical 'p/q' form with q > 0, denominator always explicit."""
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # beyond the interpreter's int-to-str digit limit
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+_DECIMAL_CHUNK = 10**500  # str() of anything below this is within every allowed digit limit (>= 640)
+
+
+def _decimal(n: int) -> str:
+    """Exact decimal text of an int of any length, by halving base-10 splits."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n < _DECIMAL_CHUNK:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the decimal digits (log10 2 > 3/10)
+    hi, lo = divmod(n, 10**half)
+    return _decimal(hi) + _decimal(lo).zfill(half)
 
 
 @dataclass(frozen=True, order=True)

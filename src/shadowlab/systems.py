@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -38,6 +38,7 @@ from .numerics import (
 ONE = Fraction(1)
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+_UNIT_INTERVAL = RationalIntervalSet((ClosedInterval(ZERO, ONE),))
 
 
 class DomainError(ValueError):
@@ -56,10 +57,15 @@ class PiecewiseLinearMap:
     ``breakpoints`` is strictly increasing with first 0 and last 1; ``values``
     gives the map at each breakpoint.  Slopes must be nonzero so that every
     lap is a monotone branch.
+
+    The laps and slopes are computed once, at construction, and shared by
+    every query; equality and hashing see only ``breakpoints`` and ``values``.
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+    slopes: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _laps: tuple[tuple[ClosedInterval, Fraction, Fraction], ...] = field(init=False, repr=False, compare=False)
 
     kind = "pl"
 
@@ -76,26 +82,20 @@ class PiecewiseLinearMap:
             raise ValueError("breakpoints must be strictly increasing")
         if any(not (0 <= v <= 1) for v in vals):
             raise ValueError("values must lie in [0,1]")
-        if any(s == 0 for s in self.slopes):
+        slopes = tuple((v1 - v0) / (b1 - b0) for b0, b1, v0, v1 in zip(bps, bps[1:], vals, vals[1:]))
+        if any(s == 0 for s in slopes):
             raise ValueError("zero-slope lap is not a monotone branch")
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "_laps", tuple(
+            (ClosedInterval(b0, b1), s, v0 - s * b0) for b0, b1, v0, s in zip(bps, bps[1:], vals, slopes)
+        ))
 
-    @property
-    def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(
-            (v1 - v0) / (b1 - b0)
-            for (b0, b1, v0, v1) in zip(self.breakpoints, self.breakpoints[1:], self.values, self.values[1:])
-        )
-
-    def laps(self) -> list[tuple[ClosedInterval, Fraction, Fraction]]:
+    def laps(self) -> tuple[tuple[ClosedInterval, Fraction, Fraction], ...]:
         """All maximal affine pieces as (domain, slope, offset)."""
-        out = []
-        for b0, b1, v0, v1 in zip(self.breakpoints, self.breakpoints[1:], self.values, self.values[1:]):
-            s = (v1 - v0) / (b1 - b0)
-            out.append((ClosedInterval(b0, b1), s, v0 - s * b0))
-        return out
+        return self._laps
 
     def space(self) -> RationalIntervalSet:
-        return from_pairs([(0, 1)])
+        return _UNIT_INTERVAL
 
     def contains_point(self, x: Fraction) -> bool:
         return 0 <= x <= 1
@@ -114,7 +114,7 @@ class PiecewiseLinearMap:
                 lo = mid + 1
             else:
                 hi = mid - 1
-        _, s, c = self.laps()[idx]
+        _, s, c = self._laps[idx]
         return s * x + c
 
     def lipschitz(self) -> Fraction:
@@ -386,6 +386,28 @@ def _thirds_level(level: int) -> tuple[ClosedInterval, ...]:
     return tuple(parts)
 
 
+@lru_cache(maxsize=256)
+def _piece_set(n: int, resolution: int) -> RationalIntervalSet:
+    """Cantor piece n resolved to middle-thirds intervals of width 3^−resolution."""
+    m = abs(n)
+    span = CantorSystem.piece_interval(m)
+    inner = _thirds_level(max(resolution - m, 0))
+    scaled = [ClosedInterval(span.lo + span.width * p.lo, span.lo + span.width * p.hi) for p in inner]
+    if n < 0:
+        scaled = [ClosedInterval(-p.hi, -p.lo) for p in scaled]
+    return normalize(scaled)
+
+
+@lru_cache(maxsize=64)
+def _cantor_space(depth: int) -> RationalIntervalSet:
+    """The fixed point 0 with every piece of index |n| ≤ depth at resolution depth."""
+    parts = [ClosedInterval(ZERO, ZERO)]
+    for n in range(1, depth + 1):
+        parts.extend(_piece_set(n, depth).parts)
+        parts.extend(_piece_set(-n, depth).parts)
+    return normalize(parts)
+
+
 @dataclass(frozen=True)
 class CantorSystem:
     """Self-map of a two-sided middle-thirds set in [−1,1] that scales each
@@ -407,6 +429,11 @@ class CantorSystem:
     piece internally to middle-thirds intervals of width 3^−depth, so the
     space is a finite union of closed intervals and every query is exactly
     decidable.
+
+    A piece set depends only on its index and resolution, and the space only
+    on ``depth``: each is built once per process (in a bounded cache that
+    holds no system) and the same immutable set is shared by every system
+    and query that asks for it.
     """
 
     depth: int
@@ -463,24 +490,10 @@ class CantorSystem:
 
     def piece_set(self, n: int, resolution: Optional[int] = None) -> RationalIntervalSet:
         """Piece n resolved to middle-thirds intervals of width 3^−resolution."""
-        if resolution is None:
-            resolution = self.depth
-        m = abs(n)
-        span = self.piece_interval(abs(n))
-        inner = _thirds_level(max(resolution - m, 0))
-        scaled = [
-            ClosedInterval(span.lo + span.width * p.lo, span.lo + span.width * p.hi) for p in inner
-        ]
-        if n < 0:
-            scaled = [ClosedInterval(-p.hi, -p.lo) for p in scaled]
-        return normalize(scaled)
+        return _piece_set(n, self.depth if resolution is None else resolution)
 
     def space(self) -> RationalIntervalSet:
-        parts = [ClosedInterval(ZERO, ZERO)]
-        for n in range(1, self.depth + 1):
-            parts.extend(self.piece_set(n).parts)
-            parts.extend(self.piece_set(-n).parts)
-        return normalize(parts)
+        return _cantor_space(self.depth)
 
     def approximation(self, level: int) -> RationalIntervalSet:
         """Raw level-k middle-thirds hull of the space on both sides of 0,

@@ -1,15 +1,18 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Shared machinery is exercised through the scenario registry wherever a
-scenario implements the criterion; independent oracles (the dyadic grid
-scan, direct symbolic recomputation) live here so the checked path never
-validates itself.
+scenario implements the criterion, and each such report must match its
+committed golden in ``perfbench/goldens/`` byte for byte; independent
+oracles (the dyadic grid scan, direct symbolic recomputation) live here so
+the checked path never validates itself.
 """
 
+import json
 import math
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 
@@ -28,9 +31,18 @@ def _finish(tag: str, ok: bool, elapsed: float, limit: float, detail: str = ""):
     assert elapsed < limit, f"{tag}: exceeded the {limit}s budget ({elapsed:.1f}s)"
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
+
+
 def _scenario_ok(report):
+    """Every check passes and the report is byte-identical to its committed golden."""
     failing = [c["label"] for c in report.checks if c["status"] != "pass"]
-    return report.status == "pass", "; ".join(failing[:3])
+    golden = GOLDEN_DIR / f"{report.scenario}.json"
+    text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    matches = golden.read_bytes() == text.encode("utf-8")
+    if not matches:
+        failing.insert(0, f"report differs from {golden.name}")
+    return report.status == "pass" and matches, "; ".join(failing[:3])
 
 
 def test_criterion_01_middle_thirds_example():

@@ -118,6 +118,15 @@ def test_cli_expansivity_check(tmp_path, capsys):
     assert data["counterexample"]["inequality"]
 
 
+def test_cli_open_check_without_point_is_a_usage_error(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(system_to_json(tent_map(2))))
+    with pytest.raises(SystemExit) as exc:
+        main(["expansivity", "check", "--property", "open", "--system", str(sys_path)])
+    assert exc.value.code == 2
+    assert "--property open requires --at" in capsys.readouterr().err
+
+
 def test_cli_kneading_search(capsys):
     code = main(["kneading", "search", "--horizon", "15", "--steps", "40"])
     assert code == 0

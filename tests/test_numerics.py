@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -155,3 +156,15 @@ def test_rational_serialization_round_trip():
     assert rat_str(F(4)) == "4/1"
     s = from_pairs([(0, "1/2"), ("2/3", 1)])
     assert RationalIntervalSet.from_json(s.to_json()) == s
+
+
+def test_rat_str_beyond_int_to_str_digit_limit():
+    value = F(-(10**5999 + 12345), 3**9101)  # 6000-digit numerator, 4343-digit denominator
+    text = rat_str(value)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = f"{value.numerator}/{value.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == expected

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -72,9 +73,26 @@ def test_cantor_branch_on_one_piece():
     assert [(b.lo, b.hi, s, c) for b, s, c in got] == [(F(2, 9), F(1, 3), F(3), F(0))]
 
 
+def pl_maps():
+    """Hand-made, tent, seeded zigzag and composed maps."""
+    maps = [PiecewiseLinearMap((F(0), F(1, 2), F(1)), (F(1, 2), F(1), F(0)))]
+    maps += [tent_map(lam) for lam in (F(1, 2), F(3, 2), F(9, 5), 2)]
+    maps += [random_zigzag_map(seed) for seed in range(12)]
+    maps += [compose_pl(random_zigzag_map(3), tent_map(F(9, 5))), iterate_pl(tent_map(2), 3),
+             iterate_pl(random_zigzag_map(7), 2)]
+    return maps
+
+
 def test_pl_slopes_from_difference_quotients():
     m = PiecewiseLinearMap((F(0), F(1, 2), F(1)), (F(1, 2), F(1), F(0)))
     assert m.slopes == (F(1), F(-2))
+    # the laps and slopes built at construction agree with a recomputation
+    for m in pl_maps():
+        bps, vals = m.breakpoints, m.values
+        slopes = [(vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1)]
+        laps = [((bps[i], bps[i + 1]), s, vals[i] - s * bps[i]) for i, s in enumerate(slopes)]
+        assert list(m.slopes) == slopes
+        assert [((d.lo, d.hi), s, c) for d, s, c in m.laps()] == laps
 
 
 def test_branches_unsupported_kinds():
@@ -231,6 +249,31 @@ def test_cantor_mirror_negative_pieces_stay_negative():
         assert img.hull().hi < 0
 
 
+def middle_thirds(lo, hi, levels):
+    """The 2^levels middle-thirds intervals of [lo, hi], built by subdivision."""
+    parts = [(lo, hi)]
+    for _ in range(levels):
+        parts = [q for a, b in parts for q in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))]
+    return parts
+
+
+def test_cantor_piece_sets_match_middle_thirds_construction():
+    for depth in range(1, 9):
+        for mode in ("fold", "mirror"):
+            system = CantorSystem(depth, mode)
+            space = [(F(0), F(0))]
+            for n in range(1, depth + 1):
+                lo, hi = F(2, 3**n), F(1, 3 ** (n - 1))
+                for resolution in (None, depth - 1):  # the default, and what scenarios.py asks for
+                    pos = middle_thirds(lo, hi, max((depth if resolution is None else resolution) - n, 0))
+                    neg = [(-b, -a) for a, b in reversed(pos)]
+                    assert [(p.lo, p.hi) for p in system.piece_set(n, resolution)] == pos
+                    assert [(p.lo, p.hi) for p in system.piece_set(-n, resolution)] == neg
+                    if resolution is None:
+                        space += pos + neg
+            assert [(p.lo, p.hi) for p in system.space()] == sorted(space)
+
+
 def test_membership_is_decidable():
     system = CantorSystem(4)
     assert system.contains_point(F(2, 27))
@@ -308,6 +351,11 @@ def test_compose_collapses_collinear_breakpoints():
     m = PiecewiseLinearMap((F(0), F(1, 2), F(1)), (F(0), F(1, 2), F(1)))  # identity
     sq = compose_pl(m, m)
     assert sq.breakpoints == (F(0), F(1))
+    # equality and hash see only breakpoints and values, however the map was built
+    identity = PiecewiseLinearMap((0, 1), ("0", "1/1"))
+    assert sq == identity and hash(sq) == hash(identity)
+    assert len({tent_map(2), iterate_pl(tent_map(2), 1), tent_map(F(4, 2))}) == 1
+    assert tent_map(2) != tent_map(F(3, 2))
 
 
 # -- serialization ----------------------------------------------------------
@@ -322,9 +370,13 @@ def test_system_json_round_trip():
         golden_mean_shift(),
         OdometerSystem(7),
         SLimitSystem(9),
+        *pl_maps(),
     ):
-        again = system_from_json(system_to_json(system))
-        assert again == system
+        for again in (system_from_json(system_to_json(system)), pickle.loads(pickle.dumps(system))):
+            assert again == system
+            assert hash(again) == hash(system)
+            if isinstance(system, PiecewiseLinearMap):
+                assert again.laps() == system.laps() and again.slopes == system.slopes
 
 
 def test_sqrt_enclosure_bounds():
