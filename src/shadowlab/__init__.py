@@ -13,7 +13,7 @@ from .numerics import (
     rat_str,
     union,
 )
-from .pseudo_orbits import DeviationReport, PseudoOrbit, deviation, perturbed_orbit, splice, verify_jumps
+from .pseudo_orbits import DeviationReport, PseudoOrbit, deviation, perturbed_orbit, verify_jumps
 from .shadowing import (
     ShadowCertificate,
     StagedShadowLog,
@@ -57,16 +57,10 @@ from .systems import (
     ShiftSystem,
     SLimitSystem,
     SymbolicPoint,
-    branches,
-    critical_set,
-    distance,
-    evaluate,
     golden_mean_shift,
     logistic_map,
-    preimage_set,
     quadratic_map,
     system_from_json,
-    system_to_json,
     tent_map,
 )
 from .scenarios import REGISTRY, Report, Scenario, run_scenario

@@ -18,13 +18,14 @@ from .expansivity import (
     check_locally_injective,
     check_open_at,
     check_star,
+    whole_space_region,
 )
 from .kneading import find_parameter, staircase_word, word
 from .numerics import RationalIntervalSet, rat
-from .pseudo_orbits import orbit_from_csv, orbit_from_json
+from .pseudo_orbits import checked_orbit, orbit_from_csv, orbit_from_json
 from .scenarios import REGISTRY, Report, run_scenario
 from .shadowing import h_shadow_solve, quadratic_shadow_verdict, shadow_oracle
-from .systems import system_from_json
+from .systems import QuadraticFamilyMap, system_from_json
 
 
 def emit(report: Report, fmt: str, path) -> None:
@@ -51,10 +52,17 @@ def _load_system(path: str):
 
 
 def _load_orbit(system, path: str):
+    """Parse an orbit file and verify its claimed jump bounds against the system."""
     text = Path(path).read_text(encoding="utf-8")
-    if path.endswith(".csv"):
-        return orbit_from_csv(system, text)
-    return orbit_from_json(system, text)
+    orbit = orbit_from_csv(system, text) if path.endswith(".csv") else orbit_from_json(system, text)
+    return checked_orbit(system, orbit.points, orbit.claimed_delta, orbit.decay_schedule)
+
+
+def _print_json(data: dict, out=None) -> None:
+    text = json.dumps(data, sort_keys=True, indent=2)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    print(text)
 
 
 def _print_report(report: Report) -> int:
@@ -120,7 +128,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "expansivity" and args.prop == "open" and args.at is None:
         p_check.error("--property open requires --at")
+    try:
+        return _run(args)
+    except ValueError as exc:  # DomainError included: a system, orbit or value the command cannot take
+        print(f"shadowlab: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.command == "scenario":
         if args.scenario_command == "list":
             for name in sorted(REGISTRY):
@@ -135,26 +150,21 @@ def main(argv=None) -> int:
         system = _load_system(args.system)
         orbit = _load_orbit(system, args.orbit)
         epsilon = rat(args.epsilon)
-        if system.kind == "quadratic":
-            verdict = quadratic_shadow_verdict(system, orbit, epsilon)
-            print(json.dumps(verdict.to_json(), sort_keys=True, indent=2))
-            return 0 if verdict.value == "yes" else 1
-        solver = shadow_oracle if args.mode == "oracle" else h_shadow_solve
-        cert = solver(system, orbit, epsilon)
-        text = json.dumps(cert.to_json(), sort_keys=True, indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(text)
-        return 0 if cert.feasible else 1
+        if args.mode == "oracle" and isinstance(system, QuadraticFamilyMap):
+            result = quadratic_shadow_verdict(system, orbit, epsilon)
+            ok = result.value == "yes"
+        else:
+            result = (shadow_oracle if args.mode == "oracle" else h_shadow_solve)(system, orbit, epsilon)
+            ok = result.feasible
+        _print_json(result.to_json(), args.out)
+        return 0 if ok else 1
 
     if args.command == "expansivity":
         system = _load_system(args.system)
         if args.region:
             region = RegionSpec(RationalIntervalSet.from_json(json.loads(args.region)))
         else:
-            from .systems import space_set
-
-            region = RegionSpec(space_set(system))
+            region = whole_space_region(system)
         if args.prop == "expanding":
             verdict = check_expanding(system, region, rat(args.delta), rat(args.mu))
         elif args.prop == "star":
@@ -167,13 +177,13 @@ def main(argv=None) -> int:
             verdict = check_locally_injective(system, region)
         else:
             verdict = check_open_at(system, rat(args.at))
-        print(json.dumps(verdict.to_json(), sort_keys=True, indent=2))
+        _print_json(verdict.to_json())
         return 0 if verdict.holds == "certified" else 1
 
     if args.command == "kneading":
         target = word(args.target) if args.target else staircase_word(args.horizon)
         result = find_parameter(target, args.horizon, args.steps)
-        print(json.dumps(result.to_json(), sort_keys=True, indent=2))
+        _print_json(result.to_json())
         return 0 if result.matched else 1
 
     raise AssertionError("unreachable")

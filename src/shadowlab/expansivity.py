@@ -27,13 +27,14 @@ from .numerics import (
 from .systems import (
     CantorSystem,
     DomainError,
+    OdometerSystem,
     PiecewiseLinearMap,
     QuadraticFamilyMap,
+    ShiftSystem,
+    SLimitSystem,
+    SymbolicPoint,
     SystemSpec,
-    critical_set,
-    distance,
-    evaluate,
-    space_set,
+    require,
 )
 
 ZERO = Fraction(0)
@@ -64,7 +65,7 @@ def region_of(*pairs, margin=ZERO) -> RegionSpec:
 
 
 def whole_space_region(system) -> RegionSpec:
-    return RegionSpec(space_set(system))
+    return RegionSpec(system.space())
 
 
 @dataclass(frozen=True)
@@ -101,16 +102,13 @@ class ExpansivityVerdict:
 
 Cell = tuple[ClosedInterval, Fraction, Fraction]  # (domain, slope, offset)
 
+# exact over affine cells, or derivative bounds and sampling on the smooth family
+_PAIR_SYSTEMS = (PiecewiseLinearMap, CantorSystem, QuadraticFamilyMap)
+
 
 def _affine_cells(system, carrier: RationalIntervalSet) -> list[Cell]:
-    if system.kind == "pl":
-        base = system.laps()
-    elif system.kind == "cantor":
-        base = system.affine_cells()
-    else:
-        raise DomainError("affine-cell analysis needs a piecewise-affine system")
     cells = []
-    for dom, s, c in base:
+    for dom, s, c in system.affine_cells():
         for part in intersect(RationalIntervalSet((dom,)), carrier).parts:
             cells.append((part, s, c))
     return cells
@@ -226,62 +224,58 @@ def _expanding_violation(cells: list[Cell], delta: Fraction, mu: Fraction) -> Op
 
 
 def _falsified_pair_verdict(system, prop: str, x, y, mu, constants) -> ExpansivityVerdict:
-    fx, fy = evaluate(system, x), evaluate(system, y)
-    lhs = distance(system, fx, fy)
-    rhs = mu * distance(system, x, y)
-    if lhs >= rhs:
+    lhs = system.distance(system.evaluate(x), system.evaluate(y))
+    dxy = system.distance(x, y)
+    if lhs >= mu * dxy:
         raise AssertionError("counterexample failed direct re-validation")
     counter = {
         "x": rat_str(x),
         "y": rat_str(y),
-        "d(x,y)": rat_str(distance(system, x, y)),
+        "d(x,y)": rat_str(dxy),
         "d(f(x),f(y))": rat_str(lhs),
-        "inequality": f"{rat_str(lhs)} < {rat_str(mu)} * {rat_str(distance(system, x, y))}",
+        "inequality": f"{rat_str(lhs)} < {rat_str(mu)} * {rat_str(dxy)}",
     }
     return ExpansivityVerdict(prop, "falsified", constants, counter)
 
 
 def check_expanding(system: SystemSpec, region: RegionSpec, delta, mu) -> ExpansivityVerdict:
     """Does d(f(x), f(y)) ≥ μ·d(x, y) hold for all region pairs closer than δ?"""
+    require(type(system), "check_expanding", _PAIR_SYSTEMS)
     delta, mu = rat(delta), rat(mu)
     if mu <= 1 or delta <= 0:
         raise ValueError("need mu > 1 and delta > 0")
     constants = {"delta": rat_str(delta), "mu": rat_str(mu)}
-    if system.kind in ("pl", "cantor"):
-        cells = _affine_cells(system, region.interval_carrier())
-        hit = _expanding_violation(cells, delta, mu)
-        if hit is None:
-            return ExpansivityVerdict("expanding", "certified", constants)
-        return _falsified_pair_verdict(system, "expanding", hit[0], hit[1], mu, constants)
-    if system.kind == "quadratic":
+    if isinstance(system, QuadraticFamilyMap):
         return _quadratic_expanding(system, region, delta, mu, constants, one_sided=False)
-    raise DomainError(f"expanding check unsupported for {system.kind}")
+    hit = _expanding_violation(_affine_cells(system, region.interval_carrier()), delta, mu)
+    if hit is None:
+        return ExpansivityVerdict("expanding", "certified", constants)
+    return _falsified_pair_verdict(system, "expanding", hit[0], hit[1], mu, constants)
 
 
 def check_star(system: SystemSpec, lambda_set: RegionSpec, delta, mu) -> ExpansivityVerdict:
     """One-sided variant: only x is confined to the region, y roams the space."""
+    require(type(system), "check_star", _PAIR_SYSTEMS)
     delta, mu = rat(delta), rat(mu)
     if mu <= 1 or delta <= 0:
         raise ValueError("need mu > 1 and delta > 0")
     constants = {"delta": rat_str(delta), "mu": rat_str(mu)}
-    if system.kind in ("pl", "cantor"):
-        cells_x = _affine_cells(system, lambda_set.interval_carrier())
-        cells_y = _affine_cells(system, space_set(system))
-        for cx in cells_x:
-            for cy in cells_y:
-                if max(cy[0].lo - cx[0].hi, cx[0].lo - cy[0].hi) >= delta:
-                    continue
-                hit = _pair_violation(cx, cy, delta, mu)
-                if hit is None:
-                    swapped = _pair_violation(cy, cx, delta, mu)
-                    hit = None if swapped is None else (swapped[1], swapped[0])
-                if hit is not None:
-                    # first coordinate is the region-constrained point
-                    return _falsified_pair_verdict(system, "star", hit[0], hit[1], mu, constants)
-        return ExpansivityVerdict("star", "certified", constants)
-    if system.kind == "quadratic":
+    if isinstance(system, QuadraticFamilyMap):
         return _quadratic_expanding(system, lambda_set, delta, mu, constants, one_sided=True)
-    raise DomainError(f"star check unsupported for {system.kind}")
+    cells_x = _affine_cells(system, lambda_set.interval_carrier())
+    cells_y = _affine_cells(system, system.space())
+    for cx in cells_x:
+        for cy in cells_y:
+            if max(cy[0].lo - cx[0].hi, cx[0].lo - cy[0].hi) >= delta:
+                continue
+            hit = _pair_violation(cx, cy, delta, mu)
+            if hit is None:
+                swapped = _pair_violation(cy, cx, delta, mu)
+                hit = None if swapped is None else (swapped[1], swapped[0])
+            if hit is not None:
+                # first coordinate is the region-constrained point
+                return _falsified_pair_verdict(system, "star", hit[0], hit[1], mu, constants)
+    return ExpansivityVerdict("star", "certified", constants)
 
 
 def _quadratic_expanding(system, region, delta, mu, constants, one_sided) -> ExpansivityVerdict:
@@ -429,6 +423,7 @@ def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu,
     falsification, while all-probes-pass yields ``undetermined`` unless the
     region is a finite point set.
     """
+    require(type(system), "check_ball_expanding", (PiecewiseLinearMap, CantorSystem))
     mu, nu = rat(mu), rat(nu)
     if mu <= 1:
         raise ValueError("mu must exceed 1")
@@ -439,9 +434,9 @@ def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu,
         raise ValueError("grid values must lie in (0, nu)")
     constants = {"mu": rat_str(mu), "nu": rat_str(nu), "gridSize": len(eps_list)}
     carrier = region.interval_carrier()
-    space = space_set(system)
+    space = system.space()
 
-    if system.kind == "pl":
+    if isinstance(system, PiecewiseLinearMap):
         for eps in eps_list:
             hit = _pl_ball_expanding_once(system, carrier, mu, eps)
             if hit is not None:
@@ -449,33 +444,30 @@ def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu,
                 return _ball_falsified(system, x, eps, mu, missing, constants)
         return ExpansivityVerdict("ballExpanding", "certified", constants)
 
-    if system.kind == "cantor":
-        rng = random.Random(seed)
-        probes = []
-        for part in carrier.parts:
-            probes.extend([part.lo, part.hi])
-        pool = [p.lo for p in space.parts if carrier.contains(p.lo)]
-        for _ in range(min(24, len(pool))):
-            probes.append(pool[rng.randrange(len(pool))])
-        for x in sorted(set(probes)):
-            fx = evaluate(system, x)
-            for eps in eps_list:
-                ball_in = intersect(closed_ball(x, eps), space)
-                image = system.forward_image(ball_in)
-                target = intersect(closed_ball(fx, mu * eps), space)
-                missing = _uncovered_point(target, image)
-                if missing is not None:
-                    return _ball_falsified(system, x, eps, mu, missing, constants)
-        finite = all(p.width == 0 for p in carrier.parts)
-        holds = "certified" if finite else "undetermined"
-        return ExpansivityVerdict("ballExpanding", holds, constants)
-
-    raise DomainError(f"ball-expanding check unsupported for {system.kind}")
+    rng = random.Random(seed)
+    probes = []
+    for part in carrier.parts:
+        probes.extend([part.lo, part.hi])
+    pool = [p.lo for p in space.parts if carrier.contains(p.lo)]
+    for _ in range(min(24, len(pool))):
+        probes.append(pool[rng.randrange(len(pool))])
+    for x in sorted(set(probes)):
+        fx = system.evaluate(x)
+        for eps in eps_list:
+            ball_in = intersect(closed_ball(x, eps), space)
+            image = system.forward_image(ball_in)
+            target = intersect(closed_ball(fx, mu * eps), space)
+            missing = _uncovered_point(target, image)
+            if missing is not None:
+                return _ball_falsified(system, x, eps, mu, missing, constants)
+    finite = all(p.width == 0 for p in carrier.parts)
+    holds = "certified" if finite else "undetermined"
+    return ExpansivityVerdict("ballExpanding", holds, constants)
 
 
 def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdict:
-    fx = evaluate(system, x)
-    space = space_set(system)
+    fx = system.evaluate(x)
+    space = system.space()
     image = system.forward_image(intersect(closed_ball(x, eps), space))
     if image.contains(missing) or abs(missing - fx) > mu * eps or not space.contains(missing):
         raise AssertionError("ball-expanding counterexample failed re-validation")
@@ -495,7 +487,7 @@ def search_ball_expanding_constants(system, region: RegionSpec,
                                     grid_size: int = 12) -> Optional[tuple[Fraction, Fraction]]:
     """Small search for working (μ, ν); None when nothing on the menu certifies."""
     mu_cands = []
-    if system.kind == "pl":
+    if isinstance(system, PiecewiseLinearMap):
         mu_cands.append(system.min_slope_modulus())
     mu_cands.extend([Fraction(3, 2), Fraction(5, 4), Fraction(9, 8)])
     for mu in mu_cands:
@@ -521,14 +513,8 @@ def check_open_at(system: SystemSpec, x) -> ExpansivityVerdict:
     """Is the image of every small neighbourhood of x a relative
     neighbourhood of f(x)?  Exact for interval maps and the middle-thirds
     system."""
-    constants = {"x": rat_str(x)}
-    if system.kind == "pl":
-        return _pl_open_at(system, rat(x), constants)
-    if system.kind == "quadratic":
-        return _quadratic_open_at(system, rat(x), constants)
-    if system.kind == "cantor":
-        return _cantor_open_at(system, rat(x), constants)
-    raise DomainError(f"openness check unsupported for {system.kind}")
+    route = _OPEN_AT_ROUTES[require(type(system), "check_open_at", _OPEN_AT_ROUTES)]
+    return route(system, rat(x), {"x": rat_str(x)})
 
 
 def _pl_open_at(system: PiecewiseLinearMap, x: Fraction, constants) -> ExpansivityVerdict:
@@ -574,7 +560,7 @@ def _pl_open_at(system: PiecewiseLinearMap, x: Fraction, constants) -> Expansivi
 
 def _quadratic_open_at(system: QuadraticFamilyMap, x: Fraction, constants) -> ExpansivityVerdict:
     c = system.critical_point()
-    hull = space_set(system).hull()
+    hull = system.space().hull()
     fx = system.evaluate(x)
     if x == c:
         ok = fx in (hull.lo, hull.hi)
@@ -612,10 +598,15 @@ def _cantor_open_at(system: CantorSystem, x: Fraction, constants) -> Expansivity
     return ExpansivityVerdict("openOn", "falsified", constants, counter)
 
 
+_OPEN_AT_ROUTES = {PiecewiseLinearMap: _pl_open_at, QuadraticFamilyMap: _quadratic_open_at,
+                   CantorSystem: _cantor_open_at}
+
+
 def check_locally_injective(system: SystemSpec, region: RegionSpec) -> ExpansivityVerdict:
     """Holds exactly when the region avoids the critical set."""
+    require(type(system), "check_locally_injective", (PiecewiseLinearMap, QuadraticFamilyMap, SLimitSystem))
     constants = {"margin": rat_str(region.margin)}
-    crit = critical_set(system)
+    crit = system.critical_points()
     carrier = region.interval_carrier()
     if carrier.is_empty:
         return ExpansivityVerdict("locallyInjective", "certified", constants)
@@ -637,35 +628,35 @@ def positively_expansive_falsify(system: SystemSpec, b, horizon: int, seed: int 
     horizon.  Success falsifies at that horizon; failure is ``undetermined``
     because the property quantifies over all iterates.
     """
+    require(type(system), "positively_expansive_falsify",
+            (PiecewiseLinearMap, QuadraticFamilyMap, OdometerSystem, ShiftSystem))
     b = rat(b)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     constants = {"b": rat_str(b), "horizon": horizon}
     pairs = []
     rng = random.Random(seed)
-    if system.kind in ("pl", "quadratic"):
-        for c in critical_set(system):
+    if isinstance(system, (PiecewiseLinearMap, QuadraticFamilyMap)):
+        for c in system.critical_points():
             for k in (3, 5, 8):
                 s = b / 2**k
                 x, y = c - s, c + s
                 if system.contains_point(x) and system.contains_point(y):
                     pairs.append((x, y))
-        space = space_set(system)
+        space = system.space()
         for _ in range(32):
             part = space.parts[rng.randrange(len(space.parts))]
             u = part.lo + part.width * Fraction(rng.getrandbits(20), 1 << 20)
             v = u + b / 2 ** rng.randint(2, 8)
             if system.contains_point(v):
                 pairs.append((u, v))
-    elif system.kind == "odometer":
+    elif isinstance(system, OdometerSystem):
         w = tuple(rng.randint(0, 1) for _ in range(system.depth))
         v = list(w)
         v[-1] ^= 1
         pairs.append((w, tuple(v)))
-    elif system.kind == "sft":
+    else:
         a0 = system.alphabet[0]
-        from .systems import SymbolicPoint
-
         base = SymbolicPoint((), (a0,))
         for k in range(2, 8):
             pre = tuple(a0 for _ in range(k))
@@ -673,8 +664,6 @@ def positively_expansive_falsify(system: SystemSpec, b, horizon: int, seed: int 
             cand = SymbolicPoint(alt, (a0,))
             if system.contains_point(cand):
                 pairs.append((base, cand))
-    else:
-        raise DomainError(f"unsupported system kind {system.kind}")
 
     for x, y in pairs:
         if x == y:
@@ -682,22 +671,18 @@ def positively_expansive_falsify(system: SystemSpec, b, horizon: int, seed: int 
         u, v = x, y
         ok = True
         for _ in range(horizon + 1):
-            if distance(system, u, v) >= b:
+            if system.distance(u, v) >= b:
                 ok = False
                 break
-            u, v = evaluate(system, u), evaluate(system, v)
+            u, v = system.evaluate(u), system.evaluate(v)
         if ok:
             counter = {
-                "x": _pt(x),
-                "y": _pt(y),
+                "x": system.point_to_str(x),
+                "y": system.point_to_str(y),
                 "statement": f"orbits stay within {rat_str(b)} for {horizon} steps",
             }
             return ExpansivityVerdict("positivelyExpansive", "falsified", constants, counter)
     return ExpansivityVerdict("positivelyExpansive", "undetermined", constants)
-
-
-def _pt(p):
-    return rat_str(p) if isinstance(p, Fraction) else str(p)
 
 
 # ---------------------------------------------------------------------------
@@ -728,12 +713,13 @@ def eps_net_check(system: SystemSpec, target_points: Sequence, m: int, epsilon,
     """Enumerates the m-fold inverse images of the target points and reports
     the largest distance from a space point to that set; net-ness means the
     gap stays below ε.  End gaps count in full."""
+    require(type(system), "eps_net_check", (PiecewiseLinearMap, QuadraticFamilyMap))
     epsilon = rat(epsilon)
     if m < 0:
         raise ValueError("m must be >= 0")
     pts = sorted({rat(p) for p in target_points})
     undetermined = False
-    if system.kind == "pl":
+    if isinstance(system, PiecewiseLinearMap):
         level = list(pts)
         for _ in range(m):
             nxt = set()
@@ -744,7 +730,7 @@ def eps_net_check(system: SystemSpec, target_points: Sequence, m: int, epsilon,
                 undetermined = True
                 break
         net = level
-    elif system.kind == "quadratic":
+    else:  # outer enclosures of the inverse images: their endpoints are square roots
         encl = [(p, p) for p in pts]
         for _ in range(m):
             nxt = []
@@ -756,10 +742,8 @@ def eps_net_check(system: SystemSpec, target_points: Sequence, m: int, epsilon,
                 undetermined = True
                 break
         net = sorted(set((lo + hi) / 2 for lo, hi in encl))
-    else:
-        raise DomainError(f"net check unsupported for {system.kind}")
 
-    hull = space_set(system).hull()
+    hull = system.space().hull()
     if not net:
         return EpsNetResult(False, hull.width, undetermined)
     gaps = [net[0] - hull.lo, hull.hi - net[-1]]
@@ -786,14 +770,14 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
     (1) open + expanding, (2) ball expanding + locally one-to-one, and
     reports whether the verdicts are consistent (mismatches through
     ``undetermined`` are tolerated)."""
-    space = space_set(system)
+    require(type(system), "crosscheck_expanding_characterizations", _PAIR_SYSTEMS)
+    space = system.space()
     carrier = region.interval_carrier()
     margin = region.margin
-    if margin == 0 and system.kind in ("pl", "quadratic"):
-        crit = critical_set(system)
-        if crit and not carrier.is_empty:
-            dist = min(carrier.distance_to(c) for c in crit)
-            margin = dist / 2
+    # the middle-thirds system turns nowhere: injectivity near the carrier is piece-level exact
+    crit = None if isinstance(system, CantorSystem) else system.critical_points()
+    if margin == 0 and crit and not carrier.is_empty:
+        margin = min(carrier.distance_to(c) for c in crit) / 2
     inflated = RegionSpec(_inflate(carrier, margin, space), ZERO)
 
     probes = []
@@ -807,36 +791,22 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
     else:
         open_side = "undetermined"
 
-    mu = None
-    if system.kind == "pl":
-        mu = system.min_slope_modulus()
-    elif system.kind == "cantor":
-        mu = Fraction(3)
+    mu = None if isinstance(system, QuadraticFamilyMap) else system.min_slope_modulus()
     if mu is None or mu <= 1:
         expanding_side = "undetermined"
-        exp_verdict = None
     else:
         delta = margin if margin > 0 else Fraction(1, 9)
-        exp_verdict = check_expanding(system, inflated, delta, mu)
-        expanding_side = exp_verdict.holds
+        expanding_side = check_expanding(system, inflated, delta, mu).holds
 
-    found = search_ball_expanding_constants(system, inflated, eps_grid_size) \
-        if system.kind == "pl" else None
-    if found is not None:
-        ball_side = "certified"
-    elif system.kind == "cantor":
+    if isinstance(system, PiecewiseLinearMap):
+        found = search_ball_expanding_constants(system, inflated, eps_grid_size)
+        ball_side = "undetermined" if found is None else "certified"
+    elif isinstance(system, CantorSystem):
         ball_grid = [Fraction(1, 3**k) for k in range(4, min(7, system.depth + 1))]
-        ball_verdict = check_ball_expanding(system, inflated, Fraction(3), Fraction(1, 27), ball_grid)
-        ball_side = ball_verdict.holds if ball_verdict.holds != "undetermined" else "undetermined"
+        ball_side = check_ball_expanding(system, inflated, Fraction(3), Fraction(1, 27), ball_grid).holds
     else:
         ball_side = "undetermined"
-
-    inj = check_locally_injective(system, inflated) if system.kind in ("pl", "quadratic") else None
-    if inj is None:
-        # middle-thirds system: injectivity near the carrier is piece-level exact
-        inj_side = "certified"
-    else:
-        inj_side = inj.holds
+    inj_side = "certified" if crit is None else check_locally_injective(system, inflated).holds
 
     side1 = _conjoin(open_side, expanding_side)
     side2 = _conjoin(ball_side, inj_side)

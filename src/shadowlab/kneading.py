@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .numerics import rat, rat_str
-from .systems import PiecewiseLinearMap, QuadraticFamilyMap, critical_set, quadratic_map
+from .systems import PiecewiseLinearMap, QuadraticFamilyMap, quadratic_map, require
 
 L, C, R = "L", "C", "R"
 _ORDER = {L: -1, C: 0, R: 1}
@@ -47,9 +47,8 @@ def word(symbols: str, horizon: Optional[int] = None) -> KneadingWord:
 
 
 def _unimodal_critical(system) -> Fraction:
-    if isinstance(system, QuadraticFamilyMap):
-        return system.critical_point()
-    crit = critical_set(system)
+    require(type(system), "itinerary", (PiecewiseLinearMap, QuadraticFamilyMap))
+    crit = system.critical_points()
     if len(crit) != 1:
         raise ValueError("itineraries need a unimodal map (exactly one critical point)")
     return crit[0]
@@ -100,10 +99,7 @@ def _fast_quadratic_kneading(mu: Fraction, horizon: int, bits: int = 192) -> Opt
             else:
                 stuck = True
                 break
-            mags = sorted((abs(lo), abs(hi)))
-            sq_hi = mags[1] * mags[1]
-            sq_lo = Fraction(0) if lo <= 0 <= hi else mags[0] * mags[0]
-            lo, hi = _round_down(1 - mu * sq_hi, bits), _round_up(1 - mu * sq_lo, bits)
+            lo, hi = _quadratic_step(mu, lo, hi, bits)
         if not stuck:
             return KneadingWord("".join(syms), horizon)
         bits *= 4
@@ -248,6 +244,14 @@ def _round_up(x: Fraction, bits: int) -> Fraction:
     return Fraction(math.ceil(x * scale), scale)
 
 
+def _quadratic_step(mu: Fraction, lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Image of [lo, hi] under 1 − μx², rounded outward to the 2^−bits grid."""
+    mags = sorted((abs(lo), abs(hi)))
+    sq_hi = mags[1] * mags[1]
+    sq_lo = Fraction(0) if lo <= 0 <= hi else mags[0] * mags[0]
+    return _round_down(1 - mu * sq_hi, bits), _round_up(1 - mu * sq_lo, bits)
+
+
 def critical_orbit_separation(mu: Fraction, first: int, last: int,
                               bits: int = 512, max_bits: int = 4096) -> Optional[Fraction]:
     """Certified positive lower bound on min |Fⁿ(0)| for n in [first, last],
@@ -262,13 +266,7 @@ def critical_orbit_separation(mu: Fraction, first: int, last: int,
         best: Optional[Fraction] = None
         ok = True
         for n in range(1, last + 1):
-            # image of [lo, hi] under 1 − μx², outward rounded
-            mags = sorted((abs(lo), abs(hi)))
-            sq_hi = mags[1] * mags[1]
-            sq_lo = Fraction(0) if lo <= 0 <= hi else mags[0] * mags[0]
-            new_lo = _round_down(1 - mu * sq_hi, bits)
-            new_hi = _round_up(1 - mu * sq_lo, bits)
-            lo, hi = new_lo, new_hi
+            lo, hi = _quadratic_step(mu, lo, hi, bits)
             if n >= first:
                 if lo <= 0 <= hi:
                     ok = False

@@ -1,4 +1,4 @@
-"""Construction, perturbation, splicing and verification of pseudo-orbits.
+"""Construction, perturbation and verification of pseudo-orbits.
 
 A pseudo-orbit is a finite point sequence whose consecutive jumps
 d(f(x_i), x_{i+1}) stay below a claimed bound; an asymptotic variant carries
@@ -19,16 +19,18 @@ from typing import Optional, Sequence
 
 from .numerics import RationalIntervalSet, closed_ball, intersect, rat, rat_str
 from .systems import (
-    INTERVAL_KINDS,
+    CantorSystem,
     DomainError,
+    OdometerSystem,
+    PiecewiseLinearMap,
     Point,
+    QuadraticFamilyMap,
+    ShiftSystem,
+    SLimitSystem,
     SymbolicPoint,
     SystemSpec,
-    distance,
-    evaluate,
-    point_from_str,
-    point_to_str,
-    space_set,
+    cylinder_length,
+    require,
 )
 
 ZERO = Fraction(0)
@@ -77,7 +79,7 @@ def verify_jumps(system: SystemSpec, orbit: PseudoOrbit) -> Fraction:
         raise ValueError("empty orbit")
     worst = ZERO
     for a, b in zip(orbit.points, orbit.points[1:]):
-        jump = distance(system, evaluate(system, a), b)
+        jump = system.distance(system.evaluate(a), b)
         if jump > worst:
             worst = jump
     return worst
@@ -91,7 +93,7 @@ def checked_orbit(system: SystemSpec, points: Sequence[Point], claimed_delta=Non
         raise ValueError("claimed delta not satisfied by the jump sequence")
     if decay_schedule is not None:
         for i, (a, b) in enumerate(zip(points, points[1:])):
-            if distance(system, evaluate(system, a), b) > decay_schedule[i]:
+            if system.distance(system.evaluate(a), b) > decay_schedule[i]:
                 raise ValueError(f"decay schedule violated at index {i}")
     return orbit
 
@@ -101,22 +103,11 @@ def deviation(system: SystemSpec, y: Point, orbit: PseudoOrbit) -> DeviationRepo
     per = []
     z = y
     for i, x in enumerate(orbit.points):
-        per.append(distance(system, z, x))
+        per.append(system.distance(z, x))
         if i < orbit.last_index:
-            z = evaluate(system, z)
+            z = system.evaluate(z)
     exact = z == orbit.points[-1] if orbit.last_index > 0 else y == orbit.points[0]
     return DeviationReport(max(per), tuple(per), exact)
-
-
-def splice(prefix: Sequence[Point], suffix: PseudoOrbit, system: Optional[SystemSpec] = None) -> PseudoOrbit:
-    """Concatenate a point list with an orbit; re-verify the bound if possible."""
-    points = tuple(prefix) + suffix.points
-    orbit = PseudoOrbit(points)
-    if system is not None and len(points) > 1:
-        worst = verify_jumps(system, orbit)
-        # the recomputed bound is closed; report the smallest strict bound seen
-        return PseudoOrbit(points, claimed_delta=None if worst == 0 else worst * Fraction(1025, 1024))
-    return orbit
 
 
 _SAMPLE_GRID = 1 << 48
@@ -150,64 +141,62 @@ def perturbed_orbit(system: SystemSpec, x0: Point, length: int, delta, seed: int
     δ·(1−2⁻¹⁰) around the true image, intersected with the space (and with
     ``region`` when given).  The orbit truncates if the constraint set empties.
     """
+    steps = _PERTURBED_STEPS[require(type(system), "perturbed_orbit", _PERTURBED_STEPS)]
     delta = rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = random.Random(seed)
-    radius = delta * INSIDE
-
-    if system.kind in INTERVAL_KINDS:
-        space = space_set(system)
-        if region is not None:
-            space = intersect(space, region)
-        pts = [x0]
-        for _ in range(length - 1):
-            target = evaluate(system, pts[-1])
-            ball = intersect(closed_ball(target, radius), space)
-            if ball.is_empty:
-                break
-            pts.append(_sample_in_set(ball, rng))
-        return PseudoOrbit(tuple(pts), claimed_delta=delta)
-
-    if system.kind == "odometer":
-        level = _ball_prefix_length(radius, system.depth)
-        pts = [x0]
-        for _ in range(length - 1):
-            target = evaluate(system, pts[-1])
-            word = list(target)
-            for i in range(level, system.depth):
-                word[i] = rng.randint(0, 1)
-            pts.append(tuple(word))
-        return PseudoOrbit(tuple(pts), claimed_delta=delta)
-
-    if system.kind == "sft":
-        level = _ball_prefix_length(radius, 64)
-        pts = [x0]
-        for _ in range(length - 1):
-            target = evaluate(system, pts[-1])
-            prefix = list(target.prefix(level))
-            tail = system.follower_continuation(prefix, rng, 6)
-            cycle = system.admissible_cycle_from(prefix + tail)
-            candidate = SymbolicPoint(tuple(prefix + tail), cycle)
-            if not system.contains_point(candidate):
-                raise DomainError("generated continuation is not admissible")
-            pts.append(candidate)
-        return PseudoOrbit(tuple(pts), claimed_delta=delta)
-
-    raise DomainError(f"unsupported system kind {system.kind}")
+    pts = steps(system, x0, length, delta * INSIDE, random.Random(seed), region)
+    return PseudoOrbit(tuple(pts), claimed_delta=delta)
 
 
-def _ball_prefix_length(radius: Fraction, cap: int) -> int:
-    """Smallest k with 2^−k ≤ radius (capped), so prefix-k agreement implies
-    distance ≤ radius in the 2^−lcp metric."""
-    k = 0
-    value = Fraction(1)
-    while value > radius and k < cap:
-        value /= 2
-        k += 1
-    return k
+def _interval_steps(system, x0, length, radius, rng, region) -> list:
+    space = system.space()
+    if region is not None:
+        space = intersect(space, region)
+    pts = [x0]
+    for _ in range(length - 1):
+        ball = intersect(closed_ball(system.evaluate(pts[-1]), radius), space)
+        if ball.is_empty:
+            break
+        pts.append(_sample_in_set(ball, rng))
+    return pts
+
+
+def _odometer_steps(system: OdometerSystem, x0, length, radius, rng, region) -> list:
+    # the metric saturates at the word length: agreeing on every bit means equal
+    level = min(cylinder_length(radius), system.depth)
+    pts = [x0]
+    for _ in range(length - 1):
+        word = list(system.evaluate(pts[-1]))
+        for i in range(level, system.depth):
+            word[i] = rng.randint(0, 1)
+        pts.append(tuple(word))
+    return pts
+
+
+def _shift_steps(system: ShiftSystem, x0, length, radius, rng, region) -> list:
+    level = cylinder_length(radius)
+    pts = [x0]
+    for _ in range(length - 1):
+        prefix = list(system.evaluate(pts[-1]).prefix(level))
+        tail = system.follower_continuation(prefix, rng, 6)
+        candidate = SymbolicPoint(tuple(prefix + tail), system.admissible_cycle_from(prefix + tail))
+        if not system.contains_point(candidate):
+            raise DomainError("generated continuation is not admissible")
+        pts.append(candidate)
+    return pts
+
+
+_PERTURBED_STEPS = {
+    PiecewiseLinearMap: _interval_steps,
+    QuadraticFamilyMap: _interval_steps,
+    CantorSystem: _interval_steps,
+    SLimitSystem: _interval_steps,
+    OdometerSystem: _odometer_steps,
+    ShiftSystem: _shift_steps,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +208,17 @@ def orbit_to_csv(system: SystemSpec, orbit: PseudoOrbit) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     for p in orbit.points:
-        writer.writerow([point_to_str(system, p)])
+        writer.writerow([system.point_to_str(p)])
     return buf.getvalue()
 
 
 def orbit_from_csv(system: SystemSpec, text: str) -> PseudoOrbit:
-    pts = [point_from_str(system, row[0]) for row in csv.reader(io.StringIO(text)) if row]
+    pts = [system.point_from_str(row[0]) for row in csv.reader(io.StringIO(text)) if row]
     return PseudoOrbit(tuple(pts))
 
 
 def orbit_to_json(system: SystemSpec, orbit: PseudoOrbit) -> dict:
-    data = {"points": [point_to_str(system, p) for p in orbit.points]}
+    data = {"points": [system.point_to_str(p) for p in orbit.points]}
     if orbit.claimed_delta is not None:
         data["claimedDelta"] = rat_str(orbit.claimed_delta)
     if orbit.decay_schedule is not None:
@@ -240,7 +229,7 @@ def orbit_to_json(system: SystemSpec, orbit: PseudoOrbit) -> dict:
 def orbit_from_json(system: SystemSpec, data) -> PseudoOrbit:
     if isinstance(data, str):
         data = json.loads(data)
-    pts = tuple(point_from_str(system, t) for t in data["points"])
+    pts = tuple(system.point_from_str(t) for t in data["points"])
     delta = rat(data["claimedDelta"]) if "claimedDelta" in data else None
     sched = tuple(rat(b) for b in data["decaySchedule"]) if "decaySchedule" in data else None
     return PseudoOrbit(pts, delta, sched)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .numerics import (
@@ -33,6 +34,7 @@ from .pseudo_orbits import (
     verify_jumps,
 )
 from .systems import (
+    CantorSystem,
     DomainError,
     OdometerSystem,
     PiecewiseLinearMap,
@@ -42,11 +44,10 @@ from .systems import (
     SLimitSystem,
     SymbolicPoint,
     SystemSpec,
-    distance,
-    evaluate,
+    cylinder_length,
     iterate,
     iterate_pl,
-    space_set,
+    require,
     tent_map,
 )
 
@@ -65,9 +66,11 @@ class ShadowCertificate:
     leave it None (that set can have exponentially many components and the
     exact-hit question does not need it; ask the oracle when you want it)
     and ``feasible`` refers to the terminal-hit question.  Symbolic systems
-    carry the merged constraint word in ``cylinder`` instead.
+    carry the merged constraint word in ``cylinder`` instead.  ``system`` is
+    the system the query ran on; it writes the witness.
     """
 
+    system: SystemSpec
     feasible: bool
     feasible_set: Optional[RationalIntervalSet]
     witness: Optional[Point]
@@ -81,21 +84,13 @@ class ShadowCertificate:
         return {
             "feasible": self.feasible,
             "feasibleSet": self.feasible_set.to_json() if self.feasible_set is not None else None,
-            "witness": None if self.witness is None else _point_json(self.witness),
+            "witness": None if self.witness is None else self.system.point_to_str(self.witness),
             "report": None if self.report is None else self.report.to_json(),
             "constants": {k: str(v) for k, v in sorted(self.constants.items())},
             "transcript": [s.to_json() if isinstance(s, RationalIntervalSet) else str(s) for s in self.transcript],
             "cylinder": self.cylinder,
             "infeasibleReason": self.infeasible_reason,
         }
-
-
-def _point_json(p):
-    if isinstance(p, Fraction):
-        return rat_str(p)
-    if isinstance(p, SymbolicPoint):
-        return str(p)
-    return "".join(str(b) for b in p)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +132,7 @@ def finite_horizon_delta(lipschitz, n: int, epsilon) -> Fraction:
 
 
 def _tube(system, x: Fraction, epsilon: Fraction) -> RationalIntervalSet:
-    return intersect(closed_ball(x, epsilon), space_set(system))
+    return intersect(closed_ball(x, epsilon), system.space())
 
 
 def _backward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction) -> list[RationalIntervalSet]:
@@ -179,22 +174,19 @@ def shadow_oracle(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCert
     epsilon = rat(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if system.kind == "quadratic":
-        raise DomainError("quadratic systems use the three-valued enclosure oracle")
-    if system.kind in ("sft", "odometer"):
-        return _symbolic_solve(system, orbit, epsilon, require_exact_hit=False)
-    if system.kind == "slimit":
-        return _slimit_oracle(system, orbit, epsilon)
+    return _ORACLES[require(type(system), "shadow_oracle", _ORACLES)](system, orbit, epsilon)
 
+
+def _tube_oracle(system, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
     sets = _backward_tube_sets(system, orbit, epsilon)
     feasible_set = sets[0]
     constants = {"epsilon": rat_str(epsilon)}
     if feasible_set.is_empty:
-        return ShadowCertificate(False, feasible_set, None, None, constants, tuple(sets),
+        return ShadowCertificate(system, False, feasible_set, None, None, constants, tuple(sets),
                                  infeasible_reason="no point stays inside every closed tube")
     witness = feasible_set.leftmost()
     report = deviation(system, witness, orbit)
-    return ShadowCertificate(True, feasible_set, witness, report, constants, tuple(sets))
+    return ShadowCertificate(system, True, feasible_set, witness, report, constants, tuple(sets))
 
 
 def h_shadow_solve(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCertificate:
@@ -207,21 +199,18 @@ def h_shadow_solve(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCer
     epsilon = rat(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if system.kind == "quadratic":
-        raise DomainError("quadratic systems use the three-valued enclosure oracle")
-    if system.kind in ("sft", "odometer"):
-        return _symbolic_solve(system, orbit, epsilon, require_exact_hit=True)
-    if system.kind == "slimit":
-        raise DomainError("exact-hit solving is not supported on this system (irrational inverse)")
+    return _EXACT_HIT_SOLVERS[require(type(system), "h_shadow_solve", _EXACT_HIT_SOLVERS)](system, orbit, epsilon)
 
+
+def _tube_exact_hit(system, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
     pts = orbit.points
     forward = _forward_tube_sets(system, orbit, epsilon)
     constants = {"epsilon": rat_str(epsilon)}
     if forward[-1].is_empty:
-        return ShadowCertificate(False, None, None, None, constants, tuple(forward),
+        return ShadowCertificate(system, False, None, None, None, constants, tuple(forward),
                                  infeasible_reason="no point stays inside every closed tube")
     if not forward[-1].contains(pts[-1]):
-        return ShadowCertificate(False, None, None, None, constants, tuple(forward),
+        return ShadowCertificate(system, False, None, None, None, constants, tuple(forward),
                                  infeasible_reason="final orbit point unreachable inside the tubes")
     # walk the target backwards through the forward sets, leftmost preimage first
     w = pts[-1]
@@ -236,7 +225,7 @@ def h_shadow_solve(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCer
     report = deviation(system, witness, orbit)
     if not report.exact_hit:
         raise AssertionError("reconstructed witness misses the terminal point")
-    return ShadowCertificate(True, None, witness, report, constants, tuple(forward))
+    return ShadowCertificate(system, True, None, witness, report, constants, tuple(forward))
 
 
 def _slimit_oracle(system: SLimitSystem, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
@@ -246,7 +235,7 @@ def _slimit_oracle(system: SLimitSystem, orbit: PseudoOrbit, epsilon: Fraction) 
     forward = _forward_tube_sets(system, orbit, epsilon)
     constants = {"epsilon": rat_str(epsilon)}
     if forward[-1].is_empty:
-        return ShadowCertificate(False, None, None, None, constants, tuple(forward),
+        return ShadowCertificate(system, False, None, None, None, constants, tuple(forward),
                                  infeasible_reason="no point stays inside every closed tube")
     # a rational witness may still exist, try tube points
     candidates = []
@@ -255,8 +244,8 @@ def _slimit_oracle(system: SLimitSystem, orbit: PseudoOrbit, epsilon: Fraction) 
     for cand in sorted(candidates):
         rep = deviation(system, cand, orbit)
         if rep.max_deviation <= epsilon:
-            return ShadowCertificate(True, None, cand, rep, constants, tuple(forward))
-    return ShadowCertificate(True, None, None, None, constants, tuple(forward))
+            return ShadowCertificate(system, True, None, cand, rep, constants, tuple(forward))
+    return ShadowCertificate(system, True, None, None, None, constants, tuple(forward))
 
 
 # ---------------------------------------------------------------------------
@@ -264,59 +253,43 @@ def _slimit_oracle(system: SLimitSystem, orbit: PseudoOrbit, epsilon: Fraction) 
 # ---------------------------------------------------------------------------
 
 
-def _cylinder_length(epsilon: Fraction, cap: int = 256) -> int:
-    """Smallest k ≥ 0 with 2^−k ≤ ε: prefix-k agreement ⟺ distance ≤ ε."""
-    k = 0
-    v = ONE
-    while v > epsilon and k < cap:
-        v /= 2
-        k += 1
-    return k
-
-
-def _symbolic_solve(system, orbit: PseudoOrbit, epsilon: Fraction, require_exact_hit: bool) -> ShadowCertificate:
-    if isinstance(system, OdometerSystem):
-        return _odometer_solve(system, orbit, epsilon, require_exact_hit)
-    return _shift_solve(system, orbit, epsilon, require_exact_hit)
-
-
 def _shift_solve(system: ShiftSystem, orbit: PseudoOrbit, epsilon: Fraction,
-                 require_exact_hit: bool) -> ShadowCertificate:
+                 require_exact_hit: bool = False) -> ShadowCertificate:
     pts = orbit.points
     m = len(pts) - 1
-    k = _cylinder_length(epsilon)
+    k = cylinder_length(epsilon)
     constants = {"epsilon": rat_str(epsilon), "cylinder": k}
     merged: dict[int, str] = {}
     for i, x in enumerate(pts):
         for j in range(k):
             want = x.symbol(j)
             if merged.setdefault(i + j, want) != want:
-                return ShadowCertificate(False, None, None, None, constants,
+                return ShadowCertificate(system, False, None, None, None, constants,
                                          infeasible_reason=f"conflicting symbol constraints at position {i + j}")
     prefix = tuple(merged.get(p, pts[min(p, m)].symbol(p - min(p, m))) for p in range(m))
     witness = SymbolicPoint(prefix + pts[-1].preamble, pts[-1].cycle)
     if not system.contains_point(witness):
         # complete only when forbidden words fit inside the constraint
         # window (k+1 symbols); coarser tubes would need a completion search
-        return ShadowCertificate(False, None, None, None, constants,
+        return ShadowCertificate(system, False, None, None, None, constants,
                                  infeasible_reason="merged constraint word contains a forbidden factor")
     report = deviation(system, witness, orbit)
     if report.max_deviation > epsilon:
-        return ShadowCertificate(False, None, None, None, constants,
+        return ShadowCertificate(system, False, None, None, None, constants,
                                  infeasible_reason="canonical completion leaves the tubes")
     cyl = "".join(merged.get(p, "·") for p in range(m + k))
-    return ShadowCertificate(True, None, witness, report, constants, cylinder=cyl)
+    return ShadowCertificate(system, True, None, witness, report, constants, cylinder=cyl)
 
 
 def _odometer_solve(system: OdometerSystem, orbit: PseudoOrbit, epsilon: Fraction,
-                    require_exact_hit: bool) -> ShadowCertificate:
+                    require_exact_hit: bool = False) -> ShadowCertificate:
     pts = orbit.points
     m = len(pts) - 1
     constants = {"epsilon": rat_str(epsilon)}
     y = system.iterate_inverse(pts[-1], m)
     report = deviation(system, y, orbit)
     if report.max_deviation <= epsilon:
-        return ShadowCertificate(True, None, y, report, constants)
+        return ShadowCertificate(system, True, None, y, report, constants)
     # the canonical inverse-image point failed; fall back to exhaustive search
     best = None
     for value in range(1 << system.depth):
@@ -328,9 +301,24 @@ def _odometer_solve(system: OdometerSystem, orbit: PseudoOrbit, epsilon: Fractio
             best = (cand, rep)
             break
     if best is None:
-        return ShadowCertificate(False, None, None, None, constants,
+        return ShadowCertificate(system, False, None, None, None, constants,
                                  infeasible_reason="no word traces the orbit at this radius")
-    return ShadowCertificate(True, None, best[0], best[1], constants)
+    return ShadowCertificate(system, True, None, best[0], best[1], constants)
+
+
+_ORACLES = {
+    PiecewiseLinearMap: _tube_oracle,
+    CantorSystem: _tube_oracle,
+    SLimitSystem: _slimit_oracle,
+    ShiftSystem: _shift_solve,
+    OdometerSystem: _odometer_solve,
+}
+_EXACT_HIT_SOLVERS = {
+    PiecewiseLinearMap: _tube_exact_hit,
+    CantorSystem: _tube_exact_hit,
+    ShiftSystem: partial(_shift_solve, require_exact_hit=True),
+    OdometerSystem: partial(_odometer_solve, require_exact_hit=True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +354,7 @@ def quadratic_shadow_verdict(system: QuadraticFamilyMap, orbit: PseudoOrbit, eps
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     pts = orbit.points
-    space = space_set(system)
+    space = system.space()
 
     grid = 32
     while True:
@@ -396,7 +384,7 @@ def _quadratic_witness_search(system, orbit: PseudoOrbit, epsilon: Fraction,
     """Exact forward verification of candidates drawn from the outer
     enclosure of the tracing set (dense where it matters)."""
     pts = orbit.points
-    tube0 = intersect(closed_ball(pts[0], epsilon), space_set(system))
+    tube0 = intersect(closed_ball(pts[0], epsilon), system.space())
     candidates = [pts[0]]
     for part in outer0.parts:
         candidates.extend([part.lo, part.hi, (part.lo + part.hi) / 2])
@@ -494,13 +482,13 @@ def h_shadow_via_iterate(system: PiecewiseLinearMap, n: int, region: RationalInt
         "downsampledJump": rat_str(worst),
     }
     if not inner.feasible:
-        return ShadowCertificate(False, inner.feasible_set, None, None, constants,
+        return ShadowCertificate(system, False, inner.feasible_set, None, None, constants,
                                  inner.transcript, infeasible_reason=inner.infeasible_reason)
     witness = iterate(system, inner.witness, n - r)
     report = deviation(system, witness, orbit)
     if not report.exact_hit:
         raise AssertionError("iterate-route witness misses the terminal point")
-    return ShadowCertificate(True, inner.feasible_set, witness, report, constants, inner.transcript)
+    return ShadowCertificate(system, True, inner.feasible_set, witness, report, constants, inner.transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +537,7 @@ def asymptotic_shadow(system: PiecewiseLinearMap, orbit: PseudoOrbit, region: Ra
     if mu <= 1:
         raise DomainError("staged tracing needs a slope modulus above 1")
 
-    jumps = [distance(system, evaluate(system, a), b) for a, b in zip(orbit.points, orbit.points[1:])]
+    jumps = [system.distance(system.evaluate(a), b) for a, b in zip(orbit.points, orbit.points[1:])]
     if all(jump == 0 for jump in jumps):
         check = {"a": True, "b": True, "c": True, "d": True}
         return StagedShadowLog((orbit.points[0],), (orbit.last_index,), (epsilon / 2,), (check,), True)
@@ -579,7 +567,7 @@ def asymptotic_shadow(system: PiecewiseLinearMap, orbit: PseudoOrbit, region: Ra
         else:
             head = [prev]
             for _ in range(k_lo):
-                head.append(evaluate(system, head[-1]))
+                head.append(system.evaluate(head[-1]))
             spliced = PseudoOrbit(tuple(head) + tuple(orbit.points[k_lo + 1 : k_hi + 1]))
         cert = h_shadow_solve(system, spliced, solve_radii[i])
         if not cert.feasible:
@@ -600,22 +588,22 @@ def _stage_conditions(system, prev, z, orbit, k_lo, k_hi, bound, epsilon, region
         p = prev
         for _ in range(k_lo + 1):
             orbit_prev.append(p)
-            p = evaluate(system, p)
+            p = system.evaluate(p)
     cond_a = True
     w = z
     for jdx in range(k_hi + 1):
         if prev is not None and jdx <= k_lo:
-            if distance(system, orbit_prev[jdx], w) >= bound:
+            if system.distance(orbit_prev[jdx], w) >= bound:
                 cond_a = False
-        w = evaluate(system, w)
+        w = system.evaluate(w)
     cond_b = True
     w = z
     for jdx in range(k_hi + 1):
         lo = 0 if prev is None else k_lo + 1
-        if jdx >= lo and distance(system, w, orbit.points[jdx]) >= bound:
+        if jdx >= lo and system.distance(w, orbit.points[jdx]) >= bound:
             cond_b = False
         if jdx < k_hi:
-            w = evaluate(system, w)
+            w = system.evaluate(w)
     cond_c = iterate(system, z, k_hi) == orbit.points[k_hi]
     cond_d = True
     w = z
@@ -623,7 +611,7 @@ def _stage_conditions(system, prev, z, orbit, k_lo, k_hi, bound, epsilon, region
         if region.distance_to(w) >= epsilon:
             cond_d = False
         if jdx < k_hi:
-            w = evaluate(system, w)
+            w = system.evaluate(w)
     return {"a": cond_a, "b": cond_b, "c": cond_c, "d": cond_d}
 
 
@@ -638,14 +626,14 @@ def make_decaying_orbit(system: PiecewiseLinearMap, x0: Fraction, epsilon, stage
     bounds = [epsilon * Fraction(1, 2 ** (i + 1)) for i in range(stages + 3)]
     deltas = [(mu - 1) * min(b, nu) * INSIDE for b in bounds]
     rng = random.Random(seed)
-    space = space_set(system)
+    space = system.space()
     pts = [x0]
     schedule = []
     total = block * (stages + 2)
     for idx in range(total):
         stage = min(idx // block + 1, stages + 2)
         radius = deltas[stage] * HALF
-        target = evaluate(system, pts[-1])
+        target = system.evaluate(pts[-1])
         ball = intersect(closed_ball(target, radius), space)
         pts.append(_sample_in_set(ball, rng))
         schedule.append(deltas[stage])
@@ -701,10 +689,8 @@ def nonshadow_witness_tent(lam, epsilon, delta, horizon: int = 200,
             pts.append(system.evaluate(pts[-1]))
         orbit = PseudoOrbit(tuple(pts), claimed_delta=delta if delta > 0 else None)
         cert = shadow_oracle(system, orbit, epsilon)
-        cert = ShadowCertificate(cert.feasible, cert.feasible_set, cert.witness, cert.report,
-                                 {**cert.constants, "delta": rat_str(delta), "lambda": rat_str(lam),
-                                  "deflectionSide": "down" if sign < 0 else "up"},
-                                 cert.transcript, cert.cylinder, cert.infeasible_reason)
+        cert = replace(cert, constants={**cert.constants, "delta": rat_str(delta), "lambda": rat_str(lam),
+                                        "deflectionSide": "down" if sign < 0 else "up"})
         if not cert.feasible:
             return orbit, cert
         if best is None:

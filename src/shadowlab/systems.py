@@ -5,10 +5,15 @@ middle-thirds expanding map, the interval-plus-isolated-points space) use
 exact rationals as points.  Symbolic systems (one-sided shifts of finite
 type, the binary odometer) use finite words or eventually periodic words.
 
-Every system answers: which points belong to the space, where does a point
-map, what are the monotone affine branches over a window, what is the exact
-preimage of an interval set, where are the critical points, and what is the
-metric.
+Every system answers which points belong to its space (``contains_point``),
+where a point maps (``evaluate``), the metric (``distance``) and how a point
+is written and read (``point_to_str``, ``point_from_str``).  The interval
+systems also answer their space as an interval set (``space``) and forward
+images; the piecewise-affine ones (``PiecewiseLinearMap``, ``CantorSystem``)
+their affine cells, exact preimages and minimum slope modulus; PL maps, the
+quadratic family and the tail system their critical points.  A solver that needs
+more than every system answers checks the class once, at entry
+(:func:`require`).
 """
 
 from __future__ import annotations
@@ -42,7 +47,31 @@ _UNIT_INTERVAL = RationalIntervalSet((ClosedInterval(ZERO, ONE),))
 
 
 class DomainError(ValueError):
-    """Point outside the system's space, or an unsupported system kind."""
+    """Point outside the system's space, or a system class a solver does not support."""
+
+
+def require(system_class: type, solver: str, supported) -> type:
+    """A solver's one entry check: ``system_class`` itself when it is among
+    ``supported`` (a tuple of classes or a dict keyed by them), else one
+    DomainError naming it."""
+    if system_class not in supported:
+        raise DomainError(f"{solver} does not support {system_class.__name__}")
+    return system_class
+
+
+class IntervalSystem:
+    """Shared by the interval systems: rational points and the metric |x − y|."""
+
+    def distance(self, x: Fraction, y: Fraction) -> Fraction:
+        if not isinstance(x, Fraction) or not isinstance(y, Fraction):
+            raise DomainError("interval systems take rational points")
+        return abs(x - y)
+
+    def point_to_str(self, x: Fraction) -> str:
+        return rat_str(x)
+
+    def point_from_str(self, text: str) -> Fraction:
+        return rat(text)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +80,7 @@ class DomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearMap:
+class PiecewiseLinearMap(IntervalSystem):
     """Interval map on [0,1], affine between consecutive breakpoints.
 
     ``breakpoints`` is strictly increasing with first 0 and last 1; ``values``
@@ -92,6 +121,10 @@ class PiecewiseLinearMap:
 
     def laps(self) -> tuple[tuple[ClosedInterval, Fraction, Fraction], ...]:
         """All maximal affine pieces as (domain, slope, offset)."""
+        return self._laps
+
+    def affine_cells(self) -> tuple[tuple[ClosedInterval, Fraction, Fraction], ...]:
+        """The affine cells the pair engine works on: the stored laps."""
         return self._laps
 
     def space(self) -> RationalIntervalSet:
@@ -243,7 +276,7 @@ def random_zigzag_map(seed: int, min_laps: int = 2, max_laps: int = 4) -> Piecew
 
 
 @dataclass(frozen=True)
-class QuadraticFamilyMap:
+class QuadraticFamilyMap(IntervalSystem):
     """Either g_λ(x)=λx(1−x) on [0,1] or f_μ(x)=1−μx² on [−1,1]."""
 
     family: str  # "logistic" | "quadratic"
@@ -278,6 +311,9 @@ class QuadraticFamilyMap:
 
     def critical_point(self) -> Fraction:
         return HALF if self.family == "logistic" else ZERO
+
+    def critical_points(self) -> list[Fraction]:
+        return [self.critical_point()]
 
     def derivative(self, x: Fraction) -> Fraction:
         p = self.parameter
@@ -314,26 +350,15 @@ class QuadraticFamilyMap:
         return intersect(normalize(out), space)
 
     def _branch_preimages(self, part: ClosedInterval, bits: int) -> list[ClosedInterval]:
-        p = self.parameter
-        if self.family == "quadratic":
-            # 1 - p x̂² ∈ [a,b]  ⟺  x² ∈ [(1-b)/p, (1-a)/p]
-            lo2 = (1 - part.hi) / p
-            hi2 = (1 - part.lo) / p
-            if hi2 < 0:
-                return []
-            lo2 = max(lo2, ZERO)
-            rlo = sqrt_enclosure(lo2, bits)[0]
-            rhi = sqrt_enclosure(hi2, bits)[1]
-            return [ClosedInterval(-rhi, -rlo), ClosedInterval(rlo, rhi)]
-        # logistic: p x(1-x) ∈ [a,b] ⟺ (x-1/2)² ∈ [1/4 - b/p, 1/4 - a/p]
-        lo2 = Fraction(1, 4) - part.hi / p
-        hi2 = Fraction(1, 4) - part.lo / p
+        # f(x) ∈ [a,b]  ⟺  (x − c)² ∈ [(f(c) − b)/p, (f(c) − a)/p] for the critical point c
+        c, p = self.critical_point(), self.parameter
+        top = self.evaluate(c)
+        hi2 = (top - part.lo) / p
         if hi2 < 0:
             return []
-        lo2 = max(lo2, ZERO)
-        rlo = sqrt_enclosure(lo2, bits)[0]
+        rlo = sqrt_enclosure(max((top - part.hi) / p, ZERO), bits)[0]
         rhi = sqrt_enclosure(hi2, bits)[1]
-        return [ClosedInterval(HALF - rhi, HALF - rlo), ClosedInterval(HALF + rlo, HALF + rhi)]
+        return [ClosedInterval(c - rhi, c - rlo), ClosedInterval(c + rlo, c + rhi)]
 
     def to_json(self) -> dict:
         return {"kind": "quadratic", "family": self.family, "parameter": rat_str(self.parameter)}
@@ -409,7 +434,7 @@ def _cantor_space(depth: int) -> RationalIntervalSet:
 
 
 @dataclass(frozen=True)
-class CantorSystem:
+class CantorSystem(IntervalSystem):
     """Self-map of a two-sided middle-thirds set in [−1,1] that scales each
     dyadically indexed piece by 3 (by 9 on the two pieces of index ±3) and
     translates it onto another piece.
@@ -487,6 +512,9 @@ class CantorSystem:
                 dst = ClosedInterval(-half.hi, -half.lo)
         slope = dst.width / src.width
         return slope, dst.lo - slope * src.lo
+
+    def min_slope_modulus(self) -> Fraction:
+        return min(abs(self.piece_affine(n)[0]) for k in range(1, self.depth + 1) for n in (k, -k))
 
     def piece_set(self, n: int, resolution: Optional[int] = None) -> RationalIntervalSet:
         """Piece n resolved to middle-thirds intervals of width 3^−resolution."""
@@ -666,6 +694,12 @@ def common_prefix_length(a: SymbolicPoint, b: SymbolicPoint) -> Optional[int]:
     raise AssertionError("distinct eventually periodic points must disagree within the bound")
 
 
+def cylinder_length(epsilon: Fraction) -> int:
+    """Smallest k ≥ 0 with 2^−k ≤ ε, so that prefix-k agreement ⟺ distance ≤ ε
+    in the 2^−(common prefix length) metric; exact for every ε > 0."""
+    return (-(-epsilon.denominator // epsilon.numerator) - 1).bit_length()
+
+
 @dataclass(frozen=True)
 class ShiftSystem:
     """One-sided shift over a finite alphabet avoiding a finite word list."""
@@ -703,8 +737,16 @@ class ShiftSystem:
         return p.shifted()
 
     def distance(self, a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
+        if not isinstance(a, SymbolicPoint) or not isinstance(b, SymbolicPoint):
+            raise DomainError("shift systems take symbolic points")
         k = common_prefix_length(a, b)
         return ZERO if k is None else Fraction(1, 2**k)
+
+    def point_to_str(self, p: SymbolicPoint) -> str:
+        return str(p)
+
+    def point_from_str(self, text: str) -> SymbolicPoint:
+        return SymbolicPoint.parse(text)
 
     def follower_continuation(self, context: Sequence[str], rng: random.Random, length: int) -> list[str]:
         """Seeded admissible continuation of the given context."""
@@ -795,12 +837,20 @@ class OdometerSystem:
         return tuple((value >> i) & 1 for i in range(self.depth))
 
     def distance(self, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
+        if not isinstance(a, tuple) or not isinstance(b, tuple):
+            raise DomainError("odometer systems take binary words")
         if a == b:
             return ZERO
         k = 0
         while a[k] == b[k]:
             k += 1
         return Fraction(1, 2**k)
+
+    def point_to_str(self, w: tuple[int, ...]) -> str:
+        return "".join(str(b) for b in w)
+
+    def point_from_str(self, text: str) -> tuple[int, ...]:
+        return tuple(int(ch) for ch in text)
 
     def to_json(self) -> dict:
         return {"kind": "odometer", "depth": self.depth}
@@ -812,7 +862,7 @@ class OdometerSystem:
 
 
 @dataclass(frozen=True)
-class SLimitSystem:
+class SLimitSystem(IntervalSystem):
     """[0,1] ∪ {−1/2ⁿ : n ≤ tail_depth} with g(x)=x² on [0,1], identity below 0.
 
     g is an increasing bijection of [0,1] with g(x) < x strictly inside, so
@@ -844,6 +894,10 @@ class SLimitSystem:
             raise DomainError(f"{x} outside the space")
         return x * x if x >= 0 else x
 
+    def critical_points(self) -> list[Fraction]:
+        """Empty: the map is increasing on [0,1] and the identity below 0."""
+        return []
+
     def forward_image(self, sset: RationalIntervalSet) -> RationalIntervalSet:
         out = []
         for part in sset.parts:
@@ -869,14 +923,6 @@ SystemSpec = Union[
 ]
 Point = Union[Fraction, SymbolicPoint, tuple]
 
-INTERVAL_KINDS = ("pl", "quadratic", "cantor", "slimit")
-PIECEWISE_AFFINE_KINDS = ("pl", "cantor")
-
-
-def evaluate(system: SystemSpec, x: Point) -> Point:
-    """One application of the system's map; exact for every system kind."""
-    return system.evaluate(x)
-
 
 def iterate(system: SystemSpec, x: Point, n: int) -> Point:
     for _ in range(n):
@@ -884,104 +930,26 @@ def iterate(system: SystemSpec, x: Point, n: int) -> Point:
     return x
 
 
-def branches(system: SystemSpec, window: RationalIntervalSet) -> list[tuple[ClosedInterval, Fraction, Fraction]]:
-    """Maximal monotone affine pieces meeting the window, clipped to it."""
-    if system.kind == "pl":
-        cells = system.laps()
-    elif system.kind == "cantor":
-        # report at the piece level: each piece is one maximal affine branch
-        cells = []
-        for n in range(1, system.depth + 1):
-            for signed in (n, -n):
-                s, c = system.piece_affine(signed)
-                cells.append((system.piece_interval(signed), s, c))
-    else:
-        raise DomainError(f"{system.kind} systems do not expose affine branches")
-    out = []
-    for dom, s, c in cells:
-        clipped = intersect(RationalIntervalSet((dom,)), window)
-        for part in clipped.parts:
-            out.append((part, s, c))
-    return out
-
-
-def preimage_set(system: SystemSpec, target: RationalIntervalSet) -> RationalIntervalSet:
-    """Exact {x : f(x) ∈ target} for piecewise-monotone interval systems."""
-    if system.kind in ("pl", "cantor"):
-        return system.preimage(target)
-    if system.kind == "quadratic":
-        return system.preimage_outer(target)
-    raise DomainError(f"{system.kind} systems do not support interval preimages")
-
-
-def critical_set(system: SystemSpec) -> list[Point]:
-    if system.kind == "pl":
-        return system.critical_points()
-    if system.kind == "quadratic":
-        return [system.critical_point()]
-    if system.kind == "slimit":
-        return []
-    raise DomainError("critical points are defined for interval-map systems")
-
-
-def distance(system: SystemSpec, x: Point, y: Point) -> Fraction:
-    if system.kind in INTERVAL_KINDS:
-        if not isinstance(x, Fraction) or not isinstance(y, Fraction):
-            raise DomainError("interval systems take rational points")
-        return abs(x - y)
-    if system.kind == "sft":
-        if not isinstance(x, SymbolicPoint) or not isinstance(y, SymbolicPoint):
-            raise DomainError("shift systems take symbolic points")
-        return system.distance(x, y)
-    if system.kind == "odometer":
-        if not isinstance(x, tuple) or not isinstance(y, tuple):
-            raise DomainError("odometer systems take binary words")
-        return system.distance(x, y)
-    raise DomainError(f"unknown system kind {system.kind}")
-
-
-def space_set(system: SystemSpec) -> RationalIntervalSet:
-    if system.kind not in INTERVAL_KINDS:
-        raise DomainError("only interval-type systems have an interval-set space")
-    return system.space()
-
-
-def point_to_str(system: SystemSpec, x: Point) -> str:
-    if system.kind in INTERVAL_KINDS:
-        return rat_str(x)
-    if system.kind == "sft":
-        return str(x)
-    return "".join(str(b) for b in x)
-
-
-def point_from_str(system: SystemSpec, text: str) -> Point:
-    if system.kind in INTERVAL_KINDS:
-        return rat(text)
-    if system.kind == "sft":
-        return SymbolicPoint.parse(text)
-    return tuple(int(ch) for ch in text)
-
-
-def system_to_json(system: SystemSpec) -> dict:
-    return system.to_json()
-
-
 def system_from_json(data: Union[dict, str]) -> SystemSpec:
+    """Parse a system document; a missing field raises ValueError naming it."""
     if isinstance(data, str):
         data = json.loads(data)
-    kind = data["kind"]
-    if kind == "pl":
-        return PiecewiseLinearMap(
-            tuple(rat(b) for b in data["breakpoints"]), tuple(rat(v) for v in data["values"])
-        )
-    if kind == "quadratic":
-        return QuadraticFamilyMap(data["family"], rat(data["parameter"]))
-    if kind == "cantor":
-        return CantorSystem(int(data["depth"]), data.get("negative_image_mode", "fold"))
-    if kind == "sft":
-        return ShiftSystem(tuple(data["alphabet"]), tuple(data.get("forbidden", ())))
-    if kind == "odometer":
-        return OdometerSystem(int(data["depth"]))
-    if kind == "slimit":
-        return SLimitSystem(int(data["tail_depth"]))
+    try:
+        kind = data["kind"]
+        if kind == "pl":
+            return PiecewiseLinearMap(
+                tuple(rat(b) for b in data["breakpoints"]), tuple(rat(v) for v in data["values"])
+            )
+        if kind == "quadratic":
+            return QuadraticFamilyMap(data["family"], rat(data["parameter"]))
+        if kind == "cantor":
+            return CantorSystem(int(data["depth"]), data.get("negative_image_mode", "fold"))
+        if kind == "sft":
+            return ShiftSystem(tuple(data["alphabet"]), tuple(data.get("forbidden", ())))
+        if kind == "odometer":
+            return OdometerSystem(int(data["depth"]))
+        if kind == "slimit":
+            return SLimitSystem(int(data["tail_depth"]))
+    except KeyError as missing:
+        raise ValueError(f"system JSON lacks the field {missing.args[0]!r}") from None
     raise ValueError(f"unknown system kind {kind!r}")

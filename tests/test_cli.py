@@ -6,7 +6,7 @@ import pytest
 
 from shadowlab.cli import emit, main
 from shadowlab.scenarios import REGISTRY, Report, run_scenario
-from shadowlab.systems import system_to_json, tent_map
+from shadowlab.systems import logistic_map, tent_map
 
 
 REQUIRED_SCENARIOS = {
@@ -92,7 +92,7 @@ def test_cli_scenario_reruns_are_byte_identical(tmp_path):
 def test_cli_shadow_solve_round_trip(tmp_path, capsys):
     system = tent_map(2)
     sys_path = tmp_path / "system.json"
-    sys_path.write_text(json.dumps(system_to_json(system)))
+    sys_path.write_text(json.dumps(system.to_json()))
     orbit_path = tmp_path / "orbit.csv"
     orbit_path.write_text("1/4\n1/2\n1/1\n")
     code = main(["shadow", "oracle", "--system", str(sys_path),
@@ -103,9 +103,54 @@ def test_cli_shadow_solve_round_trip(tmp_path, capsys):
     assert data["witness"] == "7/32"
 
 
+def test_cli_shadow_on_quadratic_writes_verdict_to_out(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(logistic_map(4).to_json()))
+    orbit_path = tmp_path / "orbit.csv"
+    orbit_path.write_text("1/2\n1/1\n0/1\n")
+    out = tmp_path / "verdict.json"
+    code = main(["shadow", "oracle", "--system", str(sys_path), "--orbit", str(orbit_path),
+                 "--epsilon", "1/100", "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    assert json.loads(printed)["value"] == "yes"
+    # the exact-hit solver does not take quadratic maps: one line, exit code 2
+    code = main(["shadow", "solve", "--system", str(sys_path), "--orbit", str(orbit_path),
+                 "--epsilon", "1/100"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "QuadraticFamilyMap" in captured.err
+
+
+def test_cli_rejects_false_claimed_delta(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    orbit_path = tmp_path / "orbit.json"
+    # the first jump |T(1/3) − 1/10| = 17/30 is far above the claimed 1/1000
+    orbit_path.write_text(json.dumps({"points": ["1/3", "1/10", "1/2"], "claimedDelta": "1/1000"}))
+    code = main(["shadow", "oracle", "--system", str(sys_path), "--orbit", str(orbit_path),
+                 "--epsilon", "1/8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "claimed delta" in captured.err
+
+
+def test_cli_rejects_system_json_missing_a_field(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps({"kind": "pl"}))
+    orbit_path = tmp_path / "orbit.csv"
+    orbit_path.write_text("1/4\n")
+    code = main(["shadow", "oracle", "--system", str(sys_path), "--orbit", str(orbit_path),
+                 "--epsilon", "1/8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "'breakpoints'" in captured.err
+
+
 def test_cli_expansivity_check(tmp_path, capsys):
     sys_path = tmp_path / "system.json"
-    sys_path.write_text(json.dumps(system_to_json(tent_map(2))))
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
     code = main(["expansivity", "check", "--property", "ball", "--system", str(sys_path),
                  "--mu", "2", "--nu", "1/4"])
     assert code == 0
@@ -120,7 +165,7 @@ def test_cli_expansivity_check(tmp_path, capsys):
 
 def test_cli_open_check_without_point_is_a_usage_error(tmp_path, capsys):
     sys_path = tmp_path / "system.json"
-    sys_path.write_text(json.dumps(system_to_json(tent_map(2))))
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
     with pytest.raises(SystemExit) as exc:
         main(["expansivity", "check", "--property", "open", "--system", str(sys_path)])
     assert exc.value.code == 2

@@ -21,9 +21,8 @@ from shadowlab.expansivity import (
 from shadowlab.numerics import closed_ball, from_pairs, intersect, point_set
 from shadowlab.systems import (
     CantorSystem,
+    OdometerSystem,
     PiecewiseLinearMap,
-    distance,
-    evaluate,
     full_shift,
     logistic_map,
     quadratic_map,
@@ -48,8 +47,8 @@ def test_cantor_fold_convention_contracts_across_zero():
     verdict = check_expanding(system, whole_space_region(system), F(1, 9), F(3))
     assert verdict.falsified
     x, y = F(verdict.counterexample["x"]), F(verdict.counterexample["y"])
-    lhs = distance(system, evaluate(system, x), evaluate(system, y))
-    assert lhs < 3 * distance(system, x, y)
+    lhs = system.distance(system.evaluate(x), system.evaluate(y))
+    assert lhs < 3 * system.distance(x, y)
 
 
 def test_tent_not_expanding_symmetric_pair():
@@ -115,7 +114,7 @@ def test_expanding_brute_force_cross_validation():
             x = part.lo + part.width * F(rng.getrandbits(12), 1 << 12)
             y = part.lo + part.width * F(rng.getrandbits(12), 1 << 12)
             if x != y and abs(x - y) < delta:
-                if abs(evaluate(system, x) - evaluate(system, y)) < mu * abs(x - y):
+                if abs(system.evaluate(x) - system.evaluate(y)) < mu * abs(x - y):
                     violations.append((x, y))
         if violations:
             assert verdict.falsified
@@ -266,10 +265,18 @@ def test_full_shift_stays_undetermined():
 
 
 def test_odometer_is_not_positively_expansive():
-    from shadowlab.systems import OdometerSystem
-
     verdict = positively_expansive_falsify(OdometerSystem(8), F(1, 4), horizon=30)
     assert verdict.falsified
+
+
+def test_odometer_counterexample_points_read_back():
+    system = OdometerSystem(6)
+    verdict = positively_expansive_falsify(system, F(1, 4), horizon=30)
+    x, y = verdict.counterexample["x"], verdict.counterexample["y"]
+    assert len(x) == len(y) == 6 and set(x + y) <= {"0", "1"}
+    for text in (x, y):
+        assert system.contains_point(system.point_from_str(text))
+        assert system.point_to_str(system.point_from_str(text)) == text
 
 
 # -- Schwarzian ---------------------------------------------------------------------

@@ -12,14 +12,13 @@ from shadowlab.pseudo_orbits import (
     orbit_to_csv,
     orbit_to_json,
     perturbed_orbit,
-    splice,
     verify_jumps,
 )
 from shadowlab.shadowing import finite_horizon_delta
 from shadowlab.systems import (
     OdometerSystem,
     SLimitSystem,
-    evaluate,
+    SymbolicPoint,
     golden_mean_shift,
     iterate,
     iterate_pl,
@@ -31,7 +30,7 @@ from shadowlab.systems import (
 def true_orbit(system, x0, length):
     pts = [x0]
     for _ in range(length - 1):
-        pts.append(evaluate(system, pts[-1]))
+        pts.append(system.evaluate(pts[-1]))
     return PseudoOrbit(tuple(pts))
 
 
@@ -54,7 +53,7 @@ def test_slimit_squeeze_orbit_jump_bound():
     n = 4
     pts = [F(1, 2)]
     for _ in range(n):
-        pts.append(evaluate(system, pts[-1]))
+        pts.append(system.evaluate(pts[-1]))
     pts.append(F(0))
     pts.extend([F(-1, 2**n)] * 3)
     orbit = PseudoOrbit(tuple(pts))
@@ -109,8 +108,6 @@ def test_perturbed_orbit_deterministic():
 
 def test_perturbed_orbit_symbolic_kinds():
     gm = golden_mean_shift()
-    from shadowlab.systems import SymbolicPoint
-
     x0 = SymbolicPoint(("0", "1"), ("0",))
     orbit = perturbed_orbit(gm, x0, 12, F(1, 32), seed=4)
     assert verify_jumps(gm, orbit) < F(1, 32)
@@ -121,26 +118,13 @@ def test_perturbed_orbit_symbolic_kinds():
     assert verify_jumps(od, orbit) < F(1, 16)
 
 
-def test_splice_identity_and_bound():
-    t2 = tent_map(2)
-    orbit = true_orbit(t2, F(2, 5), 5)
-    assert splice([], orbit).points == orbit.points
-    # prefix point maps 1/128 away from the suffix start
-    glued = splice([F(1, 5) + F(1, 256)], orbit, system=t2)
-    assert verify_jumps(t2, glued) == F(1, 128)
-
-
-def test_splice_backward_extension_keeps_bound():
-    # extending a pseudo-orbit by a true-orbit prefix that lands exactly on
-    # its first point never worsens the jump bound
-    t2 = tent_map(2)
-    rng = random.Random(7)
-    for trial in range(20):
-        orbit = perturbed_orbit(t2, F(1, 3), 8, F(1, 40), seed=trial)
-        z = orbit.points[0] / 2  # tent preimage on the left lap
-        prefix = [z]
-        glued = splice(prefix, orbit, system=t2)
-        assert verify_jumps(t2, glued) == verify_jumps(t2, orbit)
+def test_shift_perturbation_keeps_a_delta_below_two_to_the_minus_64():
+    # the kept prefix must reach 2^-71 here; a cap at 64 symbols let jumps of 2^-64 through
+    gm = golden_mean_shift()
+    delta = F(1, 2**70)
+    orbit = perturbed_orbit(gm, SymbolicPoint((), ("0",)), 12, delta, seed=3)
+    assert len(orbit) == 12
+    assert verify_jumps(gm, orbit) < orbit.claimed_delta == delta
 
 
 def test_block_downsampling_amplification_bound():
@@ -182,7 +166,5 @@ def test_orbit_serialization_round_trips():
     assert again.decay_schedule == scheduled.decay_schedule
 
     gm = golden_mean_shift()
-    from shadowlab.systems import SymbolicPoint
-
     sym = perturbed_orbit(gm, SymbolicPoint(("0",), ("0", "1")), 6, F(1, 16), seed=3)
     assert orbit_from_csv(gm, orbit_to_csv(gm, sym)).points == sym.points

@@ -25,7 +25,6 @@ from shadowlab.systems import (
     OdometerSystem,
     SLimitSystem,
     SymbolicPoint,
-    evaluate,
     golden_mean_shift,
     iterate,
     logistic_map,
@@ -39,7 +38,7 @@ T2 = tent_map(2)
 def true_orbit(system, x0, length):
     pts = [x0]
     for _ in range(length - 1):
-        pts.append(evaluate(system, pts[-1]))
+        pts.append(system.evaluate(pts[-1]))
     return PseudoOrbit(tuple(pts))
 
 
@@ -203,6 +202,16 @@ def test_shift_solver_detects_conflicts():
     assert not oracle.feasible and not solver.feasible
 
 
+def test_shift_cylinder_length_is_exact_below_two_to_the_minus_256():
+    gm = golden_mean_shift()
+    x0 = SymbolicPoint(("0", "1"), ("0",))
+    orbit = PseudoOrbit((x0, gm.evaluate(x0)))
+    cert = shadow_oracle(gm, orbit, F(1, 2**300))
+    assert cert.feasible and cert.constants["cylinder"] == 300
+    assert len(cert.cylinder) == 301
+    assert cert.to_json()["witness"] == "01(0)"
+
+
 def test_odometer_inverse_image_construction():
     od = OdometerSystem(10)
     orbit = perturbed_orbit(od, (0,) * 10, 25, F(1, 32), seed=5)
@@ -279,7 +288,7 @@ def test_staged_tracing_conditions_and_terminal_bound():
         if j > k_lo:
             assert abs(w - orbit.points[j]) < eps * F(1, 2 ** (stages + 1))
         if j < k_hi:
-            w = evaluate(T2, w)
+            w = T2.evaluate(w)
     # exact hit at every stage horizon (condition c re-checked here)
     for i, z in enumerate(log.stage_points):
         k = log.stage_horizons[i + 1]
@@ -365,7 +374,7 @@ def test_slimit_oracle_forward_feasibility():
     system = SLimitSystem(8)
     pts = [F(1, 2)]
     for _ in range(4):
-        pts.append(evaluate(system, pts[-1]))
+        pts.append(system.evaluate(pts[-1]))
     orbit = PseudoOrbit(tuple(pts))
     cert = shadow_oracle(system, orbit, F(1, 20))
     assert cert.feasible
@@ -397,7 +406,7 @@ def test_quadratic_verdict_yes_on_noisy_orbit():
     pts = [F(1, 3)]
     for _ in range(6):
         jump = F(rng.randint(-80, 80), 10000)
-        pts.append(min(max(evaluate(g4, pts[-1]) + jump, F(0)), F(1)))
+        pts.append(min(max(g4.evaluate(pts[-1]) + jump, F(0)), F(1)))
     orbit = PseudoOrbit(tuple(pts))
     verdict = quadratic_shadow_verdict(g4, orbit, F(1, 10))
     assert verdict.value == "yes"

@@ -4,7 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from shadowlab.expansivity import RegionSpec, check_ball_expanding, check_expanding, check_locally_injective
 from shadowlab.numerics import from_pairs, intersect, normalize
+from shadowlab.pseudo_orbits import PseudoOrbit
+from shadowlab.shadowing import shadow_oracle
 from shadowlab.systems import (
     CantorSystem,
     DomainError,
@@ -12,21 +15,15 @@ from shadowlab.systems import (
     PiecewiseLinearMap,
     SLimitSystem,
     SymbolicPoint,
-    branches,
     compose_pl,
-    critical_set,
-    distance,
-    evaluate,
     full_shift,
     golden_mean_shift,
     iterate_pl,
     logistic_map,
-    preimage_set,
     quadratic_map,
     random_zigzag_map,
     sqrt_enclosure,
     system_from_json,
-    system_to_json,
     tent_map,
 )
 
@@ -39,29 +36,29 @@ def sample_rationals(rng, k, lo=F(0), hi=F(1)):
 
 
 def test_tent_critical_value():
-    assert evaluate(tent_map(2), F(1, 2)) == 1
+    assert tent_map(2).evaluate(F(1, 2)) == 1
 
 
 def test_logistic_critical_value():
-    assert evaluate(logistic_map(4), F(1, 2)) == 1
+    assert logistic_map(4).evaluate(F(1, 2)) == 1
 
 
 def test_cantor_slope_nine_piece():
-    assert evaluate(CantorSystem(6), F(2, 27)) == F(2, 3)
+    assert CantorSystem(6).evaluate(F(2, 27)) == F(2, 3)
 
 
 def test_eval_outside_domain():
     with pytest.raises(DomainError):
-        evaluate(tent_map(2), F(3, 2))
+        tent_map(2).evaluate(F(3, 2))
     with pytest.raises(DomainError):
-        evaluate(CantorSystem(4), F(1, 2))  # inside a removed gap
+        CantorSystem(4).evaluate(F(1, 2))  # inside a removed gap
 
 
-# -- branches ---------------------------------------------------------------
+# -- affine cells -----------------------------------------------------------
 
 
 def test_tent_branches():
-    got = branches(tent_map(2), from_pairs([(0, 1)]))
+    got = tent_map(2).affine_cells()
     assert [(b.lo, b.hi, s, c) for b, s, c in got] == [
         (F(0), F(1, 2), F(2), F(0)),
         (F(1, 2), F(1), F(-2), F(2)),
@@ -69,8 +66,13 @@ def test_tent_branches():
 
 
 def test_cantor_branch_on_one_piece():
-    got = branches(CantorSystem(5), from_pairs([("2/9", "1/3")]))
-    assert [(b.lo, b.hi, s, c) for b, s, c in got] == [(F(2, 9), F(1, 3), F(3), F(0))]
+    # piece 2 is one affine branch: every component cell on it carries (3, 0)
+    system = CantorSystem(5)
+    piece = system.piece_interval(2)
+    assert (piece.lo, piece.hi, *system.piece_affine(2)) == (F(2, 9), F(1, 3), F(3), F(0))
+    cells = [(dom, s, c) for dom, s, c in system.affine_cells() if piece.lo <= dom.lo <= piece.hi]
+    assert normalize([dom for dom, _, _ in cells]) == system.piece_set(2)
+    assert {(s, c) for _, s, c in cells} == {(F(3), F(0))}
 
 
 def pl_maps():
@@ -96,45 +98,45 @@ def test_pl_slopes_from_difference_quotients():
 
 
 def test_branches_unsupported_kinds():
-    window = from_pairs([(0, 1)])
+    window = RegionSpec(from_pairs([(0, 1)]))
     with pytest.raises(DomainError):
-        branches(logistic_map(4), window)  # nonlinear laps, no affine branches
+        check_ball_expanding(logistic_map(4), window, 2, F(1, 4), [F(1, 8)])  # nonlinear laps, no affine branches
     with pytest.raises(DomainError):
-        branches(SLimitSystem(4), window)  # the squaring piece is not affine
+        check_expanding(SLimitSystem(4), window, F(1, 8), 2)  # the squaring piece is not affine
     laps = logistic_map(4).monotone_laps()
     assert [(l.lo, l.hi) for l in laps] == [(F(0), F(1, 2)), (F(1, 2), F(1))]
 
 
 def test_critical_set_needs_interval_map():
     with pytest.raises(DomainError):
-        critical_set(CantorSystem(4))
+        check_locally_injective(CantorSystem(4), RegionSpec(CantorSystem(4).space()))
     with pytest.raises(DomainError):
-        critical_set(golden_mean_shift())
+        check_locally_injective(golden_mean_shift(), RegionSpec(()))
 
 
 def test_branches_agree_with_eval():
     rng = random.Random(4)
     for seed in range(6):
         m = random_zigzag_map(seed)
-        for part, s, c in branches(m, from_pairs([(0, 1)])):
+        for part, s, c in m.affine_cells():
             for x in sample_rationals(rng, 4, part.lo, part.hi):
-                assert evaluate(m, x) == s * x + c
+                assert m.evaluate(x) == s * x + c
 
 
 # -- preimages --------------------------------------------------------------
 
 
 def test_tent_preimage_upper_half():
-    assert preimage_set(tent_map(2), from_pairs([("1/2", 1)])) == from_pairs([("1/4", "3/4")])
+    assert tent_map(2).preimage(from_pairs([("1/2", 1)])) == from_pairs([("1/4", "3/4")])
 
 
 def test_tent_preimage_of_maximum():
-    assert preimage_set(tent_map(2), from_pairs([(1, 1)])) == from_pairs([("1/2", "1/2")])
+    assert tent_map(2).preimage(from_pairs([(1, 1)])) == from_pairs([("1/2", "1/2")])
 
 
 def test_cantor_preimage_of_first_piece():
     system = CantorSystem(5)
-    got = preimage_set(system, from_pairs([("2/3", 1)]))
+    got = system.preimage(from_pairs([("2/3", 1)]))
     expected = normalize(
         list(system.piece_set(2).parts)
         + list(system.piece_set(-2).parts)
@@ -149,46 +151,46 @@ def test_forward_image_containment():
     rng = random.Random(9)
     t = from_pairs([("1/5", "2/5"), ("3/5", "7/10")])
     for system in (tent_map(2), tent_map(F(9, 5)), random_zigzag_map(3), CantorSystem(5)):
-        pre = preimage_set(system, t)
+        pre = system.preimage(t)
         for part in pre.parts:
             for x in {part.lo, part.hi, (part.lo + part.hi) / 2}:
                 if system.contains_point(x):
-                    assert t.contains(evaluate(system, x))
+                    assert t.contains(system.evaluate(x))
 
 
 # -- critical sets ----------------------------------------------------------
 
 
 def test_critical_sets():
-    assert critical_set(tent_map(2)) == [F(1, 2)]
-    assert critical_set(quadratic_map(F(3, 2))) == [F(0)]
+    assert tent_map(2).critical_points() == [F(1, 2)]
+    assert quadratic_map(F(3, 2)).critical_points() == [F(0)]
     monotone = PiecewiseLinearMap((F(0), F(1, 3), F(1)), (F(0), F(2, 9), F(2, 3)))
-    assert critical_set(monotone) == []
+    assert monotone.critical_points() == []
 
 
 # -- metric -----------------------------------------------------------------
 
 
 def test_interval_distance():
-    assert distance(tent_map(2), F(1, 4), F(3, 4)) == F(1, 2)
+    assert tent_map(2).distance(F(1, 4), F(3, 4)) == F(1, 2)
 
 
 def test_shift_distance():
     gm = full_shift(2)
     a = SymbolicPoint(("0", "1", "1", "0"), ("0",))
     b = SymbolicPoint(("0", "1", "1", "1"), ("0",))
-    assert distance(gm, a, b) == F(1, 8)
+    assert gm.distance(a, b) == F(1, 8)
 
 
 def test_odometer_distance_identity():
     od = OdometerSystem(4)
     w = (1, 0, 1, 0)
-    assert distance(od, w, w) == 0
+    assert od.distance(w, w) == 0
 
 
 def test_mixed_point_kinds_rejected():
     with pytest.raises(DomainError):
-        distance(tent_map(2), F(1, 2), SymbolicPoint((), ("0",)))
+        tent_map(2).distance(F(1, 2), SymbolicPoint((), ("0",)))
 
 
 # -- middle-thirds structure ------------------------------------------------
@@ -307,12 +309,12 @@ def test_slimit_bijection_and_decrease():
     rng = random.Random(2)
     for x in sample_rationals(rng, 32):
         if 0 < x < 1:
-            assert evaluate(system, x) < x
+            assert system.evaluate(x) < x
     for p in system.tail_points() + [F(0), F(1)]:
-        assert evaluate(system, p) == p
+        assert system.evaluate(p) == p
     # increasing on [0,1] plus fixed isolated points: injective on samples
     xs = sorted(sample_rationals(rng, 16))
-    ys = [evaluate(system, x) for x in xs]
+    ys = [system.evaluate(x) for x in xs]
     assert ys == sorted(set(ys))
 
 
@@ -344,7 +346,7 @@ def test_tent_square_is_four_laps():
     rng = random.Random(5)
     t2 = tent_map(2)
     for x in sample_rationals(rng, 24):
-        assert evaluate(sq, x) == evaluate(t2, evaluate(t2, x))
+        assert sq.evaluate(x) == t2.evaluate(t2.evaluate(x))
 
 
 def test_compose_collapses_collinear_breakpoints():
@@ -372,11 +374,63 @@ def test_system_json_round_trip():
         SLimitSystem(9),
         *pl_maps(),
     ):
-        for again in (system_from_json(system_to_json(system)), pickle.loads(pickle.dumps(system))):
+        for again in (system_from_json(system.to_json()), pickle.loads(pickle.dumps(system))):
             assert again == system
             assert hash(again) == hash(system)
             if isinstance(system, PiecewiseLinearMap):
                 assert again.laps() == system.laps() and again.slopes == system.slopes
+
+
+# -- the system contract ----------------------------------------------------
+
+SYSTEM_ZOO = [
+    pytest.param(tent_map(2), F(1, 3), id="tent"),
+    pytest.param(random_zigzag_map(5), F(2, 7), id="zigzag"),
+    pytest.param(logistic_map(4), F(1, 5), id="logistic"),
+    pytest.param(quadratic_map(F(3, 2)), F(-1, 3), id="quadratic"),
+    pytest.param(CantorSystem(5, "fold"), F(-2, 27), id="cantor-fold"),
+    pytest.param(CantorSystem(5, "mirror"), F(-2, 27), id="cantor-mirror"),
+    pytest.param(SLimitSystem(6), F(-1, 8), id="slimit"),
+    pytest.param(golden_mean_shift(), SymbolicPoint(("0", "1"), ("0",)), id="golden-mean"),
+    pytest.param(OdometerSystem(6), (1, 1, 0, 1, 0, 0), id="odometer"),
+]
+
+
+@pytest.mark.parametrize("system, x", SYSTEM_ZOO)
+def test_system_contract(system, x):
+    assert system.contains_point(x)
+    assert system.point_from_str(system.point_to_str(x)) == x
+    assert system.distance(x, x) == 0
+    wrong = (0, 1) if isinstance(x, F) else F(1, 2)
+    with pytest.raises(DomainError):
+        system.distance(x, wrong)
+    assert system_from_json(system.to_json()) == system
+    if isinstance(system, (PiecewiseLinearMap, CantorSystem)):
+        for dom, s, c in system.affine_cells():
+            assert s * dom.lo + c == system.evaluate(dom.lo)
+            assert s * dom.hi + c == system.evaluate(dom.hi)
+
+
+def test_solvers_reject_unsupported_classes():
+    with pytest.raises(DomainError, match="check_expanding does not support ShiftSystem"):
+        check_expanding(golden_mean_shift(), RegionSpec(()), F(1, 8), 2)
+    with pytest.raises(DomainError, match="shadow_oracle does not support QuadraticFamilyMap"):
+        shadow_oracle(quadratic_map(F(3, 2)), PseudoOrbit((F(0),)), F(1, 8))
+    with pytest.raises(DomainError, match="check_locally_injective does not support CantorSystem"):
+        check_locally_injective(CantorSystem(4), RegionSpec(CantorSystem(4).space()))
+
+
+def test_cantor_min_slope_modulus_from_piece_slopes():
+    for depth in (1, 2, 3, 6):
+        for mode in ("fold", "mirror"):
+            assert CantorSystem(depth, mode).min_slope_modulus() == 3
+
+
+def test_system_json_missing_field_is_named():
+    with pytest.raises(ValueError, match="'breakpoints'"):
+        system_from_json({"kind": "pl"})
+    with pytest.raises(ValueError, match="'kind'"):
+        system_from_json({})
 
 
 def test_sqrt_enclosure_bounds():
