@@ -65,6 +65,8 @@ def region_of(*pairs, margin=ZERO) -> RegionSpec:
 
 
 def whole_space_region(system) -> RegionSpec:
+    """The whole space as a region; only interval systems have one."""
+    require(type(system), "whole_space_region", (PiecewiseLinearMap, QuadraticFamilyMap, CantorSystem, SLimitSystem))
     return RegionSpec(system.space())
 
 
@@ -145,11 +147,33 @@ def _vertex_candidates(cx: Cell, cy: Cell, delta: Fraction) -> list[tuple[Fracti
     return out
 
 
+def _pair_bound_clears(cx: Cell, cy: Cell, delta: Fraction, mu: Fraction) -> bool:
+    """True when one of two exact bounds proves that no pair x ∈ cx, y ∈ cy
+    with 0 < y−x < delta has |F(x)−G(y)| < μ(y−x):
+
+    (a) both cells carry the same map F = G with |s| ≥ μ, so
+        |F(x)−G(y)| = |s|(y−x) ≥ μ(y−x);
+    (b) the images F(ix) and G(iy) lie at least μ·min(delta, iy.hi−ix.lo)
+        apart, an upper bound on μ(y−x) over every such pair.
+    """
+    (ix, sx, ox), (iy, sy, oy) = cx, cy
+    if sx == sy and ox == oy and abs(sx) >= mu:
+        return True
+    f0, f1 = sx * ix.lo + ox, sx * ix.hi + ox
+    g0, g1 = sy * iy.lo + oy, sy * iy.hi + oy
+    gap = max(min(g0, g1) - max(f0, f1), min(f0, f1) - max(g0, g1))
+    return gap >= mu * min(delta, iy.hi - ix.lo)
+
+
 def _pair_violation(cx: Cell, cy: Cell, delta: Fraction, mu: Fraction) -> Optional[tuple]:
     """A pair x ∈ cx, y ∈ cy with 0 < y−x < delta and |F(x)−G(y)| < μ(y−x),
-    or None when no such pair exists (decided exactly at arrangement vertices)."""
+    or None when no such pair exists.
+
+    Pairs out of reach (iy.lo − ix.hi ≥ delta) and pairs that
+    :func:`_pair_bound_clears` proves clear are None at once; the rest are
+    decided exactly at the vertices of the line arrangement."""
     (ix, sx, ox), (iy, sy, oy) = cx, cy
-    if iy.lo - ix.hi >= delta:
+    if iy.lo - ix.hi >= delta or _pair_bound_clears(cx, cy, delta, mu):
         return None
     # prefer an exact image collision F(x) = G(y), i.e. y = a·x + b
     a, b = sx / sy, (ox - oy) / sy

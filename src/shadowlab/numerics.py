@@ -9,8 +9,10 @@ float.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -201,20 +203,35 @@ def closed_ball(center: RationalLike, radius: RationalLike) -> RationalIntervalS
     return RationalIntervalSet((ClosedInterval(c - r, c + r),))
 
 
+_HI = attrgetter("hi")
+
+
 def intersect(a: RationalIntervalSet, b: RationalIntervalSet) -> RationalIntervalSet:
-    """Exact intersection by a two-pointer sweep over canonical parts."""
+    """Exact intersection by a two-pointer sweep over canonical parts.
+
+    When the two current parts do not overlap, the side that lies wholly to
+    the left jumps by bisection to its first part reaching the other's left
+    end (canonical parts ascend in ``hi``), so parts that cannot overlap
+    anything are skipped in logarithmic time: one part against n costs
+    O(log n) comparisons, not O(n)."""
     out: list[ClosedInterval] = []
     i = j = 0
     pa, pb = a.parts, b.parts
-    while i < len(pa) and j < len(pb):
-        lo = max(pa[i].lo, pb[j].lo)
-        hi = min(pa[i].hi, pb[j].hi)
+    na, nb = len(pa), len(pb)
+    while i < na and j < nb:
+        p, q = pa[i], pb[j]
+        lo = max(p.lo, q.lo)
+        hi = min(p.hi, q.hi)
         if lo <= hi:
             out.append(ClosedInterval(lo, hi))
-        if pa[i].hi < pb[j].hi:
-            i += 1
+            if p.hi < q.hi:
+                i += 1
+            else:
+                j += 1
+        elif p.hi < q.lo:
+            i = bisect_left(pa, q.lo, i + 1, na, key=_HI)
         else:
-            j += 1
+            j = bisect_left(pb, p.lo, j + 1, nb, key=_HI)
     # pieces produced in order and pairwise disjoint, but two consecutive
     # outputs may touch at a point shared by both operands; re-normalize.
     return normalize(out)

@@ -87,7 +87,11 @@ def verify_jumps(system: SystemSpec, orbit: PseudoOrbit) -> Fraction:
 
 def checked_orbit(system: SystemSpec, points: Sequence[Point], claimed_delta=None,
                   decay_schedule=None) -> PseudoOrbit:
-    """Build a PseudoOrbit and verify its claimed bounds against the system."""
+    """Build a PseudoOrbit, check that every point lies in the space and
+    verify its claimed bounds against the system."""
+    for i, p in enumerate(points):
+        if not system.contains_point(p):
+            raise DomainError(f"orbit point {i} ({system.point_to_str(p)}) is not in the space")
     orbit = PseudoOrbit(tuple(points), claimed_delta, decay_schedule)
     if claimed_delta is not None and verify_jumps(system, orbit) >= claimed_delta:
         raise ValueError("claimed delta not satisfied by the jump sequence")

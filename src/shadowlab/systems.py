@@ -850,6 +850,8 @@ class OdometerSystem:
         return "".join(str(b) for b in w)
 
     def point_from_str(self, text: str) -> tuple[int, ...]:
+        if len(text) != self.depth or not set(text) <= {"0", "1"}:
+            raise DomainError(f"{text!r} is not a depth-{self.depth} binary word")
         return tuple(int(ch) for ch in text)
 
     def to_json(self) -> dict:

@@ -6,7 +6,7 @@ import pytest
 
 from shadowlab.cli import emit, main
 from shadowlab.scenarios import REGISTRY, Report, run_scenario
-from shadowlab.systems import logistic_map, tent_map
+from shadowlab.systems import OdometerSystem, golden_mean_shift, logistic_map, tent_map
 
 
 REQUIRED_SCENARIOS = {
@@ -170,6 +170,44 @@ def test_cli_open_check_without_point_is_a_usage_error(tmp_path, capsys):
         main(["expansivity", "check", "--property", "open", "--system", str(sys_path)])
     assert exc.value.code == 2
     assert "--property open requires --at" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system", [golden_mean_shift(), OdometerSystem(4)])
+def test_cli_expanding_check_on_symbolic_system_is_one_line_error(tmp_path, capsys, system):
+    # without --region the whole space is asked for, and a symbolic space is no interval set
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(system.to_json()))
+    code = main(["expansivity", "check", "--property", "expanding", "--system", str(sys_path),
+                 "--delta", "1/4", "--mu", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and type(system).__name__ in captured.err
+
+
+def test_cli_rejects_orbit_point_outside_the_space(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    orbit_path = tmp_path / "orbit.csv"
+    orbit_path.write_text("1/4\n3/2\n")
+    code = main(["shadow", "oracle", "--system", str(sys_path), "--orbit", str(orbit_path),
+                 "--epsilon", "1/8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "orbit point 1 (3/2)" in captured.err
+
+
+@pytest.mark.parametrize("word", ["0120", "10", "10000"])
+def test_cli_rejects_malformed_odometer_word(tmp_path, capsys, word):
+    # 0120 used to be read as the tuple (0, 1, 2, 0) and answered feasible with witness 0000
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps({"kind": "odometer", "depth": 4}))
+    orbit_path = tmp_path / "orbit.csv"
+    orbit_path.write_text(f"{word}\n1000\n")
+    code = main(["shadow", "oracle", "--system", str(sys_path), "--orbit", str(orbit_path),
+                 "--epsilon", "1/4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and f"'{word}' is not a depth-4 binary word" in captured.err
 
 
 def test_cli_kneading_search(capsys):

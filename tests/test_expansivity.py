@@ -5,6 +5,10 @@ import pytest
 
 from shadowlab.expansivity import (
     RegionSpec,
+    _affine_cells,
+    _pair_bound_clears,
+    _pair_violation,
+    _vertex_candidates,
     check_ball_expanding,
     check_expanding,
     check_locally_injective,
@@ -18,7 +22,15 @@ from shadowlab.expansivity import (
     search_ball_expanding_constants,
     whole_space_region,
 )
-from shadowlab.numerics import closed_ball, from_pairs, intersect, point_set
+from shadowlab.numerics import (
+    ClosedInterval,
+    RationalIntervalSet,
+    closed_ball,
+    from_pairs,
+    intersect,
+    normalize,
+    point_set,
+)
 from shadowlab.systems import (
     CantorSystem,
     OdometerSystem,
@@ -63,22 +75,20 @@ def test_tent_expanding_on_left_band():
     assert verdict.certified
 
 
+def _random_cell(rng, lo):
+    return (ClosedInterval(lo, lo + F(rng.randint(1, 20), 100)),
+            F(rng.choice((-5, -3, -2, 2, 3, 4)), rng.choice((1, 2))),
+            F(rng.randint(-200, 200), 100))
+
+
 def test_pair_engine_against_dense_sampling():
     # the vertex analysis over one cell pair agrees with dense rational
     # sampling of the two affine graphs, including straddle configurations
-    from shadowlab.expansivity import _pair_violation
-    from shadowlab.numerics import ClosedInterval
-
     rng = random.Random(44)
     for trial in range(120):
         a1 = F(rng.randint(0, 60), 100)
-        cell_x = (ClosedInterval(a1, a1 + F(rng.randint(1, 20), 100)),
-                  F(rng.choice((-5, -3, -2, 2, 3, 4)), rng.choice((1, 2))),
-                  F(rng.randint(-200, 200), 100))
-        b1 = a1 + F(rng.randint(0, 25), 100)
-        cell_y = (ClosedInterval(b1, b1 + F(rng.randint(1, 20), 100)),
-                  F(rng.choice((-5, -3, -2, 2, 3, 4)), rng.choice((1, 2))),
-                  F(rng.randint(-200, 200), 100))
+        cell_x = _random_cell(rng, a1)
+        cell_y = _random_cell(rng, a1 + F(rng.randint(0, 25), 100))
         delta = F(rng.randint(2, 15), 100)
         mu = F(rng.choice((3, 2, 5)), 2)
         hit = _pair_violation(cell_x, cell_y, delta, mu)
@@ -95,6 +105,70 @@ def test_pair_engine_against_dense_sampling():
                 y = iy.lo + iy.width * F(rng.getrandbits(10), 1 << 10)
                 if 0 < y - x < delta:
                     assert abs((sx * x + ox) - (sy * y + oy)) >= mu * (y - x)
+
+
+def _bound_test_cases():
+    """(cells, delta, mu) from the middle-thirds systems, zigzag maps and random cells."""
+    for depth in range(3, 8):
+        for mode in ("fold", "mirror"):
+            system = CantorSystem(depth, mode)
+            cells = _affine_cells(system, system.space())
+            for mu in (F(3), F(4)):  # slope 3: bound (a) applies at μ = 3, only (b) at μ = 4
+                yield cells, F(1, 3 ** (depth - 3)), mu
+    rng = random.Random(7)
+    for seed in range(8):
+        system = random_zigzag_map(seed)
+        lo = F(rng.randint(0, 50), 100)
+        carrier = from_pairs([(0, lo), (lo + F(rng.randint(1, 10), 100), 1)])
+        cells = _affine_cells(system, carrier)
+        for delta, mu in ((F(1, 10), F(2)), (F(1, 4), system.min_slope_modulus()), (F(1, 20), F(5))):
+            yield cells, delta, mu
+    for _ in range(150):
+        a1 = F(rng.randint(0, 60), 100)
+        cells = [_random_cell(rng, a1), _random_cell(rng, a1 + F(rng.randint(0, 25), 100))]
+        yield cells, F(rng.randint(2, 15), 100), F(rng.choice((3, 2, 5)), 2)
+
+
+def test_pair_bounds_skip_only_violation_free_pairs():
+    # every cell pair the two bounds skip is checked on the full vertex
+    # arrangement: no vertex with |F(x) − G(y)| < μ(y − x), and no point of
+    # the image-collision line F(x) = G(y) with 0 < y − x < δ (the collision
+    # segment's end points are arrangement vertices and y − x is affine on it,
+    # so it suffices that every collision vertex has y = x)
+    skipped = {"same map": 0, "images apart": 0}
+    for cells, delta, mu in _bound_test_cases():
+        for cx in cells:
+            for cy in cells:
+                if cy is cx or max(cy[0].lo - cx[0].hi, cx[0].lo - cy[0].hi) >= delta:
+                    continue
+                if not _pair_bound_clears(cx, cy, delta, mu):
+                    continue
+                (ix, sx, ox), (iy, sy, oy) = cx, cy
+                same = sx == sy and ox == oy and abs(sx) >= mu
+                skipped["same map" if same else "images apart"] += 1
+                for x, y in _vertex_candidates(cx, cy, delta):
+                    fx, gy = sx * x + ox, sy * y + oy
+                    assert abs(fx - gy) >= mu * (y - x), (cx, cy, delta, mu, x, y)
+                    if fx == gy:
+                        assert y == x, (cx, cy, delta, mu, x, y)
+                assert _pair_violation(cx, cy, delta, mu) is None
+    assert skipped["same map"] > 100 and skipped["images apart"] > 100, skipped
+
+
+def test_affine_cells_on_a_128_part_cantor_carrier():
+    # _affine_cells against every cell domain met with every carrier part
+    for mode in ("fold", "mirror"):
+        system = CantorSystem(7, mode)
+        space = system.space()
+        every_other = RationalIntervalSet(space.parts[::2])
+        assert len(every_other.parts) == 128
+        for carrier in (space, every_other):
+            expected = []
+            for dom, s, c in system.affine_cells():
+                met = [ClosedInterval(max(dom.lo, q.lo), min(dom.hi, q.hi)) for q in carrier.parts
+                       if max(dom.lo, q.lo) <= min(dom.hi, q.hi)]
+                expected.extend((part, s, c) for part in normalize(met).parts)
+            assert _affine_cells(system, carrier) == expected
 
 
 def test_expanding_brute_force_cross_validation():

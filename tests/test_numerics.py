@@ -87,6 +87,49 @@ def test_normalize_idempotent(s):
     assert normalize(list(s.parts)) == s
 
 
+# endpoints on a coarse grid, so parts of two sets often touch or coincide
+grid_points = st.integers(min_value=0, max_value=48).map(lambda k: F(k, 4))
+
+
+@st.composite
+def grid_sets(draw, max_parts):
+    n = draw(st.integers(min_value=0, max_value=max_parts))
+    parts = []
+    for _ in range(n):
+        a = draw(grid_points)
+        b = draw(st.one_of(st.just(a), grid_points))  # degenerate point parts too
+        parts.append(interval(min(a, b), max(a, b)))
+    return normalize(parts)
+
+
+def pairwise_intersection(a, b):
+    """Reference: every part of a against every part of b, then normalize."""
+    return normalize([interval(max(p.lo, q.lo), min(p.hi, q.hi))
+                      for p in a.parts for q in b.parts if max(p.lo, q.lo) <= min(p.hi, q.hi)])
+
+
+@given(grid_sets(12), grid_sets(12))
+@settings(max_examples=200)
+def test_intersect_matches_pairwise_reference(a, b):
+    assert intersect(a, b) == pairwise_intersection(a, b)
+
+
+@given(grid_sets(1), grid_sets(40))
+@settings(max_examples=200)
+def test_intersect_one_part_against_many(one, many):
+    expected = pairwise_intersection(one, many)
+    assert intersect(one, many) == expected
+    assert intersect(many, one) == expected
+
+
+def test_intersect_skips_to_touching_and_point_parts():
+    many = from_pairs([(k, F(2 * k + 1, 2)) for k in range(20)])  # [k, k + 1/2]
+    assert intersect(from_pairs([(F(37, 2), F(37, 2))]), many) == from_pairs([(F(37, 2), F(37, 2))])
+    assert intersect(from_pairs([(F(21, 2), 11)]), many) == from_pairs([(F(21, 2), F(21, 2)), (11, 11)])
+    assert intersect(from_pairs([(F(3, 4), F(7, 8))]), many).is_empty
+    assert intersect(many, RationalIntervalSet(())).is_empty
+
+
 @given(interval_sets(), interval_sets())
 @settings(max_examples=80)
 def test_intersect_commutative(a, b):

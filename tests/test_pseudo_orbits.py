@@ -16,6 +16,7 @@ from shadowlab.pseudo_orbits import (
 )
 from shadowlab.shadowing import finite_horizon_delta
 from shadowlab.systems import (
+    DomainError,
     OdometerSystem,
     SLimitSystem,
     SymbolicPoint,
@@ -83,6 +84,15 @@ def test_checked_orbit_validates_claims():
     assert checked_orbit(t2, pts, claimed_delta=F(1, 50)).claimed_delta == F(1, 50)
     with pytest.raises(ValueError):
         checked_orbit(t2, pts, claimed_delta=F(1, 200))
+
+
+def test_checked_orbit_refuses_points_outside_the_space():
+    # no claimed bound: the membership check alone must catch the bad point
+    with pytest.raises(DomainError, match=r"orbit point 1 \(0120\) is not in the space"):
+        checked_orbit(OdometerSystem(4), ((1, 0, 0, 0), (0, 1, 2, 0)))
+    with pytest.raises(DomainError, match=r"orbit point 0 \(-1/8\)"):
+        checked_orbit(tent_map(2), (F(-1, 8), F(1, 4)))
+    assert checked_orbit(OdometerSystem(4), ((1, 0, 0, 0), (0, 1, 0, 0))).last_index == 1
 
 
 def test_perturbed_orbit_respects_delta():

@@ -4,7 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from shadowlab.expansivity import RegionSpec, check_ball_expanding, check_expanding, check_locally_injective
+from shadowlab.expansivity import (
+    RegionSpec,
+    check_ball_expanding,
+    check_expanding,
+    check_locally_injective,
+    whole_space_region,
+)
 from shadowlab.numerics import from_pairs, intersect, normalize
 from shadowlab.pseudo_orbits import PseudoOrbit
 from shadowlab.shadowing import shadow_oracle
@@ -409,6 +415,21 @@ def test_system_contract(system, x):
         for dom, s, c in system.affine_cells():
             assert s * dom.lo + c == system.evaluate(dom.lo)
             assert s * dom.hi + c == system.evaluate(dom.hi)
+
+
+def test_odometer_point_from_str_takes_only_depth_length_binary_words():
+    odo = OdometerSystem(4)
+    assert odo.point_from_str("0110") == (0, 1, 1, 0)
+    for text in ("0120", "011", "01100", "01a0", "", " 011"):
+        with pytest.raises(DomainError, match="is not a depth-4 binary word"):
+            odo.point_from_str(text)
+
+
+def test_whole_space_region_needs_an_interval_space():
+    assert whole_space_region(tent_map(2)).carrier == tent_map(2).space()
+    for system in (golden_mean_shift(), OdometerSystem(4)):
+        with pytest.raises(DomainError, match=f"whole_space_region does not support {type(system).__name__}"):
+            whole_space_region(system)
 
 
 def test_solvers_reject_unsupported_classes():
