@@ -13,7 +13,7 @@ from .numerics import (
     rat_str,
     union,
 )
-from .pseudo_orbits import DeviationReport, PseudoOrbit, deviation, perturbed_orbit, verify_jumps
+from .pseudo_orbits import DeviationReport, PseudoOrbit, deviation, perturbed_orbit, traces, verify_jumps
 from .shadowing import (
     ShadowCertificate,
     StagedShadowLog,

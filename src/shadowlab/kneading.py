@@ -85,7 +85,7 @@ def _fast_quadratic_kneading(mu: Fraction, horizon: int, bits: int = 192) -> Opt
     cannot separate some iterate from 0 (the exact path then decides).
     """
     while bits <= 8192:
-        lo = hi = Fraction(1)
+        lo = hi = 1 << bits  # the critical value 1, as a numerator over 2^bits
         syms: list[str] = []
         stuck = False
         for _ in range(horizon):
@@ -205,6 +205,10 @@ def find_parameter(target: KneadingWord, horizon: int, bisection_steps: int) -> 
     be certified here).  Returns the last matching parameter seen together
     with the final bracket.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if bisection_steps < 0:
+        raise ValueError("bisection_steps must be >= 0")
     if horizon > len(target):
         raise ValueError("horizon exceeds the target length")
     goal = word(target.symbols[:horizon])
@@ -234,22 +238,21 @@ def find_parameter(target: KneadingWord, horizon: int, bisection_steps: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _round_down(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(math.floor(x * scale), scale)
+def _quadratic_step(mu: Fraction, lo: int, hi: int, bits: int) -> tuple[int, int]:
+    """Image of [lo, hi]·2^−bits under 1 − μx², rounded outward to the
+    2^−bits grid; endpoints are integer numerators over 2^bits.
 
-
-def _round_up(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(math.ceil(x * scale), scale)
-
-
-def _quadratic_step(mu: Fraction, lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Image of [lo, hi] under 1 − μx², rounded outward to the 2^−bits grid."""
-    mags = sorted((abs(lo), abs(hi)))
-    sq_hi = mags[1] * mags[1]
-    sq_lo = Fraction(0) if lo <= 0 <= hi else mags[0] * mags[0]
-    return _round_down(1 - mu * sq_hi, bits), _round_up(1 - mu * sq_lo, bits)
+    With μ = n/d and A ≤ B the endpoint magnitudes (A = 0 when the interval
+    contains 0), the image is [1 − μB², 1 − μA²], whose numerators over
+    2^bits are (d·4^bits − n·m²)/(d·2^bits) for m = B and m = A.
+    """
+    n, d = mu.numerator, mu.denominator
+    small, big = sorted((abs(lo), abs(hi)))
+    if lo <= 0 <= hi:
+        small = 0
+    one = d << (2 * bits)
+    den = d << bits
+    return (one - n * big * big) // den, -((n * small * small - one) // den)
 
 
 def critical_orbit_separation(mu: Fraction, first: int, last: int,
@@ -260,10 +263,12 @@ def critical_orbit_separation(mu: Fraction, first: int, last: int,
     Returns None when no positive bound can be certified even at the
     precision cap (the orbit may genuinely meet 0).
     """
+    if not 1 <= first <= last:
+        raise ValueError("need 1 <= first <= last")
     mu = rat(mu)
     while bits <= max_bits:
-        lo, hi = Fraction(0), Fraction(0)
-        best: Optional[Fraction] = None
+        lo = hi = 0
+        best: Optional[int] = None
         ok = True
         for n in range(1, last + 1):
             lo, hi = _quadratic_step(mu, lo, hi, bits)
@@ -275,6 +280,6 @@ def critical_orbit_separation(mu: Fraction, first: int, last: int,
                 if best is None or bound < best:
                     best = bound
         if ok:
-            return best
+            return Fraction(best, 1 << bits)
         bits *= 2
     return None

@@ -232,9 +232,10 @@ def intersect(a: RationalIntervalSet, b: RationalIntervalSet) -> RationalInterva
             i = bisect_left(pa, q.lo, i + 1, na, key=_HI)
         else:
             j = bisect_left(pb, p.lo, j + 1, nb, key=_HI)
-    # pieces produced in order and pairwise disjoint, but two consecutive
-    # outputs may touch at a point shared by both operands; re-normalize.
-    return normalize(out)
+    # after each output the side that ended it advances to a part starting
+    # strictly past that end, so the outputs ascend with gaps and are
+    # already canonical
+    return RationalIntervalSet(tuple(out))
 
 
 def union(a: RationalIntervalSet, b: RationalIntervalSet) -> RationalIntervalSet:

@@ -102,16 +102,39 @@ def checked_orbit(system: SystemSpec, points: Sequence[Point], claimed_delta=Non
     return orbit
 
 
-def deviation(system: SystemSpec, y: Point, orbit: PseudoOrbit) -> DeviationReport:
-    """Per-step distances d(f^i(y), x_i) plus the exact-terminal-hit flag."""
+def _trace_report(system: SystemSpec, y: Point, orbit: PseudoOrbit,
+                  bound: Optional[Fraction]) -> Optional[DeviationReport]:
+    """The one step loop: distances d(f^i(y), x_i), iterating lazily and
+    stopping at the first step beyond ``bound`` (never when it is None).
+
+    Only a new running maximum can exceed the bound, so most steps cost one
+    comparison, as the maximum alone did."""
     per = []
+    worst = None
     z = y
     for i, x in enumerate(orbit.points):
-        per.append(system.distance(z, x))
-        if i < orbit.last_index:
+        if i:
             z = system.evaluate(z)
-    exact = z == orbit.points[-1] if orbit.last_index > 0 else y == orbit.points[0]
-    return DeviationReport(max(per), tuple(per), exact)
+        d = system.distance(z, x)
+        per.append(d)
+        if worst is None or d > worst:
+            if bound is not None and d > bound:
+                return None
+            worst = d
+    return DeviationReport(worst, tuple(per), z == orbit.points[-1])
+
+
+def deviation(system: SystemSpec, y: Point, orbit: PseudoOrbit) -> DeviationReport:
+    """Per-step distances d(f^i(y), x_i) plus the exact-terminal-hit flag."""
+    return _trace_report(system, y, orbit, None)
+
+
+def traces(system: SystemSpec, y: Point, orbit: PseudoOrbit, epsilon) -> Optional[DeviationReport]:
+    """``deviation(system, y, orbit)`` when y ε-traces the orbit, else None.
+
+    Stops at the first step whose distance exceeds ε, so a candidate that
+    leaves an early tube is not iterated to the orbit's end."""
+    return _trace_report(system, y, orbit, rat(epsilon))
 
 
 _SAMPLE_GRID = 1 << 48

@@ -41,7 +41,7 @@ from .numerics import (
     rat,
     rat_str,
 )
-from .pseudo_orbits import PseudoOrbit, deviation, perturbed_orbit, verify_jumps
+from .pseudo_orbits import PseudoOrbit, deviation, perturbed_orbit, traces, verify_jumps
 from .shadowing import (
     asymptotic_shadow,
     ball_expanding_delta,
@@ -451,8 +451,7 @@ def run_nonshadow_search(horizon: int = 200, seed: int = 0, **_) -> Report:
             y = j * step
             if y < 0 or y > 1:
                 continue
-            rep = deviation(system, y, orbit)
-            if rep.max_deviation <= epsilon:
+            if traces(system, y, orbit, epsilon) is not None:
                 traced += 1
         report.add("no dyadic grid point in the starting tube traces the orbit",
                    0, traced, "oracle")

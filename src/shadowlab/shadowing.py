@@ -31,6 +31,7 @@ from .pseudo_orbits import (
     PseudoOrbit,
     _sample_in_set,
     deviation,
+    traces,
     verify_jumps,
 )
 from .systems import (
@@ -242,8 +243,8 @@ def _slimit_oracle(system: SLimitSystem, orbit: PseudoOrbit, epsilon: Fraction) 
     for part in forward[0].parts:
         candidates.extend({part.lo, part.hi, (part.lo + part.hi) / 2})
     for cand in sorted(candidates):
-        rep = deviation(system, cand, orbit)
-        if rep.max_deviation <= epsilon:
+        rep = traces(system, cand, orbit, epsilon)
+        if rep is not None:
             return ShadowCertificate(system, True, None, cand, rep, constants, tuple(forward))
     return ShadowCertificate(system, True, None, None, None, constants, tuple(forward))
 
@@ -273,8 +274,8 @@ def _shift_solve(system: ShiftSystem, orbit: PseudoOrbit, epsilon: Fraction,
         # window (k+1 symbols); coarser tubes would need a completion search
         return ShadowCertificate(system, False, None, None, None, constants,
                                  infeasible_reason="merged constraint word contains a forbidden factor")
-    report = deviation(system, witness, orbit)
-    if report.max_deviation > epsilon:
+    report = traces(system, witness, orbit, epsilon)
+    if report is None:
         return ShadowCertificate(system, False, None, None, None, constants,
                                  infeasible_reason="canonical completion leaves the tubes")
     cyl = "".join(merged.get(p, "·") for p in range(m + k))
@@ -287,8 +288,8 @@ def _odometer_solve(system: OdometerSystem, orbit: PseudoOrbit, epsilon: Fractio
     m = len(pts) - 1
     constants = {"epsilon": rat_str(epsilon)}
     y = system.iterate_inverse(pts[-1], m)
-    report = deviation(system, y, orbit)
-    if report.max_deviation <= epsilon:
+    report = traces(system, y, orbit, epsilon)
+    if report is not None:
         return ShadowCertificate(system, True, None, y, report, constants)
     # the canonical inverse-image point failed; fall back to exhaustive search
     best = None
@@ -296,8 +297,8 @@ def _odometer_solve(system: OdometerSystem, orbit: PseudoOrbit, epsilon: Fractio
         cand = system.int_to_word(value)
         if require_exact_hit and iterate(system, cand, m) != pts[-1]:
             continue
-        rep = deviation(system, cand, orbit)
-        if rep.max_deviation <= epsilon:
+        rep = traces(system, cand, orbit, epsilon)
+        if rep is not None:
             best = (cand, rep)
             break
     if best is None:
@@ -369,9 +370,9 @@ def quadratic_shadow_verdict(system: QuadraticFamilyMap, orbit: PseudoOrbit, eps
                 break
         if empty:
             return QuadraticShadowVerdict("no", None, None, bits)
-        witness = _quadratic_witness_search(system, orbit, epsilon, outer0, grid)
-        if witness is not None:
-            report = deviation(system, witness, orbit)
+        found = _quadratic_witness_search(system, orbit, epsilon, outer0, grid)
+        if found is not None:
+            witness, report = found
             return QuadraticShadowVerdict("yes", witness, report, bits)
         if bits >= max_bits:
             return QuadraticShadowVerdict("unknown", None, None, bits)
@@ -380,9 +381,11 @@ def quadratic_shadow_verdict(system: QuadraticFamilyMap, orbit: PseudoOrbit, eps
 
 
 def _quadratic_witness_search(system, orbit: PseudoOrbit, epsilon: Fraction,
-                              outer0: RationalIntervalSet, grid: int) -> Optional[Fraction]:
+                              outer0: RationalIntervalSet,
+                              grid: int) -> Optional[tuple[Fraction, DeviationReport]]:
     """Exact forward verification of candidates drawn from the outer
-    enclosure of the tracing set (dense where it matters)."""
+    enclosure of the tracing set (dense where it matters); the first
+    candidate that traces, with its report."""
     pts = orbit.points
     tube0 = intersect(closed_ball(pts[0], epsilon), system.space())
     candidates = [pts[0]]
@@ -395,9 +398,9 @@ def _quadratic_witness_search(system, orbit: PseudoOrbit, epsilon: Fraction,
         if cand in seen or not tube0.contains(cand):
             continue
         seen.add(cand)
-        rep = deviation(system, cand, orbit)
-        if rep.max_deviation <= epsilon:
-            return cand
+        rep = traces(system, cand, orbit, epsilon)
+        if rep is not None:
+            return cand, rep
     return None
 
 

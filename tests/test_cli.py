@@ -217,6 +217,20 @@ def test_cli_kneading_search(capsys):
     assert data["achieved"] == "RLLRRLRRRLRRRRL"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--horizon", "0"], "horizon must be >= 1"),
+    (["--horizon", "-3"], "horizon must be >= 1"),
+    (["--steps", "-1"], "bisection_steps must be >= 0"),
+])
+def test_cli_kneading_search_rejects_out_of_range_inputs(capsys, args, message):
+    # horizon 0 used to answer "matched", horizon -3 to complain about a word
+    # longer than its horizon, and steps -1 to answer unmatched at 3/2
+    code = main(["kneading", "search", *args])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "shadowlab.cli", "scenario", "list"],
                           capture_output=True, text=True)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,8 @@ import pytest
 
 from shadowlab.kneading import (
     KneadingWord,
+    _fast_quadratic_kneading,
+    _quadratic_step,
     critical_orbit_separation,
     find_parameter,
     is_recurrent_prefix,
@@ -155,3 +158,119 @@ def test_word_validation():
         KneadingWord("RCX", 3)
     with pytest.raises(ValueError):
         KneadingWord("CR", 2)  # critical hit must terminate
+
+
+def test_search_and_separation_reject_out_of_range_inputs():
+    target = staircase_word(15)
+    for horizon in (0, -3):
+        with pytest.raises(ValueError, match="horizon"):
+            find_parameter(target, horizon, 10)
+    with pytest.raises(ValueError, match="bisection_steps"):
+        find_parameter(target, 15, -1)
+    for first, last in ((0, 5), (-1, 3), (4, 3), (0, 0)):
+        with pytest.raises(ValueError, match="first"):
+            critical_orbit_separation(F(3, 2), first, last)
+    # F(0) = 1 and F²(0) = −1/2 for F = 1 − (3/2)x²
+    assert critical_orbit_separation(F(3, 2), 1, 1) == 1
+    assert critical_orbit_separation(F(3, 2), 1, 2) == F(1, 2)
+
+
+# -- the integer enclosure step against a Fraction reference ------------------------
+
+
+def _reference_step(mu, lo, hi, bits):
+    """The step as written with Fractions: image of [lo, hi] under 1 − μx²,
+    floor/ceil to the 2^−bits grid."""
+    scale = 1 << bits
+    mags = sorted((abs(lo), abs(hi)))
+    sq_hi = mags[1] * mags[1]
+    sq_lo = F(0) if lo <= 0 <= hi else mags[0] * mags[0]
+    return (F(math.floor((1 - mu * sq_hi) * scale), scale),
+            F(math.ceil((1 - mu * sq_lo) * scale), scale))
+
+
+def _reference_fast_kneading(mu, horizon, bits=192):
+    while bits <= 8192:
+        lo = hi = F(1)
+        syms = []
+        stuck = False
+        for _ in range(horizon):
+            if lo > 0:
+                syms.append("R")
+            elif hi < 0:
+                syms.append("L")
+            elif lo == hi == 0:
+                syms.append("C")
+                break
+            else:
+                stuck = True
+                break
+            lo, hi = _reference_step(mu, lo, hi, bits)
+        if not stuck:
+            return KneadingWord("".join(syms), horizon)
+        bits *= 4
+    return None
+
+
+def _reference_separation(mu, first, last, bits=512, max_bits=4096):
+    while bits <= max_bits:
+        lo = hi = F(0)
+        best = None
+        ok = True
+        for n in range(1, last + 1):
+            lo, hi = _reference_step(mu, lo, hi, bits)
+            if n >= first:
+                if lo <= 0 <= hi:
+                    ok = False
+                    break
+                bound = min(abs(lo), abs(hi))
+                if best is None or bound < best:
+                    best = bound
+        if ok:
+            return best
+        bits *= 2
+    return None
+
+
+@pytest.mark.parametrize("bits", [64, 192, 512])
+@pytest.mark.parametrize("den", [100, 2**40, 2**64])
+def test_integer_quadratic_step_matches_fraction_reference(bits, den):
+    rng = random.Random(bits * 7 + den.bit_length())
+    scale = 1 << bits
+    mus = [F(den + rng.randrange(den + 1), den) for _ in range(6)] + [F(1), F(2)]
+    straddling = 0
+    for mu in mus:
+        for _ in range(25):
+            a, b = sorted(rng.randrange(-scale, scale + 1) for _ in range(2))
+            for lo, hi in ((a, b), (abs(a) // 2, abs(b)), (-abs(b), -abs(a) // 3), (a, a), (0, 0), (-b, b)):
+                lo, hi = min(lo, hi), max(lo, hi)
+                straddling += lo <= 0 <= hi
+                got = _quadratic_step(mu, lo, hi, bits)
+                assert all(isinstance(v, int) for v in got)
+                want = _reference_step(mu, F(lo, scale), F(hi, scale), bits)
+                assert (F(got[0], scale), F(got[1], scale)) == want
+                assert got[0] <= got[1]
+    assert 0 < straddling < len(mus) * 25 * 6
+
+
+def _separation_parameters():
+    rng = random.Random(56)
+    staircase = find_parameter(staircase_word(15), 15, 40).parameter
+    mus = [staircase, F(1), F(2), F(3, 2), F(7, 4)]
+    mus += [F(100 + rng.randrange(101), 100) for _ in range(3)]
+    mus += [F(2**40 + rng.randrange(2**40 + 1), 2**40) for _ in range(3)]
+    return mus
+
+
+def test_separation_and_fast_kneading_match_fraction_reimplementation():
+    seen_none = seen_bound = 0
+    for mu in _separation_parameters():
+        for tail in (2, 3, 5, 10, 20, 35, 50):
+            got = critical_orbit_separation(mu, 2, tail)
+            assert got == _reference_separation(mu, 2, tail)
+            seen_none += got is None
+            seen_bound += got is not None
+        assert critical_orbit_separation(mu, 7, 30) == _reference_separation(mu, 7, 30)
+        for horizon in (1, 5, 15, 30, 50):
+            assert _fast_quadratic_kneading(mu, horizon) == _reference_fast_kneading(mu, horizon)
+    assert seen_none and seen_bound

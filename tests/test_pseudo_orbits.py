@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab.pseudo_orbits import (
     PseudoOrbit,
@@ -12,10 +14,12 @@ from shadowlab.pseudo_orbits import (
     orbit_to_csv,
     orbit_to_json,
     perturbed_orbit,
+    traces,
     verify_jumps,
 )
 from shadowlab.shadowing import finite_horizon_delta
 from shadowlab.systems import (
+    CantorSystem,
     DomainError,
     OdometerSystem,
     SLimitSystem,
@@ -23,6 +27,7 @@ from shadowlab.systems import (
     golden_mean_shift,
     iterate,
     iterate_pl,
+    logistic_map,
     random_zigzag_map,
     tent_map,
 )
@@ -178,3 +183,64 @@ def test_orbit_serialization_round_trips():
     gm = golden_mean_shift()
     sym = perturbed_orbit(gm, SymbolicPoint(("0",), ("0", "1")), 6, F(1, 16), seed=3)
     assert orbit_from_csv(gm, orbit_to_csv(gm, sym)).points == sym.points
+
+
+# -- early-stopping tracing test ----------------------------------------------------
+
+# (system, start point, jump bound) per kind; logistic orbits stay short because
+# exact iteration doubles the denominators every step
+TRACE_CASES = {
+    "tent": (tent_map(2), F(1, 3), F(1, 64), 10),
+    "zigzag": (random_zigzag_map(5), F(2, 7), F(1, 64), 10),
+    "cantor": (CantorSystem(4, "fold"), F(2, 3), F(1, 81), 10),
+    "logistic": (logistic_map(4), F(1, 3), F(1, 64), 6),
+    "odometer": (OdometerSystem(8), (0, 1, 1, 0, 1, 0, 0, 1), F(1, 16), 10),
+    "golden-mean": (golden_mean_shift(), SymbolicPoint(("0", "1"), ("0",)), F(1, 32), 10),
+}
+
+
+@given(st.sampled_from(sorted(TRACE_CASES)), st.integers(0, 10**6), st.integers(1, 10))
+@settings(max_examples=120, deadline=None)
+def test_traces_is_deviation_cut_at_epsilon(kind, seed, length):
+    system, x0, delta, max_length = TRACE_CASES[kind]
+    length = min(length, max_length)
+    rng = random.Random(seed)
+    orbit = perturbed_orbit(system, x0, length, delta, seed=seed)
+    other = perturbed_orbit(system, x0, length, delta, seed=seed + 1)
+    y = rng.choice(orbit.points + other.points)
+    full = deviation(system, y, orbit)
+    # ε on both sides of every step distance, and on it (the tubes are closed)
+    d = rng.choice(full.per_step)
+    for epsilon in {d, d / 2, d * 2, full.max_deviation, F(1, 2**20)} - {0}:
+        got = traces(system, y, orbit, epsilon)
+        if full.max_deviation > epsilon:
+            assert got is None
+        else:
+            assert got is not None
+            assert got.max_deviation == full.max_deviation
+            assert got.per_step == full.per_step
+            assert got.exact_hit == full.exact_hit
+
+
+class _CountingSystem:
+    def __init__(self, system):
+        self.system, self.evaluations = system, 0
+
+    def evaluate(self, x):
+        self.evaluations += 1
+        return self.system.evaluate(x)
+
+    def distance(self, a, b):
+        return self.system.distance(a, b)
+
+
+def test_traces_stops_at_the_first_tube_it_leaves():
+    t2 = tent_map(2)
+    orbit = true_orbit(t2, F(1, 3), 12)
+    # y = 1/3 + 1/8 is 1/8 off at step 0 and 1/4 off at step 1
+    counted = _CountingSystem(t2)
+    assert traces(counted, F(1, 3) + F(1, 8), orbit, F(3, 16)) is None
+    assert counted.evaluations == 1
+    counted = _CountingSystem(t2)
+    assert traces(counted, F(1, 3), orbit, F(1, 100)) == deviation(t2, F(1, 3), orbit)
+    assert counted.evaluations == 11

@@ -413,6 +413,28 @@ def test_quadratic_verdict_yes_on_noisy_orbit():
     assert verdict.report.max_deviation <= F(1, 10)
 
 
+def test_quadratic_yes_carries_the_witness_deviation():
+    # the report of a "yes" comes from the early-stopping check of the witness
+    # search; it must equal the full exact iteration of the witness
+    yes = no = 0
+    for lam in (F(4), F(7, 2), F(19, 5)):
+        system = logistic_map(lam)
+        for seed in range(6):
+            x0 = F(seed + 1, 11)
+            orbits = [true_orbit(system, x0, 3 + seed)]
+            orbits += [perturbed_orbit(system, x0, 3 + seed, delta, seed=seed) for delta in (F(1, 100), F(1, 8))]
+            for orbit in orbits:
+                for eps in (F(1, 10), F(1, 40)):
+                    verdict = quadratic_shadow_verdict(system, orbit, eps)
+                    if verdict.value == "yes":
+                        yes += 1
+                        assert verdict.report == deviation(system, verdict.witness, orbit)
+                        assert verdict.report.max_deviation <= eps
+                    else:
+                        no += 1
+    assert yes >= 20 and no >= 1
+
+
 # -- certificates -----------------------------------------------------------------
 
 
