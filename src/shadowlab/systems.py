@@ -43,6 +43,7 @@ from .numerics import (
 ONE = Fraction(1)
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+QUARTER = Fraction(1, 4)
 _UNIT_INTERVAL = RationalIntervalSet((ClosedInterval(ZERO, ONE),))
 
 
@@ -306,8 +307,10 @@ class QuadraticFamilyMap(IntervalSystem):
     def evaluate(self, x: Fraction) -> Fraction:
         if not self.contains_point(x):
             raise DomainError(f"{x} outside the domain")
+        # x(1 - x) = 1/4 - (x - 1/2)^2: a Fraction power is not re-normalised and every
+        # other operation has a small operand, so no gcd of two orbit-sized integers is taken
         p = self.parameter
-        return p * x * (1 - x) if self.family == "logistic" else 1 - p * x * x
+        return p * (QUARTER - (x - HALF) ** 2) if self.family == "logistic" else 1 - p * x ** 2
 
     def critical_point(self) -> Fraction:
         return HALF if self.family == "logistic" else ZERO

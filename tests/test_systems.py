@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from fractions import Fraction as F
@@ -47,6 +48,24 @@ def test_tent_critical_value():
 
 def test_logistic_critical_value():
     assert logistic_map(4).evaluate(F(1, 2)) == 1
+
+
+@pytest.mark.parametrize("make, lo, params", [
+    (logistic_map, F(0), [F(387, 100), F(4), F(2109490101787, 1 << 40), F(11, 3)]),
+    (quadratic_map, F(-1), [F(3, 2), F(2), F(2109490101787, 1 << 40), F(17, 9)]),
+])
+def test_quadratic_family_orbits_match_the_textbook_formula(make, lo, params):
+    rng = random.Random(5)
+    for p in params:
+        system = make(p)
+        step = (lambda x: p * x * (1 - x)) if system.family == "logistic" else (lambda x: 1 - p * x * x)
+        starts = sample_rationals(rng, 3, lo) + [lo + F(rng.randrange(1, 3 ** 9), 3 ** 9), F(1, 2), lo]
+        for x in starts:
+            y = x
+            for _ in range(7):
+                x, y = system.evaluate(x), step(y)
+                assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+                assert math.gcd(x.numerator, x.denominator) == 1
 
 
 def test_cantor_slope_nine_piece():
