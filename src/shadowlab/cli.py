@@ -130,7 +130,7 @@ def main(argv=None) -> int:
         p_check.error("--property open requires --at")
     try:
         return _run(args)
-    except ValueError as exc:  # DomainError included: a system, orbit or value the command cannot take
+    except (ValueError, OSError) as exc:  # DomainError included; OSError: a file that cannot be read
         print(f"shadowlab: error: {exc}", file=sys.stderr)
         return 2
 
@@ -170,6 +170,8 @@ def _run(args) -> int:
         elif args.prop == "star":
             verdict = check_star(system, region, rat(args.delta), rat(args.mu))
         elif args.prop == "ball":
+            if args.grid < 1:
+                raise ValueError("--grid must be at least 1")
             nu = rat(args.nu)
             grid = [nu * Fraction(j, args.grid + 1) for j in range(1, args.grid + 1)]
             verdict = check_ball_expanding(system, region, rat(args.mu), nu, grid)

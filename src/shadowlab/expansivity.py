@@ -375,14 +375,9 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
                 return s, c
         raise AssertionError("point escaped every lap")
 
-    def window_extrema(x):
-        lo, hi = max(ZERO, x - eps), min(ONE, x + eps)
-        vals = [system.evaluate(lo), system.evaluate(hi)]
-        vals.extend(system.evaluate(b) for b in system.breakpoints if lo < b < hi)
-        return min(vals), max(vals)
-
     def violation_at(x):
-        m, M = window_extrema(x)
+        window = system.image_bounds(ClosedInterval(max(ZERO, x - eps), min(ONE, x + eps)))
+        m, M = window.lo, window.hi
         fx = system.evaluate(x)
         top = min(ONE, fx + mu * eps)
         bot = max(ZERO, fx - mu * eps)
@@ -454,6 +449,8 @@ def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu,
     if nu <= 0:
         raise ValueError("nu must be positive")
     eps_list = [rat(e) for e in eps_grid]
+    if not eps_list:
+        raise ValueError("empty epsilon grid: there is nothing to certify")
     if any(not (0 < e < nu) for e in eps_list):
         raise ValueError("grid values must lie in (0, nu)")
     constants = {"mu": rat_str(mu), "nu": rat_str(nu), "gridSize": len(eps_list)}
@@ -825,10 +822,10 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
     if isinstance(system, PiecewiseLinearMap):
         found = search_ball_expanding_constants(system, inflated, eps_grid_size)
         ball_side = "undetermined" if found is None else "certified"
-    elif isinstance(system, CantorSystem):
+    elif isinstance(system, CantorSystem) and system.depth >= 4:
         ball_grid = [Fraction(1, 3**k) for k in range(4, min(7, system.depth + 1))]
         ball_side = check_ball_expanding(system, inflated, Fraction(3), Fraction(1, 27), ball_grid).holds
-    else:
+    else:  # includes Cantor systems below depth 4, whose ε grid would be empty
         ball_side = "undetermined"
     inj_side = "certified" if crit is None else check_locally_injective(system, inflated).holds
 

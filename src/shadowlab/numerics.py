@@ -19,14 +19,16 @@ RationalLike = Union[Fraction, int, str]
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
+    """Coerce ints, 'p/q' strings and Fractions to Fraction; anything else,
+    a float included, or a zero denominator raises ValueError naming it."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not a rational: {value!r}")
+    if isinstance(value, (int, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational: {value!r}")
 
 
 def rat_str(value: Fraction) -> str:
@@ -61,7 +63,7 @@ class ClosedInterval:
         if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
             object.__setattr__(self, "lo", rat(self.lo))
             object.__setattr__(self, "hi", rat(self.hi))
-        if self.lo > self.hi:
+        if _lt(self.hi, self.lo):
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
     @property
@@ -69,13 +71,31 @@ class ClosedInterval:
         return self.hi - self.lo
 
     def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
+        lo, hi, xn, xd = self.lo, self.hi, x.numerator, x.denominator
+        return lo.numerator * xd <= xn * lo.denominator and xn * hi.denominator <= hi.numerator * xd
 
     def intersects(self, other: "ClosedInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
+
+
+# Comparisons on the hot paths cross-multiply numerators and denominators
+# (positive for Fraction and int) instead of going through Fraction's rich
+# comparison, whose numbers.Rational check costs more than the products.
+def _lt(a: Fraction, b: Fraction) -> bool:
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
+def _ordered(lo: Fraction, hi: Fraction) -> ClosedInterval:
+    """A ClosedInterval from Fraction endpoints already known to satisfy lo <= hi."""
+    iv = object.__new__(ClosedInterval)
+    # set as the dataclass's own __init__ does: writing to iv.__dict__ would
+    # give every instance a dict of its own (160 bytes instead of 96)
+    object.__setattr__(iv, "lo", lo)
+    object.__setattr__(iv, "hi", hi)
+    return iv
 
 
 def interval(lo: RationalLike, hi: RationalLike) -> ClosedInterval:
@@ -95,11 +115,10 @@ class RationalIntervalSet:
     parts: tuple[ClosedInterval, ...]
 
     def __post_init__(self):
-        prev = None
-        for p in self.parts:
-            if prev is not None and p.lo <= prev.hi:
+        parts = self.parts
+        for p, q in zip(parts, parts[1:]):
+            if not _lt(p.hi, q.lo):
                 raise ValueError("parts not canonical (overlap or touch)")
-            prev = p
 
     # -- queries ----------------------------------------------------------
 
@@ -112,13 +131,15 @@ class RationalIntervalSet:
         return sum((p.width for p in self.parts), Fraction(0))
 
     def contains(self, x: Fraction) -> bool:
+        xn, xd = x.numerator, x.denominator
         lo, hi = 0, len(self.parts) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
             p = self.parts[mid]
-            if x < p.lo:
+            a, b = p.lo, p.hi
+            if xn * a.denominator < a.numerator * xd:
                 hi = mid - 1
-            elif x > p.hi:
+            elif xn * b.denominator > b.numerator * xd:
                 lo = mid + 1
             else:
                 return True
@@ -135,7 +156,7 @@ class RationalIntervalSet:
     def hull(self) -> ClosedInterval:
         if self.is_empty:
             raise ValueError("empty set has no hull")
-        return ClosedInterval(self.parts[0].lo, self.parts[-1].hi)
+        return _ordered(self.parts[0].lo, self.parts[-1].hi)
 
     def distance_to(self, x: Fraction) -> Fraction:
         """Distance from a point to the set (0 if the point is inside)."""
@@ -168,6 +189,7 @@ class RationalIntervalSet:
 
 
 EMPTY_SET = RationalIntervalSet(())
+_LO, _HI = attrgetter("lo"), attrgetter("hi")
 
 
 def normalize(raw: Iterable[ClosedInterval]) -> RationalIntervalSet:
@@ -175,14 +197,17 @@ def normalize(raw: Iterable[ClosedInterval]) -> RationalIntervalSet:
 
     Touching intervals merge: [0,1/3] ∪ [1/3,1] becomes [0,1].
     """
-    items = sorted(raw, key=lambda p: (p.lo, p.hi))
     merged: list[ClosedInterval] = []
-    for p in items:
-        if merged and p.lo <= merged[-1].hi:
-            if p.hi > merged[-1].hi:
-                merged[-1] = ClosedInterval(merged[-1].lo, p.hi)
+    for p in sorted(raw, key=_LO):
+        lo, hi = p.lo, p.hi
+        hn, hd = hi.numerator, hi.denominator
+        if merged and lo.numerator * end_d <= end_n * lo.denominator:
+            if hn * end_d > end_n * hd:
+                merged[-1] = _ordered(merged[-1].lo, hi)
+                end_n, end_d = hn, hd
         else:
             merged.append(p)
+            end_n, end_d = hn, hd
     return RationalIntervalSet(tuple(merged))
 
 
@@ -198,12 +223,9 @@ def point_set(x: RationalLike) -> RationalIntervalSet:
 def closed_ball(center: RationalLike, radius: RationalLike) -> RationalIntervalSet:
     """B̄_r(c) on the line; clip against a space by intersecting afterwards."""
     c, r = rat(center), rat(radius)
-    if r < 0:
+    if r.numerator < 0:
         raise ValueError("negative radius")
-    return RationalIntervalSet((ClosedInterval(c - r, c + r),))
-
-
-_HI = attrgetter("hi")
+    return RationalIntervalSet((_ordered(c - r, c + r),))
 
 
 def intersect(a: RationalIntervalSet, b: RationalIntervalSet) -> RationalIntervalSet:
@@ -220,18 +242,21 @@ def intersect(a: RationalIntervalSet, b: RationalIntervalSet) -> RationalInterva
     na, nb = len(pa), len(pb)
     while i < na and j < nb:
         p, q = pa[i], pb[j]
-        lo = max(p.lo, q.lo)
-        hi = min(p.hi, q.hi)
-        if lo <= hi:
-            out.append(ClosedInterval(lo, hi))
-            if p.hi < q.hi:
+        plo, phi, qlo, qhi = p.lo, p.hi, q.lo, q.hi
+        pln, pld, phn, phd = plo.numerator, plo.denominator, phi.numerator, phi.denominator
+        qln, qld, qhn, qhd = qlo.numerator, qlo.denominator, qhi.numerator, qhi.denominator
+        if phn * qld < qln * phd:  # p ends before q starts
+            i = bisect_left(pa, qlo, i + 1, na, key=_HI)
+        elif qhn * pld < pln * qhd:  # q ends before p starts
+            j = bisect_left(pb, plo, j + 1, nb, key=_HI)
+        else:
+            lo = qlo if pln * qld < qln * pld else plo
+            if phn * qhd < qhn * phd:
+                out.append(_ordered(lo, phi))
                 i += 1
             else:
+                out.append(_ordered(lo, qhi))
                 j += 1
-        elif p.hi < q.lo:
-            i = bisect_left(pa, q.lo, i + 1, na, key=_HI)
-        else:
-            j = bisect_left(pb, p.lo, j + 1, nb, key=_HI)
     # after each output the side that ended it advances to a part starting
     # strictly past that end, so the outputs ascend with gaps and are
     # already canonical
@@ -247,10 +272,10 @@ def affine_image(s: RationalIntervalSet, slope: RationalLike, offset: RationalLi
     slope, offset = rat(slope), rat(offset)
     if slope == 0:
         raise ValueError("zero slope collapses intervals")
-    out = []
-    for p in s.parts:
-        a, b = slope * p.lo + offset, slope * p.hi + offset
-        if a > b:
-            a, b = b, a
-        out.append(ClosedInterval(a, b))
-    return normalize(out)
+    images = [(slope * p.lo + offset, slope * p.hi + offset) for p in s.parts]
+    if slope.numerator < 0:
+        images = [(b, a) for a, b in reversed(images)]
+    # a strictly monotone map keeps the gaps between parts: already canonical.
+    # tuple() of a list: of a generator it resizes a guessed-size tuple, which
+    # drifts tuples between CPython's per-size free lists and raises peak RSS
+    return RationalIntervalSet(tuple([_ordered(a, b) for a, b in images]))

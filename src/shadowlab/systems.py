@@ -90,12 +90,18 @@ class PiecewiseLinearMap(IntervalSystem):
 
     The laps and slopes are computed once, at construction, and shared by
     every query; equality and hashing see only ``breakpoints`` and ``values``.
+    The point queries work on a second, integer copy: each breakpoint as
+    (numerator, denominator) and each lap's s·x + c as (a·x + b)/q.  They
+    compare by cross-multiplication and build one Fraction per answer: one
+    gcd, cheaper than s·x + c below about 1,000-bit x, quadratic above.
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     _laps: tuple[tuple[ClosedInterval, Fraction, Fraction], ...] = field(init=False, repr=False, compare=False)
+    _int_breakpoints: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _int_laps: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     kind = "pl"
 
@@ -119,6 +125,11 @@ class PiecewiseLinearMap(IntervalSystem):
         object.__setattr__(self, "_laps", tuple(
             (ClosedInterval(b0, b1), s, v0 - s * b0) for b0, b1, v0, s in zip(bps, bps[1:], vals, slopes)
         ))
+        object.__setattr__(self, "_int_breakpoints", tuple((b.numerator, b.denominator) for b in bps))
+        object.__setattr__(self, "_int_laps", tuple(
+            (s.numerator * (q // s.denominator), c.numerator * (q // c.denominator), q)
+            for _, s, c in self._laps for q in (math.lcm(s.denominator, c.denominator),)
+        ))
 
     def laps(self) -> tuple[tuple[ClosedInterval, Fraction, Fraction], ...]:
         """All maximal affine pieces as (domain, slope, offset)."""
@@ -132,24 +143,26 @@ class PiecewiseLinearMap(IntervalSystem):
         return _UNIT_INTERVAL
 
     def contains_point(self, x: Fraction) -> bool:
-        return 0 <= x <= 1
+        return 0 <= x.numerator <= x.denominator
 
     def evaluate(self, x: Fraction) -> Fraction:
-        if not self.contains_point(x):
+        xn, xd = x.numerator, x.denominator
+        if not 0 <= xn <= xd:
             raise DomainError(f"{x} outside [0,1]")
         # rightmost lap whose left endpoint is <= x; consistent at shared breakpoints
-        bps = self.breakpoints
+        bps = self._int_breakpoints
         lo, hi = 0, len(bps) - 2
         idx = 0
         while lo <= hi:
             mid = (lo + hi) // 2
-            if bps[mid] <= x:
+            bn, bd = bps[mid]
+            if bn * xd <= xn * bd:
                 idx = mid
                 lo = mid + 1
             else:
                 hi = mid - 1
-        _, s, c = self._laps[idx]
-        return s * x + c
+        a, b, q = self._int_laps[idx]
+        return Fraction(a * xn + b * xd, q * xd)
 
     def lipschitz(self) -> Fraction:
         return max(abs(s) for s in self.slopes)
@@ -168,10 +181,12 @@ class PiecewiseLinearMap(IntervalSystem):
 
     def image_bounds(self, window: ClosedInterval) -> ClosedInterval:
         """Exact [min f, max f] over a subinterval of [0,1]."""
-        cands = [self.evaluate(window.lo), self.evaluate(window.hi)]
-        for b in self.breakpoints:
-            if window.lo < b < window.hi:
-                cands.append(self.evaluate(b))
+        lo, hi = window.lo, window.hi
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        cands = [self.evaluate(lo), self.evaluate(hi)]
+        # f is continuous, so its value at a breakpoint is the value given there
+        cands += [v for (bn, bd), v in zip(self._int_breakpoints, self.values)
+                  if ln * bd < bn * ld and bn * hd < hn * bd]
         return ClosedInterval(min(cands), max(cands))
 
     def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
@@ -183,21 +198,29 @@ class PiecewiseLinearMap(IntervalSystem):
 
     def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
         out = []
-        for dom, s, c in self.laps():
-            rng = ClosedInterval(min(s * dom.lo + c, s * dom.hi + c), max(s * dom.lo + c, s * dom.hi + c))
+        vals = self.values
+        for (_, s, c), v0, v1 in zip(self._laps, vals, vals[1:]):
+            # a lap maps its domain onto [v0, v1] (or [v1, v0]) one to one
+            rng = ClosedInterval(v0, v1) if s.numerator > 0 else ClosedInterval(v1, v0)
             hit = intersect(target, RationalIntervalSet((rng,)))
             if not hit.is_empty:
-                pre = affine_image(hit, 1 / s, -c / s)
-                out.extend(intersect(pre, RationalIntervalSet((dom,))).parts)
+                out.extend(affine_image(hit, 1 / s, -c / s).parts)
         return normalize(out)
 
     def point_preimages(self, y: Fraction) -> list[Fraction]:
-        out = set()
-        for dom, s, c in self.laps():
-            x = (y - c) / s
-            if dom.contains(x):
-                out.add(x)
-        return sorted(out)
+        """Every x with f(x) = y, ascending.  Laps are searched as half-open
+        (b_i, b_i+1], plus 0 on the first: f is continuous, so a hit at a
+        shared breakpoint is also a hit of the lap to its left."""
+        yn, yd = y.numerator, y.denominator
+        out = []
+        bps = self._int_breakpoints
+        for i, ((ln, ld), (hn, hd), (a, b, q)) in enumerate(zip(bps, bps[1:], self._int_laps)):
+            n, d = q * yn - b * yd, a * yd  # x = (q·y − b)/a
+            if d < 0:
+                n, d = -n, -d
+            if (ln * d < n * ld if i else n >= 0) and n * hd <= hn * d:
+                out.append(Fraction(n, d))
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -939,6 +962,8 @@ def system_from_json(data: Union[dict, str]) -> SystemSpec:
     """Parse a system document; a missing field raises ValueError naming it."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"system JSON must be an object, not {type(data).__name__}")
     try:
         kind = data["kind"]
         if kind == "pl":

@@ -210,6 +210,50 @@ def test_cli_rejects_malformed_odometer_word(tmp_path, capsys, word):
     assert captured.err.count("\n") == 1 and f"'{word}' is not a depth-4 binary word" in captured.err
 
 
+@pytest.mark.parametrize("system_text, args, message", [
+    # each of these used to end in a traceback with exit code 1
+    (None, ["--region", "[[0.1, 1]]"], "not a rational: 0.1"),
+    ('{"kind": "pl", "breakpoints": [0, 0.5, 1], "values": [0, 1, 0]}', [], "not a rational: 0.5"),
+    ("[1, 2]", [], "system JSON must be an object, not list"),
+    (None, ["--mu", "1/0"], "not a rational: '1/0'"),
+    ("missing", [], "No such file or directory"),
+])
+def test_cli_bad_expansivity_input_is_one_line_error(tmp_path, capsys, system_text, args, message):
+    sys_path = tmp_path / "system.json"
+    if system_text != "missing":
+        sys_path.write_text(system_text or json.dumps(tent_map(2).to_json()))
+    code = main(["expansivity", "check", "--property", "expanding", "--system", str(sys_path), *args])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("orbit_name, epsilon, message", [
+    ("orbit.csv", "1/0", "not a rational: '1/0'"),
+    ("absent.csv", "1/8", "No such file or directory"),
+])
+def test_cli_bad_shadow_input_is_one_line_error(tmp_path, capsys, orbit_name, epsilon, message):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    (tmp_path / "orbit.csv").write_text("1/4\n1/2\n")
+    code = main(["shadow", "oracle", "--system", str(sys_path), "--orbit", str(tmp_path / orbit_name),
+                 "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_cli_ball_check_rejects_an_empty_grid(tmp_path, capsys, grid):
+    # --grid 0 used to print "holds": "certified" with gridSize 0 and exit 0
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    code = main(["expansivity", "check", "--property", "ball", "--system", str(sys_path), "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "--grid must be at least 1" in captured.err
+
+
 def test_cli_kneading_search(capsys):
     code = main(["kneading", "search", "--horizon", "15", "--steps", "40"])
     assert code == 0

@@ -272,6 +272,21 @@ def test_ball_expanding_rejects_mu_one():
         check_ball_expanding(T2, whole_space_region(T2), 1, F(1, 4), [F(1, 8)])
 
 
+@pytest.mark.parametrize("system", [T2, CantorSystem(6)])
+def test_ball_expanding_rejects_an_empty_grid(system):
+    # an empty grid used to certify vacuously, with gridSize 0
+    with pytest.raises(ValueError, match="empty epsilon grid"):
+        check_ball_expanding(system, RegionSpec(point_set(F(0))), F(3), F(1, 27), [])
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["fold", "mirror"])
+def test_crosscheck_below_depth_four_leaves_ball_side_undetermined(depth, mode):
+    # the Cantor ε grid 3^-4 .. 3^-min(6, depth) is empty below depth 4; it used to certify vacuously
+    out = crosscheck_expanding_characterizations(CantorSystem(depth, mode), RegionSpec(point_set(F(0))))
+    assert out["ballExpanding"] == "undetermined" and out["side2"] == "undetermined"
+
+
 def test_constant_search_finds_tent_constants():
     found = search_ball_expanding_constants(T2, whole_space_region(T2))
     assert found is not None

@@ -1,0 +1,214 @@
+"""The interval core and the PL laps compare by integer cross-multiplication.
+These tests pin every such kernel to a plain-Fraction reference written with
+ordinary Fraction comparisons and arithmetic, on endpoints that touch, on
+single points, and on denominators of 2^200 and more."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from shadowlab.numerics import ClosedInterval, RationalIntervalSet, affine_image, closed_ball, intersect, normalize
+from shadowlab.systems import DomainError, PiecewiseLinearMap, random_zigzag_map, tent_map
+
+# -- endpoint strategies ------------------------------------------------------
+
+coarse = st.integers(min_value=-8, max_value=8).map(lambda k: F(k, 4))  # parts often touch
+dyadic = st.builds(lambda k, n: F(n, 2**k), st.integers(200, 260), st.integers(-(2**262), 2**262))
+nudged = st.builds(lambda q, s: q + F(s, 3**140), coarse, st.sampled_from([-1, 1]))  # just off the grid
+endpoints = st.one_of(coarse, dyadic, nudged).filter(lambda q: -2 <= q <= 2)
+
+
+@st.composite
+def raw_parts(draw, max_parts=6):
+    parts = []
+    for _ in range(draw(st.integers(0, max_parts))):
+        a = draw(endpoints)
+        b = draw(st.one_of(st.just(a), endpoints))  # point parts too
+        parts.append(ClosedInterval(min(a, b), max(a, b)))
+    return parts
+
+
+interval_sets = raw_parts().map(normalize)
+
+
+# -- plain-Fraction references ---------------------------------------------------
+
+
+def ref_normalize(parts):
+    merged = []
+    for p in sorted(parts, key=lambda p: (p.lo, p.hi)):
+        if merged and p.lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], p.hi)
+        else:
+            merged.append([p.lo, p.hi])
+    return [(lo, hi) for lo, hi in merged]
+
+
+def ref_intersect(a, b):
+    return ref_normalize([ClosedInterval(max(p.lo, q.lo), min(p.hi, q.hi))
+                          for p in a.parts for q in b.parts if max(p.lo, q.lo) <= min(p.hi, q.hi)])
+
+
+def pairs(s):
+    """A set's parts as (lo, hi) pairs, after checking every endpoint is a Fraction."""
+    assert all(type(p.lo) is F and type(p.hi) is F for p in s.parts)
+    return [(p.lo, p.hi) for p in s.parts]
+
+
+# -- interval layer -------------------------------------------------------------
+
+
+@given(raw_parts(8))
+@settings(max_examples=150)
+def test_normalize_matches_reference(parts):
+    assert pairs(normalize(parts)) == ref_normalize(parts)
+
+
+@given(interval_sets, interval_sets)
+@settings(max_examples=150)
+def test_intersect_matches_reference(a, b):
+    assert pairs(intersect(a, b)) == ref_intersect(a, b)
+
+
+@given(interval_sets, st.one_of(endpoints, st.integers(-2, 2)))
+@settings(max_examples=150)
+def test_contains_matches_reference(s, x):
+    for p in s.parts:
+        assert p.contains(x) == (p.lo <= x <= p.hi)
+        assert p.contains(p.lo) and p.contains(p.hi)
+    assert s.contains(x) == any(p.lo <= x <= p.hi for p in s.parts)
+
+
+@given(endpoints, st.one_of(st.just(F(0)), endpoints.map(abs)))
+@settings(max_examples=100)
+def test_closed_ball_matches_reference(c, r):
+    assert pairs(closed_ball(c, r)) == [(c - r, c + r)]
+
+
+@given(interval_sets, endpoints.filter(lambda q: q != 0), endpoints)
+@settings(max_examples=100)
+def test_affine_image_matches_reference(s, slope, offset):
+    images = [(slope * p.lo + offset, slope * p.hi + offset) for p in s.parts]
+    assert pairs(affine_image(s, slope, offset)) == ref_normalize([ClosedInterval(min(a, b), max(a, b))
+                                                                   for a, b in images])
+
+
+def test_int_arguments_and_huge_denominators():
+    unit = normalize([ClosedInterval(0, 1)])
+    assert unit.contains(1) and unit.contains(0) and not unit.contains(2)
+    assert unit.parts[0].contains(1) and not unit.parts[0].contains(-1)
+    tiny = F(1, 2**300)
+    assert not unit.contains(1 + tiny) and unit.contains(1 - tiny) and not unit.contains(-tiny)
+    touching = normalize([ClosedInterval(0, tiny), ClosedInterval(tiny, tiny), ClosedInterval(tiny, 1)])
+    assert pairs(touching) == [(0, 1)]
+    apart = normalize([ClosedInterval(0, tiny), ClosedInterval(2 * tiny, 1)])
+    assert pairs(apart) == [(0, tiny), (2 * tiny, 1)]
+    assert pairs(intersect(apart, normalize([ClosedInterval(tiny, 2 * tiny)]))) == [(tiny, tiny), (2 * tiny, 2 * tiny)]
+    assert pairs(closed_ball(1, 0)) == [(1, 1)]
+
+
+def test_public_interval_still_checks_and_coerces():
+    with pytest.raises(ValueError, match="out of order"):
+        ClosedInterval(1, 0)
+    with pytest.raises(ValueError, match="out of order"):
+        ClosedInterval(F(1, 2**200) + F(1, 3**140), F(1, 2**200))
+    with pytest.raises(ValueError, match="not canonical"):
+        RationalIntervalSet((ClosedInterval(0, F(1, 2**200)), ClosedInterval(F(1, 2**200), 1)))
+    iv = ClosedInterval("1/3", 2)
+    assert (iv.lo, iv.hi) == (F(1, 3), F(2)) and type(iv.lo) is F and type(iv.hi) is F
+    with pytest.raises(ValueError):
+        closed_ball(0, F(-1, 2**200))
+
+
+# -- PL layer -------------------------------------------------------------------
+
+unit_points = st.one_of(
+    st.integers(0, 8).map(lambda k: F(k, 8)),
+    st.builds(lambda k, n: F(n % (2**k + 1), 2**k), st.integers(200, 230), st.integers(0, 2**231)),
+    st.builds(lambda k, n: F(n % (3**k + 1), 3**k), st.integers(1, 130), st.integers(0, 3**131)),
+)
+
+
+@st.composite
+def pl_maps(draw):
+    inner = sorted(set(draw(st.lists(unit_points, max_size=4))) - {F(0), F(1)})
+    bps = [F(0), *inner, F(1)]
+    vals = draw(st.lists(unit_points, min_size=len(bps), max_size=len(bps)))
+    assume(all(v != w for v, w in zip(vals, vals[1:])))
+    return PiecewiseLinearMap(tuple(bps), tuple(vals))
+
+
+seeded_maps = st.one_of(
+    st.integers(0, 200).map(random_zigzag_map),
+    st.sampled_from([F(2), F(3, 2), F(1), F(1, 3)]).map(tent_map),
+    pl_maps(),
+)
+
+
+def ref_evaluate(f, x):
+    idx = max(i for i in range(len(f.breakpoints) - 1) if f.breakpoints[i] <= x)
+    _, s, c = f.laps()[idx]
+    return s * x + c
+
+
+def ref_point_preimages(f, y):
+    return sorted({(y - c) / s for dom, s, c in f.laps() if dom.lo <= (y - c) / s <= dom.hi})
+
+
+def ref_preimage(f, target):
+    out = []
+    for dom, s, c in f.laps():
+        a, b = s * dom.lo + c, s * dom.hi + c
+        rng = normalize([ClosedInterval(min(a, b), max(a, b))])
+        for lo, hi in ref_intersect(target, rng):
+            u, v = (lo - c) / s, (hi - c) / s
+            out.extend(ref_intersect(normalize([ClosedInterval(min(u, v), max(u, v))]), normalize([dom])))
+    return ref_normalize([ClosedInterval(lo, hi) for lo, hi in out])
+
+
+def ref_image_bounds(f, lo, hi):
+    vals = [ref_evaluate(f, lo), ref_evaluate(f, hi)]
+    vals.extend(ref_evaluate(f, b) for b in f.breakpoints if lo < b < hi)
+    return min(vals), max(vals)
+
+
+@given(seeded_maps, st.data())
+@settings(max_examples=150)
+def test_pl_point_queries_match_reference(f, data):
+    points = data.draw(st.lists(st.one_of(unit_points, st.sampled_from(f.breakpoints)), min_size=1, max_size=4))
+    for x in points:
+        y = f.evaluate(x)
+        assert y == ref_evaluate(f, x) and type(y) is F
+        for target in (y, x, *f.values):
+            got = f.point_preimages(target)
+            assert got == ref_point_preimages(f, target) and all(type(p) is F for p in got)
+    a, b = min(points), max(points)
+    window = f.image_bounds(ClosedInterval(a, b))
+    assert (window.lo, window.hi) == ref_image_bounds(f, a, b)
+
+
+def test_seeded_maps_have_negative_slopes():
+    assert all(any(s < 0 for s in random_zigzag_map(seed).slopes) for seed in range(50))
+    assert tent_map(2).slopes == (F(2), F(-2))
+
+
+@given(seeded_maps, interval_sets)
+@settings(max_examples=150)
+def test_pl_preimage_matches_reference(f, target):
+    assert pairs(f.preimage(target)) == ref_preimage(f, target)
+
+
+def test_pl_int_arguments_and_domain():
+    for f in (tent_map(2), random_zigzag_map(7)):
+        assert f.evaluate(0) == ref_evaluate(f, F(0)) and type(f.evaluate(0)) is F
+        assert f.evaluate(1) == ref_evaluate(f, F(1)) and type(f.evaluate(1)) is F
+        assert f.point_preimages(0) == ref_point_preimages(f, F(0))
+        assert f.point_preimages(1) == ref_point_preimages(f, F(1))
+        assert f.contains_point(1) and not f.contains_point(F(-1, 2**200))
+        for bad in (F(-1, 2**200), 1 + F(1, 2**200), 2):
+            with pytest.raises(DomainError):
+                f.evaluate(bad)
+    # a shared breakpoint is one preimage, not two
+    assert tent_map(2).point_preimages(1) == [F(1, 2)]
