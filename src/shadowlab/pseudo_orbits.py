@@ -148,18 +148,19 @@ def _sample_in_set(sset: RationalIntervalSet, rng: random.Random) -> Fraction:
     """
     if sset.is_empty:
         raise ValueError("cannot sample the empty set")
-    total = sset.measure
+    parts = sset.parts
+    widths = [p.width for p in parts]
+    total = sum(widths, Fraction(0))
     if total == 0:
-        parts = sset.parts
         return parts[rng.randrange(len(parts))].lo
     ticket = Fraction(rng.getrandbits(32), 1 << 32) * total
-    for p in sset.parts:
-        if ticket <= p.width:
+    for p, width in zip(parts, widths):
+        if ticket <= width:
             raw = p.lo + ticket
             snapped = Fraction(int(raw * _SAMPLE_GRID), _SAMPLE_GRID)
             return snapped if snapped >= p.lo else p.lo
-        ticket -= p.width
-    return sset.parts[-1].hi
+        ticket -= width
+    return parts[-1].hi
 
 
 def perturbed_orbit(system: SystemSpec, x0: Point, length: int, delta, seed: int,

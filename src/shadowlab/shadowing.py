@@ -55,6 +55,8 @@ from .systems import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+# the oracle's exhaustive odometer search stops here: 2^20 words take seconds
+_ODOMETER_SEARCH_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,8 @@ def shadow_oracle(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCert
     point.  The interval-plus-tail homeomorphism is decided through exact
     forward image sets (its inverse has irrational branch endpoints, so no
     initial set is reported).  Symbolic systems reduce to cylinder-constraint
-    merging.  Quadratic maps are rejected here; use
+    merging; when f⁻ᵐ(xₘ) fails on an odometer deeper than 20, the word search
+    is refused with a DomainError.  Quadratic maps are rejected here; use
     :func:`quadratic_shadow_verdict`.
     """
     epsilon = rat(epsilon)
@@ -254,8 +257,9 @@ def _slimit_oracle(system: SLimitSystem, orbit: PseudoOrbit, epsilon: Fraction) 
 # ---------------------------------------------------------------------------
 
 
-def _shift_solve(system: ShiftSystem, orbit: PseudoOrbit, epsilon: Fraction,
-                 require_exact_hit: bool = False) -> ShadowCertificate:
+def _shift_solve(system: ShiftSystem, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
+    # the witness is prefix + x_m, so every "feasible" here is already an exact
+    # hit; "infeasible" is incomplete, it tries one completion only
     pts = orbit.points
     m = len(pts) - 1
     k = cylinder_length(epsilon)
@@ -291,20 +295,19 @@ def _odometer_solve(system: OdometerSystem, orbit: PseudoOrbit, epsilon: Fractio
     report = traces(system, y, orbit, epsilon)
     if report is not None:
         return ShadowCertificate(system, True, None, y, report, constants)
-    # the canonical inverse-image point failed; fall back to exhaustive search
-    best = None
-    for value in range(1 << system.depth):
-        cand = system.int_to_word(value)
-        if require_exact_hit and iterate(system, cand, m) != pts[-1]:
-            continue
-        rep = traces(system, cand, orbit, epsilon)
-        if rep is not None:
-            best = (cand, rep)
-            break
-    if best is None:
-        return ShadowCertificate(system, False, None, None, None, constants,
-                                 infeasible_reason="no word traces the orbit at this radius")
-    return ShadowCertificate(system, True, None, best[0], best[1], constants)
+    # add-one mod 2^depth is a bijection, so y is the only word with f^m(y) = x_m;
+    # the oracle falls back to exhaustive search
+    if not require_exact_hit:
+        if system.depth > _ODOMETER_SEARCH_DEPTH:
+            raise DomainError(f"odometer word search is limited to depth {_ODOMETER_SEARCH_DEPTH}, "
+                              f"got depth {system.depth}")
+        for value in range(1 << system.depth):
+            cand = system.int_to_word(value)
+            rep = traces(system, cand, orbit, epsilon)
+            if rep is not None:
+                return ShadowCertificate(system, True, None, cand, rep, constants)
+    return ShadowCertificate(system, False, None, None, None, constants,
+                             infeasible_reason="no word traces the orbit at this radius")
 
 
 _ORACLES = {
@@ -317,7 +320,7 @@ _ORACLES = {
 _EXACT_HIT_SOLVERS = {
     PiecewiseLinearMap: _tube_exact_hit,
     CantorSystem: _tube_exact_hit,
-    ShiftSystem: partial(_shift_solve, require_exact_hit=True),
+    ShiftSystem: _shift_solve,
     OdometerSystem: partial(_odometer_solve, require_exact_hit=True),
 }
 

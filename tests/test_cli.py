@@ -210,6 +210,18 @@ def test_cli_rejects_malformed_odometer_word(tmp_path, capsys, word):
     assert captured.err.count("\n") == 1 and f"'{word}' is not a depth-4 binary word" in captured.err
 
 
+def test_cli_odometer_oracle_above_search_depth_is_one_line_error(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps({"kind": "odometer", "depth": 40}))
+    orbit_path = tmp_path / "orbit.csv"
+    orbit_path.write_text(f"{'0' * 40}\n{'1' * 40}\n{'0' * 40}\n")
+    code = main(["shadow", "oracle", "--system", str(sys_path), "--orbit", str(orbit_path),
+                 "--epsilon", "1/4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "limited to depth 20, got depth 40" in captured.err
+
+
 @pytest.mark.parametrize("system_text, args, message", [
     # each of these used to end in a traceback with exit code 1
     (None, ["--region", "[[0.1, 1]]"], "not a rational: 0.1"),

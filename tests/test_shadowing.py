@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab.numerics import from_pairs
 from shadowlab.pseudo_orbits import PseudoOrbit, deviation, perturbed_orbit, verify_jumps
@@ -221,6 +223,74 @@ def test_odometer_inverse_image_construction():
     assert cert.witness == od.iterate_inverse(orbit.points[-1], m)
     # ultrametric bound: tracing error never exceeds the worst jump
     assert cert.report.max_deviation <= verify_jumps(od, orbit)
+
+
+@st.composite
+def odometer_queries(draw):
+    depth = draw(st.integers(1, 8))
+    od = OdometerSystem(depth)
+    word = st.lists(st.integers(0, 1), min_size=depth, max_size=depth).map(tuple)
+    pts = [draw(word)]
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            # a perturbed step: flip the bits of f(x) from some position on
+            start = draw(st.integers(0, depth))
+            nxt = od.evaluate(pts[-1])
+            flips = draw(st.lists(st.integers(0, 1), min_size=depth - start, max_size=depth - start))
+            pts.append(nxt[:start] + tuple(b ^ f for b, f in zip(nxt[start:], flips)))
+        else:
+            pts.append(draw(word))
+    epsilon = F(1, 2 ** draw(st.integers(0, 9)))
+    return od, PseudoOrbit(tuple(pts)), epsilon
+
+
+@settings(max_examples=200, deadline=None)
+@given(odometer_queries())
+def test_odometer_solvers_agree_with_brute_force(query):
+    od, orbit, epsilon = query
+    m = orbit.last_index
+    words = [od.int_to_word(v) for v in range(1 << od.depth)]
+    tracing = [w for w in words if deviation(od, w, orbit).max_deviation <= epsilon]
+    hitting = [w for w in tracing if iterate(od, w, m) == orbit.points[-1]]
+    exact = h_shadow_solve(od, orbit, epsilon)
+    assert exact.feasible == bool(hitting)
+    if exact.feasible:
+        assert exact.witness == od.iterate_inverse(orbit.points[-1], m)
+    plain = shadow_oracle(od, orbit, epsilon)
+    assert plain.feasible == bool(tracing)
+    if plain.feasible:
+        assert plain.witness in tracing
+
+
+def test_odometer_exact_hit_decides_from_its_one_candidate(monkeypatch):
+    od = OdometerSystem(16)
+    orbit = PseudoOrbit(((0,) * 16, (1,) * 16, (0,) * 16))
+    calls = 0
+    evaluate = OdometerSystem.evaluate
+
+    def counting(self, w):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, w)
+
+    monkeypatch.setattr(OdometerSystem, "evaluate", counting)
+    cert = h_shadow_solve(od, orbit, F(1, 4))
+    assert not cert.feasible
+    assert cert.infeasible_reason == "no word traces the orbit at this radius"
+    assert calls <= orbit.last_index
+
+
+def test_odometer_oracle_search_stops_above_depth_twenty():
+    od = OdometerSystem(40)
+    bad = PseudoOrbit(((0,) * 40, (1,) * 40, (0,) * 40))
+    with pytest.raises(DomainError, match="limited to depth 20, got depth 40"):
+        shadow_oracle(od, bad, F(1, 4))
+    # the exact-hit route decides the same orbit without a search
+    assert not h_shadow_solve(od, bad, F(1, 4)).feasible
+    # an orbit whose canonical point traces is answered at any depth
+    good = perturbed_orbit(od, (0,) * 40, 12, F(1, 64), seed=3)
+    cert = shadow_oracle(od, good, F(1, 64))
+    assert cert.feasible and cert.witness == od.iterate_inverse(good.points[-1], good.last_index)
 
 
 # -- iterate reduction --------------------------------------------------------
