@@ -36,8 +36,6 @@ from .expansivity import (
     check_open_at,
     check_star,
     crosscheck_expanding_characterizations,
-    eps_net_check,
-    positively_expansive_falsify,
     schwarzian,
 )
 from .kneading import (

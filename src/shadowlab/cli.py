@@ -21,11 +21,11 @@ from .expansivity import (
     whole_space_region,
 )
 from .kneading import find_parameter, staircase_word, word
-from .numerics import RationalIntervalSet, rat
+from .numerics import RationalIntervalSet, rat, rat_str
 from .pseudo_orbits import checked_orbit, orbit_from_csv, orbit_from_json
 from .scenarios import REGISTRY, Report, run_scenario
 from .shadowing import h_shadow_solve, quadratic_shadow_verdict, shadow_oracle
-from .systems import QuadraticFamilyMap, system_from_json
+from .systems import DomainError, QuadraticFamilyMap, system_from_json
 
 
 def emit(report: Report, fmt: str, path) -> None:
@@ -56,6 +56,22 @@ def _load_orbit(system, path: str):
     text = Path(path).read_text(encoding="utf-8")
     orbit = orbit_from_csv(system, text) if path.endswith(".csv") else orbit_from_json(system, text)
     return checked_orbit(system, orbit.points, orbit.claimed_delta, orbit.decay_schedule)
+
+
+def _load_region(system, text) -> RegionSpec:
+    """The ``--region`` set, refused unless it lies in the system's space;
+    the whole space when no region is given."""
+    if not text:
+        return whole_space_region(system)
+    carrier = RationalIntervalSet.from_json(json.loads(text))
+    try:
+        space = whole_space_region(system).carrier
+    except DomainError:  # a symbolic system: the solver's entry check names its class
+        return RegionSpec(carrier)
+    for part in carrier.parts:
+        if not RationalIntervalSet((part,)).subset_of(space):
+            raise DomainError(f"region part [{rat_str(part.lo)}, {rat_str(part.hi)}] is not in the space")
+    return RegionSpec(carrier)
 
 
 def _print_json(data: dict, out=None) -> None:
@@ -161,10 +177,7 @@ def _run(args) -> int:
 
     if args.command == "expansivity":
         system = _load_system(args.system)
-        if args.region:
-            region = RegionSpec(RationalIntervalSet.from_json(json.loads(args.region)))
-        else:
-            region = whole_space_region(system)
+        region = _load_region(system, args.region)
         if args.prop == "expanding":
             verdict = check_expanding(system, region, rat(args.delta), rat(args.mu))
         elif args.prop == "star":

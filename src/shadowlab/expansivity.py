@@ -11,9 +11,11 @@ side lands.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import partial
+from typing import Optional, Sequence
 
 from .numerics import (
     ClosedInterval,
@@ -27,12 +29,9 @@ from .numerics import (
 from .systems import (
     CantorSystem,
     DomainError,
-    OdometerSystem,
     PiecewiseLinearMap,
     QuadraticFamilyMap,
-    ShiftSystem,
     SLimitSystem,
-    SymbolicPoint,
     SystemSpec,
     require,
 )
@@ -43,21 +42,16 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """A subset of the space: an interval-set carrier (interval systems) or a
-    point list (symbolic systems), plus a certified margin to the critical set."""
+    """A subset of an interval system's space, plus a certified margin to the
+    critical set."""
 
-    carrier: Union[RationalIntervalSet, tuple]
+    carrier: RationalIntervalSet
     margin: Fraction = ZERO
 
     def __post_init__(self):
         object.__setattr__(self, "margin", rat(self.margin))
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
-
-    def interval_carrier(self) -> RationalIntervalSet:
-        if not isinstance(self.carrier, RationalIntervalSet):
-            raise DomainError("this check needs an interval-set region")
-        return self.carrier
 
 
 def region_of(*pairs, margin=ZERO) -> RegionSpec:
@@ -103,9 +97,6 @@ class ExpansivityVerdict:
 # ---------------------------------------------------------------------------
 
 Cell = tuple[ClosedInterval, Fraction, Fraction]  # (domain, slope, offset)
-
-# exact over affine cells, or derivative bounds and sampling on the smooth family
-_PAIR_SYSTEMS = (PiecewiseLinearMap, CantorSystem, QuadraticFamilyMap)
 
 
 def _affine_cells(system, carrier: RationalIntervalSet) -> list[Cell]:
@@ -264,29 +255,32 @@ def _falsified_pair_verdict(system, prop: str, x, y, mu, constants) -> Expansivi
 
 def check_expanding(system: SystemSpec, region: RegionSpec, delta, mu) -> ExpansivityVerdict:
     """Does d(f(x), f(y)) ≥ μ·d(x, y) hold for all region pairs closer than δ?"""
-    require(type(system), "check_expanding", _PAIR_SYSTEMS)
+    return _pair_check(_EXPANDING_ROUTES, "check_expanding", system, region, delta, mu)
+
+
+def check_star(system: SystemSpec, lambda_set: RegionSpec, delta, mu) -> ExpansivityVerdict:
+    """One-sided variant: only x is confined to the region, y roams the space."""
+    return _pair_check(_STAR_ROUTES, "check_star", system, lambda_set, delta, mu)
+
+
+def _pair_check(routes: dict, solver: str, system, region: RegionSpec, delta, mu) -> ExpansivityVerdict:
+    """The entry of the two pair checks: one class check, the constants, one route."""
+    route = routes[require(type(system), solver, routes)]
     delta, mu = rat(delta), rat(mu)
     if mu <= 1 or delta <= 0:
         raise ValueError("need mu > 1 and delta > 0")
-    constants = {"delta": rat_str(delta), "mu": rat_str(mu)}
-    if isinstance(system, QuadraticFamilyMap):
-        return _quadratic_expanding(system, region, delta, mu, constants, one_sided=False)
-    hit = _expanding_violation(_affine_cells(system, region.interval_carrier()), delta, mu)
+    return route(system, region.carrier, delta, mu, {"delta": rat_str(delta), "mu": rat_str(mu)})
+
+
+def _affine_expanding(system, carrier: RationalIntervalSet, delta, mu, constants) -> ExpansivityVerdict:
+    hit = _expanding_violation(_affine_cells(system, carrier), delta, mu)
     if hit is None:
         return ExpansivityVerdict("expanding", "certified", constants)
     return _falsified_pair_verdict(system, "expanding", hit[0], hit[1], mu, constants)
 
 
-def check_star(system: SystemSpec, lambda_set: RegionSpec, delta, mu) -> ExpansivityVerdict:
-    """One-sided variant: only x is confined to the region, y roams the space."""
-    require(type(system), "check_star", _PAIR_SYSTEMS)
-    delta, mu = rat(delta), rat(mu)
-    if mu <= 1 or delta <= 0:
-        raise ValueError("need mu > 1 and delta > 0")
-    constants = {"delta": rat_str(delta), "mu": rat_str(mu)}
-    if isinstance(system, QuadraticFamilyMap):
-        return _quadratic_expanding(system, lambda_set, delta, mu, constants, one_sided=True)
-    cells_x = _affine_cells(system, lambda_set.interval_carrier())
+def _affine_star(system, carrier: RationalIntervalSet, delta, mu, constants) -> ExpansivityVerdict:
+    cells_x = _affine_cells(system, carrier)
     cells_y = _affine_cells(system, system.space())
     for cx in cells_x:
         for cy in cells_y:
@@ -302,10 +296,11 @@ def check_star(system: SystemSpec, lambda_set: RegionSpec, delta, mu) -> Expansi
     return ExpansivityVerdict("star", "certified", constants)
 
 
-def _quadratic_expanding(system, region, delta, mu, constants, one_sided) -> ExpansivityVerdict:
-    carrier = region.interval_carrier()
+def _quadratic_expanding(system, carrier: RationalIntervalSet, delta, mu, constants,
+                         one_sided: bool) -> ExpansivityVerdict:
+    prop = "star" if one_sided else "expanding"
     if carrier.is_empty:
-        return ExpansivityVerdict("star" if one_sided else "expanding", "certified", constants)
+        return ExpansivityVerdict(prop, "certified", constants)
     hull = carrier.hull()
     if one_sided:
         hull = ClosedInterval(hull.lo - delta, hull.hi + delta)
@@ -314,8 +309,7 @@ def _quadratic_expanding(system, region, delta, mu, constants, one_sided) -> Exp
     if not (hull.lo <= c <= hull.hi):
         dmin = min(abs(system.derivative(hull.lo)), abs(system.derivative(hull.hi)))
         if dmin >= mu:
-            return ExpansivityVerdict("star" if one_sided else "expanding", "certified",
-                                      {**constants, "minDerivative": rat_str(dmin)})
+            return ExpansivityVerdict(prop, "certified", {**constants, "minDerivative": rat_str(dmin)})
     # sampling falsifier around the critical point
     for k in range(1, 12):
         s = delta / 2**k
@@ -323,9 +317,14 @@ def _quadratic_expanding(system, region, delta, mu, constants, one_sided) -> Exp
         if carrier.contains(x) and (one_sided or carrier.contains(y)) and system.contains_point(y):
             lhs = abs(system.evaluate(x) - system.evaluate(y))
             if lhs < mu * (y - x):
-                return _falsified_pair_verdict(system, "star" if one_sided else "expanding",
-                                               x, y, mu, constants)
-    return ExpansivityVerdict("star" if one_sided else "expanding", "undetermined", constants)
+                return _falsified_pair_verdict(system, prop, x, y, mu, constants)
+    return ExpansivityVerdict(prop, "undetermined", constants)
+
+
+_EXPANDING_ROUTES = {PiecewiseLinearMap: _affine_expanding, CantorSystem: _affine_expanding,
+                     QuadraticFamilyMap: partial(_quadratic_expanding, one_sided=False)}
+_STAR_ROUTES = {PiecewiseLinearMap: _affine_star, CantorSystem: _affine_star,
+                QuadraticFamilyMap: partial(_quadratic_expanding, one_sided=True)}
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +366,12 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
             if ZERO <= v <= ONE:
                 cuts.add(v)
     base = sorted(cuts)
-    laps = system.laps()
+    laps, bps = system.laps(), system.breakpoints
 
     def lap_at(t: Fraction):
-        for dom, s, c in laps:
-            if dom.lo <= t <= dom.hi:
-                return s, c
-        raise AssertionError("point escaped every lap")
+        # the leftmost lap whose domain holds t
+        _, s, c = laps[max(bisect_left(bps, t) - 1, 0)]
+        return s, c
 
     def violation_at(x):
         window = system.image_bounds(ClosedInterval(max(ZERO, x - eps), min(ONE, x + eps)))
@@ -434,15 +432,8 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
 
 def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu,
                          eps_grid: Sequence, seed: int = 11) -> ExpansivityVerdict:
-    """Does f(B̄_ε(x) ∩ X) cover B̄_{μsenε}(f(x)) ∩ X for region x and ε < ν?
-
-    Piecewise-linear maps are certified for every grid ε over the whole
-    region by breakpoint case analysis.  The middle-thirds system is probed
-    at component endpoints plus seeded samples; a probe failure is an exact
-    falsification, while all-probes-pass yields ``undetermined`` unless the
-    region is a finite point set.
-    """
-    require(type(system), "check_ball_expanding", (PiecewiseLinearMap, CantorSystem))
+    """Does f(B̄_ε(x) ∩ X) cover B̄_{μsenε}(f(x)) ∩ X for region x and ε < ν?"""
+    route = _BALL_ROUTES[require(type(system), "check_ball_expanding", _BALL_ROUTES)]
     mu, nu = rat(mu), rat(nu)
     if mu <= 1:
         raise ValueError("mu must exceed 1")
@@ -454,17 +445,26 @@ def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu,
     if any(not (0 < e < nu) for e in eps_list):
         raise ValueError("grid values must lie in (0, nu)")
     constants = {"mu": rat_str(mu), "nu": rat_str(nu), "gridSize": len(eps_list)}
-    carrier = region.interval_carrier()
+    return route(system, region.carrier, mu, eps_list, constants, seed)
+
+
+def _pl_ball_expanding(system: PiecewiseLinearMap, carrier: RationalIntervalSet, mu: Fraction,
+                       eps_list: list, constants: dict, seed: int) -> ExpansivityVerdict:
+    """Certified for every grid ε over the whole region by breakpoint case analysis."""
+    for eps in eps_list:
+        hit = _pl_ball_expanding_once(system, carrier, mu, eps)
+        if hit is not None:
+            x, missing = hit
+            return _ball_falsified(system, x, eps, mu, missing, constants)
+    return ExpansivityVerdict("ballExpanding", "certified", constants)
+
+
+def _cantor_ball_expanding(system: CantorSystem, carrier: RationalIntervalSet, mu: Fraction,
+                           eps_list: list, constants: dict, seed: int) -> ExpansivityVerdict:
+    """Probed at component endpoints plus seeded samples: a probe failure is
+    an exact falsification, while all-probes-pass yields ``undetermined``
+    unless the region is a finite point set."""
     space = system.space()
-
-    if isinstance(system, PiecewiseLinearMap):
-        for eps in eps_list:
-            hit = _pl_ball_expanding_once(system, carrier, mu, eps)
-            if hit is not None:
-                x, missing = hit
-                return _ball_falsified(system, x, eps, mu, missing, constants)
-        return ExpansivityVerdict("ballExpanding", "certified", constants)
-
     rng = random.Random(seed)
     probes = []
     for part in carrier.parts:
@@ -486,6 +486,9 @@ def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu,
     return ExpansivityVerdict("ballExpanding", holds, constants)
 
 
+_BALL_ROUTES = {PiecewiseLinearMap: _pl_ball_expanding, CantorSystem: _cantor_ball_expanding}
+
+
 def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdict:
     fx = system.evaluate(x)
     space = system.space()
@@ -504,23 +507,16 @@ def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdic
     return ExpansivityVerdict("ballExpanding", "falsified", constants, counter)
 
 
-def search_ball_expanding_constants(system, region: RegionSpec,
-                                    grid_size: int = 12) -> Optional[tuple[Fraction, Fraction]]:
-    """Small search for working (μ, ν); None when nothing on the menu certifies."""
-    mu_cands = []
-    if isinstance(system, PiecewiseLinearMap):
-        mu_cands.append(system.min_slope_modulus())
-    mu_cands.extend([Fraction(3, 2), Fraction(5, 4), Fraction(9, 8)])
-    for mu in mu_cands:
+def _search_ball_constants(system: PiecewiseLinearMap, region: RegionSpec,
+                           grid_size: int = 12) -> Optional[tuple[Fraction, Fraction]]:
+    """Small search for working (μ, ν) on a piecewise-linear map; None when
+    nothing on the menu certifies."""
+    for mu in (system.min_slope_modulus(), Fraction(3, 2), Fraction(5, 4), Fraction(9, 8)):
         if mu <= 1:
             continue
         for nu in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
             grid = [nu * Fraction(j, grid_size + 1) for j in range(1, grid_size + 1)]
-            try:
-                verdict = check_ball_expanding(system, region, mu, nu, grid)
-            except (ValueError, DomainError):
-                continue
-            if verdict.certified:
+            if check_ball_expanding(system, region, mu, nu, grid).certified:
                 return mu, nu
     return None
 
@@ -541,23 +537,11 @@ def check_open_at(system: SystemSpec, x) -> ExpansivityVerdict:
 def _pl_open_at(system: PiecewiseLinearMap, x: Fraction, constants) -> ExpansivityVerdict:
     if not system.contains_point(x):
         raise DomainError(f"{x} outside [0,1]")
-    slopes = system.slopes
-    bps = system.breakpoints
+    slopes, bps = system.slopes, system.breakpoints
     fx = system.evaluate(x)
-
-    def left_slope():
-        for i in range(len(bps) - 1, 0, -1):
-            if bps[i - 1] < x <= bps[i]:
-                return slopes[i - 1]
-        return None
-
-    def right_slope():
-        for i in range(len(bps) - 1):
-            if bps[i] <= x < bps[i + 1]:
-                return slopes[i]
-        return None
-
-    sl, sr = left_slope(), right_slope()
+    # slopes of the laps just left and just right of x; at 0 and 1 both read the one lap there
+    sl = slopes[max(bisect_left(bps, x) - 1, 0)]
+    sr = slopes[min(bisect_right(bps, x) - 1, len(slopes) - 1)]
     if x == 0:
         ok = (sr > 0 and fx == 0) or (sr < 0 and fx == 1)
     elif x == 1:
@@ -627,12 +611,8 @@ def check_locally_injective(system: SystemSpec, region: RegionSpec) -> Expansivi
     """Holds exactly when the region avoids the critical set."""
     require(type(system), "check_locally_injective", (PiecewiseLinearMap, QuadraticFamilyMap, SLimitSystem))
     constants = {"margin": rat_str(region.margin)}
-    crit = system.critical_points()
-    carrier = region.interval_carrier()
-    if carrier.is_empty:
-        return ExpansivityVerdict("locallyInjective", "certified", constants)
-    for c in crit:
-        if carrier.contains(c):
+    for c in system.critical_points():
+        if region.carrier.contains(c):
             counter = {"criticalPoint": rat_str(c),
                        "statement": "the region contains a point with no injective neighbourhood"}
             return ExpansivityVerdict("locallyInjective", "falsified", constants, counter)
@@ -640,74 +620,7 @@ def check_locally_injective(system: SystemSpec, region: RegionSpec) -> Expansivi
 
 
 # ---------------------------------------------------------------------------
-# positive expansivity (falsifier only)
-# ---------------------------------------------------------------------------
-
-
-def positively_expansive_falsify(system: SystemSpec, b, horizon: int, seed: int = 5) -> ExpansivityVerdict:
-    """Searches for a distinct pair staying b-close for every step up to the
-    horizon.  Success falsifies at that horizon; failure is ``undetermined``
-    because the property quantifies over all iterates.
-    """
-    require(type(system), "positively_expansive_falsify",
-            (PiecewiseLinearMap, QuadraticFamilyMap, OdometerSystem, ShiftSystem))
-    b = rat(b)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    constants = {"b": rat_str(b), "horizon": horizon}
-    pairs = []
-    rng = random.Random(seed)
-    if isinstance(system, (PiecewiseLinearMap, QuadraticFamilyMap)):
-        for c in system.critical_points():
-            for k in (3, 5, 8):
-                s = b / 2**k
-                x, y = c - s, c + s
-                if system.contains_point(x) and system.contains_point(y):
-                    pairs.append((x, y))
-        space = system.space()
-        for _ in range(32):
-            part = space.parts[rng.randrange(len(space.parts))]
-            u = part.lo + part.width * Fraction(rng.getrandbits(20), 1 << 20)
-            v = u + b / 2 ** rng.randint(2, 8)
-            if system.contains_point(v):
-                pairs.append((u, v))
-    elif isinstance(system, OdometerSystem):
-        w = tuple(rng.randint(0, 1) for _ in range(system.depth))
-        v = list(w)
-        v[-1] ^= 1
-        pairs.append((w, tuple(v)))
-    else:
-        a0 = system.alphabet[0]
-        base = SymbolicPoint((), (a0,))
-        for k in range(2, 8):
-            pre = tuple(a0 for _ in range(k))
-            alt = pre[:-1] + (system.alphabet[-1],)
-            cand = SymbolicPoint(alt, (a0,))
-            if system.contains_point(cand):
-                pairs.append((base, cand))
-
-    for x, y in pairs:
-        if x == y:
-            continue
-        u, v = x, y
-        ok = True
-        for _ in range(horizon + 1):
-            if system.distance(u, v) >= b:
-                ok = False
-                break
-            u, v = system.evaluate(u), system.evaluate(v)
-        if ok:
-            counter = {
-                "x": system.point_to_str(x),
-                "y": system.point_to_str(y),
-                "statement": f"orbits stay within {rat_str(b)} for {horizon} steps",
-            }
-            return ExpansivityVerdict("positivelyExpansive", "falsified", constants, counter)
-    return ExpansivityVerdict("positivelyExpansive", "undetermined", constants)
-
-
-# ---------------------------------------------------------------------------
-# Schwarzian derivative and inverse-image nets
+# Schwarzian derivative
 # ---------------------------------------------------------------------------
 
 
@@ -720,57 +633,6 @@ def schwarzian(system: QuadraticFamilyMap, x) -> Fraction:
     d2 = system.second_derivative(x)
     d3 = system.third_derivative(x)
     return d3 / d1 - Fraction(3, 2) * (d2 / d1) ** 2
-
-
-@dataclass(frozen=True)
-class EpsNetResult:
-    is_net: bool
-    max_gap: Fraction
-    undetermined: bool = False
-
-
-def eps_net_check(system: SystemSpec, target_points: Sequence, m: int, epsilon,
-                  cap: int = 200000) -> EpsNetResult:
-    """Enumerates the m-fold inverse images of the target points and reports
-    the largest distance from a space point to that set; net-ness means the
-    gap stays below ε.  End gaps count in full."""
-    require(type(system), "eps_net_check", (PiecewiseLinearMap, QuadraticFamilyMap))
-    epsilon = rat(epsilon)
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    pts = sorted({rat(p) for p in target_points})
-    undetermined = False
-    if isinstance(system, PiecewiseLinearMap):
-        level = list(pts)
-        for _ in range(m):
-            nxt = set()
-            for p in level:
-                nxt.update(system.point_preimages(p))
-            level = sorted(nxt)
-            if len(level) > cap:
-                undetermined = True
-                break
-        net = level
-    else:  # outer enclosures of the inverse images: their endpoints are square roots
-        encl = [(p, p) for p in pts]
-        for _ in range(m):
-            nxt = []
-            for lo, hi in encl:
-                pre = system.preimage_outer(RationalIntervalSet((ClosedInterval(lo, hi),)), 96)
-                nxt.extend((q.lo, q.hi) for q in pre.parts)
-            encl = nxt
-            if len(encl) > cap:
-                undetermined = True
-                break
-        net = sorted(set((lo + hi) / 2 for lo, hi in encl))
-
-    hull = system.space().hull()
-    if not net:
-        return EpsNetResult(False, hull.width, undetermined)
-    gaps = [net[0] - hull.lo, hull.hi - net[-1]]
-    gaps.extend((q - p) / 2 for p, q in zip(net, net[1:]))
-    max_gap = max(gaps)
-    return EpsNetResult(max_gap < epsilon, max_gap, undetermined)
 
 
 # ---------------------------------------------------------------------------
@@ -791,18 +653,17 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
     (1) open + expanding, (2) ball expanding + locally one-to-one, and
     reports whether the verdicts are consistent (mismatches through
     ``undetermined`` are tolerated)."""
-    require(type(system), "crosscheck_expanding_characterizations", _PAIR_SYSTEMS)
-    space = system.space()
-    carrier = region.interval_carrier()
+    ball_side_of = _CROSSCHECK_BALL_SIDES[
+        require(type(system), "crosscheck_expanding_characterizations", _CROSSCHECK_BALL_SIDES)]
+    carrier = region.carrier
     margin = region.margin
-    # the middle-thirds system turns nowhere: injectivity near the carrier is piece-level exact
-    crit = None if isinstance(system, CantorSystem) else system.critical_points()
+    crit = system.critical_points()
     if margin == 0 and crit and not carrier.is_empty:
         margin = min(carrier.distance_to(c) for c in crit) / 2
-    inflated = RegionSpec(_inflate(carrier, margin, space), ZERO)
+    inflated = RegionSpec(_inflate(carrier, margin, system.space()), ZERO)
 
     probes = []
-    for part in inflated.interval_carrier().parts:
+    for part in inflated.carrier.parts:
         probes.extend([part.lo, part.hi, (part.lo + part.hi) / 2])
     open_verdicts = [check_open_at(system, p) for p in sorted(set(probes))]
     if any(v.falsified for v in open_verdicts):
@@ -812,22 +673,15 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
     else:
         open_side = "undetermined"
 
-    mu = None if isinstance(system, QuadraticFamilyMap) else system.min_slope_modulus()
-    if mu is None or mu <= 1:
+    mu = system.min_slope_modulus()
+    if mu <= 1:
         expanding_side = "undetermined"
     else:
         delta = margin if margin > 0 else Fraction(1, 9)
         expanding_side = check_expanding(system, inflated, delta, mu).holds
 
-    if isinstance(system, PiecewiseLinearMap):
-        found = search_ball_expanding_constants(system, inflated, eps_grid_size)
-        ball_side = "undetermined" if found is None else "certified"
-    elif isinstance(system, CantorSystem) and system.depth >= 4:
-        ball_grid = [Fraction(1, 3**k) for k in range(4, min(7, system.depth + 1))]
-        ball_side = check_ball_expanding(system, inflated, Fraction(3), Fraction(1, 27), ball_grid).holds
-    else:  # includes Cantor systems below depth 4, whose ε grid would be empty
-        ball_side = "undetermined"
-    inj_side = "certified" if crit is None else check_locally_injective(system, inflated).holds
+    ball_side = ball_side_of(system, inflated, eps_grid_size)
+    inj_side = "falsified" if any(inflated.carrier.contains(c) for c in crit) else "certified"
 
     side1 = _conjoin(open_side, expanding_side)
     side2 = _conjoin(ball_side, inj_side)
@@ -844,6 +698,22 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
         "side2": side2,
         "consistent": consistent,
     }
+
+
+def _pl_ball_side(system: PiecewiseLinearMap, region: RegionSpec, eps_grid_size: int) -> str:
+    return "undetermined" if _search_ball_constants(system, region, eps_grid_size) is None else "certified"
+
+
+def _cantor_ball_side(system: CantorSystem, region: RegionSpec, eps_grid_size: int) -> str:
+    if system.depth < 4:  # the ε grid 3^-4 .. 3^-min(6, depth) would be empty
+        return "undetermined"
+    ball_grid = [Fraction(1, 3**k) for k in range(4, min(7, system.depth + 1))]
+    return check_ball_expanding(system, region, Fraction(3), Fraction(1, 27), ball_grid).holds
+
+
+# the ball side of the crosscheck; the smooth family has no ball certifier
+_CROSSCHECK_BALL_SIDES = {PiecewiseLinearMap: _pl_ball_side, CantorSystem: _cantor_ball_side,
+                          QuadraticFamilyMap: lambda system, region, eps_grid_size: "undetermined"}
 
 
 def _conjoin(a: str, b: str) -> str:

@@ -341,6 +341,10 @@ class QuadraticFamilyMap(IntervalSystem):
     def critical_points(self) -> list[Fraction]:
         return [self.critical_point()]
 
+    def min_slope_modulus(self) -> Fraction:
+        """|f′| vanishes at the critical point, which lies in the space."""
+        return ZERO
+
     def derivative(self, x: Fraction) -> Fraction:
         p = self.parameter
         return p * (1 - 2 * x) if self.family == "logistic" else -2 * p * x
@@ -542,20 +546,16 @@ class CantorSystem(IntervalSystem):
     def min_slope_modulus(self) -> Fraction:
         return min(abs(self.piece_affine(n)[0]) for k in range(1, self.depth + 1) for n in (k, -k))
 
+    def critical_points(self) -> list[Fraction]:
+        """None: every piece map is increasing and the pieces are separated."""
+        return []
+
     def piece_set(self, n: int, resolution: Optional[int] = None) -> RationalIntervalSet:
         """Piece n resolved to middle-thirds intervals of width 3^−resolution."""
         return _piece_set(n, self.depth if resolution is None else resolution)
 
     def space(self) -> RationalIntervalSet:
         return _cantor_space(self.depth)
-
-    def approximation(self, level: int) -> RationalIntervalSet:
-        """Raw level-k middle-thirds hull of the space on both sides of 0,
-        including the unresolved core [−3^−k, 3^−k] that the piece-indexed
-        space replaces by the fixed point alone."""
-        pos = _thirds_level(level)
-        neg = [ClosedInterval(-p.hi, -p.lo) for p in pos]
-        return normalize(list(pos) + neg)
 
     # map ------------------------------------------------------------------
 
@@ -806,10 +806,6 @@ class ShiftSystem:
 
 def golden_mean_shift() -> ShiftSystem:
     return ShiftSystem(("0", "1"), ("11",))
-
-
-def full_shift(symbols: int = 2) -> ShiftSystem:
-    return ShiftSystem(tuple(str(i) for i in range(symbols)), ())
 
 
 # ---------------------------------------------------------------------------

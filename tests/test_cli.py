@@ -6,7 +6,7 @@ import pytest
 
 from shadowlab.cli import emit, main
 from shadowlab.scenarios import REGISTRY, Report, run_scenario
-from shadowlab.systems import OdometerSystem, golden_mean_shift, logistic_map, tent_map
+from shadowlab.systems import CantorSystem, OdometerSystem, golden_mean_shift, logistic_map, tent_map
 
 
 REQUIRED_SCENARIOS = {
@@ -182,6 +182,33 @@ def test_cli_expanding_check_on_symbolic_system_is_one_line_error(tmp_path, caps
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and type(system).__name__ in captured.err
+
+
+@pytest.mark.parametrize("system, prop, region, part", [
+    # each of these used to print "holds": "certified" and exit 0
+    (tent_map(2), "expanding", [[2, 3]], "[2/1, 3/1]"),
+    (tent_map(2), "ball", [[2, 3]], "[2/1, 3/1]"),
+    (tent_map(2), "locally-injective", [[0, 1], [2, 3]], "[2/1, 3/1]"),
+    (logistic_map(4), "star", [[2, 3]], "[2/1, 3/1]"),  # its minDerivative was taken outside [0, 1]
+    (CantorSystem(6), "expanding", [["1/5", "1/4"]], "[1/5, 1/4]"),  # a gap of the depth-6 space
+])
+def test_cli_rejects_region_outside_the_space(tmp_path, capsys, system, prop, region, part):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(system.to_json()))
+    code = main(["expansivity", "check", "--property", prop, "--system", str(sys_path),
+                 "--region", json.dumps(region)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and f"region part {part} is not in the space" in captured.err
+
+
+def test_cli_region_on_symbolic_system_keeps_the_class_error(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(golden_mean_shift().to_json()))
+    code = main(["expansivity", "check", "--property", "expanding", "--system", str(sys_path),
+                 "--region", "[[0, 1]]"])
+    captured = capsys.readouterr()
+    assert code == 2 and "check_expanding does not support ShiftSystem" in captured.err
 
 
 def test_cli_rejects_orbit_point_outside_the_space(tmp_path, capsys):

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab.expansivity import (
     RegionSpec,
     _affine_cells,
     _pair_bound_clears,
     _pair_violation,
+    _search_ball_constants,
     _vertex_candidates,
     check_ball_expanding,
     check_expanding,
@@ -15,11 +18,8 @@ from shadowlab.expansivity import (
     check_open_at,
     check_star,
     crosscheck_expanding_characterizations,
-    eps_net_check,
-    positively_expansive_falsify,
     region_of,
     schwarzian,
-    search_ball_expanding_constants,
     whole_space_region,
 )
 from shadowlab.numerics import (
@@ -33,9 +33,7 @@ from shadowlab.numerics import (
 )
 from shadowlab.systems import (
     CantorSystem,
-    OdometerSystem,
     PiecewiseLinearMap,
-    full_shift,
     logistic_map,
     quadratic_map,
     random_zigzag_map,
@@ -181,7 +179,7 @@ def test_expanding_brute_force_cross_validation():
         region = region_of((lo, min(hi, F(1))))
         delta, mu = F(1, 10), F(2)
         verdict = check_expanding(system, region, delta, mu)
-        carrier = region.interval_carrier()
+        carrier = region.carrier
         violations = []
         for _ in range(400):
             part = carrier.parts[rng.randrange(len(carrier.parts))]
@@ -288,7 +286,7 @@ def test_crosscheck_below_depth_four_leaves_ball_side_undetermined(depth, mode):
 
 
 def test_constant_search_finds_tent_constants():
-    found = search_ball_expanding_constants(T2, whole_space_region(T2))
+    found = _search_ball_constants(T2, whole_space_region(T2))
     assert found is not None
     mu, nu = found
     assert mu == 2
@@ -302,6 +300,20 @@ def test_tent_open_at_kink_and_endpoints():
     assert check_open_at(T2, F(0)).certified
     assert check_open_at(T2, F(1)).certified
     assert check_open_at(T2, F(1, 3)).certified
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.integers(1, 2**40))
+def test_zigzag_open_at_and_beside_every_breakpoint(seed, offset):
+    # every lap of a zigzag is onto [0,1], so the map is open everywhere: at a
+    # breakpoint, and just left or right of one, where the two slopes read differ
+    system = random_zigzag_map(seed)
+    bps = system.breakpoints
+    tiny = min(b - a for a, b in zip(bps, bps[1:])) / (4 + offset)
+    for b in bps:
+        for x in (b - tiny, b, b + tiny):
+            if 0 <= x <= 1:
+                assert check_open_at(system, x).certified, (bps, x)
 
 
 def test_interior_peak_not_open():
@@ -340,34 +352,6 @@ def test_locally_injective_verdicts():
     assert check_locally_injective(T2, RegionSpec(from_pairs([]))).certified
 
 
-# -- positive expansivity falsifier -------------------------------------------------
-
-
-def test_tent_merging_pair_falsifies():
-    verdict = positively_expansive_falsify(T2, F(1, 10), horizon=12)
-    assert verdict.falsified
-
-
-def test_full_shift_stays_undetermined():
-    verdict = positively_expansive_falsify(full_shift(2), F(1, 2), horizon=20)
-    assert verdict.holds == "undetermined"
-
-
-def test_odometer_is_not_positively_expansive():
-    verdict = positively_expansive_falsify(OdometerSystem(8), F(1, 4), horizon=30)
-    assert verdict.falsified
-
-
-def test_odometer_counterexample_points_read_back():
-    system = OdometerSystem(6)
-    verdict = positively_expansive_falsify(system, F(1, 4), horizon=30)
-    x, y = verdict.counterexample["x"], verdict.counterexample["y"]
-    assert len(x) == len(y) == 6 and set(x + y) <= {"0", "1"}
-    for text in (x, y):
-        assert system.contains_point(system.point_from_str(text))
-        assert system.point_to_str(system.point_from_str(text)) == text
-
-
 # -- Schwarzian ---------------------------------------------------------------------
 
 
@@ -400,37 +384,6 @@ def test_logistic_schwarzian_negative():
             continue
         assert schwarzian(g4, x) == F(-6) / (1 - 2 * x) ** 2
         assert schwarzian(g4, x) < 0
-
-
-# -- inverse-image nets ----------------------------------------------------------------
-
-
-def test_dyadic_net_from_kink_preimages():
-    result = eps_net_check(T2, [F(1, 2)], 3, F(1, 10))
-    assert result.is_net and result.max_gap == F(1, 16)
-
-
-def test_single_point_is_not_a_quarter_net():
-    result = eps_net_check(T2, [F(1, 2)], 0, F(1, 4))
-    assert not result.is_net and result.max_gap == F(1, 2)
-
-
-def test_net_gap_matches_brute_force():
-    # oracle: enumerate the dyadic preimages directly
-    m = 4
-    level = {F(1, 2)}
-    for _ in range(m):
-        level = {q for p in level for q in T2.point_preimages(p)}
-    pts = sorted(level)
-    gaps = [pts[0], 1 - pts[-1]] + [(b - a) / 2 for a, b in zip(pts, pts[1:])]
-    result = eps_net_check(T2, [F(1, 2)], m, F(1, 10))
-    assert result.max_gap == max(gaps)
-
-
-def test_monotone_map_net_degenerates_to_target():
-    m = PiecewiseLinearMap((F(0), F(1)), (F(0), F(1)))  # identity
-    result = eps_net_check(m, [F(1, 4), F(3, 4)], 2, F(3, 10))
-    assert result.is_net and result.max_gap == F(1, 4)
 
 
 # -- characterization crosscheck -----------------------------------------------------
@@ -466,7 +419,7 @@ def test_hierarchy_implapplication_on_random_maps():
         crit = system.critical_points()
         lo = F(rng.randint(2, 30), 100)
         region = region_of((lo, lo + F(1, 10)))
-        carrier = region.interval_carrier()
+        carrier = region.carrier
         if any(carrier.distance_to(c) < F(1, 50) for c in crit):
             continue
         margin = min(carrier.distance_to(c) for c in crit) / 2 if crit else F(1, 20)
@@ -474,4 +427,4 @@ def test_hierarchy_implapplication_on_random_maps():
         opens = all(check_open_at(system, p).certified
                     for part in carrier.parts for p in (part.lo, part.hi))
         if exp.certified and opens:
-            assert search_ball_expanding_constants(system, region) is not None
+            assert _search_ball_constants(system, region) is not None

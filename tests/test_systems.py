@@ -20,10 +20,10 @@ from shadowlab.systems import (
     DomainError,
     OdometerSystem,
     PiecewiseLinearMap,
+    ShiftSystem,
     SLimitSystem,
     SymbolicPoint,
     compose_pl,
-    full_shift,
     golden_mean_shift,
     iterate_pl,
     logistic_map,
@@ -136,7 +136,7 @@ def test_critical_set_needs_interval_map():
     with pytest.raises(DomainError):
         check_locally_injective(CantorSystem(4), RegionSpec(CantorSystem(4).space()))
     with pytest.raises(DomainError):
-        check_locally_injective(golden_mean_shift(), RegionSpec(()))
+        check_locally_injective(golden_mean_shift(), RegionSpec(from_pairs([])))
 
 
 def test_branches_agree_with_eval():
@@ -201,7 +201,7 @@ def test_interval_distance():
 
 
 def test_shift_distance():
-    gm = full_shift(2)
+    gm = ShiftSystem(("0", "1"), ())
     a = SymbolicPoint(("0", "1", "1", "0"), ("0",))
     b = SymbolicPoint(("0", "1", "1", "1"), ("0",))
     assert gm.distance(a, b) == F(1, 8)
@@ -221,28 +221,42 @@ def test_mixed_point_kinds_rejected():
 # -- middle-thirds structure ------------------------------------------------
 
 
+def middle_thirds(lo, hi, levels):
+    """The 2^levels middle-thirds intervals of [lo, hi], built by subdivision."""
+    parts = [(lo, hi)]
+    for _ in range(levels):
+        parts = [q for a, b in parts for q in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))]
+    return parts
+
+
+def thirds_on_both_sides(level):
+    """The level-k middle-thirds intervals of [0, 1] and their mirror images in [-1, 0]."""
+    pos = middle_thirds(F(0), F(1), level)
+    return from_pairs(pos + [(-b, -a) for a, b in pos])
+
+
 def test_cantor_depth_maps_into_coarser_approximation():
     # slope-3 pieces land one approximation level up, the two slope-9 pieces
-    # two levels up; the whole image therefore sits in approximation(d-2)
+    # two levels up; the whole image therefore sits in the level d-2 approximation
     for mode in ("fold", "mirror"):
         system = CantorSystem(5, mode)
         image = system.forward_image(system.space())
-        assert image.subset_of(system.approximation(3))
+        assert image.subset_of(thirds_on_both_sides(3))
         for n in range(1, 6):
             for signed in (n, -n):
                 img = system.forward_image(system.piece_set(signed))
                 level = 3 if abs(signed) == 3 else 4
-                assert img.subset_of(system.approximation(level))
+                assert img.subset_of(thirds_on_both_sides(level))
 
 
 def test_cantor_piece_images_match_table():
     system = CantorSystem(6)
     # piece 1 covers the right half of the one-level-coarser approximation
     assert system.forward_image(system.piece_set(1)) == intersect(
-        system.approximation(5), from_pairs([(0, 1)])
+        thirds_on_both_sides(5), from_pairs([(0, 1)])
     )
     assert system.forward_image(system.piece_set(-1)) == intersect(
-        system.approximation(5), from_pairs([(-1, 0)])
+        thirds_on_both_sides(5), from_pairs([(-1, 0)])
     )
     # pieces 2 and 3 land on piece 1, at resolutions one and two levels up
     assert system.forward_image(system.piece_set(2)) == system.piece_set(1, resolution=5)
@@ -274,14 +288,6 @@ def test_cantor_mirror_negative_pieces_stay_negative():
     for m in (4, 5, 6):
         img = system.forward_image(system.piece_set(-m))
         assert img.hull().hi < 0
-
-
-def middle_thirds(lo, hi, levels):
-    """The 2^levels middle-thirds intervals of [lo, hi], built by subdivision."""
-    parts = [(lo, hi)]
-    for _ in range(levels):
-        parts = [q for a, b in parts for q in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))]
-    return parts
 
 
 def test_cantor_piece_sets_match_middle_thirds_construction():
@@ -453,7 +459,7 @@ def test_whole_space_region_needs_an_interval_space():
 
 def test_solvers_reject_unsupported_classes():
     with pytest.raises(DomainError, match="check_expanding does not support ShiftSystem"):
-        check_expanding(golden_mean_shift(), RegionSpec(()), F(1, 8), 2)
+        check_expanding(golden_mean_shift(), RegionSpec(from_pairs([])), F(1, 8), 2)
     with pytest.raises(DomainError, match="shadow_oracle does not support QuadraticFamilyMap"):
         shadow_oracle(quadratic_map(F(3, 2)), PseudoOrbit((F(0),)), F(1, 8))
     with pytest.raises(DomainError, match="check_locally_injective does not support CantorSystem"):
