@@ -11,7 +11,6 @@ from .numerics import (
     normalize,
     rat,
     rat_str,
-    union,
 )
 from .pseudo_orbits import DeviationReport, PseudoOrbit, deviation, perturbed_orbit, traces, verify_jumps
 from .shadowing import (

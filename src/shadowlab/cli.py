@@ -8,7 +8,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .expansivity import (
@@ -21,7 +20,7 @@ from .expansivity import (
     whole_space_region,
 )
 from .kneading import find_parameter, staircase_word, word
-from .numerics import RationalIntervalSet, rat, rat_str
+from .numerics import RationalIntervalSet, interior_grid, rat, rat_str
 from .pseudo_orbits import checked_orbit, orbit_from_csv, orbit_from_json
 from .scenarios import REGISTRY, Report, run_scenario
 from .shadowing import h_shadow_solve, quadratic_shadow_verdict, shadow_oracle
@@ -91,7 +90,7 @@ def _print_report(report: Report) -> int:
 
 def _scenario_params(args) -> dict:
     params = {}
-    for key in ("seed", "depth", "trials", "precision"):
+    for key in ("seed", "depth", "trials"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
@@ -111,7 +110,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--depth", type=int, default=None)
     p_run.add_argument("--trials", type=int, default=None)
-    p_run.add_argument("--precision", type=int, default=None)
     p_run.add_argument("--out", type=str, default=None)
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -186,8 +184,7 @@ def _run(args) -> int:
             if args.grid < 1:
                 raise ValueError("--grid must be at least 1")
             nu = rat(args.nu)
-            grid = [nu * Fraction(j, args.grid + 1) for j in range(1, args.grid + 1)]
-            verdict = check_ball_expanding(system, region, rat(args.mu), nu, grid)
+            verdict = check_ball_expanding(system, region, rat(args.mu), nu, interior_grid(nu, args.grid))
         elif args.prop == "locally-injective":
             verdict = check_locally_injective(system, region)
         else:

@@ -11,21 +11,13 @@ side lands.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .numerics import (
-    ClosedInterval,
-    RationalIntervalSet,
-    closed_ball,
-    intersect,
-    normalize,
-    rat,
-    rat_str,
-)
+from .numerics import ClosedInterval, RationalIntervalSet, interior_grid, intersect, normalize, rat, rat_str
 from .systems import (
     CantorSystem,
     DomainError,
@@ -54,8 +46,8 @@ class RegionSpec:
             raise ValueError("margin must be nonnegative")
 
 
-def region_of(*pairs, margin=ZERO) -> RegionSpec:
-    return RegionSpec(normalize([ClosedInterval(rat(a), rat(b)) for a, b in pairs]), margin)
+def region_of(*pairs) -> RegionSpec:
+    return RegionSpec(normalize([ClosedInterval(rat(a), rat(b)) for a, b in pairs]))
 
 
 def whole_space_region(system) -> RegionSpec:
@@ -366,11 +358,10 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
             if ZERO <= v <= ONE:
                 cuts.add(v)
     base = sorted(cuts)
-    laps, bps = system.laps(), system.breakpoints
 
     def lap_at(t: Fraction):
-        # the leftmost lap whose domain holds t
-        _, s, c = laps[max(bisect_left(bps, t) - 1, 0)]
+        # t lies strictly between two cuts, so inside one lap (every b and b ± ε is a cut)
+        _, s, c = system.lap(t)
         return s, c
 
     def violation_at(x):
@@ -430,8 +421,7 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
     return None
 
 
-def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu,
-                         eps_grid: Sequence, seed: int = 11) -> ExpansivityVerdict:
+def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu, eps_grid: Sequence) -> ExpansivityVerdict:
     """Does f(B̄_ε(x) ∩ X) cover B̄_{μsenε}(f(x)) ∩ X for region x and ε < ν?"""
     route = _BALL_ROUTES[require(type(system), "check_ball_expanding", _BALL_ROUTES)]
     mu, nu = rat(mu), rat(nu)
@@ -445,11 +435,11 @@ def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu,
     if any(not (0 < e < nu) for e in eps_list):
         raise ValueError("grid values must lie in (0, nu)")
     constants = {"mu": rat_str(mu), "nu": rat_str(nu), "gridSize": len(eps_list)}
-    return route(system, region.carrier, mu, eps_list, constants, seed)
+    return route(system, region.carrier, mu, eps_list, constants)
 
 
 def _pl_ball_expanding(system: PiecewiseLinearMap, carrier: RationalIntervalSet, mu: Fraction,
-                       eps_list: list, constants: dict, seed: int) -> ExpansivityVerdict:
+                       eps_list: list, constants: dict) -> ExpansivityVerdict:
     """Certified for every grid ε over the whole region by breakpoint case analysis."""
     for eps in eps_list:
         hit = _pl_ball_expanding_once(system, carrier, mu, eps)
@@ -460,12 +450,13 @@ def _pl_ball_expanding(system: PiecewiseLinearMap, carrier: RationalIntervalSet,
 
 
 def _cantor_ball_expanding(system: CantorSystem, carrier: RationalIntervalSet, mu: Fraction,
-                           eps_list: list, constants: dict, seed: int) -> ExpansivityVerdict:
-    """Probed at component endpoints plus seeded samples: a probe failure is
-    an exact falsification, while all-probes-pass yields ``undetermined``
-    unless the region is a finite point set."""
+                           eps_list: list, constants: dict) -> ExpansivityVerdict:
+    """Probed at component endpoints plus up to 24 seeded left ends of
+    space components: a probe failure is an exact falsification, while
+    all-probes-pass yields ``undetermined`` unless the region is a finite
+    point set."""
     space = system.space()
-    rng = random.Random(seed)
+    rng = random.Random(11)
     probes = []
     for part in carrier.parts:
         probes.extend([part.lo, part.hi])
@@ -475,10 +466,8 @@ def _cantor_ball_expanding(system: CantorSystem, carrier: RationalIntervalSet, m
     for x in sorted(set(probes)):
         fx = system.evaluate(x)
         for eps in eps_list:
-            ball_in = intersect(closed_ball(x, eps), space)
-            image = system.forward_image(ball_in)
-            target = intersect(closed_ball(fx, mu * eps), space)
-            missing = _uncovered_point(target, image)
+            image = system.forward_image(system.tube(x, eps))
+            missing = _uncovered_point(system.tube(fx, mu * eps), image)
             if missing is not None:
                 return _ball_falsified(system, x, eps, mu, missing, constants)
     finite = all(p.width == 0 for p in carrier.parts)
@@ -492,7 +481,7 @@ _BALL_ROUTES = {PiecewiseLinearMap: _pl_ball_expanding, CantorSystem: _cantor_ba
 def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdict:
     fx = system.evaluate(x)
     space = system.space()
-    image = system.forward_image(intersect(closed_ball(x, eps), space))
+    image = system.forward_image(system.tube(x, eps))
     if image.contains(missing) or abs(missing - fx) > mu * eps or not space.contains(missing):
         raise AssertionError("ball-expanding counterexample failed re-validation")
     counter = {
@@ -515,8 +504,7 @@ def _search_ball_constants(system: PiecewiseLinearMap, region: RegionSpec,
         if mu <= 1:
             continue
         for nu in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
-            grid = [nu * Fraction(j, grid_size + 1) for j in range(1, grid_size + 1)]
-            if check_ball_expanding(system, region, mu, nu, grid).certified:
+            if check_ball_expanding(system, region, mu, nu, interior_grid(nu, grid_size)).certified:
                 return mu, nu
     return None
 
@@ -537,11 +525,11 @@ def check_open_at(system: SystemSpec, x) -> ExpansivityVerdict:
 def _pl_open_at(system: PiecewiseLinearMap, x: Fraction, constants) -> ExpansivityVerdict:
     if not system.contains_point(x):
         raise DomainError(f"{x} outside [0,1]")
-    slopes, bps = system.slopes, system.breakpoints
+    slopes = system.slopes
     fx = system.evaluate(x)
     # slopes of the laps just left and just right of x; at 0 and 1 both read the one lap there
-    sl = slopes[max(bisect_left(bps, x) - 1, 0)]
-    sr = slopes[min(bisect_right(bps, x) - 1, len(slopes) - 1)]
+    sl = slopes[max(bisect_left(system.breakpoints, x) - 1, 0)]
+    sr = slopes[system.lap_index(x)]
     if x == 0:
         ok = (sr > 0 and fx == 0) or (sr < 0 and fx == 1)
     elif x == 1:
@@ -647,12 +635,12 @@ def _inflate(carrier: RationalIntervalSet, margin: Fraction, space: RationalInte
     return intersect(grown, space)
 
 
-def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpec,
-                                           eps_grid_size: int = 10) -> dict:
+def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpec) -> dict:
     """Runs the two equivalent characterizations on a margin-inflated region:
     (1) open + expanding, (2) ball expanding + locally one-to-one, and
     reports whether the verdicts are consistent (mismatches through
-    ``undetermined`` are tolerated)."""
+    ``undetermined`` are tolerated).  A PL map's ball side searches its
+    constants over 10-point ε grids."""
     ball_side_of = _CROSSCHECK_BALL_SIDES[
         require(type(system), "crosscheck_expanding_characterizations", _CROSSCHECK_BALL_SIDES)]
     carrier = region.carrier
@@ -680,7 +668,7 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
         delta = margin if margin > 0 else Fraction(1, 9)
         expanding_side = check_expanding(system, inflated, delta, mu).holds
 
-    ball_side = ball_side_of(system, inflated, eps_grid_size)
+    ball_side = ball_side_of(system, inflated)
     inj_side = "falsified" if any(inflated.carrier.contains(c) for c in crit) else "certified"
 
     side1 = _conjoin(open_side, expanding_side)
@@ -700,11 +688,11 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
     }
 
 
-def _pl_ball_side(system: PiecewiseLinearMap, region: RegionSpec, eps_grid_size: int) -> str:
-    return "undetermined" if _search_ball_constants(system, region, eps_grid_size) is None else "certified"
+def _pl_ball_side(system: PiecewiseLinearMap, region: RegionSpec) -> str:
+    return "undetermined" if _search_ball_constants(system, region, 10) is None else "certified"
 
 
-def _cantor_ball_side(system: CantorSystem, region: RegionSpec, eps_grid_size: int) -> str:
+def _cantor_ball_side(system: CantorSystem, region: RegionSpec) -> str:
     if system.depth < 4:  # the ε grid 3^-4 .. 3^-min(6, depth) would be empty
         return "undetermined"
     ball_grid = [Fraction(1, 3**k) for k in range(4, min(7, system.depth + 1))]
@@ -713,7 +701,7 @@ def _cantor_ball_side(system: CantorSystem, region: RegionSpec, eps_grid_size: i
 
 # the ball side of the crosscheck; the smooth family has no ball certifier
 _CROSSCHECK_BALL_SIDES = {PiecewiseLinearMap: _pl_ball_side, CantorSystem: _cantor_ball_side,
-                          QuadraticFamilyMap: lambda system, region, eps_grid_size: "undetermined"}
+                          QuadraticFamilyMap: lambda system, region: "undetermined"}
 
 
 def _conjoin(a: str, b: str) -> str:

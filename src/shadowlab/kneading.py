@@ -42,8 +42,8 @@ class KneadingWord:
         return self.symbols
 
 
-def word(symbols: str, horizon: Optional[int] = None) -> KneadingWord:
-    return KneadingWord(symbols, len(symbols) if horizon is None else horizon)
+def word(symbols: str) -> KneadingWord:
+    return KneadingWord(symbols, len(symbols))
 
 
 def _unimodal_critical(system) -> Fraction:
@@ -77,13 +77,15 @@ def kneading_word(system, horizon: int) -> KneadingWord:
     return itinerary(system, system.evaluate(c), horizon)
 
 
-def _fast_quadratic_kneading(mu: Fraction, horizon: int, bits: int = 192) -> Optional[KneadingWord]:
+def _fast_quadratic_kneading(mu: Fraction, horizon: int) -> Optional[KneadingWord]:
     """Kneading word of 1−μx² via outward-rounded dyadic interval iteration.
 
     Every emitted symbol is certified by an enclosure that stays strictly on
     one side of the critical point; returns None when the precision ladder
-    cannot separate some iterate from 0 (the exact path then decides).
+    (192, 768, 3072 bits) cannot separate some iterate from 0 (the exact
+    path then decides).
     """
+    bits = 192
     while bits <= 8192:
         lo = hi = 1 << bits  # the critical value 1, as a numerator over 2^bits
         syms: list[str] = []
@@ -255,18 +257,19 @@ def _quadratic_step(mu: Fraction, lo: int, hi: int, bits: int) -> tuple[int, int
     return (one - n * big * big) // den, -((n * small * small - one) // den)
 
 
-def critical_orbit_separation(mu: Fraction, first: int, last: int,
-                              bits: int = 512, max_bits: int = 4096) -> Optional[Fraction]:
+def critical_orbit_separation(mu: Fraction, first: int, last: int) -> Optional[Fraction]:
     """Certified positive lower bound on min |Fⁿ(0)| for n in [first, last],
     F = 1−μx², via outward-rounded dyadic interval iteration.
 
     Returns None when no positive bound can be certified even at the
-    precision cap (the orbit may genuinely meet 0).
+    precision cap, doubling from 512 to 4096 bits (the orbit may genuinely
+    meet 0).
     """
     if not 1 <= first <= last:
         raise ValueError("need 1 <= first <= last")
     mu = rat(mu)
-    while bits <= max_bits:
+    bits = 512
+    while bits <= 4096:
         lo = hi = 0
         best: Optional[int] = None
         ok = True

@@ -74,9 +74,6 @@ class ClosedInterval:
         lo, hi, xn, xd = self.lo, self.hi, x.numerator, x.denominator
         return lo.numerator * xd <= xn * lo.denominator and xn * hi.denominator <= hi.numerator * xd
 
-    def intersects(self, other: "ClosedInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
 
@@ -125,10 +122,6 @@ class RationalIntervalSet:
     @property
     def is_empty(self) -> bool:
         return not self.parts
-
-    @property
-    def measure(self) -> Fraction:
-        return sum((p.width for p in self.parts), Fraction(0))
 
     def contains(self, x: Fraction) -> bool:
         xn, xd = x.numerator, x.denominator
@@ -263,8 +256,11 @@ def intersect(a: RationalIntervalSet, b: RationalIntervalSet) -> RationalInterva
     return RationalIntervalSet(tuple(out))
 
 
-def union(a: RationalIntervalSet, b: RationalIntervalSet) -> RationalIntervalSet:
-    return normalize(list(a.parts) + list(b.parts))
+def interior_grid(span: RationalLike, size: int) -> list[Fraction]:
+    """span·j/(size+1) for j = 1 … size: ``size`` evenly spaced points strictly
+    inside (0, span), such as an ε grid below ν."""
+    span = rat(span)
+    return [span * Fraction(j, size + 1) for j in range(1, size + 1)]
 
 
 def affine_image(s: RationalIntervalSet, slope: RationalLike, offset: RationalLike) -> RationalIntervalSet:

@@ -11,6 +11,7 @@ from the object's definition), ``oracle`` (an independent computation), or
 
 from __future__ import annotations
 
+import inspect
 import math as _math
 import random
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from .numerics import (
     ClosedInterval,
     RationalIntervalSet,
     from_pairs,
+    interior_grid,
     normalize,
     point_set,
     rat,
@@ -65,6 +67,7 @@ from .systems import (
     random_zigzag_map,
     tent_map,
 )
+from .systems import orbit as true_orbit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -121,25 +124,18 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _expected_punctured_ball_image(system: CantorSystem, n: int) -> RationalIntervalSet:
-    """Image of the pieces strictly inside radius 2/3ⁿ, built from the piece
-    geometry alone: indices |m| ≥ n+1 land on pieces n−1 … depth−2."""
+def _expected_ball_image(system: CantorSystem, first: int) -> RationalIntervalSet:
+    """Image of the pieces of index |m| ≥ first+2 about 0, built from the
+    piece geometry alone: they land on pieces first … depth−2.  Those are
+    the pieces strictly inside radius 2/3^(first+1) and within closed radius
+    1/3^(first+1), whose image is the slice of [0, 1/3^(first−1)]."""
     parts = [ClosedInterval(ZERO, ZERO)]
-    for k in range(n - 1, system.depth - 1):
+    for k in range(first, system.depth - 1):
         parts.extend(system.piece_set(k, resolution=system.depth - 1).parts)
     return normalize(parts)
 
 
-def _expected_closed_ball_image(system: CantorSystem, n: int) -> RationalIntervalSet:
-    """Image of the pieces within closed radius 1/3ⁿ⁻¹: indices |m| ≥ n land
-    on pieces n−2 … depth−2, the slice of [0, 1/3ⁿ⁻³]."""
-    parts = [ClosedInterval(ZERO, ZERO)]
-    for k in range(n - 2, system.depth - 1):
-        parts.extend(system.piece_set(k, resolution=system.depth - 1).parts)
-    return normalize(parts)
-
-
-def run_cantor_example(depth: int = 6, **_) -> Report:
+def run_cantor_example(depth: int = 6) -> Report:
     report = Report("cantor-2.8", {"depth": depth})
     mirror = CantorSystem(depth, "mirror")
     fold = CantorSystem(depth, "fold")
@@ -157,11 +153,11 @@ def run_cantor_example(depth: int = 6, **_) -> Report:
 
     for n in (4, 5, 6):
         lhs = fold.ball_image(Fraction(2, 3**n), closed=False)
-        rhs = _expected_punctured_ball_image(fold, n)
+        rhs = _expected_ball_image(fold, n - 1)
         report.add(f"one-sided image of the punctured ball of radius 2/3^{n} (fold)",
                    rhs.to_json(), lhs.to_json(), "construction")
         lhs_c = fold.ball_image(Fraction(1, 3 ** (n - 1)), closed=True)
-        rhs_c = _expected_closed_ball_image(fold, n)
+        rhs_c = _expected_ball_image(fold, n - 2)
         report.add(
             f"image of the closed ball of radius 1/3^{n - 1} fills the [0, 1/3^{n - 3}] slice (fold)",
             rhs_c.to_json(), lhs_c.to_json(), "construction")
@@ -172,7 +168,7 @@ def run_cantor_example(depth: int = 6, **_) -> Report:
     # deeper space so the radius-2/3^6 ball actually contains pieces
     deep = CantorSystem(8, "fold")
     lhs = deep.ball_image(Fraction(2, 3**6), closed=False)
-    rhs = _expected_punctured_ball_image(deep, 6)
+    rhs = _expected_ball_image(deep, 5)
     report.add("one-sided image of the punctured ball of radius 2/3^6 (fold, depth 8)",
                rhs.to_json(), lhs.to_json(), "construction")
 
@@ -193,11 +189,11 @@ def run_cantor_example(depth: int = 6, **_) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def run_tent_ball_example(grid_size: int = 50, **_) -> Report:
+def run_tent_ball_example(grid_size: int = 50) -> Report:
     report = Report("tent-ball-2.9", {"grid_size": grid_size})
     system = tent_map(2)
     nu = Fraction(1, 4)
-    grid = [nu * Fraction(j, grid_size + 1) for j in range(1, grid_size + 1)]
+    grid = interior_grid(nu, grid_size)
     verdict = check_ball_expanding(system, whole_space_region(system), Fraction(2), nu, grid)
     report.add("ball expanding certified on [0,1], mu=2 nu=1/4", "certified", verdict.holds, "constant")
 
@@ -227,7 +223,7 @@ def run_tent_ball_example(grid_size: int = 50, **_) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def run_slimit_example(epsilon="1/4", deltas=("1/10", "1/100"), **_) -> Report:
+def run_slimit_example(epsilon="1/4", deltas=("1/10", "1/100")) -> Report:
     epsilon = rat(epsilon)
     report = Report("slimit-3", {"epsilon": rat_str(epsilon), "deltas": ",".join(str(d) for d in deltas)})
     system = SLimitSystem(tail_depth=12)
@@ -252,7 +248,7 @@ def run_slimit_example(epsilon="1/4", deltas=("1/10", "1/100"), **_) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def run_iterate_reduction(trials: int = 200, seed: int = 7, **_) -> Report:
+def run_iterate_reduction(trials: int = 200, seed: int = 7) -> Report:
     report = Report("iterate-3.8", {"trials": trials, "seed": seed})
     system = tent_map(2)
     epsilon = Fraction(1, 10)
@@ -301,7 +297,7 @@ def run_iterate_reduction(trials: int = 200, seed: int = 7, **_) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def run_exact_hit_suite(trials: int = 1000, seed: int = 7, epsilon="1/10", **_) -> Report:
+def run_exact_hit_suite(trials: int = 1000, seed: int = 7, epsilon="1/10") -> Report:
     epsilon = rat(epsilon)
     report = Report("hshadow-4.3", {"trials": trials, "seed": seed, "epsilon": rat_str(epsilon)})
     nu = Fraction(1, 4)
@@ -310,7 +306,7 @@ def run_exact_hit_suite(trials: int = 1000, seed: int = 7, epsilon="1/10", **_) 
         zig = random_zigzag_map(seed * 37 + k)
         cases.append((f"zigzag #{k}", zig, trials // 20))
 
-    grid = [nu * Fraction(j, 11) for j in range(1, 11)]
+    grid = interior_grid(nu, 10)
     failures = 0
     ran = 0
     rng = random.Random(seed)
@@ -340,12 +336,12 @@ def run_exact_hit_suite(trials: int = 1000, seed: int = 7, epsilon="1/10", **_) 
 # ---------------------------------------------------------------------------
 
 
-def run_region_suite(trials: int = 500, seed: int = 12, **_) -> Report:
+def run_region_suite(trials: int = 500, seed: int = 12) -> Report:
     report = Report("pl-region-5.2", {"trials": trials, "seed": seed})
     system = tent_map(Fraction(9, 5))
     region = from_pairs([("1/20", "9/20"), ("11/20", "19/20")])
     mu, nu = Fraction(9, 5), Fraction(1, 20)
-    grid = [nu * Fraction(j, 13) for j in range(1, 13)]
+    grid = interior_grid(nu, 12)
     verdict = check_ball_expanding(system, RegionSpec(region, margin=Fraction(1, 20)), mu, nu, grid)
     report.add("ball expanding certified on the two-band region", "certified", verdict.holds, "oracle")
 
@@ -377,7 +373,7 @@ def run_region_suite(trials: int = 500, seed: int = 12, **_) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def run_staged_tracing(epsilon="1/8", stages: int = 5, block: int = 12, seed: int = 3, **_) -> Report:
+def run_staged_tracing(epsilon="1/8", stages: int = 5, block: int = 12, seed: int = 3) -> Report:
     epsilon = rat(epsilon)
     report = Report("staged-3.6", {"epsilon": rat_str(epsilon), "stages": stages,
                                    "block": block, "seed": seed})
@@ -409,7 +405,7 @@ def run_staged_tracing(epsilon="1/8", stages: int = 5, block: int = 12, seed: in
 # ---------------------------------------------------------------------------
 
 
-def run_nonshadow_search(horizon: int = 200, seed: int = 0, **_) -> Report:
+def run_nonshadow_search(horizon: int = 200) -> Report:
     report = Report("nonshadow-5.3", {"horizon": horizon})
     lam = Fraction(_math.isqrt(2 * 4**40), 1 << 40)
     report.add("slope is within 2^-40 of sqrt(2)", True,
@@ -465,17 +461,13 @@ def run_nonshadow_search(horizon: int = 200, seed: int = 0, **_) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def run_logistic_spot_checks(**_) -> Report:
+def run_logistic_spot_checks() -> Report:
     report = Report("logistic-5.4", {})
     system = logistic_map(4)
     report.add("map value at the critical point", "1/1", rat_str(system.evaluate(HALF)), "constant")
 
-    x0 = Fraction(1, 3)
-    pts = [x0]
-    for _ in range(7):
-        pts.append(system.evaluate(pts[-1]))
-    true_orbit = PseudoOrbit(tuple(pts))
-    verdict = quadratic_shadow_verdict(system, true_orbit, Fraction(1, 10))
+    exact = PseudoOrbit(tuple(true_orbit(system, Fraction(1, 3), 7)))
+    verdict = quadratic_shadow_verdict(system, exact, Fraction(1, 10))
     report.add("true orbit verdict", "yes", verdict.value, "oracle")
     report.add("true orbit witness traces exactly", True,
                verdict.report is not None and verdict.report.max_deviation == 0, "oracle")
@@ -504,7 +496,7 @@ def run_logistic_spot_checks(**_) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def run_kneading_search(horizon: int = 15, steps: int = 40, tail: int = 200, **_) -> Report:
+def run_kneading_search(horizon: int = 15, steps: int = 40, tail: int = 200) -> Report:
     report = Report("kneading-5.6", {"horizon": horizon, "steps": steps, "tail": tail})
     target = staircase_word(500)
     report.add("staircase prefix", "RLLRRLRRRLRRRRL", target.symbols[:15], "constant")
@@ -542,7 +534,7 @@ def run_kneading_search(horizon: int = 15, steps: int = 40, tail: int = 200, **_
 # ---------------------------------------------------------------------------
 
 
-def run_odometer_suite(depth: int = 12, pairs: int = 10000, orbits: int = 500, seed: int = 9, **_) -> Report:
+def run_odometer_suite(depth: int = 12, pairs: int = 10000, orbits: int = 500, seed: int = 9) -> Report:
     report = Report("odometer-6.1", {"depth": depth, "pairs": pairs, "orbits": orbits, "seed": seed})
     system = OdometerSystem(depth)
     rng = random.Random(seed)
@@ -585,7 +577,7 @@ def _random_golden_point(system, rng: random.Random) -> SymbolicPoint:
     return SymbolicPoint(("0",) + tuple(word), cycle)
 
 
-def run_sft_suite(instances: int = 500, seed: int = 21, **_) -> Report:
+def run_sft_suite(instances: int = 500, seed: int = 21) -> Report:
     report = Report("sft-6.4", {"instances": instances, "seed": seed})
     system = golden_mean_shift()
     rng = random.Random(seed)
@@ -670,6 +662,12 @@ REGISTRY: dict[str, Scenario] = {
 
 
 def run_scenario(name: str, **params) -> Report:
+    """Run a registry scenario; a parameter it does not take is a ValueError naming it."""
     if name not in REGISTRY:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(sorted(REGISTRY))}")
-    return REGISTRY[name].run(**params)
+    run = REGISTRY[name].run
+    accepted = inspect.signature(run).parameters
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"scenario {name} takes no parameter {key!r}")
+    return run(**params)

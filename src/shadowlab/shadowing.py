@@ -17,14 +17,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from .numerics import (
-    EMPTY_SET,
-    RationalIntervalSet,
-    closed_ball,
-    intersect,
-    rat,
-    rat_str,
-)
+from .numerics import EMPTY_SET, RationalIntervalSet, interior_grid, intersect, rat, rat_str
 from .pseudo_orbits import (
     INSIDE,
     DeviationReport,
@@ -51,10 +44,13 @@ from .systems import (
     require,
     tent_map,
 )
+from .systems import orbit as true_orbit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+# the ball-expansion radius ν behind the iterate route and the staged construction
+_NU = Fraction(1, 4)
 # the oracle's exhaustive odometer search stops here: 2^20 words take seconds
 _ODOMETER_SEARCH_DEPTH = 20
 
@@ -134,32 +130,30 @@ def finite_horizon_delta(lipschitz, n: int, epsilon) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _tube(system, x: Fraction, epsilon: Fraction) -> RationalIntervalSet:
-    return intersect(closed_ball(x, epsilon), system.space())
-
-
-def _backward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction) -> list[RationalIntervalSet]:
-    """T_i = tube_i ∩ f⁻¹(T_{i+1}); T_0 is the full ε-tracing set."""
+def _backward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction, preimage) -> list[RationalIntervalSet]:
+    """T_i = tube_i ∩ f⁻¹(T_{i+1}); T_0 is the full ε-tracing set.  ``preimage``
+    is the exact preimage, or an outer enclosure of it, which makes every T_i
+    an outer enclosure too."""
     pts = orbit.points
     sets = [None] * len(pts)
-    sets[-1] = _tube(system, pts[-1], epsilon)
+    sets[-1] = system.tube(pts[-1], epsilon)
     for i in range(len(pts) - 2, -1, -1):
         if sets[i + 1].is_empty:
             sets[i] = EMPTY_SET
             continue
-        sets[i] = intersect(_tube(system, pts[i], epsilon), system.preimage(sets[i + 1]))
+        sets[i] = intersect(system.tube(pts[i], epsilon), preimage(sets[i + 1]))
     return sets
 
 
 def _forward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction) -> list[RationalIntervalSet]:
     """F_i = exact set of i-th iterates of tube-respecting tracers."""
     pts = orbit.points
-    sets = [_tube(system, pts[0], epsilon)]
+    sets = [system.tube(pts[0], epsilon)]
     for x in pts[1:]:
         if sets[-1].is_empty:
             sets.append(EMPTY_SET)
             continue
-        sets.append(intersect(system.forward_image(sets[-1]), _tube(system, x, epsilon)))
+        sets.append(intersect(system.forward_image(sets[-1]), system.tube(x, epsilon)))
     return sets
 
 
@@ -182,7 +176,7 @@ def shadow_oracle(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCert
 
 
 def _tube_oracle(system, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
-    sets = _backward_tube_sets(system, orbit, epsilon)
+    sets = _backward_tube_sets(system, orbit, epsilon, system.preimage)
     feasible_set = sets[0]
     constants = {"epsilon": rat_str(epsilon)}
     if feasible_set.is_empty:
@@ -346,38 +340,28 @@ class QuadraticShadowVerdict:
         }
 
 
-def quadratic_shadow_verdict(system: QuadraticFamilyMap, orbit: PseudoOrbit, epsilon,
-                             bits: int = 64, max_bits: int = 512) -> QuadraticShadowVerdict:
+def quadratic_shadow_verdict(system: QuadraticFamilyMap, orbit: PseudoOrbit, epsilon) -> QuadraticShadowVerdict:
     """YES/NO/UNKNOWN tracing verdict for the smooth families.
 
     YES is certified by an explicit rational witness iterated exactly; NO by
     emptiness of an outward-rounded backward enclosure of the tube sets;
-    anything else escalates precision and finally reports UNKNOWN.
+    anything else escalates precision from 64 to 512 bits and finally reports
+    UNKNOWN.
     """
     epsilon = rat(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    pts = orbit.points
-    space = system.space()
-
-    grid = 32
+    bits, grid = 64, 32
     while True:
         # outer backward propagation: tubes relaxed by the enclosure width
-        outer0 = intersect(closed_ball(pts[-1], epsilon), space)
-        empty = False
-        for x in reversed(pts[:-1]):
-            pre = system.preimage_outer(outer0, bits)
-            outer0 = intersect(intersect(closed_ball(x, epsilon), space), pre)
-            if outer0.is_empty:
-                empty = True
-                break
-        if empty:
+        outer0 = _backward_tube_sets(system, orbit, epsilon, partial(system.preimage_outer, bits=bits))[0]
+        if outer0.is_empty:
             return QuadraticShadowVerdict("no", None, None, bits)
         found = _quadratic_witness_search(system, orbit, epsilon, outer0, grid)
         if found is not None:
             witness, report = found
             return QuadraticShadowVerdict("yes", witness, report, bits)
-        if bits >= max_bits:
+        if bits >= 512:
             return QuadraticShadowVerdict("unknown", None, None, bits)
         bits *= 2
         grid *= 4
@@ -390,12 +374,11 @@ def _quadratic_witness_search(system, orbit: PseudoOrbit, epsilon: Fraction,
     enclosure of the tracing set (dense where it matters); the first
     candidate that traces, with its report."""
     pts = orbit.points
-    tube0 = intersect(closed_ball(pts[0], epsilon), system.space())
+    tube0 = system.tube(pts[0], epsilon)
     candidates = [pts[0]]
     for part in outer0.parts:
         candidates.extend([part.lo, part.hi, (part.lo + part.hi) / 2])
-        for j in range(1, grid):
-            candidates.append(part.lo + part.width * Fraction(j, grid))
+        candidates.extend(part.lo + t for t in interior_grid(part.width, grid - 1))
     seen = set()
     for cand in candidates:
         if cand in seen or not tube0.contains(cand):
@@ -412,14 +395,14 @@ def _quadratic_witness_search(system, orbit: PseudoOrbit, epsilon: Fraction,
 # ---------------------------------------------------------------------------
 
 
-def region_surjectivity_sample(system: PiecewiseLinearMap, region: RationalIntervalSet,
-                               seed: int = 0, samples: int = 16) -> bool:
-    """Sampled check that every region point has a map preimage in the region."""
-    rng = random.Random(seed)
+def region_surjectivity_sample(system: PiecewiseLinearMap, region: RationalIntervalSet) -> bool:
+    """Sampled check that every region point has a map preimage in the region:
+    the part endpoints and 16 seeded samples."""
+    rng = random.Random(0)
     probes = []
     for part in region.parts:
         probes.extend([part.lo, part.hi])
-    for _ in range(samples):
+    for _ in range(16):
         probes.append(_sample_in_set(region, rng))
     for p in probes:
         if not any(region.contains(q) for q in system.point_preimages(p)):
@@ -441,7 +424,7 @@ def _backward_point_chain(system, target: Fraction, steps: int,
 
 
 def h_shadow_via_iterate(system: PiecewiseLinearMap, n: int, region: RationalIntervalSet,
-                         orbit: PseudoOrbit, epsilon, nu=Fraction(1, 4)) -> ShadowCertificate:
+                         orbit: PseudoOrbit, epsilon) -> ShadowCertificate:
     """Exact-hit tracing of an orbit of f obtained by solving for fⁿ.
 
     Prepends a backward extension z with f^{n−r}(z) = x_0 inside the region,
@@ -464,7 +447,7 @@ def h_shadow_via_iterate(system: PiecewiseLinearMap, n: int, region: RationalInt
     eps_prime = finite_horizon_delta(L, n, epsilon)
     mu_n = composed.min_slope_modulus()
     solve_radius, delta_certified = (
-        ball_expanding_delta(mu_n, nu, eps_prime) if mu_n > 1 else (eps_prime, None)
+        ball_expanding_delta(mu_n, _NU, eps_prime) if mu_n > 1 else (eps_prime, None)
     )
 
     m = orbit.last_index
@@ -526,20 +509,19 @@ class StagedShadowLog:
 
 
 def asymptotic_shadow(system: PiecewiseLinearMap, orbit: PseudoOrbit, region: RationalIntervalSet,
-                      epsilon, stages: int = 5, mu=None, nu=Fraction(1, 4)) -> StagedShadowLog:
+                      epsilon, stages: int = 5) -> StagedShadowLog:
     """Stage-wise tracing of a decaying pseudo-orbit with halving accuracy.
 
     Stage i re-traces the splice of the previous tracer's true orbit with the
     tail of the input at accuracy ε_i = ε·2^{−i−1}, demanding an exact hit at
     each stage horizon.  Horizons are chosen greedily as the first index from
-    which the remaining jumps fit the stage's jump bound.
+    which the remaining jumps fit the stage's jump bound, the ball-expansion
+    bound at μ = the minimum slope modulus and ν = 1/4.
     """
     epsilon = rat(epsilon)
     if orbit.decay_schedule is None:
         raise ValueError("a decay schedule is required")
-    if mu is None:
-        mu = system.min_slope_modulus()
-    mu = rat(mu)
+    mu = system.min_slope_modulus()
     if mu <= 1:
         raise DomainError("staged tracing needs a slope modulus above 1")
 
@@ -549,8 +531,9 @@ def asymptotic_shadow(system: PiecewiseLinearMap, orbit: PseudoOrbit, region: Ra
         return StagedShadowLog((orbit.points[0],), (orbit.last_index,), (epsilon / 2,), (check,), True)
 
     bounds = [epsilon * Fraction(1, 2 ** (i + 1)) for i in range(stages + 1)]
-    solve_radii = [min(b, nu) * INSIDE for b in bounds]
-    deltas = [(mu - 1) * r for r in solve_radii]
+    radii_and_deltas = [ball_expanding_delta(mu, _NU, b) for b in bounds]
+    solve_radii = [r * INSIDE for r, _ in radii_and_deltas]
+    deltas = [d * INSIDE for _, d in radii_and_deltas]
 
     # greedy horizons: k_i = first index whose tail jumps all stay below δ_i
     horizons = [0]
@@ -565,82 +548,50 @@ def asymptotic_shadow(system: PiecewiseLinearMap, orbit: PseudoOrbit, region: Ra
 
     stage_points = []
     checks = []
-    prev = None
+    walk = None  # the previous stage tracer's true orbit, up to this stage's start
     for i in range(stages + 1):
         k_lo, k_hi = horizons[i], horizons[i + 1]
-        if i == 0:
-            spliced = PseudoOrbit(tuple(orbit.points[: k_hi + 1]))
-        else:
-            head = [prev]
-            for _ in range(k_lo):
-                head.append(system.evaluate(head[-1]))
-            spliced = PseudoOrbit(tuple(head) + tuple(orbit.points[k_lo + 1 : k_hi + 1]))
+        head = orbit.points[:1] if walk is None else walk
+        spliced = PseudoOrbit(tuple(head) + tuple(orbit.points[k_lo + 1 : k_hi + 1]))
         cert = h_shadow_solve(system, spliced, solve_radii[i])
         if not cert.feasible:
             return StagedShadowLog(tuple(stage_points), tuple(horizons[: i + 2]),
                                    tuple(bounds[: i + 1]), tuple(checks), False, failed_stage=i)
         z = cert.witness
-        cond = _stage_conditions(system, prev, z, orbit, k_lo, k_hi, bounds[i], epsilon, region)
+        prev_walk, walk = walk, true_orbit(system, z, k_hi)
         stage_points.append(z)
-        checks.append(cond)
-        prev = z
+        checks.append(_stage_conditions(system, prev_walk, walk, orbit, k_lo, bounds[i], epsilon, region))
     return StagedShadowLog(tuple(stage_points), tuple(horizons), tuple(bounds[: stages + 1]),
                            tuple(checks), True)
 
 
-def _stage_conditions(system, prev, z, orbit, k_lo, k_hi, bound, epsilon, region) -> dict:
-    orbit_prev = []
-    if prev is not None:
-        p = prev
-        for _ in range(k_lo + 1):
-            orbit_prev.append(p)
-            p = system.evaluate(p)
-    cond_a = True
-    w = z
-    for jdx in range(k_hi + 1):
-        if prev is not None and jdx <= k_lo:
-            if system.distance(orbit_prev[jdx], w) >= bound:
-                cond_a = False
-        w = system.evaluate(w)
-    cond_b = True
-    w = z
-    for jdx in range(k_hi + 1):
-        lo = 0 if prev is None else k_lo + 1
-        if jdx >= lo and system.distance(w, orbit.points[jdx]) >= bound:
-            cond_b = False
-        if jdx < k_hi:
-            w = system.evaluate(w)
-    cond_c = iterate(system, z, k_hi) == orbit.points[k_hi]
-    cond_d = True
-    w = z
-    for jdx in range(k_hi + 1):
-        if region.distance_to(w) >= epsilon:
-            cond_d = False
-        if jdx < k_hi:
-            w = system.evaluate(w)
-    return {"a": cond_a, "b": cond_b, "c": cond_c, "d": cond_d}
+def _stage_conditions(system, prev_walk, walk, orbit, k_lo, bound, epsilon, region) -> dict:
+    """Conditions (a)–(d) of one stage, read off the true orbit of its tracer
+    up to the stage horizon (``walk``) and that of the previous stage's tracer
+    up to this stage's start (``prev_walk``, None at stage 0)."""
+    fresh = 0 if prev_walk is None else k_lo + 1
+    return {
+        "a": prev_walk is None or all(system.distance(p, w) < bound for p, w in zip(prev_walk, walk)),
+        "b": all(system.distance(w, x) < bound for w, x in zip(walk[fresh:], orbit.points[fresh:])),
+        "c": walk[-1] == orbit.points[len(walk) - 1],
+        "d": all(region.distance_to(w) < epsilon for w in walk),
+    }
 
 
 def make_decaying_orbit(system: PiecewiseLinearMap, x0: Fraction, epsilon, stages: int,
-                        block: int, seed: int, mu=None, nu=Fraction(1, 4)) -> PseudoOrbit:
-    """Seeded pseudo-orbit whose block-i jumps fit the stage-(i+1) bound,
-    with a decay schedule attached; companion input for asymptotic_shadow."""
+                        block: int, seed: int) -> PseudoOrbit:
+    """Seeded pseudo-orbit whose block-i jumps fit the stage-(i+1) bound of
+    asymptotic_shadow, with a decay schedule attached."""
     epsilon = rat(epsilon)
-    if mu is None:
-        mu = system.min_slope_modulus()
-    mu = rat(mu)
+    mu = system.min_slope_modulus()
     bounds = [epsilon * Fraction(1, 2 ** (i + 1)) for i in range(stages + 3)]
-    deltas = [(mu - 1) * min(b, nu) * INSIDE for b in bounds]
+    deltas = [ball_expanding_delta(mu, _NU, b)[1] * INSIDE for b in bounds]
     rng = random.Random(seed)
-    space = system.space()
     pts = [x0]
     schedule = []
-    total = block * (stages + 2)
-    for idx in range(total):
+    for idx in range(block * (stages + 2)):
         stage = min(idx // block + 1, stages + 2)
-        radius = deltas[stage] * HALF
-        target = system.evaluate(pts[-1])
-        ball = intersect(closed_ball(target, radius), space)
+        ball = system.tube(system.evaluate(pts[-1]), deltas[stage] * HALF)
         pts.append(_sample_in_set(ball, rng))
         schedule.append(deltas[stage])
     return PseudoOrbit(tuple(pts), decay_schedule=tuple(schedule))
@@ -653,24 +604,16 @@ def make_decaying_orbit(system: PiecewiseLinearMap, x0: Fraction, epsilon, stage
 
 def tent_critical_orbit_gap(lam, horizon: int) -> Fraction:
     """min_{0<n≤horizon} |T_λⁿ(c) − c|, exact."""
-    system = tent_map(lam)
-    c = HALF
-    x = c
-    best = None
-    for _ in range(horizon):
-        x = system.evaluate(x)
-        d = abs(x - c)
-        if best is None or d < best:
-            best = d
-    return best
+    return min((abs(x - HALF) for x in true_orbit(tent_map(lam), HALF, horizon)[1:]), default=None)
 
 
-def nonshadow_witness_tent(lam, epsilon, delta, horizon: int = 200,
-                           length: Optional[int] = None) -> tuple[PseudoOrbit, ShadowCertificate]:
+def nonshadow_witness_tent(lam, epsilon, delta, horizon: int = 200) -> tuple[PseudoOrbit, ShadowCertificate]:
     """Deflected pseudo-orbit through the kink of a slope-λ tent map,
     together with the oracle verdict on it; success means an empty feasible
     set.  Requires 1 < λ < 2 and a critical orbit staying more than 2ε away
-    from the kink up to the horizon.
+    from the kink up to the horizon.  The orbit is long enough for a
+    deflection δ to outgrow the tube radius: 9 + ⌈log_λ(4ε/δ)⌉ points, 12
+    without deflection.
     """
     lam, epsilon, delta = rat(lam), rat(epsilon), rat(delta)
     if not (1 < lam < 2):
@@ -680,19 +623,12 @@ def nonshadow_witness_tent(lam, epsilon, delta, horizon: int = 200,
         raise DomainError(
             f"critical-orbit gap {gap} is not above 2*epsilon at horizon {horizon}")
     system = tent_map(lam)
-    c = HALF
-    if length is None:
-        # enough steps for the deflection to outgrow the tube radius
-        need = (4 * epsilon) / delta if delta > 0 else 1
-        length = 3 + math.ceil(math.log(float(need)) / math.log(float(lam))) + 6 if delta > 0 else 12
+    length = 9 + math.ceil(math.log(float(4 * epsilon / delta)) / math.log(float(lam))) if delta > 0 else 12
+    head = true_orbit(system, HALF, 2)  # the kink, its image and the point the deflection moves
 
     best = None
     for sign in (-1, 1):
-        pts = [c, system.evaluate(c)]
-        x2 = system.evaluate(pts[-1]) + sign * delta / 2
-        pts.append(x2)
-        for _ in range(length - 3):
-            pts.append(system.evaluate(pts[-1]))
+        pts = head[:2] + true_orbit(system, head[2] + sign * delta / 2, length - 3)
         orbit = PseudoOrbit(tuple(pts), claimed_delta=delta if delta > 0 else None)
         cert = shadow_oracle(system, orbit, epsilon)
         cert = replace(cert, constants={**cert.constants, "delta": rat_str(delta), "lambda": rat_str(lam),
@@ -717,9 +653,9 @@ def slimit_minimal_tail_index(delta) -> int:
     return N
 
 
-def slimit_counterexample_check(system: SLimitSystem, N: int, epsilon, delta,
-                                tail_repeats: int = 5) -> dict:
-    """Builds the squeeze-to-zero-then-jump-to-the-tail pseudo-orbit and
+def slimit_counterexample_check(system: SLimitSystem, N: int, epsilon, delta) -> dict:
+    """Builds the squeeze-to-zero-then-jump-to-the-tail pseudo-orbit (the
+    true orbit of 1/2 to g^N(1/2), then 0, then the tail point five times) and
     verifies exactly that (i) it is a δ-pseudo-orbit, (ii) the only point
     whose orbit converges to its constant tail is the tail point itself,
     and (iii) that point fails ε-tracing already at step 0.
@@ -732,12 +668,7 @@ def slimit_counterexample_check(system: SLimitSystem, N: int, epsilon, delta,
     if not (gN < delta and -tail < delta):
         raise ValueError("preconditions g^N(1/2) < delta and 2^-N < delta fail")
 
-    pts = [HALF]
-    for _ in range(N):
-        pts.append(system.evaluate(pts[-1]))
-    pts.append(ZERO)
-    pts.extend([tail] * tail_repeats)
-    orbit = PseudoOrbit(tuple(pts))
+    orbit = PseudoOrbit(tuple(true_orbit(system, HALF, N) + [ZERO] + [tail] * 5))
 
     worst = verify_jumps(system, orbit)
     is_delta_orbit = worst < delta

@@ -8,10 +8,11 @@ type, the binary odometer) use finite words or eventually periodic words.
 Every system answers which points belong to its space (``contains_point``),
 where a point maps (``evaluate``), the metric (``distance``) and how a point
 is written and read (``point_to_str``, ``point_from_str``).  The interval
-systems also answer their space as an interval set (``space``) and forward
-images; the piecewise-affine ones (``PiecewiseLinearMap``, ``CantorSystem``)
-their affine cells, exact preimages and minimum slope modulus; PL maps, the
-quadratic family and the tail system their critical points.  A solver that needs
+systems also answer their space as an interval set (``space``), the closed
+tube about a point (``tube``) and forward images; the piecewise-affine ones
+(``PiecewiseLinearMap``, ``CantorSystem``) their affine cells, exact
+preimages and minimum slope modulus; PL maps, the quadratic family and the
+tail system their critical points.  A solver that needs
 more than every system answers checks the class once, at entry
 (:func:`require`).
 """
@@ -31,13 +32,10 @@ from .numerics import (
     RationalIntervalSet,
     affine_image,
     closed_ball,
-    from_pairs,
     intersect,
-    interval,
     normalize,
     rat,
     rat_str,
-    union,
 )
 
 ONE = Fraction(1)
@@ -45,6 +43,7 @@ ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 _UNIT_INTERVAL = RationalIntervalSet((ClosedInterval(ZERO, ONE),))
+_SYMMETRIC_INTERVAL = RationalIntervalSet((ClosedInterval(-ONE, ONE),))
 
 
 class DomainError(ValueError):
@@ -61,7 +60,12 @@ def require(system_class: type, solver: str, supported) -> type:
 
 
 class IntervalSystem:
-    """Shared by the interval systems: rational points and the metric |x − y|."""
+    """Shared by the interval systems: rational points, the metric |x − y|
+    and the closed tube about a point."""
+
+    def tube(self, x: Fraction, radius: Fraction) -> RationalIntervalSet:
+        """B̄_r(x) ∩ space: every tracing tube and expansion ball is one."""
+        return intersect(closed_ball(x, radius), self.space())
 
     def distance(self, x: Fraction, y: Fraction) -> Fraction:
         if not isinstance(x, Fraction) or not isinstance(y, Fraction):
@@ -103,8 +107,6 @@ class PiecewiseLinearMap(IntervalSystem):
     _int_breakpoints: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _int_laps: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
-    kind = "pl"
-
     def __post_init__(self):
         bps = tuple(rat(b) for b in self.breakpoints)
         vals = tuple(rat(v) for v in self.values)
@@ -145,11 +147,11 @@ class PiecewiseLinearMap(IntervalSystem):
     def contains_point(self, x: Fraction) -> bool:
         return 0 <= x.numerator <= x.denominator
 
-    def evaluate(self, x: Fraction) -> Fraction:
+    def lap_index(self, x: Fraction) -> int:
+        """Index of the rightmost lap whose left end is at most x, for x in
+        [0,1]: the lap holding x, the right one at an interior breakpoint and
+        the last at 1 (f is continuous, so both neighbours agree there)."""
         xn, xd = x.numerator, x.denominator
-        if not 0 <= xn <= xd:
-            raise DomainError(f"{x} outside [0,1]")
-        # rightmost lap whose left endpoint is <= x; consistent at shared breakpoints
         bps = self._int_breakpoints
         lo, hi = 0, len(bps) - 2
         idx = 0
@@ -161,7 +163,17 @@ class PiecewiseLinearMap(IntervalSystem):
                 lo = mid + 1
             else:
                 hi = mid - 1
-        a, b, q = self._int_laps[idx]
+        return idx
+
+    def lap(self, x: Fraction) -> tuple[ClosedInterval, Fraction, Fraction]:
+        """(domain, slope, offset) of the lap :meth:`lap_index` picks for x."""
+        return self._laps[self.lap_index(x)]
+
+    def evaluate(self, x: Fraction) -> Fraction:
+        xn, xd = x.numerator, x.denominator
+        if not 0 <= xn <= xd:
+            raise DomainError(f"{x} outside [0,1]")
+        a, b, q = self._int_laps[self.lap_index(x)]
         return Fraction(a * xn + b * xd, q * xd)
 
     def lipschitz(self) -> Fraction:
@@ -306,8 +318,6 @@ class QuadraticFamilyMap(IntervalSystem):
     family: str  # "logistic" | "quadratic"
     parameter: Fraction
 
-    kind = "quadratic"
-
     def __post_init__(self):
         object.__setattr__(self, "parameter", rat(self.parameter))
         p = self.parameter
@@ -321,11 +331,10 @@ class QuadraticFamilyMap(IntervalSystem):
             raise ValueError(f"unknown family {self.family!r}")
 
     def space(self) -> RationalIntervalSet:
-        return from_pairs([(0, 1)] if self.family == "logistic" else [(-1, 1)])
+        return _UNIT_INTERVAL if self.family == "logistic" else _SYMMETRIC_INTERVAL
 
     def contains_point(self, x: Fraction) -> bool:
-        lo, hi = (ZERO, ONE) if self.family == "logistic" else (-ONE, ONE)
-        return lo <= x <= hi
+        return self.space().contains(x)
 
     def evaluate(self, x: Fraction) -> Fraction:
         if not self.contains_point(x):
@@ -355,11 +364,6 @@ class QuadraticFamilyMap(IntervalSystem):
     def third_derivative(self, x: Fraction) -> Fraction:
         return ZERO
 
-    def monotone_laps(self) -> list[ClosedInterval]:
-        c = self.critical_point()
-        lo, hi = self.space().hull().lo, self.space().hull().hi
-        return [ClosedInterval(lo, c), ClosedInterval(c, hi)]
-
     def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
         out = []
         c = self.critical_point()
@@ -374,10 +378,8 @@ class QuadraticFamilyMap(IntervalSystem):
         """Outer rational enclosure of the preimage (endpoints are square roots)."""
         out = []
         for part in target.parts:
-            for branch in self._branch_preimages(part, bits):
-                out.append(branch)
-        space = self.space()
-        return intersect(normalize(out), space)
+            out.extend(self._branch_preimages(part, bits))
+        return intersect(normalize(out), self.space())
 
     def _branch_preimages(self, part: ClosedInterval, bits: int) -> list[ClosedInterval]:
         # f(x) ∈ [a,b]  ⟺  (x − c)² ∈ [(f(c) − b)/p, (f(c) − a)/p] for the critical point c
@@ -454,13 +456,19 @@ def _piece_set(n: int, resolution: int) -> RationalIntervalSet:
 
 
 @lru_cache(maxsize=64)
+def _piece_table(depth: int, mode: str) -> tuple[tuple[RationalIntervalSet, Fraction, Fraction], ...]:
+    """(piece set, slope, offset) of every piece, indices 1, −1, 2, −2, … ±depth."""
+    system = CantorSystem(depth, mode)
+    return tuple((_piece_set(signed, depth), *system.piece_affine(signed))
+                 for n in range(1, depth + 1) for signed in (n, -n))
+
+
+@lru_cache(maxsize=64)
 def _cantor_space(depth: int) -> RationalIntervalSet:
     """The fixed point 0 with every piece of index |n| ≤ depth at resolution depth."""
-    parts = [ClosedInterval(ZERO, ZERO)]
-    for n in range(1, depth + 1):
-        parts.extend(_piece_set(n, depth).parts)
-        parts.extend(_piece_set(-n, depth).parts)
-    return normalize(parts)
+    # the piece sets are the same under both image modes
+    pieces = _piece_table(depth, "fold")
+    return normalize([ClosedInterval(ZERO, ZERO)] + [p for piece, _, _ in pieces for p in piece.parts])
 
 
 @dataclass(frozen=True)
@@ -485,16 +493,15 @@ class CantorSystem(IntervalSystem):
     space is a finite union of closed intervals and every query is exactly
     decidable.
 
-    A piece set depends only on its index and resolution, and the space only
-    on ``depth``: each is built once per process (in a bounded cache that
-    holds no system) and the same immutable set is shared by every system
-    and query that asks for it.
+    A piece set depends only on its index and resolution, the space only on
+    ``depth``, and the table of (piece set, slope, offset) that every map
+    query reads on ``depth`` and the mode: each is built once per process
+    (in a bounded cache that holds no system) and shared by every system and
+    query that asks for it.
     """
 
     depth: int
     negative_image_mode: str = "fold"
-
-    kind = "cantor"
 
     def __post_init__(self):
         if self.depth < 1:
@@ -544,7 +551,7 @@ class CantorSystem(IntervalSystem):
         return slope, dst.lo - slope * src.lo
 
     def min_slope_modulus(self) -> Fraction:
-        return min(abs(self.piece_affine(n)[0]) for k in range(1, self.depth + 1) for n in (k, -k))
+        return min(abs(s) for _, s, _ in self._pieces())
 
     def critical_points(self) -> list[Fraction]:
         """None: every piece map is increasing and the pieces are separated."""
@@ -559,78 +566,45 @@ class CantorSystem(IntervalSystem):
 
     # map ------------------------------------------------------------------
 
-    def piece_index(self, x: Fraction) -> int:
-        """Index of the piece containing x; 0 for the fixed point at 0."""
-        if x == 0:
-            return 0
-        m = abs(x)
-        n = 1
-        while n <= self.depth:
-            if Fraction(2, 3**n) <= m <= Fraction(1, 3 ** (n - 1)):
-                return n if x > 0 else -n
-            n += 1
-        raise DomainError(f"{x} is not in any piece at depth {self.depth}")
+    def _pieces(self) -> tuple[tuple[RationalIntervalSet, Fraction, Fraction], ...]:
+        return _piece_table(self.depth, self.negative_image_mode)
 
     def contains_point(self, x: Fraction) -> bool:
-        if x == 0:
-            return True
-        try:
-            n = self.piece_index(x)
-        except DomainError:
-            return False
-        return self.piece_set(n).contains(x)
+        return self.space().contains(x)
 
     def evaluate(self, x: Fraction) -> Fraction:
         if x == 0:
             return ZERO
-        if not self.contains_point(x):
-            raise DomainError(f"{x} outside the depth-{self.depth} space")
-        s, c = self.piece_affine(self.piece_index(x))
-        return s * x + c
+        for piece, s, c in self._pieces():
+            if piece.contains(x):
+                return s * x + c
+        raise DomainError(f"{x} outside the depth-{self.depth} space")
 
     def affine_cells(self) -> list[tuple[ClosedInterval, Fraction, Fraction]]:
         """All space components with their affine data, plus the fixed origin."""
-        cells = [(ClosedInterval(ZERO, ZERO), Fraction(1), ZERO)]
-        for n in range(1, self.depth + 1):
-            for signed in (n, -n):
-                s, c = self.piece_affine(signed)
-                for part in self.piece_set(signed).parts:
-                    cells.append((part, s, c))
-        return cells
+        return [(ClosedInterval(ZERO, ZERO), ONE, ZERO)] + [
+            (part, s, c) for piece, s, c in self._pieces() for part in piece.parts]
 
     def forward_image(self, sset: RationalIntervalSet) -> RationalIntervalSet:
-        out = []
-        if sset.contains(ZERO):
-            out.append(ClosedInterval(ZERO, ZERO))
-        for n in range(1, self.depth + 1):
-            for signed in (n, -n):
-                hit = intersect(sset, self.piece_set(signed))
-                if not hit.is_empty:
-                    s, c = self.piece_affine(signed)
-                    out.extend(affine_image(hit, s, c).parts)
+        out = [ClosedInterval(ZERO, ZERO)] if sset.contains(ZERO) else []
+        for piece, s, c in self._pieces():
+            hit = intersect(sset, piece)
+            if not hit.is_empty:
+                out.extend(affine_image(hit, s, c).parts)
         return normalize(out)
 
     def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
-        out = []
-        if target.contains(ZERO):
-            out.append(ClosedInterval(ZERO, ZERO))
-        for n in range(1, self.depth + 1):
-            for signed in (n, -n):
-                s, c = self.piece_affine(signed)
-                pre = affine_image(target, 1 / s, -c / s)
-                out.extend(intersect(pre, self.piece_set(signed)).parts)
+        out = [ClosedInterval(ZERO, ZERO)] if target.contains(ZERO) else []
+        for piece, s, c in self._pieces():
+            out.extend(intersect(affine_image(target, 1 / s, -c / s), piece).parts)
         return normalize(out)
 
     def point_preimages(self, y: Fraction) -> list[Fraction]:
-        out = set()
-        if y == 0:
-            out.add(ZERO)
-        for n in range(1, self.depth + 1):
-            for signed in (n, -n):
-                s, c = self.piece_affine(signed)
-                x = (y - c) / s
-                if self.piece_set(signed).contains(x):
-                    out.add(x)
+        out = {ZERO} if y == 0 else set()
+        for piece, s, c in self._pieces():
+            x = (y - c) / s
+            if piece.contains(x):
+                out.add(x)
         return sorted(out)
 
     def ball_image(self, radius: Fraction, closed: bool = True) -> RationalIntervalSet:
@@ -640,7 +614,7 @@ class CantorSystem(IntervalSystem):
         intersection at the space's gap structure (true for the radii 2/3ⁿ
         used by the one-sidedness checks).
         """
-        ball = intersect(self.space(), closed_ball(ZERO, radius))
+        ball = self.tube(ZERO, radius)
         if not closed:
             kept = []
             for p in ball.parts:
@@ -733,8 +707,6 @@ class ShiftSystem:
     alphabet: tuple[str, ...]
     forbidden: tuple[str, ...] = ()
 
-    kind = "sft"
-
     def __post_init__(self):
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
@@ -819,8 +791,6 @@ class OdometerSystem:
 
     depth: int
 
-    kind = "odometer"
-
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
@@ -837,15 +807,6 @@ class OdometerSystem:
                 out[i] = 1
                 break
             out[i] = 0
-        return tuple(out)
-
-    def inverse(self, w: tuple[int, ...]) -> tuple[int, ...]:
-        out = list(w)
-        for i in range(self.depth):
-            if out[i] == 1:
-                out[i] = 0
-                break
-            out[i] = 1
         return tuple(out)
 
     def iterate_inverse(self, w: tuple[int, ...], steps: int) -> tuple[int, ...]:
@@ -895,8 +856,6 @@ class SLimitSystem(IntervalSystem):
     """
 
     tail_depth: int
-
-    kind = "slimit"
 
     def __post_init__(self):
         if self.tail_depth < 1:
@@ -948,10 +907,16 @@ SystemSpec = Union[
 Point = Union[Fraction, SymbolicPoint, tuple]
 
 
-def iterate(system: SystemSpec, x: Point, n: int) -> Point:
+def orbit(system: SystemSpec, x: Point, n: int) -> list:
+    """The true orbit [x, f(x), …, fⁿ(x)]."""
+    out = [x]
     for _ in range(n):
-        x = system.evaluate(x)
-    return x
+        out.append(system.evaluate(out[-1]))
+    return out
+
+
+def iterate(system: SystemSpec, x: Point, n: int) -> Point:
+    return orbit(system, x, n)[-1]
 
 
 def system_from_json(data: Union[dict, str]) -> SystemSpec:

@@ -293,6 +293,30 @@ def test_cli_ball_check_rejects_an_empty_grid(tmp_path, capsys, grid):
     assert captured.err.count("\n") == 1 and "--grid must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("args, name", [
+    (["logistic-5.4", "--depth", "3", "--trials", "5"], "'depth'"),
+    (["nonshadow-5.3", "--seed", "1"], "'seed'"),
+    (["cantor-2.8", "--trials", "2"], "'trials'"),
+])
+def test_cli_scenario_parameter_it_does_not_take_is_one_line_error(capsys, args, name):
+    # these runs used to exit 0 with the flag silently ignored
+    code = main(["scenario", "run", *args])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and name in captured.err and args[0] in captured.err
+
+
+def test_cli_has_no_precision_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", "run", "logistic-5.4", "--precision", "7"])
+    assert exc.value.code == 2
+
+
+def test_run_scenario_names_a_parameter_the_scenario_does_not_take():
+    with pytest.raises(ValueError, match="scenario slimit-3 takes no parameter 'seed'"):
+        run_scenario("slimit-3", seed=3)
+
+
 def test_cli_kneading_search(capsys):
     code = main(["kneading", "search", "--horizon", "15", "--steps", "40"])
     assert code == 0

@@ -1,5 +1,6 @@
 """The runtime imports nothing outside the standard library and the package,
-and few places in it decide a system's class."""
+every name a module imports is used, and few places in it decide a system's
+class."""
 
 import ast
 import re
@@ -24,6 +25,21 @@ def test_module_imports_only_stdlib_or_relative(path):
             continue
         outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert SOURCES and outside == [], f"{path.name} imports {outside}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    # __init__.py is left out: its imports are the package's exports
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert unused == [], f"{path.name} imports {unused} and never uses them"
 
 
 # a solver picks its algorithm from a class-keyed table read through systems.require;

@@ -122,14 +122,28 @@ def test_pl_slopes_from_difference_quotients():
         assert [((d.lo, d.hi), s, c) for d, s, c in m.laps()] == laps
 
 
+def test_lap_lookup_matches_a_linear_scan():
+    # evaluate (through lap_index) and the PL ball route (through lap) share one
+    # lookup; a lookup one lap off changes evaluate's answer inside a lap
+    rng = random.Random(31)
+    for m in pl_maps():
+        laps = m.laps()
+        points = list(m.breakpoints) + sample_rationals(rng, 40)
+        near = [b + side * F(1, 2**40) for b in m.breakpoints for side in (-1, 1)]
+        points += [x for x in near if 0 <= x <= 1]
+        for x in points:
+            by_scan = max(i for i, (dom, _, _) in enumerate(laps) if dom.lo <= x)
+            assert m.lap_index(x) == by_scan and m.lap(x) == laps[by_scan]
+            dom, s, c = laps[by_scan]
+            assert dom.lo <= x <= dom.hi and m.evaluate(x) == s * x + c
+
+
 def test_branches_unsupported_kinds():
     window = RegionSpec(from_pairs([(0, 1)]))
     with pytest.raises(DomainError):
         check_ball_expanding(logistic_map(4), window, 2, F(1, 4), [F(1, 8)])  # nonlinear laps, no affine branches
     with pytest.raises(DomainError):
         check_expanding(SLimitSystem(4), window, F(1, 8), 2)  # the squaring piece is not affine
-    laps = logistic_map(4).monotone_laps()
-    assert [(l.lo, l.hi) for l in laps] == [(F(0), F(1, 2)), (F(1, 2), F(1))]
 
 
 def test_critical_set_needs_interval_map():
@@ -329,7 +343,7 @@ def test_odometer_bijection():
     seen = {od.evaluate(od.int_to_word(v)) for v in range(32)}
     assert len(seen) == 32
     w = od.int_to_word(13)
-    assert od.inverse(od.evaluate(w)) == w
+    assert od.iterate_inverse(od.evaluate(w), 1) == w
 
 
 # -- interval-plus-tail space ------------------------------------------------
