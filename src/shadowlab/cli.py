@@ -155,6 +155,8 @@ def _run(args) -> int:
             for name in sorted(REGISTRY):
                 print(f"{name:16s} {REGISTRY[name].description}")
             return 0
+        if args.name not in REGISTRY:
+            raise ValueError(f"unknown scenario {args.name!r}; known: {', '.join(sorted(REGISTRY))}")
         report = run_scenario(args.name, **_scenario_params(args))
         if args.out:
             emit(report, args.format, args.out)

@@ -10,6 +10,7 @@ side lands.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -138,14 +139,29 @@ def _pair_bound_clears(cx: Cell, cy: Cell, delta: Fraction, mu: Fraction) -> boo
         |F(x)−G(y)| = |s|(y−x) ≥ μ(y−x);
     (b) the images F(ix) and G(iy) lie at least μ·min(delta, iy.hi−ix.lo)
         apart, an upper bound on μ(y−x) over every such pair.
-    """
+    Both are decided on integers by cross-multiplication."""
     (ix, sx, ox), (iy, sy, oy) = cx, cy
-    if sx == sy and ox == oy and abs(sx) >= mu:
+    mn, md = mu.numerator, mu.denominator
+    if sx == sy and ox == oy and abs(sx.numerator) * md >= mn * sx.denominator:
         return True
-    f0, f1 = sx * ix.lo + ox, sx * ix.hi + ox
-    g0, g1 = sy * iy.lo + oy, sy * iy.hi + oy
-    gap = max(min(g0, g1) - max(f0, f1), min(f0, f1) - max(g0, g1))
-    return gap >= mu * min(delta, iy.hi - ix.lo)
+    fl, fh = _int_image(ix, sx, ox)
+    gl, gh = _int_image(iy, sy, oy)
+    # r = μ·min(delta, iy.hi − ix.lo)
+    yh, xl = iy.hi, ix.lo
+    rn, rd = yh.numerator * xl.denominator - xl.numerator * yh.denominator, yh.denominator * xl.denominator
+    if delta.numerator * rd < rn * delta.denominator:
+        rn, rd = delta.numerator, delta.denominator
+    rn, rd = rn * mn, rd * md
+    # gap = max(min G − max F, min F − max G) ≥ r, one side at a time
+    return ((gl[0] * fh[1] - fh[0] * gl[1]) * rd >= rn * gl[1] * fh[1]
+            or (fl[0] * gh[1] - gh[0] * fl[1]) * rd >= rn * fl[1] * gh[1])
+
+
+def _int_image(iv: ClosedInterval, s: Fraction, o: Fraction) -> list[tuple[int, int]]:
+    """[min, max] of s·x + o over the interval as integer pairs."""
+    a, b, q = s.numerator * o.denominator, o.numerator * s.denominator, s.denominator * o.denominator
+    ends = [(a * e.numerator + b * e.denominator, q * e.denominator) for e in (iv.lo, iv.hi)]
+    return ends if a > 0 else ends[::-1]
 
 
 def _pair_violation(cx: Cell, cy: Cell, delta: Fraction, mu: Fraction) -> Optional[tuple]:
@@ -156,7 +172,9 @@ def _pair_violation(cx: Cell, cy: Cell, delta: Fraction, mu: Fraction) -> Option
     :func:`_pair_bound_clears` proves clear are None at once; the rest are
     decided exactly at the vertices of the line arrangement."""
     (ix, sx, ox), (iy, sy, oy) = cx, cy
-    if iy.lo - ix.hi >= delta or _pair_bound_clears(cx, cy, delta, mu):
+    yl, xh = iy.lo, ix.hi
+    if ((yl.numerator * xh.denominator - xh.numerator * yl.denominator) * delta.denominator
+            >= delta.numerator * yl.denominator * xh.denominator or _pair_bound_clears(cx, cy, delta, mu)):
         return None
     # prefer an exact image collision F(x) = G(y), i.e. y = a·x + b
     a, b = sx / sy, (ox - oy) / sy
@@ -344,77 +362,70 @@ def _uncovered_point(ball: RationalIntervalSet, image: RationalIntervalSet) -> O
 
 def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalIntervalSet,
                             mu: Fraction, eps: Fraction) -> Optional[tuple]:
-    """Exact certification over all carrier x for one ε.
+    """Exact certification over all carrier x for one ε: the first failing
+    (x, missing point) in ascending x, or None.
 
-    Between consecutive cuts every quantity involved (the window edges
-    f(x∓ε), the window-interior breakpoint values, f(x)±μsense) is a single
-    affine function of x, so after refining each cell by all pairwise
-    crossings of those affines the two covering inequalities are affine per
-    piece and endpoint checks decide them completely.
+    Between consecutive cuts (0, 1, every breakpoint b and b ± ε) every
+    quantity involved (the window edges f(x∓ε), the window-interior
+    breakpoint values, f(x)±μsense) is a single affine function of x, so
+    after refining each cell by all pairwise crossings of those affines the
+    two covering inequalities are affine per piece and endpoint checks
+    decide them completely.  All on integers: the cuts over one common
+    denominator D, each candidate as (A, B, Q) with value (A·x + B)/Q, each
+    crossing as n/d, compared by cross-multiplication; a Fraction is built
+    only for a crossing inside its cell and for the missing point returned.
     """
-    cuts = {ZERO, ONE}
-    for b in system.breakpoints:
-        for v in (b, b + eps, b - eps):
-            if ZERO <= v <= ONE:
-                cuts.add(v)
-    base = sorted(cuts)
+    en, ed = eps.numerator, eps.denominator
+    men, med = mu.numerator * en, mu.denominator * ed  # μ·ε
+    laps, vals = system._int_laps, system._int_values
+    D = math.lcm(*(bd for _, bd in system._int_breakpoints)) * ed
+    E = en * (D // ed)  # ε in units of 1/D
+    bps = [bn * (D // bd) for bn, bd in system._int_breakpoints]
+    base = sorted({0, D}.union(v for b in bps for v in (b - E, b, b + E) if 0 <= v <= D))
 
-    def lap_at(t: Fraction):
-        # t lies strictly between two cuts, so inside one lap (every b and b ± ε is a cut)
-        _, s, c = system.lap(t)
-        return s, c
-
-    def violation_at(x):
-        window = system.image_bounds(ClosedInterval(max(ZERO, x - eps), min(ONE, x + eps)))
-        m, M = window.lo, window.hi
-        fx = system.evaluate(x)
-        top = min(ONE, fx + mu * eps)
-        bot = max(ZERO, fx - mu * eps)
-        if top > M:
-            return top
-        if bot < m:
-            return bot
+    def violation_at(x: Fraction) -> Optional[Fraction]:
+        xn, xd = x.numerator, x.denominator
+        wn, wd = xn * ed, xd * ed  # x over the denominator of x ± ε
+        m, M = system._int_image_bounds(max(wn - en * xd, 0), wd, min(wn + en * xd, wd), wd)
+        fn, fd = system._int_value(xn, xd)
+        sn, sd, rn = fn * med, fd * med, men * fd  # f(x) and μ·ε over one denominator
+        top, bot = min(sn + rn, sd), max(sn - rn, 0)
+        if top * M[1] > M[0] * sd:
+            return Fraction(top, sd)
+        if bot * m[1] < m[0] * sd:
+            return Fraction(bot, sd)
         return None
 
     for lo, hi in zip(base, base[1:]):
-        seg = intersect(RationalIntervalSet((ClosedInterval(lo, hi),)), carrier)
+        seg = intersect(RationalIntervalSet((ClosedInterval(Fraction(lo, D), Fraction(hi, D)),)), carrier)
         if seg.is_empty:
             continue
-        # affine candidates valid throughout (lo, hi)
-        xm = (lo + hi) / 2
-        cands: list[tuple[Fraction, Fraction]] = []
-        if xm - eps <= 0:
-            cands.append((ZERO, system.evaluate(ZERO)))
-        else:
-            s, c = lap_at(xm - eps)
-            cands.append((s, c - s * eps))
-        if xm + eps >= 1:
-            cands.append((ZERO, system.evaluate(ONE)))
-        else:
-            s, c = lap_at(xm + eps)
-            cands.append((s, c + s * eps))
-        for b in system.breakpoints:
-            if xm - eps < b < xm + eps:
-                cands.append((ZERO, system.evaluate(b)))
-        s, c = lap_at(xm)
-        cands.append((s, c + mu * eps))
-        cands.append((s, c - mu * eps))
-        cands.append((ZERO, ONE))
-        cands.append((ZERO, ZERO))
+        # affine candidates valid throughout (lo, hi), read at its midpoint (lo + hi)/2D;
+        # every b and b ± ε is a cut, so mid ± ε and mid lie strictly inside one lap
+        mid, D2, E2 = lo + hi, 2 * D, 2 * E
+        cands = []
+        for sign, end in ((-1, vals[0]), (1, vals[-1])):  # the window edges f(x − ε), f(x + ε)
+            if 0 < mid + sign * E2 < D2:
+                a, b, q = laps[system.lap_index((mid + sign * E2, D2))]
+                cands.append((a * ed, b * ed + sign * a * en, q * ed))
+            else:
+                cands.append((0, *end))
+        cands += [(0, *v) for b, v in zip(bps, vals) if mid - E2 < 2 * b < mid + E2]
+        a, b, q = laps[system.lap_index((mid, D2))]
+        cands += [(a * med, b * med + q * men, q * med), (a * med, b * med - q * men, q * med), (0, 1, 1), (0, 0, 1)]
 
         crossings = set()
-        for i in range(len(cands)):
-            for j in range(i + 1, len(cands)):
-                s1, c1 = cands[i]
-                s2, c2 = cands[j]
-                if s1 != s2:
-                    x = (c2 - c1) / (s1 - s2)
-                    if lo < x < hi:
-                        crossings.add(x)
+        for i, (a1, b1, q1) in enumerate(cands):
+            for a2, b2, q2 in cands[i + 1:]:
+                d = a1 * q2 - a2 * q1
+                if d:
+                    n = b2 * q1 - b1 * q2
+                    if d < 0:
+                        n, d = -n, -d
+                    if lo * d < n * D < hi * d:
+                        crossings.add(Fraction(n, d))
         for part in seg.parts:
-            xs = {part.lo, part.hi}
-            xs.update(x for x in crossings if part.lo < x < part.hi)
-            for x in sorted(xs):
+            for x in sorted({part.lo, part.hi}.union(x for x in crossings if part.lo < x < part.hi)):
                 missing = violation_at(x)
                 if missing is not None:
                     return x, missing

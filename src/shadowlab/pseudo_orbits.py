@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,28 +138,33 @@ def traces(system: SystemSpec, y: Point, orbit: PseudoOrbit, epsilon) -> Optiona
     return _trace_report(system, y, orbit, rat(epsilon))
 
 
-_SAMPLE_GRID = 1 << 48
+_SAMPLE_BITS = 48
 
 
 def _sample_in_set(sset: RationalIntervalSet, rng: random.Random) -> Fraction:
     """Seeded rational sample, measure-weighted, from a nonempty interval set.
 
-    Samples snap down to the 2^−48 grid (staying inside their part) so that
-    repeated sampling never compounds denominators across orbit steps.
+    Samples snap toward zero to the 2^−48 grid (kept at their part's left
+    end if that moves them below it) so that repeated sampling never
+    compounds denominators across orbit steps.  The work is on the parts'
+    endpoints as integers over one common denominator.
     """
     if sset.is_empty:
         raise ValueError("cannot sample the empty set")
     parts = sset.parts
-    widths = [p.width for p in parts]
-    total = sum(widths, Fraction(0))
+    den = math.lcm(*(e.denominator for p in parts for e in (p.lo, p.hi)))
+    ends = [(p.lo.numerator * (den // p.lo.denominator), p.hi.numerator * (den // p.hi.denominator)) for p in parts]
+    total = sum(hi - lo for lo, hi in ends)
     if total == 0:
         return parts[rng.randrange(len(parts))].lo
-    ticket = Fraction(rng.getrandbits(32), 1 << 32) * total
-    for p, width in zip(parts, widths):
+    # the ticket total·r/2^32 in units of 1/(den·2^32), walked down part by part
+    ticket = rng.getrandbits(32) * total
+    for p, (lo, hi) in zip(parts, ends):
+        width = (hi - lo) << 32
         if ticket <= width:
-            raw = p.lo + ticket
-            snapped = Fraction(int(raw * _SAMPLE_GRID), _SAMPLE_GRID)
-            return snapped if snapped >= p.lo else p.lo
+            raw = ((lo << 32) + ticket) << (_SAMPLE_BITS - 32)  # p.lo + ticket, in units of 1/(den·2^48)
+            snapped = raw // den if raw >= 0 else -(-raw // den)
+            return Fraction(snapped, 1 << _SAMPLE_BITS) if snapped * den >= lo << _SAMPLE_BITS else p.lo
         ticket -= width
     return parts[-1].hi
 

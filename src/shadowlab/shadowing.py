@@ -372,15 +372,19 @@ def _quadratic_witness_search(system, orbit: PseudoOrbit, epsilon: Fraction,
                               grid: int) -> Optional[tuple[Fraction, DeviationReport]]:
     """Exact forward verification of candidates drawn from the outer
     enclosure of the tracing set (dense where it matters); the first
-    candidate that traces, with its report."""
+    candidate that traces, with its report.  The candidates are generated
+    as they are tried: x₀, then per part its ends, midpoint and grid."""
     pts = orbit.points
     tube0 = system.tube(pts[0], epsilon)
-    candidates = [pts[0]]
-    for part in outer0.parts:
-        candidates.extend([part.lo, part.hi, (part.lo + part.hi) / 2])
-        candidates.extend(part.lo + t for t in interior_grid(part.width, grid - 1))
+
+    def candidates():
+        yield pts[0]
+        for part in outer0.parts:
+            yield from (part.lo, part.hi, (part.lo + part.hi) / 2)
+            yield from (part.lo + t for t in interior_grid(part.width, grid - 1))
+
     seen = set()
-    for cand in candidates:
+    for cand in candidates():
         if cand in seen or not tube0.contains(cand):
             continue
         seen.add(cand)

@@ -94,10 +94,12 @@ class PiecewiseLinearMap(IntervalSystem):
 
     The laps and slopes are computed once, at construction, and shared by
     every query; equality and hashing see only ``breakpoints`` and ``values``.
-    The point queries work on a second, integer copy: each breakpoint as
-    (numerator, denominator) and each lap's s·x + c as (a·x + b)/q.  They
-    compare by cross-multiplication and build one Fraction per answer: one
-    gcd, cheaper than s·x + c below about 1,000-bit x, quadratic above.
+    The point queries work on a second, integer copy: each breakpoint and
+    value as (numerator, denominator) and each lap's s·x + c as (a·x + b)/q.
+    One evaluation and one image-bounds scan on integer pairs serve
+    ``evaluate``, ``image_bounds`` and the exact ball-expansion certificate.
+    They compare by cross-multiplication and build one Fraction per answer:
+    one gcd, cheaper than s·x + c below about 1,000-bit x, quadratic above.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -105,6 +107,7 @@ class PiecewiseLinearMap(IntervalSystem):
     slopes: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     _laps: tuple[tuple[ClosedInterval, Fraction, Fraction], ...] = field(init=False, repr=False, compare=False)
     _int_breakpoints: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _int_values: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _int_laps: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,6 +131,7 @@ class PiecewiseLinearMap(IntervalSystem):
             (ClosedInterval(b0, b1), s, v0 - s * b0) for b0, b1, v0, s in zip(bps, bps[1:], vals, slopes)
         ))
         object.__setattr__(self, "_int_breakpoints", tuple((b.numerator, b.denominator) for b in bps))
+        object.__setattr__(self, "_int_values", tuple((v.numerator, v.denominator) for v in vals))
         object.__setattr__(self, "_int_laps", tuple(
             (s.numerator * (q // s.denominator), c.numerator * (q // c.denominator), q)
             for _, s, c in self._laps for q in (math.lcm(s.denominator, c.denominator),)
@@ -147,11 +151,12 @@ class PiecewiseLinearMap(IntervalSystem):
     def contains_point(self, x: Fraction) -> bool:
         return 0 <= x.numerator <= x.denominator
 
-    def lap_index(self, x: Fraction) -> int:
+    def lap_index(self, x) -> int:
         """Index of the rightmost lap whose left end is at most x, for x in
-        [0,1]: the lap holding x, the right one at an interior breakpoint and
-        the last at 1 (f is continuous, so both neighbours agree there)."""
-        xn, xd = x.numerator, x.denominator
+        [0,1] as a Fraction or an integer pair (n, d > 0): the lap holding x,
+        the right one at an interior breakpoint and the last at 1 (f is
+        continuous, so both neighbours agree there)."""
+        xn, xd = x if type(x) is tuple else (x.numerator, x.denominator)
         bps = self._int_breakpoints
         lo, hi = 0, len(bps) - 2
         idx = 0
@@ -165,16 +170,29 @@ class PiecewiseLinearMap(IntervalSystem):
                 hi = mid - 1
         return idx
 
-    def lap(self, x: Fraction) -> tuple[ClosedInterval, Fraction, Fraction]:
-        """(domain, slope, offset) of the lap :meth:`lap_index` picks for x."""
-        return self._laps[self.lap_index(x)]
+    def _int_value(self, xn: int, xd: int) -> tuple[int, int]:
+        """f(xn/xd) for xd > 0 and xn/xd in [0,1], as an unreduced integer pair."""
+        a, b, q = self._int_laps[self.lap_index((xn, xd))]
+        return a * xn + b * xd, q * xd
+
+    def _int_image_bounds(self, ln: int, ld: int, hn: int, hd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(min f, max f) over [ln/ld, hn/hd] ⊆ [0,1] as integer pairs, from f at
+        both ends and the value given at each breakpoint strictly between."""
+        lo = hi = self._int_value(ln, ld)
+        inner = [v for (bn, bd), v in zip(self._int_breakpoints, self._int_values)
+                 if ln * bd < bn * ld and bn * hd < hn * bd]
+        for c in [self._int_value(hn, hd), *inner]:
+            if c[0] * lo[1] < lo[0] * c[1]:
+                lo = c
+            elif c[0] * hi[1] > hi[0] * c[1]:
+                hi = c
+        return lo, hi
 
     def evaluate(self, x: Fraction) -> Fraction:
         xn, xd = x.numerator, x.denominator
         if not 0 <= xn <= xd:
             raise DomainError(f"{x} outside [0,1]")
-        a, b, q = self._int_laps[self.lap_index(x)]
-        return Fraction(a * xn + b * xd, q * xd)
+        return Fraction(*self._int_value(xn, xd))
 
     def lipschitz(self) -> Fraction:
         return max(abs(s) for s in self.slopes)
@@ -195,18 +213,13 @@ class PiecewiseLinearMap(IntervalSystem):
         """Exact [min f, max f] over a subinterval of [0,1]."""
         lo, hi = window.lo, window.hi
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        cands = [self.evaluate(lo), self.evaluate(hi)]
-        # f is continuous, so its value at a breakpoint is the value given there
-        cands += [v for (bn, bd), v in zip(self._int_breakpoints, self.values)
-                  if ln * bd < bn * ld and bn * hd < hn * bd]
-        return ClosedInterval(min(cands), max(cands))
+        if ln < 0 or hn > hd:
+            raise DomainError(f"{window} not inside [0,1]")
+        (mn, md), (wn, wd) = self._int_image_bounds(ln, ld, hn, hd)
+        return ClosedInterval(Fraction(mn, md), Fraction(wn, wd))
 
     def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
-        out = []
-        for part in s.parts:
-            img = self.image_bounds(part)
-            out.append(img)
-        return normalize(out)
+        return normalize([self.image_bounds(part) for part in s.parts])
 
     def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
         out = []

@@ -24,6 +24,15 @@ def test_unknown_scenario_raises():
         run_scenario("no-such-scenario")
 
 
+def test_cli_unknown_scenario_is_one_line_error(capsys):
+    assert main(["scenario", "run", "no-such-scenario"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "unknown scenario 'no-such-scenario'" in lines[0]
+    assert all(name in lines[0] for name in REGISTRY)
+    assert captured.out == ""
+
+
 def make_report():
     report = Report("demo", {"seed": 1})
     report.add("alpha", "1/2", "1/2", "constant")

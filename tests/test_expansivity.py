@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from shadowlab.expansivity import (
     _affine_cells,
     _pair_bound_clears,
     _pair_violation,
+    _pl_ball_expanding_once,
     _search_ball_constants,
     _vertex_candidates,
     check_ball_expanding,
@@ -27,6 +29,7 @@ from shadowlab.numerics import (
     RationalIntervalSet,
     closed_ball,
     from_pairs,
+    interior_grid,
     intersect,
     normalize,
     point_set,
@@ -283,6 +286,86 @@ def test_crosscheck_below_depth_four_leaves_ball_side_undetermined(depth, mode):
     # the Cantor ε grid 3^-4 .. 3^-min(6, depth) is empty below depth 4; it used to certify vacuously
     out = crosscheck_expanding_characterizations(CantorSystem(depth, mode), RegionSpec(point_set(F(0))))
     assert out["ballExpanding"] == "undetermined" and out["side2"] == "undetermined"
+
+
+def ref_pl_ball_expanding_once(system, carrier, mu, eps):
+    """The PL ball route as first written, on Fraction arithmetic throughout:
+    the lap by a linear scan, f(x) as s·x + c, window bounds as the min and max
+    of the window ends and the interior breakpoint values."""
+    laps = system.laps()
+    lefts = [dom.lo for dom, _, _ in laps]
+
+    def lap_at(t):  # the rightmost lap whose left end is at most t
+        _, s, c = laps[bisect_right(lefts, t) - 1]
+        return s, c
+
+    def f(t):
+        s, c = lap_at(t)
+        return s * t + c
+
+    def violation_at(x):
+        lo, hi = max(F(0), x - eps), min(F(1), x + eps)
+        window = [f(lo), f(hi)] + [v for b, v in zip(system.breakpoints, system.values) if lo < b < hi]
+        fx = f(x)
+        top, bot = min(F(1), fx + mu * eps), max(F(0), fx - mu * eps)
+        if top > max(window):
+            return top
+        if bot < min(window):
+            return bot
+        return None
+
+    base = sorted({F(0), F(1)} | {v for b in system.breakpoints for v in (b, b + eps, b - eps) if 0 <= v <= 1})
+    for lo, hi in zip(base, base[1:]):
+        seg = intersect(RationalIntervalSet((ClosedInterval(lo, hi),)), carrier)
+        if seg.is_empty:
+            continue
+        xm = (lo + hi) / 2
+        cands = []
+        if xm - eps <= 0:
+            cands.append((F(0), f(F(0))))
+        else:
+            s, c = lap_at(xm - eps)
+            cands.append((s, c - s * eps))
+        if xm + eps >= 1:
+            cands.append((F(0), f(F(1))))
+        else:
+            s, c = lap_at(xm + eps)
+            cands.append((s, c + s * eps))
+        cands += [(F(0), v) for b, v in zip(system.breakpoints, system.values) if xm - eps < b < xm + eps]
+        s, c = lap_at(xm)
+        cands += [(s, c + mu * eps), (s, c - mu * eps), (F(0), F(1)), (F(0), F(0))]
+        crossings = {(c2 - c1) / (s1 - s2) for i, (s1, c1) in enumerate(cands) for s2, c2 in cands[i + 1:] if s1 != s2}
+        crossings = [x for x in crossings if lo < x < hi]
+        for part in seg.parts:
+            for x in sorted({part.lo, part.hi} | {x for x in crossings if part.lo < x < part.hi}):
+                missing = violation_at(x)
+                if missing is not None:
+                    return x, missing
+    return None
+
+
+def test_pl_ball_route_matches_the_fraction_reference():
+    # the integer route returns exactly the reference's (x, missing point), so a
+    # change of candidate, crossing or lap (one lap off moves only the points,
+    # not the verdicts) shows.  ε on the tent-ball-2.9 and pl-region-5.2 grids;
+    # μ = min slope and 5/4 certify most zigzag cases (every cell swept), μ
+    # just above the min slope falsifies them inside the flattest lap
+    rng = random.Random(29)
+    carriers = (from_pairs([(0, 1)]), from_pairs([("1/20", "9/20"), ("11/20", "19/20")]))
+    grid = interior_grid(F(1, 4), 50) + interior_grid(F(1, 20), 12)
+    maps = [tent_map(lam) for lam in (F(2), F(19, 10), F(9, 5), F(3, 2))]
+    maps += [random_zigzag_map(rng.getrandbits(32), laps, laps) for laps in range(3, 9) for _ in range(6)]
+    cases = falsified = 0
+    for system in maps:
+        slope = system.min_slope_modulus()
+        for carrier in carriers:
+            for mu, count in ((slope, 4), (F(5, 4), 4), (slope * F(9, 8), 30)):
+                for eps in rng.sample(grid, count):
+                    got = _pl_ball_expanding_once(system, carrier, mu, eps)
+                    assert got == ref_pl_ball_expanding_once(system, carrier, mu, eps), (system, carrier, mu, eps)
+                    cases += 1
+                    falsified += got is not None
+    assert cases >= 3000 and falsified >= 500, (cases, falsified)
 
 
 def test_constant_search_finds_tent_constants():

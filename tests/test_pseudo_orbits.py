@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowlab.numerics import ClosedInterval, normalize
 from shadowlab.pseudo_orbits import (
     PseudoOrbit,
+    _sample_in_set,
     checked_orbit,
     deviation,
     orbit_from_csv,
@@ -119,6 +121,46 @@ def test_perturbed_orbit_deterministic():
     assert a.points == b.points
     c = perturbed_orbit(t2, F(1, 3), 30, F(1, 64), seed=100)
     assert a.points != c.points
+
+
+def ref_sample_in_set(sset, rng):
+    """The sampler as first written, on Fraction arithmetic: a ticket r/2^32 of
+    the total width walked down the parts, then int() of the point times 2^48."""
+    parts = sset.parts
+    widths = [p.width for p in parts]
+    total = sum(widths, F(0))
+    if total == 0:
+        return parts[rng.randrange(len(parts))].lo
+    ticket = F(rng.getrandbits(32), 1 << 32) * total
+    for p, width in zip(parts, widths):
+        if ticket <= width:
+            snapped = F(int((p.lo + ticket) * (1 << 48)), 1 << 48)
+            return snapped if snapped >= p.lo else p.lo
+        ticket -= width
+    return parts[-1].hi
+
+
+def test_sample_in_set_matches_the_fraction_reference():
+    # same draws from the same rng calls, on multi-part sets with zero-width
+    # parts, negative parts and endpoints of up to 80 bits
+    rng = random.Random(48)
+    sets = []
+    for _ in range(1500):
+        bits = rng.choice((3, 20, 55, 80))
+        parts = []
+        for _ in range(rng.randint(1, 6)):
+            lo = F(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+            width = F(0) if rng.random() < 0.3 else F(rng.randint(1, 2**bits), rng.randint(1, 2**(bits + 3)))
+            parts.append(ClosedInterval(lo, lo + width))
+        sets.append(normalize(parts))
+    sets += [CantorSystem(5).space(), normalize([ClosedInterval(F(k, 7), F(k, 7)) for k in range(5)])]
+    for k, sset in enumerate(sets):
+        ours, ref = random.Random(k), random.Random(k)
+        for _ in range(4):
+            x = _sample_in_set(sset, ours)
+            assert x == ref_sample_in_set(sset, ref) and type(x) is F, (sset, x)
+        assert ours.getstate() == ref.getstate()
+    assert any(len(s.parts) > 1 and any(p.width == 0 for p in s.parts) for s in sets)
 
 
 def test_perturbed_orbit_symbolic_kinds():

@@ -1,14 +1,17 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlab.numerics import from_pairs
-from shadowlab.pseudo_orbits import PseudoOrbit, deviation, perturbed_orbit, verify_jumps
+from shadowlab.numerics import from_pairs, interior_grid
+from shadowlab.pseudo_orbits import PseudoOrbit, deviation, perturbed_orbit, traces, verify_jumps
 from shadowlab.shadowing import (
+    _backward_tube_sets,
+    _quadratic_witness_search,
     asymptotic_shadow,
     ball_expanding_delta,
     finite_horizon_delta,
@@ -30,6 +33,7 @@ from shadowlab.systems import (
     golden_mean_shift,
     iterate,
     logistic_map,
+    quadratic_map,
     random_zigzag_map,
     tent_map,
 )
@@ -503,6 +507,41 @@ def test_quadratic_yes_carries_the_witness_deviation():
                     else:
                         no += 1
     assert yes >= 20 and no >= 1
+
+
+def eager_witness_search(system, orbit, epsilon, outer0, grid):
+    """The witness search as first written: every candidate listed before the first is tried."""
+    tube0 = system.tube(orbit.points[0], epsilon)
+    candidates = [orbit.points[0]]
+    for part in outer0.parts:
+        candidates.extend([part.lo, part.hi, (part.lo + part.hi) / 2])
+        candidates.extend(part.lo + t for t in interior_grid(part.width, grid - 1))
+    seen = set()
+    for cand in candidates:
+        if cand in seen or not tube0.contains(cand):
+            continue
+        seen.add(cand)
+        rep = traces(system, cand, orbit, epsilon)
+        if rep is not None:
+            return cand, rep
+    return None
+
+
+def test_lazy_witness_candidates_match_the_eager_list():
+    found = missed = 0
+    for system in (logistic_map(4), logistic_map(F(37, 10)), quadratic_map(2), quadratic_map(F(9, 5))):
+        for seed in range(5):
+            x0 = F(2 * seed + 1, 13) - (0 if system.family == "logistic" else F(1, 2))
+            orbits = [true_orbit(system, x0, 3 + seed)]
+            orbits += [perturbed_orbit(system, x0, 3 + seed, delta, seed=seed) for delta in (F(1, 100), F(1, 6))]
+            for orbit in orbits:
+                for eps in (F(1, 10), F(1, 40)):
+                    outer0 = _backward_tube_sets(system, orbit, eps, partial(system.preimage_outer, bits=64))[0]
+                    got = _quadratic_witness_search(system, orbit, eps, outer0, 32)
+                    assert got == eager_witness_search(system, orbit, eps, outer0, 32)
+                    found += got is not None and got[0] != orbit.points[0]
+                    missed += got is None
+    assert found >= 5 and missed >= 1, (found, missed)
 
 
 # -- certificates -----------------------------------------------------------------

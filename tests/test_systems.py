@@ -123,8 +123,9 @@ def test_pl_slopes_from_difference_quotients():
 
 
 def test_lap_lookup_matches_a_linear_scan():
-    # evaluate (through lap_index) and the PL ball route (through lap) share one
-    # lookup; a lookup one lap off changes evaluate's answer inside a lap
+    # evaluate (through lap_index on a Fraction) and the PL ball route (on an
+    # unreduced integer pair) share one lookup; a lookup one lap off changes
+    # evaluate's answer inside a lap
     rng = random.Random(31)
     for m in pl_maps():
         laps = m.laps()
@@ -133,7 +134,7 @@ def test_lap_lookup_matches_a_linear_scan():
         points += [x for x in near if 0 <= x <= 1]
         for x in points:
             by_scan = max(i for i, (dom, _, _) in enumerate(laps) if dom.lo <= x)
-            assert m.lap_index(x) == by_scan and m.lap(x) == laps[by_scan]
+            assert m.lap_index(x) == by_scan == m.lap_index((3 * x.numerator, 3 * x.denominator))
             dom, s, c = laps[by_scan]
             assert dom.lo <= x <= dom.hi and m.evaluate(x) == s * x + c
 
