@@ -367,7 +367,7 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
 
     Between consecutive cuts (0, 1, every breakpoint b and b ± ε) every
     quantity involved (the window edges f(x∓ε), the window-interior
-    breakpoint values, f(x)±μsense) is a single affine function of x, so
+    breakpoint values, f(x) ± μ·ε) is a single affine function of x, so
     after refining each cell by all pairwise crossings of those affines the
     two covering inequalities are affine per piece and endpoint checks
     decide them completely.  All on integers: the cuts over one common
