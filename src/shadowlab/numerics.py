@@ -4,7 +4,9 @@ Every geometric question asked elsewhere in the package (does this ball fit
 inside that image, is this constraint set empty, how far is a point from a
 region) reduces to operations on finite unions of closed intervals with
 rational endpoints.  All arithmetic is exact; nothing here ever touches a
-float.
+float.  The sets come in two forms: the public one, with Fraction endpoints,
+and an integer one of unreduced numerator and denominator pairs that the
+tracing loops propagate step after step without taking a gcd.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
@@ -181,7 +184,6 @@ class RationalIntervalSet:
         return normalize([interval(lo, hi) for lo, hi in data])
 
 
-EMPTY_SET = RationalIntervalSet(())
 _LO, _HI = attrgetter("lo"), attrgetter("hi")
 
 
@@ -216,9 +218,7 @@ def point_set(x: RationalLike) -> RationalIntervalSet:
 def closed_ball(center: RationalLike, radius: RationalLike) -> RationalIntervalSet:
     """B̄_r(c) on the line; clip against a space by intersecting afterwards."""
     c, r = rat(center), rat(radius)
-    if r.numerator < 0:
-        raise ValueError("negative radius")
-    return RationalIntervalSet((_ordered(c - r, c + r),))
+    return from_int_set([int_ball(c.numerator, c.denominator, r.numerator, r.denominator)])
 
 
 def intersect(a: RationalIntervalSet, b: RationalIntervalSet) -> RationalIntervalSet:
@@ -268,10 +268,121 @@ def affine_image(s: RationalIntervalSet, slope: RationalLike, offset: RationalLi
     slope, offset = rat(slope), rat(offset)
     if slope == 0:
         raise ValueError("zero slope collapses intervals")
-    images = [(slope * p.lo + offset, slope * p.hi + offset) for p in s.parts]
-    if slope.numerator < 0:
-        images = [(b, a) for a, b in reversed(images)]
-    # a strictly monotone map keeps the gaps between parts: already canonical.
+    sd, od = slope.denominator, offset.denominator
+    return from_int_set(int_affine(to_int_set(s), slope.numerator * od, offset.numerator * sd, sd * od))
+
+
+# ---------------------------------------------------------------------------
+# integer interval sets
+# ---------------------------------------------------------------------------
+
+# The tube loops work on a second form of a canonical interval set: a list of
+# parts (ln, ld, hn, hd) standing for [ln/ld, hn/hd], with ld, hd > 0 and no
+# fraction reduced.  Parts ascend with gaps of positive length, as in a
+# RationalIntervalSet.  Every comparison cross-multiplies, so no gcd is taken
+# until a set leaves this form, with one Fraction per endpoint.
+IntPart = tuple[int, int, int, int]
+
+
+def to_int_set(s: RationalIntervalSet) -> list[IntPart]:
+    return [(p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator) for p in s.parts]
+
+
+def from_int_set(parts: Sequence[IntPart]) -> RationalIntervalSet:
     # tuple() of a list: of a generator it resizes a guessed-size tuple, which
     # drifts tuples between CPython's per-size free lists and raises peak RSS
-    return RationalIntervalSet(tuple([_ordered(a, b) for a, b in images]))
+    return RationalIntervalSet(tuple([_ordered(Fraction(ln, ld), Fraction(hn, hd)) for ln, ld, hn, hd in parts]))
+
+
+def int_ball(cn: int, cd: int, rn: int, rd: int) -> IntPart:
+    """B̄_r(c) for c = cn/cd and r = rn/rd as one part."""
+    if rn < 0:
+        raise ValueError("negative radius")
+    c, r, d = cn * rd, rn * cd, cd * rd
+    return (c - r, d, c + r, d)
+
+
+def int_tube(space: Sequence[IntPart], cn: int, cd: int, rn: int, rd: int) -> list[IntPart]:
+    """B̄_r(c) ∩ space: every tube of the tracing loops."""
+    return int_intersect(space, [int_ball(cn, cd, rn, rd)])
+
+
+def int_contains(s: Sequence[IntPart], xn: int, xd: int) -> bool:
+    """Whether xn/xd (xd > 0) lies in the set, by bisection over its parts."""
+    lo, hi = 0, len(s) - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        ln, ld, hn, hd = s[mid]
+        if xn * ld < ln * xd:
+            hi = mid - 1
+        elif xn * hd > hn * xd:
+            lo = mid + 1
+        else:
+            return True
+    return False
+
+
+def _int_reaching(s: Sequence[IntPart], lo: int, hi: int, xn: int, xd: int) -> int:
+    """First index in [lo, hi) whose part ends at or past xn/xd (canonical parts ascend in their right ends)."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p = s[mid]
+        if p[2] * xd < xn * p[3]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def int_intersect(a: Sequence[IntPart], b: Sequence[IntPart]) -> list[IntPart]:
+    """Exact intersection by a two-pointer sweep, as :func:`intersect`: the side
+    that lies wholly to the left jumps by bisection to its first part reaching
+    the other's left end, and the outputs come out canonical."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        pln, pld, phn, phd = a[i]
+        qln, qld, qhn, qhd = b[j]
+        if phn * qld < qln * phd:  # p ends before q starts
+            i = _int_reaching(a, i + 1, na, qln, qld)
+        elif qhn * pld < pln * qhd:  # q ends before p starts
+            j = _int_reaching(b, j + 1, nb, pln, pld)
+        else:
+            ln, ld = (qln, qld) if pln * qld < qln * pld else (pln, pld)
+            if phn * qhd < qhn * phd:
+                out.append((ln, ld, phn, phd))
+                i += 1
+            else:
+                out.append((ln, ld, qhn, qhd))
+                j += 1
+    return out
+
+
+# orders parts by their left ends, exactly
+_INT_LO = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+
+
+def int_normalize(raw: Iterable[IntPart]) -> list[IntPart]:
+    """Canonical form of parts in any order: sorted by left end, and merged
+    where they overlap or touch."""
+    out = []
+    for ln, ld, hn, hd in sorted(raw, key=_INT_LO):
+        if out and ln * ed <= en * ld:
+            if hn * ed > en * hd:
+                out[-1] = (*out[-1][:2], hn, hd)
+                en, ed = hn, hd
+        else:
+            out.append((ln, ld, hn, hd))
+            en, ed = hn, hd
+    return out
+
+
+def int_affine(s: Sequence[IntPart], a: int, b: int, q: int) -> list[IntPart]:
+    """Image of a set under x ↦ (a·x + b)/q for integers a, q ≠ 0.  A strictly
+    monotone map keeps the gaps between parts, so the image is canonical."""
+    if q < 0:
+        a, b, q = -a, -b, -q
+    if a > 0:
+        return [(a * ln + b * ld, q * ld, a * hn + b * hd, q * hd) for ln, ld, hn, hd in s]
+    return [(a * hn + b * hd, q * hd, a * ln + b * ld, q * ld) for ln, ld, hn, hd in reversed(s)]

@@ -145,9 +145,9 @@ def _sample_in_set(sset: RationalIntervalSet, rng: random.Random) -> Fraction:
     """Seeded rational sample, measure-weighted, from a nonempty interval set.
 
     Samples snap toward zero to the 2^−48 grid (kept at their part's left
-    end if that moves them below it) so that repeated sampling never
-    compounds denominators across orbit steps.  The work is on the parts'
-    endpoints as integers over one common denominator.
+    end if that moves them below it, at its right end if above it) so that
+    repeated sampling never compounds denominators across orbit steps.  The
+    work is on the parts' endpoints as integers over one common denominator.
     """
     if sset.is_empty:
         raise ValueError("cannot sample the empty set")
@@ -164,7 +164,11 @@ def _sample_in_set(sset: RationalIntervalSet, rng: random.Random) -> Fraction:
         if ticket <= width:
             raw = ((lo << 32) + ticket) << (_SAMPLE_BITS - 32)  # p.lo + ticket, in units of 1/(den·2^48)
             snapped = raw // den if raw >= 0 else -(-raw // den)
-            return Fraction(snapped, 1 << _SAMPLE_BITS) if snapped * den >= lo << _SAMPLE_BITS else p.lo
+            if snapped * den < lo << _SAMPLE_BITS:
+                return p.lo
+            if snapped * den > hi << _SAMPLE_BITS:
+                return p.hi
+            return Fraction(snapped, 1 << _SAMPLE_BITS)
         ticket -= width
     return parts[-1].hi
 
@@ -261,8 +265,16 @@ def orbit_to_json(system: SystemSpec, orbit: PseudoOrbit) -> dict:
 
 
 def orbit_from_json(system: SystemSpec, data) -> PseudoOrbit:
+    """Parse an orbit document; a missing field raises ValueError naming it."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"orbit JSON must be an object, not {type(data).__name__}")
+    if "points" not in data:
+        raise ValueError("orbit JSON lacks the field 'points'")
+    for key in ("points", "decaySchedule"):
+        if key in data and not isinstance(data[key], list):
+            raise ValueError(f"orbit JSON field {key!r} must be a list, not {type(data[key]).__name__}")
     pts = tuple(system.point_from_str(t) for t in data["points"])
     delta = rat(data["claimedDelta"]) if "claimedDelta" in data else None
     sched = tuple(rat(b) for b in data["decaySchedule"]) if "decaySchedule" in data else None

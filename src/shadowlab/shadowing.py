@@ -17,7 +17,17 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from .numerics import EMPTY_SET, RationalIntervalSet, interior_grid, intersect, rat, rat_str
+from .numerics import (
+    IntPart,
+    RationalIntervalSet,
+    from_int_set,
+    int_contains,
+    int_intersect,
+    int_tube,
+    interior_grid,
+    rat,
+    rat_str,
+)
 from .pseudo_orbits import (
     INSIDE,
     DeviationReport,
@@ -67,6 +77,10 @@ class ShadowCertificate:
     and ``feasible`` refers to the terminal-hit question.  Symbolic systems
     carry the merged constraint word in ``cylinder`` instead.  ``system`` is
     the system the query ran on; it writes the witness.
+
+    The tube sets are propagated on unreduced integers; ``feasible_set`` and
+    the ``transcript`` sets are converted once, as the certificate is built,
+    with one Fraction per endpoint.
     """
 
     system: SystemSpec
@@ -130,30 +144,28 @@ def finite_horizon_delta(lipschitz, n: int, epsilon) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _backward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction, preimage) -> list[RationalIntervalSet]:
-    """T_i = tube_i ∩ f⁻¹(T_{i+1}); T_0 is the full ε-tracing set.  ``preimage``
-    is the exact preimage, or an outer enclosure of it, which makes every T_i
-    an outer enclosure too."""
-    pts = orbit.points
-    sets = [None] * len(pts)
-    sets[-1] = system.tube(pts[-1], epsilon)
-    for i in range(len(pts) - 2, -1, -1):
-        if sets[i + 1].is_empty:
-            sets[i] = EMPTY_SET
-            continue
-        sets[i] = intersect(system.tube(pts[i], epsilon), preimage(sets[i + 1]))
+def _tubes(system, orbit: PseudoOrbit, epsilon: Fraction) -> list[list[IntPart]]:
+    """The closed ε-tubes about the orbit points, in integer form."""
+    space, rn, rd = system._int_space, epsilon.numerator, epsilon.denominator
+    return [int_tube(space, x.numerator, x.denominator, rn, rd) for x in orbit.points]
+
+
+def _backward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction, preimage) -> list[list[IntPart]]:
+    """T_i = tube_i ∩ f⁻¹(T_{i+1}) in integer form; T_0 is the full ε-tracing
+    set.  ``preimage`` is the system's integer preimage step, exact or an
+    outer enclosure, which makes every T_i an outer enclosure too."""
+    sets = _tubes(system, orbit, epsilon)
+    for i in range(len(sets) - 2, -1, -1):
+        sets[i] = int_intersect(sets[i], preimage(sets[i + 1])) if sets[i + 1] else []
     return sets
 
 
-def _forward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction) -> list[RationalIntervalSet]:
-    """F_i = exact set of i-th iterates of tube-respecting tracers."""
-    pts = orbit.points
-    sets = [system.tube(pts[0], epsilon)]
-    for x in pts[1:]:
-        if sets[-1].is_empty:
-            sets.append(EMPTY_SET)
-            continue
-        sets.append(intersect(system.forward_image(sets[-1]), system.tube(x, epsilon)))
+def _forward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction) -> list[list[IntPart]]:
+    """F_i = exact set of i-th iterates of tube-respecting tracers, in integer form."""
+    sets = _tubes(system, orbit, epsilon)
+    step = system._int_forward
+    for i in range(1, len(sets)):
+        sets[i] = int_intersect(step(sets[i - 1]), sets[i]) if sets[i - 1] else []
     return sets
 
 
@@ -176,7 +188,7 @@ def shadow_oracle(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCert
 
 
 def _tube_oracle(system, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
-    sets = _backward_tube_sets(system, orbit, epsilon, system.preimage)
+    sets = [from_int_set(s) for s in _backward_tube_sets(system, orbit, epsilon, system._int_preimage)]
     feasible_set = sets[0]
     constants = {"epsilon": rat_str(epsilon)}
     if feasible_set.is_empty:
@@ -203,37 +215,50 @@ def h_shadow_solve(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCer
 def _tube_exact_hit(system, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
     pts = orbit.points
     forward = _forward_tube_sets(system, orbit, epsilon)
+    transcript = tuple(from_int_set(s) for s in forward)
     constants = {"epsilon": rat_str(epsilon)}
-    if forward[-1].is_empty:
-        return ShadowCertificate(system, False, None, None, None, constants, tuple(forward),
+    last = (pts[-1].numerator, pts[-1].denominator)
+    if not forward[-1]:
+        return ShadowCertificate(system, False, None, None, None, constants, transcript,
                                  infeasible_reason="no point stays inside every closed tube")
-    if not forward[-1].contains(pts[-1]):
-        return ShadowCertificate(system, False, None, None, None, constants, tuple(forward),
+    if not int_contains(forward[-1], *last):
+        return ShadowCertificate(system, False, None, None, None, constants, transcript,
                                  infeasible_reason="final orbit point unreachable inside the tubes")
     # walk the target backwards through the forward sets, leftmost preimage first
-    w = pts[-1]
-    chain = [w]
+    chain = [last]
     for i in range(len(pts) - 2, -1, -1):
-        candidates = [c for c in system.point_preimages(w) if forward[i].contains(c)]
-        if not candidates:
+        w = next((c for c in system._int_point_preimages(*chain[-1]) if int_contains(forward[i], *c)), None)
+        if w is None:
             raise AssertionError("reachable point lost its preimage; forward sets inconsistent")
-        w = candidates[0]
         chain.append(w)
-    witness = chain[-1]
-    report = deviation(system, witness, orbit)
-    if not report.exact_hit:
-        raise AssertionError("reconstructed witness misses the terminal point")
-    return ShadowCertificate(system, True, None, witness, report, constants, tuple(forward))
+    chain.reverse()
+    report = _chain_report(system, chain, orbit)
+    return ShadowCertificate(system, True, None, Fraction(*chain[0]), report, constants, transcript)
+
+
+def _chain_report(system, chain: list[tuple[int, int]], orbit: PseudoOrbit) -> DeviationReport:
+    """The deviation report of the chain's first point w₀, read off the chain
+    w₀, …, wₘ = xₘ once f(wᵢ) = wᵢ₊₁ is re-checked at every step by the map's
+    own integer evaluation; a miss raises AssertionError."""
+    per = []
+    for i, ((wn, wd), x) in enumerate(zip(chain, orbit.points)):
+        if i:
+            fn, fd = system._int_value(*chain[i - 1])
+            if fn * wd != wn * fd:
+                raise AssertionError("reconstructed witness misses the terminal point")
+        xn, xd = x.numerator, x.denominator
+        per.append(Fraction(abs(wn * xd - xn * wd), wd * xd))
+    return DeviationReport(max(per), tuple(per), True)
 
 
 def _slimit_oracle(system: SLimitSystem, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
     # the squaring branch has irrational inverse branches, so the initial
     # feasible set is not rationally representable; feasibility itself is
     # still exact through forward image sets
-    forward = _forward_tube_sets(system, orbit, epsilon)
+    forward = tuple(from_int_set(s) for s in _forward_tube_sets(system, orbit, epsilon))
     constants = {"epsilon": rat_str(epsilon)}
     if forward[-1].is_empty:
-        return ShadowCertificate(system, False, None, None, None, constants, tuple(forward),
+        return ShadowCertificate(system, False, None, None, None, constants, forward,
                                  infeasible_reason="no point stays inside every closed tube")
     # a rational witness may still exist, try tube points
     candidates = []
@@ -242,8 +267,8 @@ def _slimit_oracle(system: SLimitSystem, orbit: PseudoOrbit, epsilon: Fraction) 
     for cand in sorted(candidates):
         rep = traces(system, cand, orbit, epsilon)
         if rep is not None:
-            return ShadowCertificate(system, True, None, cand, rep, constants, tuple(forward))
-    return ShadowCertificate(system, True, None, None, None, constants, tuple(forward))
+            return ShadowCertificate(system, True, None, cand, rep, constants, forward)
+    return ShadowCertificate(system, True, None, None, None, constants, forward)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +379,8 @@ def quadratic_shadow_verdict(system: QuadraticFamilyMap, orbit: PseudoOrbit, eps
     bits, grid = 64, 32
     while True:
         # outer backward propagation: tubes relaxed by the enclosure width
-        outer0 = _backward_tube_sets(system, orbit, epsilon, partial(system.preimage_outer, bits=bits))[0]
+        outer0 = from_int_set(_backward_tube_sets(system, orbit, epsilon,
+                                                  partial(system._int_preimage_outer, bits=bits))[0])
         if outer0.is_empty:
             return QuadraticShadowVerdict("no", None, None, bits)
         found = _quadratic_witness_search(system, orbit, epsilon, outer0, grid)

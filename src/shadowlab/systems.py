@@ -24,18 +24,23 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 from .numerics import (
     ClosedInterval,
+    IntPart,
     RationalIntervalSet,
-    affine_image,
-    closed_ball,
-    intersect,
+    from_int_set,
+    int_affine,
+    int_contains,
+    int_intersect,
+    int_normalize,
+    int_tube,
     normalize,
     rat,
     rat_str,
+    to_int_set,
 )
 
 ONE = Fraction(1)
@@ -61,11 +66,19 @@ def require(system_class: type, solver: str, supported) -> type:
 
 class IntervalSystem:
     """Shared by the interval systems: rational points, the metric |x − y|
-    and the closed tube about a point."""
+    and the closed tube about a point.
+
+    The tracing loops run on the integer form of interval sets
+    (``numerics.int_*``): each system's ``_int_*`` steps take and return that
+    form, and its public set methods convert at the boundary."""
+
+    @cached_property
+    def _int_space(self) -> list[IntPart]:
+        return to_int_set(self.space())
 
     def tube(self, x: Fraction, radius: Fraction) -> RationalIntervalSet:
         """B̄_r(x) ∩ space: every tracing tube and expansion ball is one."""
-        return intersect(closed_ball(x, radius), self.space())
+        return from_int_set(int_tube(self._int_space, x.numerator, x.denominator, radius.numerator, radius.denominator))
 
     def distance(self, x: Fraction, y: Fraction) -> Fraction:
         if not isinstance(x, Fraction) or not isinstance(y, Fraction):
@@ -94,12 +107,13 @@ class PiecewiseLinearMap(IntervalSystem):
 
     The laps and slopes are computed once, at construction, and shared by
     every query; equality and hashing see only ``breakpoints`` and ``values``.
-    The point queries work on a second, integer copy: each breakpoint and
-    value as (numerator, denominator) and each lap's s·x + c as (a·x + b)/q.
-    One evaluation and one image-bounds scan on integer pairs serve
-    ``evaluate``, ``image_bounds`` and the exact ball-expansion certificate.
-    They compare by cross-multiplication and build one Fraction per answer:
-    one gcd, cheaper than s·x + c below about 1,000-bit x, quadratic above.
+    The queries work on a second, integer copy: each breakpoint and value as
+    (numerator, denominator) and each lap's s·x + c as (a·x + b)/q.  One
+    evaluation and one image-bounds scan on integer pairs serve ``evaluate``,
+    the forward image and the exact ball-expansion certificate; the preimage step maps through the inverse laps
+    (q·y − b)/a.  Points and interval sets stay unreduced integers inside the
+    tracing loops; the public methods build one Fraction per endpoint or
+    point they return.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -132,10 +146,7 @@ class PiecewiseLinearMap(IntervalSystem):
         ))
         object.__setattr__(self, "_int_breakpoints", tuple((b.numerator, b.denominator) for b in bps))
         object.__setattr__(self, "_int_values", tuple((v.numerator, v.denominator) for v in vals))
-        object.__setattr__(self, "_int_laps", tuple(
-            (s.numerator * (q // s.denominator), c.numerator * (q // c.denominator), q)
-            for _, s, c in self._laps for q in (math.lcm(s.denominator, c.denominator),)
-        ))
+        object.__setattr__(self, "_int_laps", tuple(_int_affine_form(s, c) for _, s, c in self._laps))
 
     def laps(self) -> tuple[tuple[ClosedInterval, Fraction, Fraction], ...]:
         """All maximal affine pieces as (domain, slope, offset)."""
@@ -209,34 +220,27 @@ class PiecewiseLinearMap(IntervalSystem):
                 out.append(self.breakpoints[i])
         return out
 
-    def image_bounds(self, window: ClosedInterval) -> ClosedInterval:
-        """Exact [min f, max f] over a subinterval of [0,1]."""
-        lo, hi = window.lo, window.hi
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        if ln < 0 or hn > hd:
-            raise DomainError(f"{window} not inside [0,1]")
-        (mn, md), (wn, wd) = self._int_image_bounds(ln, ld, hn, hd)
-        return ClosedInterval(Fraction(mn, md), Fraction(wn, wd))
+    def _int_forward(self, s: list[IntPart]) -> list[IntPart]:
+        """f(s) for s ⊆ [0,1]: the image bounds of each part, merged."""
+        bounds = self._int_image_bounds
+        return int_normalize([(*lo, *hi) for lo, hi in (bounds(*part) for part in s)])
 
-    def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
-        return normalize([self.image_bounds(part) for part in s.parts])
-
-    def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
+    def _int_preimage(self, target: list[IntPart]) -> list[IntPart]:
+        """f⁻¹(target): per lap, the target clipped to the lap's range, which
+        the lap covers one to one, mapped through the inverse lap."""
         out = []
-        vals = self.values
-        for (_, s, c), v0, v1 in zip(self._laps, vals, vals[1:]):
-            # a lap maps its domain onto [v0, v1] (or [v1, v0]) one to one
-            rng = ClosedInterval(v0, v1) if s.numerator > 0 else ClosedInterval(v1, v0)
-            hit = intersect(target, RationalIntervalSet((rng,)))
-            if not hit.is_empty:
-                out.extend(affine_image(hit, 1 / s, -c / s).parts)
-        return normalize(out)
+        vals = self._int_values
+        for (a, b, q), v0, v1 in zip(self._int_laps, vals, vals[1:]):
+            hit = int_intersect(target, [(*v0, *v1) if a > 0 else (*v1, *v0)])
+            if hit:
+                out += int_affine(hit, q, -b, a)
+        return int_normalize(out)
 
-    def point_preimages(self, y: Fraction) -> list[Fraction]:
-        """Every x with f(x) = y, ascending.  Laps are searched as half-open
-        (b_i, b_i+1], plus 0 on the first: f is continuous, so a hit at a
-        shared breakpoint is also a hit of the lap to its left."""
-        yn, yd = y.numerator, y.denominator
+    def _int_point_preimages(self, yn: int, yd: int) -> list[tuple[int, int]]:
+        """Every x with f(x) = yn/yd, ascending, as unreduced pairs.  Laps are
+        searched as half-open (b_i, b_i+1], plus 0 on the first: f is
+        continuous, so a hit at a shared breakpoint is also a hit of the lap to
+        its left."""
         out = []
         bps = self._int_breakpoints
         for i, ((ln, ld), (hn, hd), (a, b, q)) in enumerate(zip(bps, bps[1:], self._int_laps)):
@@ -244,8 +248,20 @@ class PiecewiseLinearMap(IntervalSystem):
             if d < 0:
                 n, d = -n, -d
             if (ln * d < n * ld if i else n >= 0) and n * hd <= hn * d:
-                out.append(Fraction(n, d))
+                out.append((n, d))
         return out
+
+    def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
+        if s.parts and (s.parts[0].lo < 0 or s.parts[-1].hi > 1):
+            raise DomainError(f"{s} not inside [0,1]")
+        return from_int_set(self._int_forward(to_int_set(s)))
+
+    def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
+        return from_int_set(self._int_preimage(to_int_set(target)))
+
+    def point_preimages(self, y: Fraction) -> list[Fraction]:
+        """Every x with f(x) = y, ascending."""
+        return [Fraction(n, d) for n, d in self._int_point_preimages(y.numerator, y.denominator)]
 
     def to_json(self) -> dict:
         return {
@@ -253,6 +269,12 @@ class PiecewiseLinearMap(IntervalSystem):
             "breakpoints": [rat_str(b) for b in self.breakpoints],
             "values": [rat_str(v) for v in self.values],
         }
+
+
+def _int_affine_form(slope: Fraction, offset: Fraction) -> tuple[int, int, int]:
+    """slope·x + offset as (a·x + b)/q with integers a, b and q > 0."""
+    q = math.lcm(slope.denominator, offset.denominator)
+    return slope.numerator * (q // slope.denominator), offset.numerator * (q // offset.denominator), q
 
 
 def tent_map(lam) -> PiecewiseLinearMap:
@@ -389,21 +411,25 @@ class QuadraticFamilyMap(IntervalSystem):
 
     def preimage_outer(self, target: RationalIntervalSet, bits: int = 64) -> RationalIntervalSet:
         """Outer rational enclosure of the preimage (endpoints are square roots)."""
-        out = []
-        for part in target.parts:
-            out.extend(self._branch_preimages(part, bits))
-        return intersect(normalize(out), self.space())
+        return from_int_set(self._int_preimage_outer(to_int_set(target), bits))
 
-    def _branch_preimages(self, part: ClosedInterval, bits: int) -> list[ClosedInterval]:
-        # f(x) ∈ [a,b]  ⟺  (x − c)² ∈ [(f(c) − b)/p, (f(c) − a)/p] for the critical point c
+    def _int_preimage_outer(self, target: list[IntPart], bits: int) -> list[IntPart]:
+        # f(x) ∈ [a,b]  ⟺  (x − c)² ∈ [(f(c) − b)/p, (f(c) − a)/p] for the critical point c;
+        # the square roots are enclosed on the 2^−bits grid, every end over cd·2^bits
         c, p = self.critical_point(), self.parameter
         top = self.evaluate(c)
-        hi2 = (top - part.lo) / p
-        if hi2 < 0:
-            return []
-        rlo = sqrt_enclosure(max((top - part.hi) / p, ZERO), bits)[0]
-        rhi = sqrt_enclosure(hi2, bits)[1]
-        return [ClosedInterval(c - rhi, c - rlo), ClosedInterval(c + rlo, c + rhi)]
+        cn, cd, tn, td, pn, pd = c.numerator, c.denominator, top.numerator, top.denominator, p.numerator, p.denominator
+        scale = cd << bits
+        mid = cn << bits
+        out = []
+        for ln, ld, hn, hd in target:
+            hi2 = (tn * ld - ln * td) * pd  # over td·ld·pn
+            if hi2 < 0:
+                continue
+            rhi = _sqrt_bounds(hi2, td * ld * pn, bits)[1] * cd
+            rlo = _sqrt_bounds(max((tn * hd - hn * td) * pd, 0), td * hd * pn, bits)[0] * cd
+            out += [(mid - rhi, scale, mid - rlo, scale), (mid + rlo, scale, mid + rhi, scale)]
+        return int_intersect(int_normalize(out), self._int_space)
 
     def to_json(self) -> dict:
         return {"kind": "quadratic", "family": self.family, "parameter": rat_str(self.parameter)}
@@ -421,20 +447,18 @@ def sqrt_enclosure(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """(lo, hi) with lo² ≤ q ≤ hi² and hi − lo ≤ 2^−bits, exact rationals."""
     if q < 0:
         raise ValueError("negative radicand")
-    if q == 0:
-        return ZERO, ZERO
-    scale = 1 << bits
-    n = q.numerator * scale * scale
-    d = q.denominator
-    # floor(sqrt(n/d)) at the scaled grid
-    root = math.isqrt(n // d)
-    while root * root * d > n:
-        root -= 1
-    while (root + 1) * (root + 1) * d <= n:
-        root += 1
-    lo = Fraction(root, scale)
-    hi = Fraction(root + 1, scale)
-    return lo, hi
+    lo, hi = _sqrt_bounds(q.numerator, q.denominator, bits)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+
+
+def _sqrt_bounds(n: int, d: int, bits: int) -> tuple[int, int]:
+    """sqrt_enclosure of n/d ≥ 0 (d > 0) as numerators over 2^bits: (0, 0) at
+    0, else ⌊2^bits·√(n/d)⌋ and one more.  isqrt of ⌊N/d⌋ is ⌊√(N/d)⌋, since
+    m² ≤ N/d exactly when m² ≤ ⌊N/d⌋."""
+    if n == 0:
+        return 0, 0
+    root = math.isqrt((n << 2 * bits) // d)
+    return root, root + 1
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +501,16 @@ def _piece_table(depth: int, mode: str) -> tuple[tuple[RationalIntervalSet, Frac
 
 
 @lru_cache(maxsize=64)
+def _int_cell_table(depth: int, mode: str) -> tuple[tuple[tuple[IntPart, ...], int, int, int], ...]:
+    """The map's cells in ascending position, each as (parts, a, b, q) with
+    f(x) = (a·x + b)/q on it: every piece of the table, and the fixed point 0
+    as the cell {0} with the identity.  Every a is positive."""
+    cells = [(tuple(to_int_set(piece)), *_int_affine_form(s, c)) for piece, s, c in _piece_table(depth, mode)]
+    cells.append((((0, 1, 0, 1),), 1, 0, 1))
+    return tuple(sorted(cells, key=lambda cell: Fraction(*cell[0][0][:2])))
+
+
+@lru_cache(maxsize=64)
 def _cantor_space(depth: int) -> RationalIntervalSet:
     """The fixed point 0 with every piece of index |n| ≤ depth at resolution depth."""
     # the piece sets are the same under both image modes
@@ -507,10 +541,13 @@ class CantorSystem(IntervalSystem):
     decidable.
 
     A piece set depends only on its index and resolution, the space only on
-    ``depth``, and the table of (piece set, slope, offset) that every map
-    query reads on ``depth`` and the mode: each is built once per process
-    (in a bounded cache that holds no system) and shared by every system and
-    query that asks for it.
+    ``depth``, and the table of (piece set, slope, offset) on ``depth`` and
+    the mode: each is built once per process (in a bounded cache that holds
+    no system) and shared by every system and query that asks for it.  The
+    map queries (``evaluate``, forward images, preimages and point
+    preimages) read the same table in integer form, ordered by position with
+    the fixed point 0 as a cell of its own, and build one Fraction per
+    endpoint or point they return.
     """
 
     depth: int
@@ -585,40 +622,51 @@ class CantorSystem(IntervalSystem):
     def contains_point(self, x: Fraction) -> bool:
         return self.space().contains(x)
 
+    def _int_cells(self) -> tuple[tuple[tuple[IntPart, ...], int, int, int], ...]:
+        return _int_cell_table(self.depth, self.negative_image_mode)
+
+    def _int_value(self, xn: int, xd: int) -> tuple[int, int]:
+        """f(xn/xd) for xd > 0 as an unreduced integer pair."""
+        for parts, a, b, q in self._int_cells():
+            if int_contains(parts, xn, xd):
+                return a * xn + b * xd, q * xd
+        raise DomainError(f"{Fraction(xn, xd)} outside the depth-{self.depth} space")
+
     def evaluate(self, x: Fraction) -> Fraction:
-        if x == 0:
-            return ZERO
-        for piece, s, c in self._pieces():
-            if piece.contains(x):
-                return s * x + c
-        raise DomainError(f"{x} outside the depth-{self.depth} space")
+        return Fraction(*self._int_value(x.numerator, x.denominator))
 
     def affine_cells(self) -> list[tuple[ClosedInterval, Fraction, Fraction]]:
         """All space components with their affine data, plus the fixed origin."""
         return [(ClosedInterval(ZERO, ZERO), ONE, ZERO)] + [
             (part, s, c) for piece, s, c in self._pieces() for part in piece.parts]
 
+    def _int_forward(self, s: list[IntPart]) -> list[IntPart]:
+        out = []
+        for parts, a, b, q in self._int_cells():
+            hit = int_intersect(s, parts)
+            if hit:
+                out += int_affine(hit, a, b, q)
+        return int_normalize(out)
+
+    def _int_preimage(self, target: list[IntPart]) -> list[IntPart]:
+        out = []
+        for parts, a, b, q in self._int_cells():
+            out += int_intersect(int_affine(target, q, -b, a), parts)
+        return int_normalize(out)
+
+    def _int_point_preimages(self, yn: int, yd: int) -> list[tuple[int, int]]:
+        """Every x with f(x) = yn/yd, ascending, as unreduced pairs."""
+        return [(n, d) for parts, a, b, q in self._int_cells()
+                for n, d in ((q * yn - b * yd, a * yd),) if int_contains(parts, n, d)]
+
     def forward_image(self, sset: RationalIntervalSet) -> RationalIntervalSet:
-        out = [ClosedInterval(ZERO, ZERO)] if sset.contains(ZERO) else []
-        for piece, s, c in self._pieces():
-            hit = intersect(sset, piece)
-            if not hit.is_empty:
-                out.extend(affine_image(hit, s, c).parts)
-        return normalize(out)
+        return from_int_set(self._int_forward(to_int_set(sset)))
 
     def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
-        out = [ClosedInterval(ZERO, ZERO)] if target.contains(ZERO) else []
-        for piece, s, c in self._pieces():
-            out.extend(intersect(affine_image(target, 1 / s, -c / s), piece).parts)
-        return normalize(out)
+        return from_int_set(self._int_preimage(to_int_set(target)))
 
     def point_preimages(self, y: Fraction) -> list[Fraction]:
-        out = {ZERO} if y == 0 else set()
-        for piece, s, c in self._pieces():
-            x = (y - c) / s
-            if piece.contains(x):
-                out.add(x)
-        return sorted(out)
+        return [Fraction(n, d) for n, d in self._int_point_preimages(y.numerator, y.denominator)]
 
     def ball_image(self, radius: Fraction, closed: bool = True) -> RationalIntervalSet:
         """Exact image of the radius-ball about 0 intersected with the space.
@@ -894,17 +942,20 @@ class SLimitSystem(IntervalSystem):
         """Empty: the map is increasing on [0,1] and the identity below 0."""
         return []
 
-    def forward_image(self, sset: RationalIntervalSet) -> RationalIntervalSet:
+    def _int_forward(self, s: list[IntPart]) -> list[IntPart]:
         out = []
-        for part in sset.parts:
-            if part.hi <= 0:
-                out.append(part)
+        for ln, ld, hn, hd in s:
+            if hn <= 0:
+                out.append((ln, ld, hn, hd))
             else:
-                lo = max(part.lo, ZERO)
-                out.append(ClosedInterval(lo * lo, part.hi * part.hi))
-                if part.lo < 0:
-                    out.append(ClosedInterval(part.lo, part.lo))
-        return intersect(normalize(out), self.space())
+                lo, lod = (ln, ld) if ln > 0 else (0, 1)
+                out.append((lo * lo, lod * lod, hn * hn, hd * hd))
+                if ln < 0:
+                    out.append((ln, ld, ln, ld))
+        return int_intersect(int_normalize(out), self._int_space)
+
+    def forward_image(self, sset: RationalIntervalSet) -> RationalIntervalSet:
+        return from_int_set(self._int_forward(to_int_set(sset)))
 
     def to_json(self) -> dict:
         return {"kind": "slimit", "tail_depth": self.tail_depth}

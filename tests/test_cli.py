@@ -291,6 +291,25 @@ def test_cli_bad_shadow_input_is_one_line_error(tmp_path, capsys, orbit_name, ep
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+@pytest.mark.parametrize("orbit_text, message", [
+    # a list ended in a TypeError traceback, {} in a KeyError traceback, both with exit code 1
+    ('["1/3", "2/3"]', "orbit JSON must be an object, not list"),
+    ("{}", "orbit JSON lacks the field 'points'"),
+    # a string was read one character at a time: "not a rational: '/'"
+    ('{"points": "1/3"}', "orbit JSON field 'points' must be a list, not str"),
+    ('{"points": ["1/3", "1/2"], "decaySchedule": "1/4"}', "orbit JSON field 'decaySchedule' must be a list, not str"),
+])
+def test_cli_malformed_orbit_json_is_one_line_error(tmp_path, capsys, orbit_text, message):
+    sys_path = tmp_path / "tent.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    orbit_path = tmp_path / "o.json"
+    orbit_path.write_text(orbit_text)
+    code = main(["shadow", "solve", "--system", str(sys_path), "--orbit", str(orbit_path), "--epsilon", "1/10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_cli_ball_check_rejects_an_empty_grid(tmp_path, capsys, grid):
     # --grid 0 used to print "holds": "certified" with gridSize 0 and exit 0

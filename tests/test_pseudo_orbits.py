@@ -163,6 +163,31 @@ def test_sample_in_set_matches_the_fraction_reference():
     assert any(len(s.parts) > 1 and any(p.width == 0 for p in s.parts) for s in sets)
 
 
+def test_sample_in_set_stays_inside_a_negative_part_off_the_grid():
+    # snapping toward zero used to lift this sample to -93824992236885/2^48 > -1/3
+    part = ClosedInterval(F(-1, 3) - F(1, 2**60), F(-1, 3))
+    sset = normalize([part])
+    x = _sample_in_set(sset, random.Random(0))
+    assert sset.contains(x) and x == part.hi
+
+
+sample_ends = st.one_of(
+    st.builds(lambda n, d: F(n, d), st.integers(-(2**80), 2**80), st.integers(1, 2**80)),
+    st.builds(lambda n, s: F(n, 3) + F(s, 2**60), st.integers(-6, 6), st.sampled_from([-1, 1])),
+    st.integers(-8, 8).map(lambda k: F(k, 4)),
+)
+
+
+@given(st.lists(st.tuples(sample_ends, st.one_of(st.just(F(0)), sample_ends.map(abs))), min_size=1, max_size=5),
+       st.integers(0, 2**32))
+@settings(max_examples=300)
+def test_sample_in_set_lands_in_its_set(parts, seed):
+    sset = normalize([ClosedInterval(lo, lo + width) for lo, width in parts])
+    rng = random.Random(seed)
+    for _ in range(4):
+        assert sset.contains(_sample_in_set(sset, rng))
+
+
 def test_perturbed_orbit_symbolic_kinds():
     gm = golden_mean_shift()
     x0 = SymbolicPoint(("0", "1"), ("0",))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlab.numerics import from_pairs, interior_grid
+from shadowlab.numerics import from_int_set, from_pairs, interior_grid
 from shadowlab.pseudo_orbits import PseudoOrbit, deviation, perturbed_orbit, traces, verify_jumps
 from shadowlab.shadowing import (
     _backward_tube_sets,
@@ -536,7 +536,8 @@ def test_lazy_witness_candidates_match_the_eager_list():
             orbits += [perturbed_orbit(system, x0, 3 + seed, delta, seed=seed) for delta in (F(1, 100), F(1, 6))]
             for orbit in orbits:
                 for eps in (F(1, 10), F(1, 40)):
-                    outer0 = _backward_tube_sets(system, orbit, eps, partial(system.preimage_outer, bits=64))[0]
+                    outer0 = from_int_set(_backward_tube_sets(system, orbit, eps,
+                                                              partial(system._int_preimage_outer, bits=64))[0])
                     got = _quadratic_witness_search(system, orbit, eps, outer0, 32)
                     assert got == eager_witness_search(system, orbit, eps, outer0, 32)
                     found += got is not None and got[0] != orbit.points[0]
