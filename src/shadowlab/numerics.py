@@ -11,11 +11,9 @@ tracing loops propagate step after step without taking a gcd.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from operator import attrgetter
+from functools import cached_property, cmp_to_key
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -127,19 +125,13 @@ class RationalIntervalSet:
         return not self.parts
 
     def contains(self, x: Fraction) -> bool:
-        xn, xd = x.numerator, x.denominator
-        lo, hi = 0, len(self.parts) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            p = self.parts[mid]
-            a, b = p.lo, p.hi
-            if xn * a.denominator < a.numerator * xd:
-                hi = mid - 1
-            elif xn * b.denominator > b.numerator * xd:
-                lo = mid + 1
-            else:
-                return True
-        return False
+        return int_contains(self.int_parts, x.numerator, x.denominator)
+
+    @cached_property
+    def int_parts(self) -> tuple[IntPart, ...]:
+        """The integer form of the set, built once: repeated queries on one
+        set (a space, a carrier) bisect it without converting it again."""
+        return tuple([_int_part(p) for p in self.parts])
 
     def subset_of(self, other: "RationalIntervalSet") -> bool:
         return intersect(self, other) == self
@@ -184,26 +176,13 @@ class RationalIntervalSet:
         return normalize([interval(lo, hi) for lo, hi in data])
 
 
-_LO, _HI = attrgetter("lo"), attrgetter("hi")
-
-
 def normalize(raw: Iterable[ClosedInterval]) -> RationalIntervalSet:
-    """Canonical disjoint sorted form of a union of closed intervals.
+    """Canonical disjoint sorted form of a union of closed intervals
+    (:func:`int_normalize` on their integer form).
 
     Touching intervals merge: [0,1/3] ∪ [1/3,1] becomes [0,1].
     """
-    merged: list[ClosedInterval] = []
-    for p in sorted(raw, key=_LO):
-        lo, hi = p.lo, p.hi
-        hn, hd = hi.numerator, hi.denominator
-        if merged and lo.numerator * end_d <= end_n * lo.denominator:
-            if hn * end_d > end_n * hd:
-                merged[-1] = _ordered(merged[-1].lo, hi)
-                end_n, end_d = hn, hd
-        else:
-            merged.append(p)
-            end_n, end_d = hn, hd
-    return RationalIntervalSet(tuple(merged))
+    return from_int_set(int_normalize([_int_part(p) for p in raw]))
 
 
 def from_pairs(pairs: Iterable[tuple[RationalLike, RationalLike]]) -> RationalIntervalSet:
@@ -222,38 +201,8 @@ def closed_ball(center: RationalLike, radius: RationalLike) -> RationalIntervalS
 
 
 def intersect(a: RationalIntervalSet, b: RationalIntervalSet) -> RationalIntervalSet:
-    """Exact intersection by a two-pointer sweep over canonical parts.
-
-    When the two current parts do not overlap, the side that lies wholly to
-    the left jumps by bisection to its first part reaching the other's left
-    end (canonical parts ascend in ``hi``), so parts that cannot overlap
-    anything are skipped in logarithmic time: one part against n costs
-    O(log n) comparisons, not O(n)."""
-    out: list[ClosedInterval] = []
-    i = j = 0
-    pa, pb = a.parts, b.parts
-    na, nb = len(pa), len(pb)
-    while i < na and j < nb:
-        p, q = pa[i], pb[j]
-        plo, phi, qlo, qhi = p.lo, p.hi, q.lo, q.hi
-        pln, pld, phn, phd = plo.numerator, plo.denominator, phi.numerator, phi.denominator
-        qln, qld, qhn, qhd = qlo.numerator, qlo.denominator, qhi.numerator, qhi.denominator
-        if phn * qld < qln * phd:  # p ends before q starts
-            i = bisect_left(pa, qlo, i + 1, na, key=_HI)
-        elif qhn * pld < pln * qhd:  # q ends before p starts
-            j = bisect_left(pb, plo, j + 1, nb, key=_HI)
-        else:
-            lo = qlo if pln * qld < qln * pld else plo
-            if phn * qhd < qhn * phd:
-                out.append(_ordered(lo, phi))
-                i += 1
-            else:
-                out.append(_ordered(lo, qhi))
-                j += 1
-    # after each output the side that ended it advances to a part starting
-    # strictly past that end, so the outputs ascend with gaps and are
-    # already canonical
-    return RationalIntervalSet(tuple(out))
+    """Exact intersection (:func:`int_intersect` on the integer forms)."""
+    return from_int_set(int_intersect(a.int_parts, b.int_parts))
 
 
 def interior_grid(span: RationalLike, size: int) -> list[Fraction]:
@@ -269,7 +218,7 @@ def affine_image(s: RationalIntervalSet, slope: RationalLike, offset: RationalLi
     if slope == 0:
         raise ValueError("zero slope collapses intervals")
     sd, od = slope.denominator, offset.denominator
-    return from_int_set(int_affine(to_int_set(s), slope.numerator * od, offset.numerator * sd, sd * od))
+    return from_int_set(int_affine(s.int_parts, slope.numerator * od, offset.numerator * sd, sd * od))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +233,8 @@ def affine_image(s: RationalIntervalSet, slope: RationalLike, offset: RationalLi
 IntPart = tuple[int, int, int, int]
 
 
-def to_int_set(s: RationalIntervalSet) -> list[IntPart]:
-    return [(p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator) for p in s.parts]
+def _int_part(p: ClosedInterval) -> IntPart:
+    return (p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator)
 
 
 def from_int_set(parts: Sequence[IntPart]) -> RationalIntervalSet:
@@ -335,9 +284,15 @@ def _int_reaching(s: Sequence[IntPart], lo: int, hi: int, xn: int, xd: int) -> i
 
 
 def int_intersect(a: Sequence[IntPart], b: Sequence[IntPart]) -> list[IntPart]:
-    """Exact intersection by a two-pointer sweep, as :func:`intersect`: the side
-    that lies wholly to the left jumps by bisection to its first part reaching
-    the other's left end, and the outputs come out canonical."""
+    """Exact intersection by a two-pointer sweep over canonical parts.
+
+    When the two current parts do not overlap, the side that lies wholly to
+    the left jumps by bisection to its first part reaching the other's left
+    end (canonical parts ascend in their right ends), so parts that cannot
+    overlap anything are skipped in logarithmic time: one part against n
+    costs O(log n) comparisons, not O(n).  After each output the side that
+    ended it advances to a part starting strictly past that end, so the
+    outputs ascend with gaps and are already canonical."""
     out = []
     i = j = 0
     na, nb = len(a), len(b)

@@ -40,7 +40,6 @@ from .numerics import (
     normalize,
     rat,
     rat_str,
-    to_int_set,
 )
 
 ONE = Fraction(1)
@@ -73,8 +72,8 @@ class IntervalSystem:
     form, and its public set methods convert at the boundary."""
 
     @cached_property
-    def _int_space(self) -> list[IntPart]:
-        return to_int_set(self.space())
+    def _int_space(self) -> tuple[IntPart, ...]:
+        return self.space().int_parts
 
     def tube(self, x: Fraction, radius: Fraction) -> RationalIntervalSet:
         """B̄_r(x) ∩ space: every tracing tube and expansion ball is one."""
@@ -220,12 +219,12 @@ class PiecewiseLinearMap(IntervalSystem):
                 out.append(self.breakpoints[i])
         return out
 
-    def _int_forward(self, s: list[IntPart]) -> list[IntPart]:
+    def _int_forward(self, s: Sequence[IntPart]) -> list[IntPart]:
         """f(s) for s ⊆ [0,1]: the image bounds of each part, merged."""
         bounds = self._int_image_bounds
         return int_normalize([(*lo, *hi) for lo, hi in (bounds(*part) for part in s)])
 
-    def _int_preimage(self, target: list[IntPart]) -> list[IntPart]:
+    def _int_preimage(self, target: Sequence[IntPart]) -> list[IntPart]:
         """f⁻¹(target): per lap, the target clipped to the lap's range, which
         the lap covers one to one, mapped through the inverse lap."""
         out = []
@@ -254,10 +253,10 @@ class PiecewiseLinearMap(IntervalSystem):
     def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
         if s.parts and (s.parts[0].lo < 0 or s.parts[-1].hi > 1):
             raise DomainError(f"{s} not inside [0,1]")
-        return from_int_set(self._int_forward(to_int_set(s)))
+        return from_int_set(self._int_forward(s.int_parts))
 
     def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
-        return from_int_set(self._int_preimage(to_int_set(target)))
+        return from_int_set(self._int_preimage(target.int_parts))
 
     def point_preimages(self, y: Fraction) -> list[Fraction]:
         """Every x with f(x) = y, ascending."""
@@ -411,9 +410,9 @@ class QuadraticFamilyMap(IntervalSystem):
 
     def preimage_outer(self, target: RationalIntervalSet, bits: int = 64) -> RationalIntervalSet:
         """Outer rational enclosure of the preimage (endpoints are square roots)."""
-        return from_int_set(self._int_preimage_outer(to_int_set(target), bits))
+        return from_int_set(self._int_preimage_outer(target.int_parts, bits))
 
-    def _int_preimage_outer(self, target: list[IntPart], bits: int) -> list[IntPart]:
+    def _int_preimage_outer(self, target: Sequence[IntPart], bits: int) -> list[IntPart]:
         # f(x) ∈ [a,b]  ⟺  (x − c)² ∈ [(f(c) − b)/p, (f(c) − a)/p] for the critical point c;
         # the square roots are enclosed on the 2^−bits grid, every end over cd·2^bits
         c, p = self.critical_point(), self.parameter
@@ -505,7 +504,7 @@ def _int_cell_table(depth: int, mode: str) -> tuple[tuple[tuple[IntPart, ...], i
     """The map's cells in ascending position, each as (parts, a, b, q) with
     f(x) = (a·x + b)/q on it: every piece of the table, and the fixed point 0
     as the cell {0} with the identity.  Every a is positive."""
-    cells = [(tuple(to_int_set(piece)), *_int_affine_form(s, c)) for piece, s, c in _piece_table(depth, mode)]
+    cells = [(piece.int_parts, *_int_affine_form(s, c)) for piece, s, c in _piece_table(depth, mode)]
     cells.append((((0, 1, 0, 1),), 1, 0, 1))
     return tuple(sorted(cells, key=lambda cell: Fraction(*cell[0][0][:2])))
 
@@ -640,7 +639,7 @@ class CantorSystem(IntervalSystem):
         return [(ClosedInterval(ZERO, ZERO), ONE, ZERO)] + [
             (part, s, c) for piece, s, c in self._pieces() for part in piece.parts]
 
-    def _int_forward(self, s: list[IntPart]) -> list[IntPart]:
+    def _int_forward(self, s: Sequence[IntPart]) -> list[IntPart]:
         out = []
         for parts, a, b, q in self._int_cells():
             hit = int_intersect(s, parts)
@@ -648,7 +647,7 @@ class CantorSystem(IntervalSystem):
                 out += int_affine(hit, a, b, q)
         return int_normalize(out)
 
-    def _int_preimage(self, target: list[IntPart]) -> list[IntPart]:
+    def _int_preimage(self, target: Sequence[IntPart]) -> list[IntPart]:
         out = []
         for parts, a, b, q in self._int_cells():
             out += int_intersect(int_affine(target, q, -b, a), parts)
@@ -660,10 +659,10 @@ class CantorSystem(IntervalSystem):
                 for n, d in ((q * yn - b * yd, a * yd),) if int_contains(parts, n, d)]
 
     def forward_image(self, sset: RationalIntervalSet) -> RationalIntervalSet:
-        return from_int_set(self._int_forward(to_int_set(sset)))
+        return from_int_set(self._int_forward(sset.int_parts))
 
     def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
-        return from_int_set(self._int_preimage(to_int_set(target)))
+        return from_int_set(self._int_preimage(target.int_parts))
 
     def point_preimages(self, y: Fraction) -> list[Fraction]:
         return [Fraction(n, d) for n, d in self._int_point_preimages(y.numerator, y.denominator)]
@@ -942,7 +941,7 @@ class SLimitSystem(IntervalSystem):
         """Empty: the map is increasing on [0,1] and the identity below 0."""
         return []
 
-    def _int_forward(self, s: list[IntPart]) -> list[IntPart]:
+    def _int_forward(self, s: Sequence[IntPart]) -> list[IntPart]:
         out = []
         for ln, ld, hn, hd in s:
             if hn <= 0:
@@ -955,7 +954,7 @@ class SLimitSystem(IntervalSystem):
         return int_intersect(int_normalize(out), self._int_space)
 
     def forward_image(self, sset: RationalIntervalSet) -> RationalIntervalSet:
-        return from_int_set(self._int_forward(to_int_set(sset)))
+        return from_int_set(self._int_forward(sset.int_parts))
 
     def to_json(self) -> dict:
         return {"kind": "slimit", "tail_depth": self.tail_depth}

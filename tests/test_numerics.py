@@ -9,6 +9,7 @@ from shadowlab.numerics import (
     RationalIntervalSet,
     affine_image,
     closed_ball,
+    from_int_set,
     from_pairs,
     intersect,
     interval,
@@ -127,6 +128,21 @@ def test_intersect_one_part_against_many(one, many):
     expected = pairwise_intersection(one, many)
     assert intersect(one, many) == expected
     assert intersect(many, one) == expected
+
+
+@given(st.lists(st.tuples(grid_points, grid_points), max_size=12), st.integers(min_value=-2, max_value=98))
+@settings(max_examples=200)
+def test_normalize_keeps_exactly_the_union(pairs, k):
+    raw = [interval(min(a, b), max(a, b)) for a, b in pairs]
+    x = F(k, 8)  # the grid, the midpoints between its points, and points outside it
+    assert normalize(raw).contains(x) == any(p.contains(x) for p in raw)
+
+
+@given(interval_sets())
+@settings(max_examples=60)
+def test_int_parts_round_trip(s):
+    assert from_int_set(s.int_parts) == s
+    assert s.int_parts is s.int_parts  # built once per set
 
 
 def test_intersect_skips_to_touching_and_point_parts():
