@@ -18,7 +18,17 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .numerics import ClosedInterval, RationalIntervalSet, interior_grid, intersect, normalize, rat, rat_str
+from .numerics import (
+    ClosedInterval,
+    RationalIntervalSet,
+    from_int_set,
+    int_intersect,
+    interior_grid,
+    intersect,
+    normalize,
+    rat,
+    rat_str,
+)
 from .systems import (
     CantorSystem,
     DomainError,
@@ -93,10 +103,14 @@ Cell = tuple[ClosedInterval, Fraction, Fraction]  # (domain, slope, offset)
 
 
 def _affine_cells(system, carrier: RationalIntervalSet) -> list[Cell]:
+    """The cells of the system's table met with the carrier, ascending, each
+    component with its cell's (slope, offset)."""
     cells = []
-    for dom, s, c in system.affine_cells():
-        for part in intersect(RationalIntervalSet((dom,)), carrier).parts:
-            cells.append((part, s, c))
+    for parts, a, b, q in system._int_cells:
+        met = int_intersect(parts, carrier.int_parts)
+        if met:
+            s, c = Fraction(a, q), Fraction(b, q)
+            cells += [(part, s, c) for part in from_int_set(met).parts]
     return cells
 
 
@@ -230,7 +244,7 @@ def _small_step(iv: ClosedInterval, shrink: Fraction) -> Fraction:
 
 
 def _expanding_violation(cells: list[Cell], delta: Fraction, mu: Fraction) -> Optional[tuple]:
-    cells = sorted(cells, key=lambda c: (c[0].lo, c[0].hi))
+    """The first violating pair over cells in ascending order, as :func:`_affine_cells` gives them."""
     for i, cx in enumerate(cells):
         # pairs inside one cell: the ratio is exactly the slope modulus
         if cx[0].width > 0 and abs(cx[1]) < mu:
@@ -373,11 +387,12 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
     decide them completely.  All on integers: the cuts over one common
     denominator D, each candidate as (A, B, Q) with value (A·x + B)/Q, each
     crossing as n/d, compared by cross-multiplication; a Fraction is built
-    only for a crossing inside its cell and for the missing point returned.
+    only for a crossing inside its cell, for the ends of the segments the
+    carrier keeps and for the missing point returned.
     """
     en, ed = eps.numerator, eps.denominator
     men, med = mu.numerator * en, mu.denominator * ed  # μ·ε
-    laps, vals = system._int_laps, system._int_values
+    cells, vals = system._int_cells, system._int_values
     D = math.lcm(*(bd for _, bd in system._int_breakpoints)) * ed
     E = en * (D // ed)  # ε in units of 1/D
     bps = [bn * (D // bd) for bn, bd in system._int_breakpoints]
@@ -397,8 +412,8 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
         return None
 
     for lo, hi in zip(base, base[1:]):
-        seg = intersect(RationalIntervalSet((ClosedInterval(Fraction(lo, D), Fraction(hi, D)),)), carrier)
-        if seg.is_empty:
+        seg = int_intersect([(lo, D, hi, D)], carrier.int_parts)
+        if not seg:
             continue
         # affine candidates valid throughout (lo, hi), read at its midpoint (lo + hi)/2D;
         # every b and b ± ε is a cut, so mid ± ε and mid lie strictly inside one lap
@@ -406,12 +421,12 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
         cands = []
         for sign, end in ((-1, vals[0]), (1, vals[-1])):  # the window edges f(x − ε), f(x + ε)
             if 0 < mid + sign * E2 < D2:
-                a, b, q = laps[system.lap_index((mid + sign * E2, D2))]
+                _, a, b, q = cells[system.cell_index(mid + sign * E2, D2)]
                 cands.append((a * ed, b * ed + sign * a * en, q * ed))
             else:
                 cands.append((0, *end))
         cands += [(0, *v) for b, v in zip(bps, vals) if mid - E2 < 2 * b < mid + E2]
-        a, b, q = laps[system.lap_index((mid, D2))]
+        _, a, b, q = cells[system.cell_index(mid, D2)]
         cands += [(a * med, b * med + q * men, q * med), (a * med, b * med - q * men, q * med), (0, 1, 1), (0, 0, 1)]
 
         crossings = set()
@@ -424,8 +439,9 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
                         n, d = -n, -d
                     if lo * d < n * D < hi * d:
                         crossings.add(Fraction(n, d))
-        for part in seg.parts:
-            for x in sorted({part.lo, part.hi}.union(x for x in crossings if part.lo < x < part.hi)):
+        for ln, ld, hn, hd in seg:
+            plo, phi = Fraction(ln, ld), Fraction(hn, hd)
+            for x in sorted({plo, phi}.union(x for x in crossings if plo < x < phi)):
                 missing = violation_at(x)
                 if missing is not None:
                     return x, missing
@@ -468,16 +484,14 @@ def _cantor_ball_expanding(system: CantorSystem, carrier: RationalIntervalSet, m
     point set."""
     space = system.space()
     rng = random.Random(11)
-    probes = []
-    for part in carrier.parts:
-        probes.extend([part.lo, part.hi])
+    probes = [end for part in carrier.parts for end in (part.lo, part.hi)]
     pool = [p.lo for p in space.parts if carrier.contains(p.lo)]
     for _ in range(min(24, len(pool))):
         probes.append(pool[rng.randrange(len(pool))])
     for x in sorted(set(probes)):
         fx = system.evaluate(x)
         for eps in eps_list:
-            image = system.forward_image(system.tube(x, eps))
+            image = from_int_set(system._int_forward(system._int_tube(x, eps)))
             missing = _uncovered_point(system.tube(fx, mu * eps), image)
             if missing is not None:
                 return _ball_falsified(system, x, eps, mu, missing, constants)
@@ -492,7 +506,7 @@ _BALL_ROUTES = {PiecewiseLinearMap: _pl_ball_expanding, CantorSystem: _cantor_ba
 def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdict:
     fx = system.evaluate(x)
     space = system.space()
-    image = system.forward_image(system.tube(x, eps))
+    image = from_int_set(system._int_forward(system._int_tube(x, eps)))
     if image.contains(missing) or abs(missing - fx) > mu * eps or not space.contains(missing):
         raise AssertionError("ball-expanding counterexample failed re-validation")
     counter = {
@@ -534,13 +548,11 @@ def check_open_at(system: SystemSpec, x) -> ExpansivityVerdict:
 
 
 def _pl_open_at(system: PiecewiseLinearMap, x: Fraction, constants) -> ExpansivityVerdict:
-    if not system.contains_point(x):
-        raise DomainError(f"{x} outside [0,1]")
     slopes = system.slopes
-    fx = system.evaluate(x)
+    fx = system.evaluate(x)  # DomainError outside [0,1]
     # slopes of the laps just left and just right of x; at 0 and 1 both read the one lap there
     sl = slopes[max(bisect_left(system.breakpoints, x) - 1, 0)]
-    sr = slopes[system.lap_index(x)]
+    sr = slopes[system.cell_index(x.numerator, x.denominator)]
     if x == 0:
         ok = (sr > 0 and fx == 0) or (sr < 0 and fx == 1)
     elif x == 1:
@@ -661,9 +673,7 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
         margin = min(carrier.distance_to(c) for c in crit) / 2
     inflated = RegionSpec(_inflate(carrier, margin, system.space()), ZERO)
 
-    probes = []
-    for part in inflated.carrier.parts:
-        probes.extend([part.lo, part.hi, (part.lo + part.hi) / 2])
+    probes = [x for part in inflated.carrier.parts for x in (part.lo, part.hi, (part.lo + part.hi) / 2)]
     open_verdicts = [check_open_at(system, p) for p in sorted(set(probes))]
     if any(v.falsified for v in open_verdicts):
         open_side = "falsified"

@@ -9,12 +9,15 @@ Every system answers which points belong to its space (``contains_point``),
 where a point maps (``evaluate``), the metric (``distance``) and how a point
 is written and read (``point_to_str``, ``point_from_str``).  The interval
 systems also answer their space as an interval set (``space``), the closed
-tube about a point (``tube``) and forward images; the piecewise-affine ones
-(``PiecewiseLinearMap``, ``CantorSystem``) their affine cells, exact
-preimages and minimum slope modulus; PL maps, the quadratic family and the
-tail system their critical points.  A solver that needs
-more than every system answers checks the class once, at entry
-(:func:`require`).
+tube about a point (``tube``) and forward images.  The PL maps and the
+middle-thirds map are affine on finitely many closed cells over a finite
+union of intervals, and share one base (:class:`PiecewiseAffineSystem`) that
+holds one integer cell table: the cell lookup, evaluation, forward images,
+exact preimages, point preimages, affine cells and minimum slope modulus are
+written once on it, and each class only builds its table (a cell per lap; a
+cell per piece plus the fixed point 0).  PL maps, the quadratic family and
+the tail system answer their critical points.  A solver that needs more than
+every system answers checks the class once, at entry (:func:`require`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .numerics import (
@@ -64,8 +68,8 @@ def require(system_class: type, solver: str, supported) -> type:
 
 
 class IntervalSystem:
-    """Shared by the interval systems: rational points, the metric |x − y|
-    and the closed tube about a point.
+    """Shared by the interval systems: rational points, membership in the
+    space, the metric |x − y| and the closed tube about a point.
 
     The tracing loops run on the integer form of interval sets
     (``numerics.int_*``): each system's ``_int_*`` steps take and return that
@@ -75,9 +79,15 @@ class IntervalSystem:
     def _int_space(self) -> tuple[IntPart, ...]:
         return self.space().int_parts
 
+    def contains_point(self, x: Fraction) -> bool:
+        return int_contains(self._int_space, x.numerator, x.denominator)
+
+    def _int_tube(self, x: Fraction, radius: Fraction) -> list[IntPart]:
+        return int_tube(self._int_space, x.numerator, x.denominator, radius.numerator, radius.denominator)
+
     def tube(self, x: Fraction, radius: Fraction) -> RationalIntervalSet:
         """B̄_r(x) ∩ space: every tracing tube and expansion ball is one."""
-        return from_int_set(int_tube(self._int_space, x.numerator, x.denominator, radius.numerator, radius.denominator))
+        return from_int_set(self._int_tube(x, radius))
 
     def distance(self, x: Fraction, y: Fraction) -> Fraction:
         if not isinstance(x, Fraction) or not isinstance(y, Fraction):
@@ -92,36 +102,137 @@ class IntervalSystem:
 
 
 # ---------------------------------------------------------------------------
+# piecewise-affine maps: one integer cell table
+# ---------------------------------------------------------------------------
+
+Cells = tuple[tuple[tuple[IntPart, ...], int, int, int], ...]
+
+
+class PiecewiseAffineSystem(IntervalSystem):
+    """An interval system that is affine on each of finitely many closed cells.
+
+    ``_int_cells`` is the one cell table: the cells in ascending position, each
+    as (parts, a, b, q), a canonical integer interval set with f(x) = (a·x + b)/q
+    on it, a ≠ 0 and q > 0.  Two neighbouring cells may share an end, where
+    their maps agree; otherwise their hulls are disjoint, and the space is the
+    union of the cells.  The cell lookup, evaluation, forward image, preimage,
+    point preimages, affine cells and minimum slope modulus are written once on
+    that table; a subclass only builds it.
+    """
+
+    _int_cells: Cells
+
+    def cell_index(self, xn: int, xd: int) -> int:
+        """Index of the rightmost cell whose left end is at most xn/xd (xd > 0),
+        by bisection: the cell holding the point when one does, the right one
+        at an end two cells share, and 0 left of every cell."""
+        cells = self._int_cells
+        lo, hi, idx = 1, len(cells) - 1, 0
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            left = cells[mid][0][0]
+            if left[0] * xd <= xn * left[1]:
+                idx = mid
+                lo = mid + 1
+            else:
+                hi = mid - 1
+        return idx
+
+    def _int_value(self, xn: int, xd: int) -> tuple[int, int]:
+        """f(xn/xd) for xd > 0 as an unreduced integer pair; DomainError outside the space."""
+        parts, a, b, q = self._int_cells[self.cell_index(xn, xd)]
+        if not int_contains(parts, xn, xd):
+            raise DomainError(f"{Fraction(xn, xd)} outside the space")
+        return a * xn + b * xd, q * xd
+
+    def evaluate(self, x: Fraction) -> Fraction:
+        return Fraction(*self._int_value(x.numerator, x.denominator))
+
+    def affine_cells(self) -> list[tuple[ClosedInterval, Fraction, Fraction]]:
+        """Every component of every cell as (domain, slope, offset), ascending."""
+        return [(part, Fraction(a, q), Fraction(b, q))
+                for parts, a, b, q in self._int_cells for part in from_int_set(parts).parts]
+
+    def min_slope_modulus(self) -> Fraction:
+        """min |f′| over the cells of positive width: an isolated fixed point has no slope."""
+        return min(Fraction(abs(a), q) for parts, a, _, q in self._int_cells
+                   if any(ln * hd < hn * ld for ln, ld, hn, hd in parts))
+
+    @cached_property
+    def _int_cell_images(self) -> tuple[list[IntPart], ...]:
+        """The image of each cell's hull, in table order."""
+        return tuple(int_affine([(*parts[0][:2], *parts[-1][2:])], a, b, q) for parts, a, b, q in self._int_cells)
+
+    def _int_forward(self, s: Sequence[IntPart]) -> list[IntPart]:
+        """f(s) for s in the space: each cell's share of s through its map, merged."""
+        out = []
+        for parts, a, b, q in self._int_cells:
+            hit = int_intersect(s, parts)
+            if hit:
+                out += int_affine(hit, a, b, q)
+        return int_normalize(out)
+
+    def _int_preimage(self, target: Sequence[IntPart]) -> list[IntPart]:
+        """f⁻¹(target): per cell, the target clipped to the image of the cell's
+        hull, mapped through the inverse (q·y − b)/a and met with the cell."""
+        out = []
+        for (parts, a, b, q), image in zip(self._int_cells, self._int_cell_images):
+            hit = int_intersect(target, image)
+            if hit:
+                out += int_intersect(int_affine(hit, q, -b, a), parts)
+        return int_normalize(out)
+
+    def _int_point_preimages(self, yn: int, yd: int) -> list[tuple[int, int]]:
+        """Every x with f(x) = yn/yd, ascending, as unreduced pairs; a hit on an
+        end two cells share is listed once."""
+        out = []
+        for parts, a, b, q in self._int_cells:
+            n, d = q * yn - b * yd, a * yd  # x = (q·y − b)/a
+            if d < 0:
+                n, d = -n, -d
+            if int_contains(parts, n, d) and not (out and out[-1][0] * d == n * out[-1][1]):
+                out.append((n, d))
+        return out
+
+    def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
+        hull = self.space().hull()
+        if s.parts and (s.parts[0].lo < hull.lo or s.parts[-1].hi > hull.hi):
+            raise DomainError(f"{s} not inside {hull}")
+        return from_int_set(self._int_forward(s.int_parts))
+
+    def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
+        return from_int_set(self._int_preimage(target.int_parts))
+
+    def point_preimages(self, y: Fraction) -> list[Fraction]:
+        """Every x with f(x) = y, ascending."""
+        return [Fraction(n, d) for n, d in self._int_point_preimages(y.numerator, y.denominator)]
+
+
+# ---------------------------------------------------------------------------
 # piecewise-linear interval maps
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearMap(IntervalSystem):
+class PiecewiseLinearMap(PiecewiseAffineSystem):
     """Interval map on [0,1], affine between consecutive breakpoints.
 
     ``breakpoints`` is strictly increasing with first 0 and last 1; ``values``
     gives the map at each breakpoint.  Slopes must be nonzero so that every
     lap is a monotone branch.
 
-    The laps and slopes are computed once, at construction, and shared by
-    every query; equality and hashing see only ``breakpoints`` and ``values``.
-    The queries work on a second, integer copy: each breakpoint and value as
-    (numerator, denominator) and each lap's s·x + c as (a·x + b)/q.  One
-    evaluation and one image-bounds scan on integer pairs serve ``evaluate``,
-    the forward image and the exact ball-expansion certificate; the preimage step maps through the inverse laps
-    (q·y − b)/a.  Points and interval sets stay unreduced integers inside the
-    tracing loops; the public methods build one Fraction per endpoint or
-    point they return.
+    The cell table has one cell per lap, built once at construction and shared
+    by every query; equality and hashing see only ``breakpoints`` and
+    ``values``.  The breakpoints and values are also kept as integer pairs for
+    the image bounds of the exact ball-expansion certificate.
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    _laps: tuple[tuple[ClosedInterval, Fraction, Fraction], ...] = field(init=False, repr=False, compare=False)
+    _int_cells: Cells = field(init=False, repr=False, compare=False)
     _int_breakpoints: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _int_values: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _int_laps: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = tuple(rat(b) for b in self.breakpoints)
@@ -139,51 +250,26 @@ class PiecewiseLinearMap(IntervalSystem):
         slopes = tuple((v1 - v0) / (b1 - b0) for b0, b1, v0, v1 in zip(bps, bps[1:], vals, vals[1:]))
         if any(s == 0 for s in slopes):
             raise ValueError("zero-slope lap is not a monotone branch")
+        ibps = tuple((b.numerator, b.denominator) for b in bps)
         object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "_laps", tuple(
-            (ClosedInterval(b0, b1), s, v0 - s * b0) for b0, b1, v0, s in zip(bps, bps[1:], vals, slopes)
-        ))
-        object.__setattr__(self, "_int_breakpoints", tuple((b.numerator, b.denominator) for b in bps))
+        object.__setattr__(self, "_int_breakpoints", ibps)
         object.__setattr__(self, "_int_values", tuple((v.numerator, v.denominator) for v in vals))
-        object.__setattr__(self, "_int_laps", tuple(_int_affine_form(s, c) for _, s, c in self._laps))
+        object.__setattr__(self, "_int_cells", tuple(
+            (((*l, *r),), *_int_affine_form(s, v0 - s * b0))
+            for l, r, b0, v0, s in zip(ibps, ibps[1:], bps, vals, slopes)))
 
-    def laps(self) -> tuple[tuple[ClosedInterval, Fraction, Fraction], ...]:
-        """All maximal affine pieces as (domain, slope, offset)."""
-        return self._laps
-
-    def affine_cells(self) -> tuple[tuple[ClosedInterval, Fraction, Fraction], ...]:
-        """The affine cells the pair engine works on: the stored laps."""
-        return self._laps
+    # perfbench/layers.py traces these in the class's own namespace; a PL map's cells are its laps
+    laps = PiecewiseAffineSystem.affine_cells
+    evaluate = PiecewiseAffineSystem.evaluate
+    forward_image = PiecewiseAffineSystem.forward_image
+    preimage = PiecewiseAffineSystem.preimage
+    point_preimages = PiecewiseAffineSystem.point_preimages
 
     def space(self) -> RationalIntervalSet:
         return _UNIT_INTERVAL
 
     def contains_point(self, x: Fraction) -> bool:
         return 0 <= x.numerator <= x.denominator
-
-    def lap_index(self, x) -> int:
-        """Index of the rightmost lap whose left end is at most x, for x in
-        [0,1] as a Fraction or an integer pair (n, d > 0): the lap holding x,
-        the right one at an interior breakpoint and the last at 1 (f is
-        continuous, so both neighbours agree there)."""
-        xn, xd = x if type(x) is tuple else (x.numerator, x.denominator)
-        bps = self._int_breakpoints
-        lo, hi = 0, len(bps) - 2
-        idx = 0
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            bn, bd = bps[mid]
-            if bn * xd <= xn * bd:
-                idx = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return idx
-
-    def _int_value(self, xn: int, xd: int) -> tuple[int, int]:
-        """f(xn/xd) for xd > 0 and xn/xd in [0,1], as an unreduced integer pair."""
-        a, b, q = self._int_laps[self.lap_index((xn, xd))]
-        return a * xn + b * xd, q * xd
 
     def _int_image_bounds(self, ln: int, ld: int, hn: int, hd: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """(min f, max f) over [ln/ld, hn/hd] ⊆ [0,1] as integer pairs, from f at
@@ -198,69 +284,12 @@ class PiecewiseLinearMap(IntervalSystem):
                 hi = c
         return lo, hi
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        xn, xd = x.numerator, x.denominator
-        if not 0 <= xn <= xd:
-            raise DomainError(f"{x} outside [0,1]")
-        return Fraction(*self._int_value(xn, xd))
-
     def lipschitz(self) -> Fraction:
         return max(abs(s) for s in self.slopes)
 
-    def min_slope_modulus(self) -> Fraction:
-        return min(abs(s) for s in self.slopes)
-
     def critical_points(self) -> list[Fraction]:
         """Interior breakpoints where the slope changes sign."""
-        out = []
-        slopes = self.slopes
-        for i in range(1, len(self.breakpoints) - 1):
-            if slopes[i - 1] * slopes[i] < 0:
-                out.append(self.breakpoints[i])
-        return out
-
-    def _int_forward(self, s: Sequence[IntPart]) -> list[IntPart]:
-        """f(s) for s ⊆ [0,1]: the image bounds of each part, merged."""
-        bounds = self._int_image_bounds
-        return int_normalize([(*lo, *hi) for lo, hi in (bounds(*part) for part in s)])
-
-    def _int_preimage(self, target: Sequence[IntPart]) -> list[IntPart]:
-        """f⁻¹(target): per lap, the target clipped to the lap's range, which
-        the lap covers one to one, mapped through the inverse lap."""
-        out = []
-        vals = self._int_values
-        for (a, b, q), v0, v1 in zip(self._int_laps, vals, vals[1:]):
-            hit = int_intersect(target, [(*v0, *v1) if a > 0 else (*v1, *v0)])
-            if hit:
-                out += int_affine(hit, q, -b, a)
-        return int_normalize(out)
-
-    def _int_point_preimages(self, yn: int, yd: int) -> list[tuple[int, int]]:
-        """Every x with f(x) = yn/yd, ascending, as unreduced pairs.  Laps are
-        searched as half-open (b_i, b_i+1], plus 0 on the first: f is
-        continuous, so a hit at a shared breakpoint is also a hit of the lap to
-        its left."""
-        out = []
-        bps = self._int_breakpoints
-        for i, ((ln, ld), (hn, hd), (a, b, q)) in enumerate(zip(bps, bps[1:], self._int_laps)):
-            n, d = q * yn - b * yd, a * yd  # x = (q·y − b)/a
-            if d < 0:
-                n, d = -n, -d
-            if (ln * d < n * ld if i else n >= 0) and n * hd <= hn * d:
-                out.append((n, d))
-        return out
-
-    def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
-        if s.parts and (s.parts[0].lo < 0 or s.parts[-1].hi > 1):
-            raise DomainError(f"{s} not inside [0,1]")
-        return from_int_set(self._int_forward(s.int_parts))
-
-    def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
-        return from_int_set(self._int_preimage(target.int_parts))
-
-    def point_preimages(self, y: Fraction) -> list[Fraction]:
-        """Every x with f(x) = y, ascending."""
-        return [Fraction(n, d) for n, d in self._int_point_preimages(y.numerator, y.denominator)]
+        return [b for b, s0, s1 in zip(self.breakpoints[1:], self.slopes, self.slopes[1:]) if s0 * s1 < 0]
 
     def to_json(self) -> dict:
         return {
@@ -297,12 +326,7 @@ def compose_pl(outer: PiecewiseLinearMap, inner: PiecewiseLinearMap) -> Piecewis
     vals = tuple(outer.evaluate(inner.evaluate(b)) for b in bp_list)
     m = PiecewiseLinearMap(bp_list, vals)
     # drop interior breakpoints where adjacent laps are collinear
-    keep = [0]
-    slopes = m.slopes
-    for i in range(1, len(bp_list) - 1):
-        if slopes[i - 1] != slopes[i]:
-            keep.append(i)
-    keep.append(len(bp_list) - 1)
+    keep = [0, *(i for i in range(1, len(bp_list) - 1) if m.slopes[i - 1] != m.slopes[i]), len(bp_list) - 1]
     return PiecewiseLinearMap(tuple(bp_list[i] for i in keep), tuple(vals[i] for i in keep))
 
 
@@ -329,15 +353,9 @@ def random_zigzag_map(seed: int, min_laps: int = 2, max_laps: int = 4) -> Piecew
         widths = [Fraction(w, total) for w in weights]
         if all(w <= HALF for w in widths):
             break
-    bps = [ZERO]
-    for w in widths[:-1]:
-        bps.append(bps[-1] + w)
-    bps.append(ONE)
     start_high = rng.random() < 0.5
-    vals = []
-    for i in range(k + 1):
-        vals.append(ONE if (i % 2 == 0) == start_high else ZERO)
-    return PiecewiseLinearMap(tuple(bps), tuple(vals))
+    vals = (ONE if (i % 2 == 0) == start_high else ZERO for i in range(k + 1))
+    return PiecewiseLinearMap((ZERO, *accumulate(widths[:-1]), ONE), tuple(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +384,6 @@ class QuadraticFamilyMap(IntervalSystem):
 
     def space(self) -> RationalIntervalSet:
         return _UNIT_INTERVAL if self.family == "logistic" else _SYMMETRIC_INTERVAL
-
-    def contains_point(self, x: Fraction) -> bool:
-        return self.space().contains(x)
 
     def evaluate(self, x: Fraction) -> Fraction:
         if not self.contains_point(x):
@@ -470,12 +485,8 @@ def _thirds_level(level: int) -> tuple[ClosedInterval, ...]:
     """Level-k middle-thirds approximation of the Cantor set on [0,1]."""
     parts = [ClosedInterval(ZERO, ONE)]
     for _ in range(level):
-        nxt = []
-        for p in parts:
-            w = p.width / 3
-            nxt.append(ClosedInterval(p.lo, p.lo + w))
-            nxt.append(ClosedInterval(p.hi - w, p.hi))
-        parts = nxt
+        parts = [half for p in parts for half in (ClosedInterval(p.lo, p.lo + p.width / 3),
+                                                  ClosedInterval(p.hi - p.width / 3, p.hi))]
     return tuple(parts)
 
 
@@ -492,33 +503,26 @@ def _piece_set(n: int, resolution: int) -> RationalIntervalSet:
 
 
 @lru_cache(maxsize=64)
-def _piece_table(depth: int, mode: str) -> tuple[tuple[RationalIntervalSet, Fraction, Fraction], ...]:
-    """(piece set, slope, offset) of every piece, indices 1, −1, 2, −2, … ±depth."""
+def _cantor_cells(depth: int, mode: str) -> Cells:
+    """The middle-thirds map's cell table: one cell per piece, its set at
+    resolution ``depth`` with the piece's increasing map, and the fixed point 0
+    as the cell {0} with the identity, in ascending position (pieces −1, −2, …,
+    −depth, then 0, then depth, …, 1)."""
     system = CantorSystem(depth, mode)
-    return tuple((_piece_set(signed, depth), *system.piece_affine(signed))
-                 for n in range(1, depth + 1) for signed in (n, -n))
-
-
-@lru_cache(maxsize=64)
-def _int_cell_table(depth: int, mode: str) -> tuple[tuple[tuple[IntPart, ...], int, int, int], ...]:
-    """The map's cells in ascending position, each as (parts, a, b, q) with
-    f(x) = (a·x + b)/q on it: every piece of the table, and the fixed point 0
-    as the cell {0} with the identity.  Every a is positive."""
-    cells = [(piece.int_parts, *_int_affine_form(s, c)) for piece, s, c in _piece_table(depth, mode)]
-    cells.append((((0, 1, 0, 1),), 1, 0, 1))
-    return tuple(sorted(cells, key=lambda cell: Fraction(*cell[0][0][:2])))
+    return tuple((_piece_set(n, depth).int_parts, *_int_affine_form(*system.piece_affine(n))) if n
+                 else (((0, 1, 0, 1),), 1, 0, 1)
+                 for n in (*range(-1, -depth - 1, -1), 0, *range(depth, 0, -1)))
 
 
 @lru_cache(maxsize=64)
 def _cantor_space(depth: int) -> RationalIntervalSet:
-    """The fixed point 0 with every piece of index |n| ≤ depth at resolution depth."""
-    # the piece sets are the same under both image modes
-    pieces = _piece_table(depth, "fold")
-    return normalize([ClosedInterval(ZERO, ZERO)] + [p for piece, _, _ in pieces for p in piece.parts])
+    """The union of the cells: the fixed point 0 with every piece of index |n| ≤ depth."""
+    # the cells ascend with gaps between them, and their sets are the same under both image modes
+    return from_int_set([part for parts, *_ in _cantor_cells(depth, "fold") for part in parts])
 
 
 @dataclass(frozen=True)
-class CantorSystem(IntervalSystem):
+class CantorSystem(PiecewiseAffineSystem):
     """Self-map of a two-sided middle-thirds set in [−1,1] that scales each
     dyadically indexed piece by 3 (by 9 on the two pieces of index ±3) and
     translates it onto another piece.
@@ -540,13 +544,10 @@ class CantorSystem(IntervalSystem):
     decidable.
 
     A piece set depends only on its index and resolution, the space only on
-    ``depth``, and the table of (piece set, slope, offset) on ``depth`` and
-    the mode: each is built once per process (in a bounded cache that holds
-    no system) and shared by every system and query that asks for it.  The
-    map queries (``evaluate``, forward images, preimages and point
-    preimages) read the same table in integer form, ordered by position with
-    the fixed point 0 as a cell of its own, and build one Fraction per
-    endpoint or point they return.
+    ``depth``, and the cell table (one cell per piece, plus the fixed point 0
+    as a cell of its own) on ``depth`` and the mode: each is built once per
+    process, in a bounded cache that holds no system, and shared by every
+    system and query that asks for it.
     """
 
     depth: int
@@ -599,9 +600,6 @@ class CantorSystem(IntervalSystem):
         slope = dst.width / src.width
         return slope, dst.lo - slope * src.lo
 
-    def min_slope_modulus(self) -> Fraction:
-        return min(abs(s) for _, s, _ in self._pieces())
-
     def critical_points(self) -> list[Fraction]:
         """None: every piece map is increasing and the pieces are separated."""
         return []
@@ -615,57 +613,14 @@ class CantorSystem(IntervalSystem):
 
     # map ------------------------------------------------------------------
 
-    def _pieces(self) -> tuple[tuple[RationalIntervalSet, Fraction, Fraction], ...]:
-        return _piece_table(self.depth, self.negative_image_mode)
+    @property
+    def _int_cells(self) -> Cells:
+        return _cantor_cells(self.depth, self.negative_image_mode)
 
-    def contains_point(self, x: Fraction) -> bool:
-        return self.space().contains(x)
-
-    def _int_cells(self) -> tuple[tuple[tuple[IntPart, ...], int, int, int], ...]:
-        return _int_cell_table(self.depth, self.negative_image_mode)
-
-    def _int_value(self, xn: int, xd: int) -> tuple[int, int]:
-        """f(xn/xd) for xd > 0 as an unreduced integer pair."""
-        for parts, a, b, q in self._int_cells():
-            if int_contains(parts, xn, xd):
-                return a * xn + b * xd, q * xd
-        raise DomainError(f"{Fraction(xn, xd)} outside the depth-{self.depth} space")
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        return Fraction(*self._int_value(x.numerator, x.denominator))
-
-    def affine_cells(self) -> list[tuple[ClosedInterval, Fraction, Fraction]]:
-        """All space components with their affine data, plus the fixed origin."""
-        return [(ClosedInterval(ZERO, ZERO), ONE, ZERO)] + [
-            (part, s, c) for piece, s, c in self._pieces() for part in piece.parts]
-
-    def _int_forward(self, s: Sequence[IntPart]) -> list[IntPart]:
-        out = []
-        for parts, a, b, q in self._int_cells():
-            hit = int_intersect(s, parts)
-            if hit:
-                out += int_affine(hit, a, b, q)
-        return int_normalize(out)
-
-    def _int_preimage(self, target: Sequence[IntPart]) -> list[IntPart]:
-        out = []
-        for parts, a, b, q in self._int_cells():
-            out += int_intersect(int_affine(target, q, -b, a), parts)
-        return int_normalize(out)
-
-    def _int_point_preimages(self, yn: int, yd: int) -> list[tuple[int, int]]:
-        """Every x with f(x) = yn/yd, ascending, as unreduced pairs."""
-        return [(n, d) for parts, a, b, q in self._int_cells()
-                for n, d in ((q * yn - b * yd, a * yd),) if int_contains(parts, n, d)]
-
-    def forward_image(self, sset: RationalIntervalSet) -> RationalIntervalSet:
-        return from_int_set(self._int_forward(sset.int_parts))
-
-    def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
-        return from_int_set(self._int_preimage(target.int_parts))
-
-    def point_preimages(self, y: Fraction) -> list[Fraction]:
-        return [Fraction(n, d) for n, d in self._int_point_preimages(y.numerator, y.denominator)]
+    # perfbench/layers.py traces these in the class's own namespace
+    contains_point = IntervalSystem.contains_point
+    forward_image = PiecewiseAffineSystem.forward_image
+    preimage = PiecewiseAffineSystem.preimage
 
     def ball_image(self, radius: Fraction, closed: bool = True) -> RationalIntervalSet:
         """Exact image of the radius-ball about 0 intersected with the space.
@@ -674,17 +629,14 @@ class CantorSystem(IntervalSystem):
         intersection at the space's gap structure (true for the radii 2/3ⁿ
         used by the one-sidedness checks).
         """
-        ball = self.tube(ZERO, radius)
+        ball = self._int_tube(ZERO, radius)
         if not closed:
-            kept = []
-            for p in ball.parts:
-                if p.lo == -radius or p.hi == radius:
-                    if p.width > 0:
-                        raise ValueError("open ball not exactly representable at this radius")
-                    continue
-                kept.append(p)
-            ball = normalize(kept)
-        return self.forward_image(ball)
+            rn, rd = radius.numerator, radius.denominator
+            edge = [p for p in ball if p[0] * rd == -rn * p[1] or p[2] * rd == rn * p[3]]
+            if any(ln * hd != hn * ld for ln, ld, hn, hd in edge):
+                raise ValueError("open ball not exactly representable at this radius")
+            ball = [p for p in ball if p not in edge]
+        return from_int_set(self._int_forward(ball))
 
     def to_json(self) -> dict:
         return {"kind": "cantor", "depth": self.depth, "negative_image_mode": self.negative_image_mode}
@@ -925,12 +877,7 @@ class SLimitSystem(IntervalSystem):
         return [Fraction(-1, 2**n) for n in range(1, self.tail_depth + 1)]
 
     def space(self) -> RationalIntervalSet:
-        parts = [ClosedInterval(p, p) for p in self.tail_points()]
-        parts.append(ClosedInterval(ZERO, ONE))
-        return normalize(parts)
-
-    def contains_point(self, x: Fraction) -> bool:
-        return (0 <= x <= 1) or x in set(self.tail_points())
+        return normalize([ClosedInterval(p, p) for p in self.tail_points()] + [ClosedInterval(ZERO, ONE)])
 
     def evaluate(self, x: Fraction) -> Fraction:
         if not self.contains_point(x):
@@ -983,7 +930,8 @@ def iterate(system: SystemSpec, x: Point, n: int) -> Point:
 
 
 def system_from_json(data: Union[dict, str]) -> SystemSpec:
-    """Parse a system document; a missing field raises ValueError naming it."""
+    """Parse a system document; a missing field or one of the wrong type
+    raises ValueError naming it."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
@@ -991,19 +939,35 @@ def system_from_json(data: Union[dict, str]) -> SystemSpec:
     try:
         kind = data["kind"]
         if kind == "pl":
-            return PiecewiseLinearMap(
-                tuple(rat(b) for b in data["breakpoints"]), tuple(rat(v) for v in data["values"])
-            )
+            return PiecewiseLinearMap(tuple(rat(b) for b in _list_field("breakpoints", data["breakpoints"])),
+                                      tuple(rat(v) for v in _list_field("values", data["values"])))
         if kind == "quadratic":
             return QuadraticFamilyMap(data["family"], rat(data["parameter"]))
         if kind == "cantor":
-            return CantorSystem(int(data["depth"]), data.get("negative_image_mode", "fold"))
+            return CantorSystem(_int_field("depth", data["depth"]), data.get("negative_image_mode", "fold"))
         if kind == "sft":
-            return ShiftSystem(tuple(data["alphabet"]), tuple(data.get("forbidden", ())))
+            alphabet = data["alphabet"]  # a string is its own list of one-character symbols
+            return ShiftSystem(tuple(alphabet if isinstance(alphabet, str) else _list_field("alphabet", alphabet, str)),
+                               tuple(_list_field("forbidden", data.get("forbidden", []), str)))
         if kind == "odometer":
-            return OdometerSystem(int(data["depth"]))
+            return OdometerSystem(_int_field("depth", data["depth"]))
         if kind == "slimit":
-            return SLimitSystem(int(data["tail_depth"]))
+            return SLimitSystem(_int_field("tail_depth", data["tail_depth"]))
     except KeyError as missing:
         raise ValueError(f"system JSON lacks the field {missing.args[0]!r}") from None
     raise ValueError(f"unknown system kind {kind!r}")
+
+
+def _int_field(name: str, value) -> int:
+    """The value of an integer field: a float or a boolean is refused, not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"system JSON field {name!r} must be an integer, not {value!r}")
+    return value
+
+
+def _list_field(name: str, value, item: type = object) -> list:
+    """The value of a list field, each entry of the given type."""
+    if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+        what = "a list" if item is object else f"a list of {item.__name__}"
+        raise ValueError(f"system JSON field {name!r} must be {what}, not {value!r}")
+    return value

@@ -310,6 +310,26 @@ def test_cli_malformed_orbit_json_is_one_line_error(tmp_path, capsys, orbit_text
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+@pytest.mark.parametrize("system_text, message", [
+    # the first three ended in a TypeError traceback with exit code 1
+    ('{"kind": "pl", "breakpoints": 5, "values": [0, 1]}', "field 'breakpoints' must be a list, not 5"),
+    ('{"kind": "cantor", "depth": [3]}', "field 'depth' must be an integer, not [3]"),
+    ('{"kind": "sft", "alphabet": "01", "forbidden": 5}', "field 'forbidden' must be a list of str, not 5"),
+    # these two ran, at depth 2 and depth 1
+    ('{"kind": "cantor", "depth": 2.5}', "field 'depth' must be an integer, not 2.5"),
+    ('{"kind": "odometer", "depth": true}', "field 'depth' must be an integer, not True"),
+], ids=["pl-breakpoints-int", "cantor-depth-list", "sft-forbidden-int", "cantor-depth-float", "odometer-depth-bool"])
+def test_cli_system_json_field_of_the_wrong_type_is_one_line_error(tmp_path, capsys, system_text, message):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(system_text)
+    orbit_path = tmp_path / "orbit.csv"
+    orbit_path.write_text("0/1\n")
+    code = main(["shadow", "oracle", "--system", str(sys_path), "--orbit", str(orbit_path), "--epsilon", "1/4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_cli_ball_check_rejects_an_empty_grid(tmp_path, capsys, grid):
     # --grid 0 used to print "holds": "certified" with gridSize 0 and exit 0

@@ -157,19 +157,23 @@ def test_pair_bounds_skip_only_violation_free_pairs():
 
 
 def test_affine_cells_on_a_128_part_cantor_carrier():
-    # _affine_cells against every cell domain met with every carrier part
+    # _affine_cells against the public piece geometry: every component of every
+    # piece set met with every carrier part, and the fixed point 0 with the
+    # identity, in ascending order
     for mode in ("fold", "mirror"):
         system = CantorSystem(7, mode)
         space = system.space()
         every_other = RationalIntervalSet(space.parts[::2])
         assert len(every_other.parts) == 128
         for carrier in (space, every_other):
-            expected = []
-            for dom, s, c in system.affine_cells():
-                met = [ClosedInterval(max(dom.lo, q.lo), min(dom.hi, q.hi)) for q in carrier.parts
-                       if max(dom.lo, q.lo) <= min(dom.hi, q.hi)]
-                expected.extend((part, s, c) for part in normalize(met).parts)
-            assert _affine_cells(system, carrier) == expected
+            expected = [(ClosedInterval(F(0), F(0)), F(1), F(0))] if carrier.contains(F(0)) else []
+            for n in (*range(1, 8), *range(-7, 0)):
+                s, c = system.piece_affine(n)
+                for dom in system.piece_set(n).parts:
+                    met = [ClosedInterval(max(dom.lo, q.lo), min(dom.hi, q.hi)) for q in carrier.parts
+                           if max(dom.lo, q.lo) <= min(dom.hi, q.hi)]
+                    expected.extend((part, s, c) for part in normalize(met).parts)
+            assert _affine_cells(system, carrier) == sorted(expected)
 
 
 def test_expanding_brute_force_cross_validation():

@@ -123,8 +123,8 @@ def test_pl_slopes_from_difference_quotients():
 
 
 def test_lap_lookup_matches_a_linear_scan():
-    # evaluate (through lap_index on a Fraction) and the PL ball route (on an
-    # unreduced integer pair) share one lookup; a lookup one lap off changes
+    # evaluate (on a reduced point) and the PL ball route (on an unreduced
+    # integer pair) share one cell lookup; a lookup one lap off changes
     # evaluate's answer inside a lap
     rng = random.Random(31)
     for m in pl_maps():
@@ -134,7 +134,8 @@ def test_lap_lookup_matches_a_linear_scan():
         points += [x for x in near if 0 <= x <= 1]
         for x in points:
             by_scan = max(i for i, (dom, _, _) in enumerate(laps) if dom.lo <= x)
-            assert m.lap_index(x) == by_scan == m.lap_index((3 * x.numerator, 3 * x.denominator))
+            xn, xd = x.numerator, x.denominator
+            assert m.cell_index(xn, xd) == by_scan == m.cell_index(3 * xn, 3 * xd)
             dom, s, c = laps[by_scan]
             assert dom.lo <= x <= dom.hi and m.evaluate(x) == s * x + c
 
@@ -164,6 +165,15 @@ def test_branches_agree_with_eval():
 
 
 # -- preimages --------------------------------------------------------------
+
+
+def test_pl_breakpoint_hit_is_listed_once():
+    # a value taken at a breakpoint is hit by both laps that share it
+    assert tent_map(2).point_preimages(F(1)) == [F(1, 2)]
+    for m in pl_maps():
+        for b, v in zip(m.breakpoints, m.values):
+            hits = m.point_preimages(v)
+            assert hits.count(b) == 1 and hits == sorted(set(hits))
 
 
 def test_tent_preimage_upper_half():

@@ -2,7 +2,9 @@
 them, and the integer steps of every system they serve, to the loops as they
 were first written on Fraction interval sets: the reference below keeps those
 loops and each system's Fraction forward image, preimage and point preimages,
-with s·x + c arithmetic on the laps and piece maps."""
+with s·x + c arithmetic on the laps and piece maps.  The Cantor references scan
+the public piece geometry (``piece_set``, ``piece_affine``), not the cell
+table the integer steps read."""
 
 import random
 from fractions import Fraction as F
@@ -76,10 +78,16 @@ def pl_point_preimages(f, y):
     return sorted({(y - c) / s for dom, s, c in f.laps() if dom.lo <= (y - c) / s <= dom.hi})
 
 
+def cantor_pieces(system):
+    """(piece set, slope, offset) of pieces ±1 … ±depth, from the public piece geometry."""
+    return [(system.piece_set(signed), *system.piece_affine(signed))
+            for n in range(1, system.depth + 1) for signed in (n, -n)]
+
+
 def cantor_evaluate(system, x):
     if x == 0:
         return ZERO
-    for piece, s, c in system._pieces():
+    for piece, s, c in cantor_pieces(system):
         if piece.contains(x):
             return s * x + c
     raise AssertionError(f"{x} outside the space")
@@ -87,24 +95,43 @@ def cantor_evaluate(system, x):
 
 def cantor_forward(system, sset):
     out = [ClosedInterval(ZERO, ZERO)] if sset.contains(ZERO) else []
-    for piece, s, c in system._pieces():
+    for piece, s, c in cantor_pieces(system):
         out.extend(ref_affine(intersect(sset, piece), s, c).parts)
     return normalize(out)
 
 
 def cantor_preimage(system, target):
     out = [ClosedInterval(ZERO, ZERO)] if target.contains(ZERO) else []
-    for piece, s, c in system._pieces():
+    for piece, s, c in cantor_pieces(system):
         out.extend(intersect(ref_affine(target, 1 / s, -c / s), piece).parts)
     return normalize(out)
 
 
 def cantor_point_preimages(system, y):
     out = {ZERO} if y == 0 else set()
-    for piece, s, c in system._pieces():
+    for piece, s, c in cantor_pieces(system):
         if piece.contains((y - c) / s):
             out.add((y - c) / s)
     return sorted(out)
+
+
+@pytest.mark.parametrize("depth", [5, 6, 7])
+@pytest.mark.parametrize("mode", ["fold", "mirror"])
+def test_cantor_map_queries_match_a_piece_scan(depth, mode):
+    # the cell-table queries against the piece scan above, at every component
+    # end and midpoint of the space, with balls inside one component and
+    # balls spanning several
+    system = CantorSystem(depth, mode)
+    for part in system.space().parts:
+        for x in (part.lo, part.hi, (part.lo + part.hi) / 2):
+            y = system.evaluate(x)
+            assert y == cantor_evaluate(system, x)
+            assert x in system.point_preimages(y)
+            assert system.point_preimages(x) == cantor_point_preimages(system, x)
+            for radius in (F(1, 3 ** (depth + 1)), F(1, 3 ** (depth - 2))):
+                ball = ref_tube(system, x, radius)
+                assert system.forward_image(ball) == cantor_forward(system, ball)
+                assert system.preimage(ball) == cantor_preimage(system, ball)
 
 
 def slimit_forward(system, sset):
