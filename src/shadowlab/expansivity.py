@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -20,8 +19,10 @@ from typing import Optional, Sequence
 
 from .numerics import (
     ClosedInterval,
+    IntPart,
     RationalIntervalSet,
     from_int_set,
+    int_affine,
     int_intersect,
     interior_grid,
     intersect,
@@ -99,19 +100,21 @@ class ExpansivityVerdict:
 # exact pair analysis over affine cells
 # ---------------------------------------------------------------------------
 
-Cell = tuple[ClosedInterval, Fraction, Fraction]  # (domain, slope, offset)
+IntCell = tuple[IntPart, int, int, int]  # (part, a, b, q): f(x) = (a·x + b)/q on the part
+Cell = tuple[ClosedInterval, Fraction, Fraction]  # the Fraction view: (domain, slope, offset)
 
 
-def _affine_cells(system, carrier: RationalIntervalSet) -> list[Cell]:
-    """The cells of the system's table met with the carrier, ascending, each
-    component with its cell's (slope, offset)."""
-    cells = []
-    for parts, a, b, q in system._int_cells:
-        met = int_intersect(parts, carrier.int_parts)
-        if met:
-            s, c = Fraction(a, q), Fraction(b, q)
-            cells += [(part, s, c) for part in from_int_set(met).parts]
-    return cells
+def _affine_cells(system, carrier: RationalIntervalSet) -> list[IntCell]:
+    """The entries of the system's cell table met with the carrier, ascending,
+    each component with its cell's (a, b, q)."""
+    return [(part, a, b, q) for parts, a, b, q in system._int_cells
+            for part in int_intersect(parts, carrier.int_parts)]
+
+
+def _out_of_reach(cx: IntCell, cy: IntCell, dn: int, dd: int) -> bool:
+    """Whether cy starts at least δ = dn/dd right of where cx ends."""
+    (_, _, hn, hd), (ln, ld, _, _) = cx[0], cy[0]
+    return (ln * hd - hn * ld) * dd >= dn * ld * hd
 
 
 def _vertex_candidates(cx: Cell, cy: Cell, delta: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -145,7 +148,7 @@ def _vertex_candidates(cx: Cell, cy: Cell, delta: Fraction) -> list[tuple[Fracti
     return out
 
 
-def _pair_bound_clears(cx: Cell, cy: Cell, delta: Fraction, mu: Fraction) -> bool:
+def _pair_bound_clears(cx: IntCell, cy: IntCell, delta: Fraction, mu: Fraction) -> bool:
     """True when one of two exact bounds proves that no pair x ∈ cx, y ∈ cy
     with 0 < y−x < delta has |F(x)−G(y)| < μ(y−x):
 
@@ -153,43 +156,34 @@ def _pair_bound_clears(cx: Cell, cy: Cell, delta: Fraction, mu: Fraction) -> boo
         |F(x)−G(y)| = |s|(y−x) ≥ μ(y−x);
     (b) the images F(ix) and G(iy) lie at least μ·min(delta, iy.hi−ix.lo)
         apart, an upper bound on μ(y−x) over every such pair.
-    Both are decided on integers by cross-multiplication."""
-    (ix, sx, ox), (iy, sy, oy) = cx, cy
+    Both are decided on the table's integers by cross-multiplication."""
+    (ix, ax, bx, qx), (iy, ay, by, qy) = cx, cy
     mn, md = mu.numerator, mu.denominator
-    if sx == sy and ox == oy and abs(sx.numerator) * md >= mn * sx.denominator:
+    if cx[1:] == cy[1:] and abs(ax) * md >= mn * qx:
         return True
-    fl, fh = _int_image(ix, sx, ox)
-    gl, gh = _int_image(iy, sy, oy)
+    (fl, fld, fh, fhd), = int_affine([ix], ax, bx, qx)
+    (gl, gld, gh, ghd), = int_affine([iy], ay, by, qy)
     # r = μ·min(delta, iy.hi − ix.lo)
-    yh, xl = iy.hi, ix.lo
-    rn, rd = yh.numerator * xl.denominator - xl.numerator * yh.denominator, yh.denominator * xl.denominator
+    rn, rd = iy[2] * ix[1] - ix[0] * iy[3], iy[3] * ix[1]
     if delta.numerator * rd < rn * delta.denominator:
         rn, rd = delta.numerator, delta.denominator
     rn, rd = rn * mn, rd * md
     # gap = max(min G − max F, min F − max G) ≥ r, one side at a time
-    return ((gl[0] * fh[1] - fh[0] * gl[1]) * rd >= rn * gl[1] * fh[1]
-            or (fl[0] * gh[1] - gh[0] * fl[1]) * rd >= rn * fl[1] * gh[1])
+    return (gl * fhd - fh * gld) * rd >= rn * gld * fhd or (fl * ghd - gh * fld) * rd >= rn * fld * ghd
 
 
-def _int_image(iv: ClosedInterval, s: Fraction, o: Fraction) -> list[tuple[int, int]]:
-    """[min, max] of s·x + o over the interval as integer pairs."""
-    a, b, q = s.numerator * o.denominator, o.numerator * s.denominator, s.denominator * o.denominator
-    ends = [(a * e.numerator + b * e.denominator, q * e.denominator) for e in (iv.lo, iv.hi)]
-    return ends if a > 0 else ends[::-1]
-
-
-def _pair_violation(cx: Cell, cy: Cell, delta: Fraction, mu: Fraction) -> Optional[tuple]:
+def _pair_violation(cx: IntCell, cy: IntCell, delta: Fraction, mu: Fraction) -> Optional[tuple]:
     """A pair x ∈ cx, y ∈ cy with 0 < y−x < delta and |F(x)−G(y)| < μ(y−x),
     or None when no such pair exists.
 
     Pairs out of reach (iy.lo − ix.hi ≥ delta) and pairs that
     :func:`_pair_bound_clears` proves clear are None at once; the rest are
-    decided exactly at the vertices of the line arrangement."""
-    (ix, sx, ox), (iy, sy, oy) = cx, cy
-    yl, xh = iy.lo, ix.hi
-    if ((yl.numerator * xh.denominator - xh.numerator * yl.denominator) * delta.denominator
-            >= delta.numerator * yl.denominator * xh.denominator or _pair_bound_clears(cx, cy, delta, mu)):
+    decided exactly at the vertices of the line arrangement, on Fractions."""
+    if _out_of_reach(cx, cy, delta.numerator, delta.denominator) or _pair_bound_clears(cx, cy, delta, mu):
         return None
+    cx, cy = [(ClosedInterval(Fraction(ln, ld), Fraction(hn, hd)), Fraction(a, q), Fraction(b, q))
+              for (ln, ld, hn, hd), a, b, q in (cx, cy)]  # the Fraction view of both cells
+    (ix, sx, ox), (iy, sy, oy) = cx, cy
     # prefer an exact image collision F(x) = G(y), i.e. y = a·x + b
     a, b = sx / sy, (ox - oy) / sy
     lo, hi = ix.lo, ix.hi
@@ -243,20 +237,20 @@ def _small_step(iv: ClosedInterval, shrink: Fraction) -> Fraction:
     return w * shrink / 4
 
 
-def _expanding_violation(cells: list[Cell], delta: Fraction, mu: Fraction) -> Optional[tuple]:
+def _expanding_violation(cells: list[IntCell], delta: Fraction, mu: Fraction) -> Optional[tuple]:
     """The first violating pair over cells in ascending order, as :func:`_affine_cells` gives them."""
+    dn, dd, mn, md = delta.numerator, delta.denominator, mu.numerator, mu.denominator
     for i, cx in enumerate(cells):
+        (ln, ld, hn, hd), a, _, q = cx
         # pairs inside one cell: the ratio is exactly the slope modulus
-        if cx[0].width > 0 and abs(cx[1]) < mu:
-            gap = min(delta / 2, cx[0].width)
-            return (cx[0].lo, cx[0].lo + gap)
+        if ln * hd < hn * ld and abs(a) * md < mn * q:
+            lo = Fraction(ln, ld)
+            return lo, lo + min(delta / 2, Fraction(hn, hd) - lo)
         for j in range(i + 1, len(cells)):
             cy = cells[j]
-            if cy[0].lo - cx[0].hi >= delta:
+            if _out_of_reach(cx, cy, dn, dd):
                 break  # cells sorted by lo: everything further is out of reach
-            hit = _pair_violation(cx, cy, delta, mu)
-            if hit is None:
-                hit = _pair_violation(cy, cx, delta, mu)
+            hit = _pair_violation(cx, cy, delta, mu) or _pair_violation(cy, cx, delta, mu)
             if hit is not None:
                 return hit
     return None
@@ -306,9 +300,10 @@ def _affine_expanding(system, carrier: RationalIntervalSet, delta, mu, constants
 def _affine_star(system, carrier: RationalIntervalSet, delta, mu, constants) -> ExpansivityVerdict:
     cells_x = _affine_cells(system, carrier)
     cells_y = _affine_cells(system, system.space())
+    dn, dd = delta.numerator, delta.denominator
     for cx in cells_x:
         for cy in cells_y:
-            if max(cy[0].lo - cx[0].hi, cx[0].lo - cy[0].hi) >= delta:
+            if _out_of_reach(cx, cy, dn, dd) or _out_of_reach(cy, cx, dn, dd):
                 continue
             hit = _pair_violation(cx, cy, delta, mu)
             if hit is None:
@@ -384,33 +379,36 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
     breakpoint values, f(x) ± μ·ε) is a single affine function of x, so
     after refining each cell by all pairwise crossings of those affines the
     two covering inequalities are affine per piece and endpoint checks
-    decide them completely.  All on integers: the cuts over one common
-    denominator D, each candidate as (A, B, Q) with value (A·x + B)/Q, each
-    crossing as n/d, compared by cross-multiplication; a Fraction is built
-    only for a crossing inside its cell, for the ends of the segments the
-    carrier keeps and for the missing point returned.
+    decide them completely.  All on the cell table's integers (breakpoints
+    are the laps' left ends and 1): the cuts over one common denominator D,
+    each candidate as (A, B, Q) with value (A·x + B)/Q, each crossing as
+    n/d, compared by cross-multiplication; a Fraction is built only for a
+    crossing inside its cell, for the ends of the segments the carrier keeps
+    and for the missing point returned.
     """
     en, ed = eps.numerator, eps.denominator
     men, med = mu.numerator * en, mu.denominator * ed  # μ·ε
-    cells, vals = system._int_cells, system._int_values
-    D = math.lcm(*(bd for _, bd in system._int_breakpoints)) * ed
+    cells = system._int_cells
+    ends = [parts[0][:2] for parts, *_ in cells] + [(1, 1)]  # the breakpoints: each lap's left end, then 1
+    vals = [system._int_value(n, d) for n, d in ends]
+    D = math.lcm(*(d for _, d in ends)) * ed
     E = en * (D // ed)  # ε in units of 1/D
-    bps = [bn * (D // bd) for bn, bd in system._int_breakpoints]
+    bps = [n * (D // d) for n, d in ends]
     base = sorted({0, D}.union(v for b in bps for v in (b - E, b, b + E) if 0 <= v <= D))
 
     def violation_at(x: Fraction) -> Optional[Fraction]:
-        xn, xd = x.numerator, x.denominator
-        wn, wd = xn * ed, xd * ed  # x over the denominator of x ± ε
-        m, M = system._int_image_bounds(max(wn - en * xd, 0), wd, min(wn + en * xd, wd), wd)
-        fn, fd = system._int_value(xn, xd)
+        # the window [x − ε, x + ε] ∩ [0,1] is an interval, so its image is one
+        (ln, ld, hn, hd), = system._int_forward(system._int_tube(x, eps))
+        fn, fd = system._int_value(x.numerator, x.denominator)
         sn, sd, rn = fn * med, fd * med, men * fd  # f(x) and μ·ε over one denominator
         top, bot = min(sn + rn, sd), max(sn - rn, 0)
-        if top * M[1] > M[0] * sd:
+        if top * hd > hn * sd:
             return Fraction(top, sd)
-        if bot * m[1] < m[0] * sd:
+        if bot * ld < ln * sd:
             return Fraction(bot, sd)
         return None
 
+    last = None  # the test points ascend, and two segments may share an end: test it once
     for lo, hi in zip(base, base[1:]):
         seg = int_intersect([(lo, D, hi, D)], carrier.int_parts)
         if not seg:
@@ -442,9 +440,10 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
         for ln, ld, hn, hd in seg:
             plo, phi = Fraction(ln, ld), Fraction(hn, hd)
             for x in sorted({plo, phi}.union(x for x in crossings if plo < x < phi)):
-                missing = violation_at(x)
+                missing = None if x == last else violation_at(x)
                 if missing is not None:
                     return x, missing
+                last = x
     return None
 
 
@@ -548,11 +547,12 @@ def check_open_at(system: SystemSpec, x) -> ExpansivityVerdict:
 
 
 def _pl_open_at(system: PiecewiseLinearMap, x: Fraction, constants) -> ExpansivityVerdict:
-    slopes = system.slopes
     fx = system.evaluate(x)  # DomainError outside [0,1]
     # slopes of the laps just left and just right of x; at 0 and 1 both read the one lap there
-    sl = slopes[max(bisect_left(system.breakpoints, x) - 1, 0)]
-    sr = slopes[system.cell_index(x.numerator, x.denominator)]
+    right = system.cell_index(x.numerator, x.denominator)
+    ln, ld = system._int_cells[right][0][0][:2]
+    left = right - 1 if right and x.numerator * ld == ln * x.denominator else right
+    sl, sr = system.slopes[left], system.slopes[right]
     if x == 0:
         ok = (sr > 0 and fx == 0) or (sr < 0 and fx == 1)
     elif x == 1:

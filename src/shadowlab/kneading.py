@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import islice
+from typing import Iterator, Optional, Union
 
 from .numerics import rat, rat_str
 from .systems import PiecewiseLinearMap, QuadraticFamilyMap, quadratic_map, require
@@ -82,29 +83,22 @@ def _fast_quadratic_kneading(mu: Fraction, horizon: int) -> Optional[KneadingWor
 
     Every emitted symbol is certified by an enclosure that stays strictly on
     one side of the critical point; returns None when the precision ladder
-    (192, 768, 3072 bits) cannot separate some iterate from 0 (the exact
-    path then decides).
+    (``_KNEADING_BITS``) cannot separate some iterate from 0 (the exact path
+    then decides).
     """
-    bits = 192
-    while bits <= 8192:
-        lo = hi = 1 << bits  # the critical value 1, as a numerator over 2^bits
+    for bits in _KNEADING_BITS:
         syms: list[str] = []
-        stuck = False
-        for _ in range(horizon):
+        for lo, hi in islice(_critical_orbit_enclosures(mu, bits), horizon):
             if lo > 0:
                 syms.append(R)
             elif hi < 0:
                 syms.append(L)
             elif lo == hi == 0:
-                syms.append(C)
-                break
+                return KneadingWord("".join(syms) + C, horizon)
             else:
-                stuck = True
-                break
-            lo, hi = _quadratic_step(mu, lo, hi, bits)
-        if not stuck:
+                break  # not separated from 0 at this precision
+        else:
             return KneadingWord("".join(syms), horizon)
-        bits *= 4
     return None
 
 
@@ -240,6 +234,10 @@ def find_parameter(target: KneadingWord, horizon: int, bisection_steps: int) -> 
 # ---------------------------------------------------------------------------
 
 
+_KNEADING_BITS = (192, 768, 3072)
+_SEPARATION_BITS = (512, 1024, 2048, 4096)
+
+
 def _quadratic_step(mu: Fraction, lo: int, hi: int, bits: int) -> tuple[int, int]:
     """Image of [lo, hi]·2^−bits under 1 − μx², rounded outward to the
     2^−bits grid; endpoints are integer numerators over 2^bits.
@@ -257,6 +255,15 @@ def _quadratic_step(mu: Fraction, lo: int, hi: int, bits: int) -> tuple[int, int
     return (one - n * big * big) // den, -((n * small * small - one) // den)
 
 
+def _critical_orbit_enclosures(mu: Fraction, bits: int) -> Iterator[tuple[int, int]]:
+    """Outward-rounded enclosures of Fⁿ(0) for n = 1, 2, …, F = 1 − μx², as
+    numerator pairs over 2^bits, one :func:`_quadratic_step` each."""
+    lo = hi = 0
+    while True:
+        lo, hi = _quadratic_step(mu, lo, hi, bits)
+        yield lo, hi
+
+
 def critical_orbit_separation(mu: Fraction, first: int, last: int) -> Optional[Fraction]:
     """Certified positive lower bound on min |Fⁿ(0)| for n in [first, last],
     F = 1−μx², via outward-rounded dyadic interval iteration.
@@ -268,21 +275,12 @@ def critical_orbit_separation(mu: Fraction, first: int, last: int) -> Optional[F
     if not 1 <= first <= last:
         raise ValueError("need 1 <= first <= last")
     mu = rat(mu)
-    bits = 512
-    while bits <= 4096:
-        lo = hi = 0
-        best: Optional[int] = None
-        ok = True
-        for n in range(1, last + 1):
-            lo, hi = _quadratic_step(mu, lo, hi, bits)
-            if n >= first:
-                if lo <= 0 <= hi:
-                    ok = False
-                    break
-                bound = min(abs(lo), abs(hi))
-                if best is None or bound < best:
-                    best = bound
-        if ok:
+    for bits in _SEPARATION_BITS:
+        best = math.inf
+        for lo, hi in islice(_critical_orbit_enclosures(mu, bits), first - 1, last):
+            if lo <= 0 <= hi:
+                break  # this enclosure meets 0: try more bits
+            best = min(best, abs(lo), abs(hi))
+        else:
             return Fraction(best, 1 << bits)
-        bits *= 2
     return None

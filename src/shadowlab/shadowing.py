@@ -32,6 +32,7 @@ from .pseudo_orbits import (
     INSIDE,
     DeviationReport,
     PseudoOrbit,
+    _interval_steps,
     _sample_in_set,
     deviation,
     traces,
@@ -618,13 +619,9 @@ def make_decaying_orbit(system: PiecewiseLinearMap, x0: Fraction, epsilon, stage
     deltas = [ball_expanding_delta(mu, _NU, b)[1] * INSIDE for b in bounds]
     rng = random.Random(seed)
     pts = [x0]
-    schedule = []
-    for idx in range(block * (stages + 2)):
-        stage = min(idx // block + 1, stages + 2)
-        ball = system.tube(system.evaluate(pts[-1]), deltas[stage] * HALF)
-        pts.append(_sample_in_set(ball, rng))
-        schedule.append(deltas[stage])
-    return PseudoOrbit(tuple(pts), decay_schedule=tuple(schedule))
+    for delta in deltas[1:]:  # block i walks within half the stage-(i+1) jump bound
+        pts += _interval_steps(system, pts[-1], block + 1, delta * HALF, rng, None)[1:]
+    return PseudoOrbit(tuple(pts), decay_schedule=tuple(delta for delta in deltas[1:] for _ in range(block)))
 
 
 # ---------------------------------------------------------------------------

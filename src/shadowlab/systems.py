@@ -223,16 +223,13 @@ class PiecewiseLinearMap(PiecewiseAffineSystem):
 
     The cell table has one cell per lap, built once at construction and shared
     by every query; equality and hashing see only ``breakpoints`` and
-    ``values``.  The breakpoints and values are also kept as integer pairs for
-    the image bounds of the exact ball-expansion certificate.
+    ``values``.
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     _int_cells: Cells = field(init=False, repr=False, compare=False)
-    _int_breakpoints: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _int_values: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = tuple(rat(b) for b in self.breakpoints)
@@ -252,8 +249,6 @@ class PiecewiseLinearMap(PiecewiseAffineSystem):
             raise ValueError("zero-slope lap is not a monotone branch")
         ibps = tuple((b.numerator, b.denominator) for b in bps)
         object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "_int_breakpoints", ibps)
-        object.__setattr__(self, "_int_values", tuple((v.numerator, v.denominator) for v in vals))
         object.__setattr__(self, "_int_cells", tuple(
             (((*l, *r),), *_int_affine_form(s, v0 - s * b0))
             for l, r, b0, v0, s in zip(ibps, ibps[1:], bps, vals, slopes)))
@@ -270,19 +265,6 @@ class PiecewiseLinearMap(PiecewiseAffineSystem):
 
     def contains_point(self, x: Fraction) -> bool:
         return 0 <= x.numerator <= x.denominator
-
-    def _int_image_bounds(self, ln: int, ld: int, hn: int, hd: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(min f, max f) over [ln/ld, hn/hd] ⊆ [0,1] as integer pairs, from f at
-        both ends and the value given at each breakpoint strictly between."""
-        lo = hi = self._int_value(ln, ld)
-        inner = [v for (bn, bd), v in zip(self._int_breakpoints, self._int_values)
-                 if ln * bd < bn * ld and bn * hd < hn * bd]
-        for c in [self._int_value(hn, hd), *inner]:
-            if c[0] * lo[1] < lo[0] * c[1]:
-                lo = c
-            elif c[0] * hi[1] > hi[0] * c[1]:
-                hi = c
-        return lo, hi
 
     def lipschitz(self) -> Fraction:
         return max(abs(s) for s in self.slopes)
@@ -554,8 +536,7 @@ class CantorSystem(PiecewiseAffineSystem):
     negative_image_mode: str = "fold"
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        _check_depth("depth", self.depth)
         if self.negative_image_mode not in ("fold", "mirror"):
             raise ValueError("negative_image_mode must be 'fold' or 'mirror'")
 
@@ -804,8 +785,7 @@ class OdometerSystem:
     depth: int
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        _check_depth("depth", self.depth)
 
     def contains_point(self, w: tuple[int, ...]) -> bool:
         return isinstance(w, tuple) and len(w) == self.depth and all(b in (0, 1) for b in w)
@@ -870,8 +850,7 @@ class SLimitSystem(IntervalSystem):
     tail_depth: int
 
     def __post_init__(self):
-        if self.tail_depth < 1:
-            raise ValueError("tail_depth must be >= 1")
+        _check_depth("tail_depth", self.tail_depth)
 
     def tail_points(self) -> list[Fraction]:
         return [Fraction(-1, 2**n) for n in range(1, self.tail_depth + 1)]
@@ -944,25 +923,26 @@ def system_from_json(data: Union[dict, str]) -> SystemSpec:
         if kind == "quadratic":
             return QuadraticFamilyMap(data["family"], rat(data["parameter"]))
         if kind == "cantor":
-            return CantorSystem(_int_field("depth", data["depth"]), data.get("negative_image_mode", "fold"))
+            return CantorSystem(data["depth"], data.get("negative_image_mode", "fold"))
         if kind == "sft":
             alphabet = data["alphabet"]  # a string is its own list of one-character symbols
             return ShiftSystem(tuple(alphabet if isinstance(alphabet, str) else _list_field("alphabet", alphabet, str)),
                                tuple(_list_field("forbidden", data.get("forbidden", []), str)))
         if kind == "odometer":
-            return OdometerSystem(_int_field("depth", data["depth"]))
+            return OdometerSystem(data["depth"])
         if kind == "slimit":
-            return SLimitSystem(_int_field("tail_depth", data["tail_depth"]))
+            return SLimitSystem(data["tail_depth"])
     except KeyError as missing:
         raise ValueError(f"system JSON lacks the field {missing.args[0]!r}") from None
     raise ValueError(f"unknown system kind {kind!r}")
 
 
-def _int_field(name: str, value) -> int:
-    """The value of an integer field: a float or a boolean is refused, not truncated."""
+def _check_depth(name: str, value) -> None:
+    """A depth field is an integer >= 1: a float or a boolean is refused, not truncated."""
     if type(value) is not int:
-        raise ValueError(f"system JSON field {name!r} must be an integer, not {value!r}")
-    return value
+        raise ValueError(f"field {name!r} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def _list_field(name: str, value, item: type = object) -> list:

@@ -76,10 +76,21 @@ def test_tent_expanding_on_left_band():
     assert verdict.certified
 
 
+def _int_cell(lo, hi, slope, offset):
+    """A pair-engine cell, (part, a, b, q) with f(x) = (a·x + b)/q, from its Fraction view."""
+    sd, od = slope.denominator, offset.denominator
+    return (lo.numerator, lo.denominator, hi.numerator, hi.denominator), slope.numerator * od, offset.numerator * sd, sd * od
+
+
+def _view(cell):
+    """The Fraction view of a pair-engine cell: (domain, slope, offset)."""
+    (ln, ld, hn, hd), a, b, q = cell
+    return ClosedInterval(F(ln, ld), F(hn, hd)), F(a, q), F(b, q)
+
+
 def _random_cell(rng, lo):
-    return (ClosedInterval(lo, lo + F(rng.randint(1, 20), 100)),
-            F(rng.choice((-5, -3, -2, 2, 3, 4)), rng.choice((1, 2))),
-            F(rng.randint(-200, 200), 100))
+    return _int_cell(lo, lo + F(rng.randint(1, 20), 100), F(rng.choice((-5, -3, -2, 2, 3, 4)), rng.choice((1, 2))),
+                     F(rng.randint(-200, 200), 100))
 
 
 def test_pair_engine_against_dense_sampling():
@@ -93,14 +104,13 @@ def test_pair_engine_against_dense_sampling():
         delta = F(rng.randint(2, 15), 100)
         mu = F(rng.choice((3, 2, 5)), 2)
         hit = _pair_violation(cell_x, cell_y, delta, mu)
+        (ix, sx, ox), (iy, sy, oy) = _view(cell_x), _view(cell_y)
         if hit is not None:
             x, y = hit
-            (ix, sx, ox), (iy, sy, oy) = cell_x, cell_y
             assert ix.lo <= x <= ix.hi and iy.lo <= y <= iy.hi
             assert 0 < y - x < delta
             assert abs((sx * x + ox) - (sy * y + oy)) < mu * (y - x)
         else:
-            (ix, sx, ox), (iy, sy, oy) = cell_x, cell_y
             for _ in range(300):
                 x = ix.lo + ix.width * F(rng.getrandbits(10), 1 << 10)
                 y = iy.lo + iy.width * F(rng.getrandbits(10), 1 << 10)
@@ -140,14 +150,15 @@ def test_pair_bounds_skip_only_violation_free_pairs():
     for cells, delta, mu in _bound_test_cases():
         for cx in cells:
             for cy in cells:
-                if cy is cx or max(cy[0].lo - cx[0].hi, cx[0].lo - cy[0].hi) >= delta:
+                vx, vy = _view(cx), _view(cy)
+                (ix, sx, ox), (iy, sy, oy) = vx, vy
+                if cy is cx or max(iy.lo - ix.hi, ix.lo - iy.hi) >= delta:
                     continue
                 if not _pair_bound_clears(cx, cy, delta, mu):
                     continue
-                (ix, sx, ox), (iy, sy, oy) = cx, cy
                 same = sx == sy and ox == oy and abs(sx) >= mu
                 skipped["same map" if same else "images apart"] += 1
-                for x, y in _vertex_candidates(cx, cy, delta):
+                for x, y in _vertex_candidates(vx, vy, delta):
                     fx, gy = sx * x + ox, sy * y + oy
                     assert abs(fx - gy) >= mu * (y - x), (cx, cy, delta, mu, x, y)
                     if fx == gy:
@@ -159,7 +170,8 @@ def test_pair_bounds_skip_only_violation_free_pairs():
 def test_affine_cells_on_a_128_part_cantor_carrier():
     # _affine_cells against the public piece geometry: every component of every
     # piece set met with every carrier part, and the fixed point 0 with the
-    # identity, in ascending order
+    # identity, in ascending order; then zigzag maps on two-part carriers
+    # (ends on breakpoints among them) against the public laps met with them
     for mode in ("fold", "mirror"):
         system = CantorSystem(7, mode)
         space = system.space()
@@ -173,7 +185,15 @@ def test_affine_cells_on_a_128_part_cantor_carrier():
                     met = [ClosedInterval(max(dom.lo, q.lo), min(dom.hi, q.hi)) for q in carrier.parts
                            if max(dom.lo, q.lo) <= min(dom.hi, q.hi)]
                     expected.extend((part, s, c) for part in normalize(met).parts)
-            assert _affine_cells(system, carrier) == sorted(expected)
+            assert [_view(cell) for cell in _affine_cells(system, carrier)] == sorted(expected)
+    rng = random.Random(13)
+    for seed in range(40):
+        system = random_zigzag_map(seed, 2, 8)
+        cuts = sorted(rng.sample([*system.breakpoints, *(F(rng.randint(0, 64), 64) for _ in range(6))], 4))
+        carrier = normalize([ClosedInterval(cuts[0], cuts[1]), ClosedInterval(cuts[2], cuts[3])])
+        expected = [(part, s, c) for dom, s, c in system.laps()
+                    for part in intersect(RationalIntervalSet((dom,)), carrier).parts]
+        assert [_view(cell) for cell in _affine_cells(system, carrier)] == expected, (system, carrier)
 
 
 def test_expanding_brute_force_cross_validation():

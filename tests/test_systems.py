@@ -504,6 +504,17 @@ def test_system_json_missing_field_is_named():
         system_from_json({})
 
 
+@pytest.mark.parametrize("make, name, value", [
+    (CantorSystem, "depth", 2.5), (SLimitSystem, "tail_depth", 2.5),
+    (OdometerSystem, "depth", 2.5), (OdometerSystem, "depth", True),
+], ids=["cantor-float", "slimit-float", "odometer-float", "odometer-bool"])
+def test_constructors_refuse_a_depth_that_is_not_an_integer(make, name, value):
+    # the Cantor and tail systems used to fail later with a TypeError, and the
+    # odometer built a system that refused every word
+    with pytest.raises(ValueError, match=f"field '{name}' must be an integer, not {value!r}"):
+        make(value)
+
+
 def test_sqrt_enclosure_bounds():
     for q in (F(2), F(1, 3), F(7, 5), F(0)):
         lo, hi = sqrt_enclosure(q, 40)
