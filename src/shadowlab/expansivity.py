@@ -520,15 +520,14 @@ def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdic
     return ExpansivityVerdict("ballExpanding", "falsified", constants, counter)
 
 
-def _search_ball_constants(system: PiecewiseLinearMap, region: RegionSpec,
-                           grid_size: int = 12) -> Optional[tuple[Fraction, Fraction]]:
-    """Small search for working (μ, ν) on a piecewise-linear map; None when
-    nothing on the menu certifies."""
+def _search_ball_constants(system: PiecewiseLinearMap, region: RegionSpec) -> Optional[tuple[Fraction, Fraction]]:
+    """Small search for working (μ, ν) on a piecewise-linear map, each checked
+    on the 10-point ε grid below ν; None when nothing on the menu certifies."""
     for mu in (system.min_slope_modulus(), Fraction(3, 2), Fraction(5, 4), Fraction(9, 8)):
         if mu <= 1:
             continue
         for nu in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
-            if check_ball_expanding(system, region, mu, nu, interior_grid(nu, grid_size)).certified:
+            if check_ball_expanding(system, region, mu, nu, interior_grid(nu, 10)).certified:
                 return mu, nu
     return None
 
@@ -710,7 +709,7 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
 
 
 def _pl_ball_side(system: PiecewiseLinearMap, region: RegionSpec) -> str:
-    return "undetermined" if _search_ball_constants(system, region, 10) is None else "certified"
+    return "undetermined" if _search_ball_constants(system, region) is None else "certified"
 
 
 def _cantor_ball_side(system: CantorSystem, region: RegionSpec) -> str:

@@ -3,9 +3,10 @@
 Symbols are 'L', 'C', 'R' relative to the critical point.  The kneading word
 of a map is the itinerary of its critical value.  Words are compared in the
 order that mirrors the order of points on the line: lexicographic, with the
-orientation flipping after every 'R'.  Parameter search drives a bisection
-on the quadratic family with that order; comparisons are exact because
-orbits of rational points under rational maps stay rational.
+orientation flipping after every 'R'.  Itineraries are exact.  Parameter
+search drives a bisection on the quadratic family with that order, reading
+each kneading word off outward-rounded dyadic enclosures of the critical
+orbit; a word they cannot certify is refused.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ def _fast_quadratic_kneading(mu: Fraction, horizon: int) -> Optional[KneadingWor
 
     Every emitted symbol is certified by an enclosure that stays strictly on
     one side of the critical point; returns None when the precision ladder
-    (``_KNEADING_BITS``) cannot separate some iterate from 0 (the exact path
-    then decides).
+    (``_KNEADING_BITS``) cannot separate some iterate from 0.
     """
     for bits in _KNEADING_BITS:
         syms: list[str] = []
@@ -103,10 +103,12 @@ def _fast_quadratic_kneading(mu: Fraction, horizon: int) -> Optional[KneadingWor
 
 
 def _kneading_for_search(mu: Fraction, horizon: int) -> KneadingWord:
+    # past the ladder, exact iteration would double its bit length at every step
     fast = _fast_quadratic_kneading(mu, horizon)
-    if fast is not None:
-        return fast
-    return kneading_word(quadratic_map(mu), horizon)
+    if fast is None:
+        raise ValueError(f"kneading word at mu = {rat_str(mu)}, horizon {horizon} is not certified "
+                         f"at {_KNEADING_BITS[-1]} bits")
+    return fast
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,8 @@ def find_parameter(target: KneadingWord, horizon: int, bisection_steps: int) -> 
     Relies on the kneading word being weakly monotone in μ under the signed
     order (validated empirically by the tests on a parameter grid; it cannot
     be certified here).  Returns the last matching parameter seen together
-    with the final bracket.
+    with the final bracket; a ValueError when some bisection point's word is
+    not certified at the top of the precision ladder.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -270,11 +273,12 @@ def critical_orbit_separation(mu: Fraction, first: int, last: int) -> Optional[F
 
     Returns None when no positive bound can be certified even at the
     precision cap, doubling from 512 to 4096 bits (the orbit may genuinely
-    meet 0).
+    meet 0).  μ outside [1, 2] is refused: there the enclosures grow without
+    bound.
     """
     if not 1 <= first <= last:
         raise ValueError("need 1 <= first <= last")
-    mu = rat(mu)
+    mu = quadratic_map(mu).parameter
     for bits in _SEPARATION_BITS:
         best = math.inf
         for lo, hi in islice(_critical_orbit_enclosures(mu, bits), first - 1, last):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import RationalIntervalSet, closed_ball, intersect, rat, rat_str
+from .numerics import RationalIntervalSet, from_int_set, int_intersect, int_tube, rat, rat_str
 from .systems import (
     CantorSystem,
     DomainError,
@@ -190,15 +190,15 @@ def perturbed_orbit(system: SystemSpec, x0: Point, length: int, delta, seed: int
 
 
 def _interval_steps(system, x0, length, radius, rng, region) -> list:
-    space = system.space()
-    if region is not None:
-        space = intersect(space, region)
+    space = system._int_space if region is None else int_intersect(system._int_space, region.int_parts)
+    rn, rd = radius.numerator, radius.denominator
     pts = [x0]
     for _ in range(length - 1):
-        ball = intersect(closed_ball(system.evaluate(pts[-1]), radius), space)
-        if ball.is_empty:
+        fx = system.evaluate(pts[-1])
+        ball = int_tube(space, fx.numerator, fx.denominator, rn, rd)
+        if not ball:
             break
-        pts.append(_sample_in_set(ball, rng))
+        pts.append(_sample_in_set(from_int_set(ball), rng))
     return pts
 
 

@@ -33,7 +33,6 @@ from .pseudo_orbits import (
     DeviationReport,
     PseudoOrbit,
     _interval_steps,
-    _sample_in_set,
     deviation,
     traces,
     verify_jumps,
@@ -161,13 +160,31 @@ def _backward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction, preimage)
     return sets
 
 
-def _forward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction) -> list[list[IntPart]]:
-    """F_i = exact set of i-th iterates of tube-respecting tracers, in integer form."""
-    sets = _tubes(system, orbit, epsilon)
+def _forward_sets(system, sets: list) -> list:
+    """F_0 = S_0, F_i = f(F_{i−1}) ∩ S_i over integer sets, in place: F_i is the
+    exact set of i-th iterates of points whose orbit stays in S_0, …, S_i."""
     step = system._int_forward
     for i in range(1, len(sets)):
         sets[i] = int_intersect(step(sets[i - 1]), sets[i]) if sets[i - 1] else []
     return sets
+
+
+def _forward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction) -> list[list[IntPart]]:
+    """F_i = exact set of i-th iterates of tube-respecting tracers, in integer form."""
+    return _forward_sets(system, _tubes(system, orbit, epsilon))
+
+
+def _chain_back(system, forward: list, last: tuple[int, int]) -> list[tuple[int, int]]:
+    """The chain w_0, …, w_m = last ∈ F_m with w_i ∈ F_i and f(w_i) = w_{i+1},
+    as integer pairs: the walk back takes the leftmost preimage in each F_i."""
+    chain = [last]
+    for s in reversed(forward[:-1]):
+        w = next((c for c in system._int_point_preimages(*chain[-1]) if int_contains(s, *c)), None)
+        if w is None:
+            raise AssertionError("reachable point lost its preimage; forward sets inconsistent")
+        chain.append(w)
+    chain.reverse()
+    return chain
 
 
 def shadow_oracle(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCertificate:
@@ -214,25 +231,17 @@ def h_shadow_solve(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCer
 
 
 def _tube_exact_hit(system, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
-    pts = orbit.points
     forward = _forward_tube_sets(system, orbit, epsilon)
     transcript = tuple(from_int_set(s) for s in forward)
     constants = {"epsilon": rat_str(epsilon)}
-    last = (pts[-1].numerator, pts[-1].denominator)
+    last = (orbit.points[-1].numerator, orbit.points[-1].denominator)
     if not forward[-1]:
         return ShadowCertificate(system, False, None, None, None, constants, transcript,
                                  infeasible_reason="no point stays inside every closed tube")
     if not int_contains(forward[-1], *last):
         return ShadowCertificate(system, False, None, None, None, constants, transcript,
                                  infeasible_reason="final orbit point unreachable inside the tubes")
-    # walk the target backwards through the forward sets, leftmost preimage first
-    chain = [last]
-    for i in range(len(pts) - 2, -1, -1):
-        w = next((c for c in system._int_point_preimages(*chain[-1]) if int_contains(forward[i], *c)), None)
-        if w is None:
-            raise AssertionError("reachable point lost its preimage; forward sets inconsistent")
-        chain.append(w)
-    chain.reverse()
+    chain = _chain_back(system, forward, last)
     report = _chain_report(system, chain, orbit)
     return ShadowCertificate(system, True, None, Fraction(*chain[0]), report, constants, transcript)
 
@@ -426,49 +435,23 @@ def _quadratic_witness_search(system, orbit: PseudoOrbit, epsilon: Fraction,
 # ---------------------------------------------------------------------------
 
 
-def region_surjectivity_sample(system: PiecewiseLinearMap, region: RationalIntervalSet) -> bool:
-    """Sampled check that every region point has a map preimage in the region:
-    the part endpoints and 16 seeded samples."""
-    rng = random.Random(0)
-    probes = []
-    for part in region.parts:
-        probes.extend([part.lo, part.hi])
-    for _ in range(16):
-        probes.append(_sample_in_set(region, rng))
-    for p in probes:
-        if not any(region.contains(q) for q in system.point_preimages(p)):
-            return False
-    return True
-
-
-def _backward_point_chain(system, target: Fraction, steps: int,
-                          region: RationalIntervalSet) -> Optional[list[Fraction]]:
-    """Points z, f(z), …, f^steps(z)=target all inside the region (DFS, leftmost)."""
-    if steps == 0:
-        return [target]
-    for cand in system.point_preimages(target):
-        if region.contains(cand):
-            rest = _backward_point_chain(system, cand, steps - 1, region)
-            if rest is not None:
-                return rest + [target]
-    return None
-
-
 def h_shadow_via_iterate(system: PiecewiseLinearMap, n: int, region: RationalIntervalSet,
                          orbit: PseudoOrbit, epsilon) -> ShadowCertificate:
     """Exact-hit tracing of an orbit of f obtained by solving for fⁿ.
 
     Prepends a backward extension z with f^{n−r}(z) = x_0 inside the region,
     downsamples the extended sequence through n-blocks, solves the exact-hit
-    problem for the composed map, and pushes the solution forward.
+    problem for the composed map, and pushes the solution forward.  The
+    reduction needs f(region) ⊇ region, decided exactly; a region or orbit
+    that fails it is refused with a DomainError.
     """
     epsilon = rat(epsilon)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return h_shadow_solve(system, orbit, epsilon)
-    if not region_surjectivity_sample(system, region):
-        raise DomainError("region fails the surjectivity sample: f(region) does not cover it")
+    if not region.subset_of(system.forward_image(region)):
+        raise DomainError("f(region) does not cover the region")
     for p in orbit.points:
         if not region.contains(p):
             raise DomainError("orbit leaves the declared region")
@@ -483,10 +466,12 @@ def h_shadow_via_iterate(system: PiecewiseLinearMap, n: int, region: RationalInt
 
     m = orbit.last_index
     j, r = divmod(m, n)
-    ext = _backward_point_chain(system, orbit.points[0], n - r, region)
-    if ext is None:
+    # the backward extension z, …, f^{n−r}(z) = x_0 with z, …, f^{n−r−1}(z) in the region
+    x0 = (orbit.points[0].numerator, orbit.points[0].denominator)
+    reach = _forward_sets(system, [region.int_parts] * (n - r) + [[(*x0, *x0)]])
+    if not reach[-1]:
         raise DomainError("no backward extension of the start point inside the region")
-    extended = list(ext[:-1]) + list(orbit.points)  # y_0 … y_{(j+1)n}
+    extended = [Fraction(*w) for w in _chain_back(system, reach, x0)[:-1]] + list(orbit.points)  # y_0 … y_{(j+1)n}
     downsampled = PseudoOrbit(tuple(extended[k * n] for k in range(j + 2)))
     worst = verify_jumps(composed, downsampled)
     if delta_certified is not None and worst >= delta_certified:

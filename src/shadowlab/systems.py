@@ -395,16 +395,6 @@ class QuadraticFamilyMap(IntervalSystem):
     def third_derivative(self, x: Fraction) -> Fraction:
         return ZERO
 
-    def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
-        out = []
-        c = self.critical_point()
-        for part in s.parts:
-            cands = [self.evaluate(part.lo), self.evaluate(part.hi)]
-            if part.lo < c < part.hi:
-                cands.append(self.evaluate(c))
-            out.append(ClosedInterval(min(cands), max(cands)))
-        return normalize(out)
-
     def preimage_outer(self, target: RationalIntervalSet, bits: int = 64) -> RationalIntervalSet:
         """Outer rational enclosure of the preimage (endpoints are square roots)."""
         return from_int_set(self._int_preimage_outer(target.int_parts, bits))

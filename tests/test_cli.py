@@ -386,6 +386,16 @@ def test_cli_kneading_search_rejects_out_of_range_inputs(capsys, args, message):
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+def test_cli_kneading_search_stops_at_the_precision_ladder():
+    # at mu = 15/8 the word is not certified at 3072 bits; exact iteration past
+    # that point doubles its bit length per step and would not return
+    proc = subprocess.run([sys.executable, "-m", "shadowlab.cli", "kneading", "search",
+                           "--horizon", "6000", "--steps", "4"], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "mu = 15/8, horizon 6000 is not certified at 3072 bits" in proc.stderr
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "shadowlab.cli", "scenario", "list"],
                           capture_output=True, text=True)

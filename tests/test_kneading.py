@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from shadowlab import kneading
 from shadowlab.kneading import (
     KneadingWord,
     _fast_quadratic_kneading,
@@ -173,6 +174,20 @@ def test_search_and_separation_reject_out_of_range_inputs():
     # F(0) = 1 and F²(0) = −1/2 for F = 1 − (3/2)x²
     assert critical_orbit_separation(F(3, 2), 1, 1) == 1
     assert critical_orbit_separation(F(3, 2), 1, 2) == F(1, 2)
+
+
+def test_parameter_search_refuses_a_word_the_precision_ladder_cannot_certify(monkeypatch):
+    # exact iteration would double its bit length at every step of the word
+    monkeypatch.setattr(kneading, "_KNEADING_BITS", (4,))
+    with pytest.raises(ValueError, match="horizon 12 is not certified at 4 bits"):
+        find_parameter(staircase_word(12), 12, 3)
+
+
+@pytest.mark.parametrize("mu", [F(3), F(0), F(5, 2)])
+def test_critical_orbit_separation_refuses_parameters_outside_the_family(mu):
+    # above 2 the enclosures grow without bound and each step triples the time
+    with pytest.raises(ValueError, match=r"quadratic parameter must be in \[1,2\]"):
+        critical_orbit_separation(mu, 2, 20)
 
 
 # -- the integer enclosure step against a Fraction reference ------------------------

@@ -11,6 +11,8 @@ from shadowlab.numerics import from_int_set, from_pairs, interior_grid
 from shadowlab.pseudo_orbits import PseudoOrbit, deviation, perturbed_orbit, traces, verify_jumps
 from shadowlab.shadowing import (
     _backward_tube_sets,
+    _chain_back,
+    _forward_sets,
     _quadratic_witness_search,
     asymptotic_shadow,
     ball_expanding_delta,
@@ -330,6 +332,95 @@ def test_iterate_route_rejects_unsuitable_region():
     orbit = PseudoOrbit((F(3, 20), F(3, 10)))
     with pytest.raises(DomainError):
         h_shadow_via_iterate(T2, 2, region, orbit, F(1, 10))
+
+
+def test_iterate_route_refuses_a_region_its_image_does_not_cover():
+    # f(region) = [4/25, 33/100] ∪ [17/50, 1] misses the gap (33/100, 17/50),
+    # too narrow for a few sampled region points to land in
+    region = from_pairs([("27/100", "83/100"), ("167/200", "23/25")])
+    orbit = PseudoOrbit((F(3, 10), F(3, 5), F(4, 5)))
+    with pytest.raises(DomainError, match="does not cover"):
+        h_shadow_via_iterate(T2, 2, region, orbit, F(1, 10))
+
+
+def _depth_first_chain(system, target, steps, region):
+    """Reference backward extension: z, …, f^steps(z) = target with every point
+    but the target in the region, by recursive depth-first search over point
+    preimages, leftmost first."""
+    if steps == 0:
+        return [target]
+    for cand in system.point_preimages(target):
+        if region.contains(cand):
+            rest = _depth_first_chain(system, cand, steps - 1, region)
+            if rest is not None:
+                return rest + [target]
+    return None
+
+
+def _forward_set_chain(system, target, steps, region):
+    """The iterate route's backward extension: the forward sets of
+    [region]·steps + [{target}], walked back from the target."""
+    t = (target.numerator, target.denominator)
+    forward = _forward_sets(system, [region.int_parts] * steps + [[(*t, *t)]])
+    return [F(*w) for w in _chain_back(system, forward, t)] if forward[-1] else None
+
+
+def test_backward_extension_matches_depth_first_reference():
+    rng = random.Random(14)
+    chains = misses = 0
+    for case in range(400):
+        system = random_zigzag_map(case) if case % 2 else tent_map(F(rng.randint(11, 20), 10))
+        ends = sorted(F(k, 200) for k in rng.sample(range(201), 2 * rng.randint(1, 3)))
+        region = from_pairs(zip(ends[::2], ends[1::2]))
+        steps = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            target = F(rng.randint(0, 200), 200)
+        else:  # the image of a region point, which more often has a chain
+            target = iterate(system, ends[0] + (ends[1] - ends[0]) * F(rng.randint(0, 64), 64), steps)
+        got = _forward_set_chain(system, target, steps, region)
+        assert got == _depth_first_chain(system, target, steps, region)
+        chains += got is not None
+        misses += got is None
+    assert chains >= 100 and misses >= 100
+
+
+def _covered_region(system, data):
+    """A region with f(region) ⊇ region: a lap that maps onto [0,1] plus up to
+    two more parts, or, when no lap does (a tent map below slope 2), the core
+    [f²(c), f(c)], which f maps onto itself, plus [0, a] below it."""
+    full = [(lo, hi) for lo, hi in zip(system.breakpoints, system.breakpoints[1:])
+            if {system.evaluate(lo), system.evaluate(hi)} == {0, 1}]
+    if not full:
+        top = system.evaluate(F(1, 2))
+        core = (system.evaluate(top), top)
+        a = core[0] * F(data.draw(st.integers(1, 9)), 10)
+        return from_pairs([(0, a), core])
+    ends = sorted(F(k, 64) for k in data.draw(st.sets(st.integers(0, 64), max_size=4)))
+    return from_pairs([data.draw(st.sampled_from(full)), *zip(ends[::2], ends[1::2])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_iterate_route_feasible_answers_are_exact_hits_the_direct_solver_finds(data):
+    system = data.draw(st.one_of(st.integers(11, 20).map(lambda k: tent_map(F(k, 10))),
+                                 st.integers(0, 40).map(random_zigzag_map)))
+    region = _covered_region(system, data)
+    n = data.draw(st.integers(2, 3))
+    eps = data.draw(st.sampled_from([F(1, 5), F(1, 10), F(1, 20)]))
+    part = data.draw(st.sampled_from(region.parts))
+    x0 = part.lo + part.width * F(data.draw(st.integers(0, 16)), 16)
+    delta = eps / (8 * system.lipschitz() ** n)
+    orbit = perturbed_orbit(system, x0, data.draw(st.integers(2, 10)), delta,
+                            seed=data.draw(st.integers(0, 99)), region=region)
+    try:
+        routed = h_shadow_via_iterate(system, n, region, orbit, eps)
+    except DomainError as exc:  # the region is covered, so only the jump bound can refuse
+        assert "downsampled jumps" in str(exc)
+        return
+    if routed.feasible:
+        report = deviation(system, routed.witness, orbit)
+        assert report.exact_hit and report.max_deviation <= eps
+        assert h_shadow_solve(system, orbit, eps).feasible
 
 
 # -- staged construction -------------------------------------------------------
