@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .numerics import (
@@ -24,6 +26,7 @@ from .numerics import (
     from_int_set,
     int_affine,
     int_intersect,
+    int_tube,
     interior_grid,
     intersect,
     normalize,
@@ -237,19 +240,45 @@ def _small_step(iv: ClosedInterval, shrink: Fraction) -> Fraction:
     return w * shrink / 4
 
 
+def _run_ends(cells: list[IntCell]) -> list[int]:
+    """For each cell, the index just past the run of cells from it on that share its (a, b, q)."""
+    ends = list(range(1, len(cells) + 1))
+    for i in range(len(cells) - 2, -1, -1):
+        if cells[i][1:] == cells[i + 1][1:]:
+            ends[i] = ends[i + 1]
+    return ends
+
+
+def _reachable(cx: IntCell, cells: list[IntCell], ends: list[int], j: int, dn: int, dd: int, steep: bool):
+    """The cells from index j on that start less than δ = dn/dd right of where
+    cx ends, ascending (cells sorted by lo: the first out of reach ends them).
+    When cx's slope modulus is at least μ (``steep``), each run of cells that
+    share cx's map is skipped whole: bound (a) of :func:`_pair_bound_clears`
+    clears every pair with it."""
+    own_map = cx[1:]
+    while j < len(cells):
+        cy = cells[j]
+        if _out_of_reach(cx, cy, dn, dd):
+            return
+        if steep and cy[1:] == own_map:
+            j = ends[j]
+        else:
+            yield cy
+            j += 1
+
+
 def _expanding_violation(cells: list[IntCell], delta: Fraction, mu: Fraction) -> Optional[tuple]:
     """The first violating pair over cells in ascending order, as :func:`_affine_cells` gives them."""
     dn, dd, mn, md = delta.numerator, delta.denominator, mu.numerator, mu.denominator
+    ends = _run_ends(cells)
     for i, cx in enumerate(cells):
         (ln, ld, hn, hd), a, _, q = cx
+        steep = abs(a) * md >= mn * q
         # pairs inside one cell: the ratio is exactly the slope modulus
-        if ln * hd < hn * ld and abs(a) * md < mn * q:
+        if ln * hd < hn * ld and not steep:
             lo = Fraction(ln, ld)
             return lo, lo + min(delta / 2, Fraction(hn, hd) - lo)
-        for j in range(i + 1, len(cells)):
-            cy = cells[j]
-            if _out_of_reach(cx, cy, dn, dd):
-                break  # cells sorted by lo: everything further is out of reach
+        for cy in _reachable(cx, cells, ends, i + 1, dn, dd, steep):
             hit = _pair_violation(cx, cy, delta, mu) or _pair_violation(cy, cx, delta, mu)
             if hit is not None:
                 return hit
@@ -298,13 +327,13 @@ def _affine_expanding(system, carrier: RationalIntervalSet, delta, mu, constants
 
 
 def _affine_star(system, carrier: RationalIntervalSet, delta, mu, constants) -> ExpansivityVerdict:
-    cells_x = _affine_cells(system, carrier)
     cells_y = _affine_cells(system, system.space())
-    dn, dd = delta.numerator, delta.denominator
-    for cx in cells_x:
-        for cy in cells_y:
-            if _out_of_reach(cx, cy, dn, dd) or _out_of_reach(cy, cx, dn, dd):
-                continue
+    ends = _run_ends(cells_y)
+    dn, dd, mn, md = delta.numerator, delta.denominator, mu.numerator, mu.denominator
+    for cx in _affine_cells(system, carrier):
+        # the space cells within δ of cx: from the first that ends less than δ left of it
+        first = bisect_left(cells_y, True, key=lambda cy: not _out_of_reach(cy, cx, dn, dd))
+        for cy in _reachable(cx, cells_y, ends, first, dn, dd, abs(cx[1]) * md >= mn * cx[3]):
             hit = _pair_violation(cx, cy, delta, mu)
             if hit is None:
                 swapped = _pair_violation(cy, cx, delta, mu)
@@ -351,21 +380,20 @@ _STAR_ROUTES = {PiecewiseLinearMap: _affine_star, CantorSystem: _affine_star,
 # ---------------------------------------------------------------------------
 
 
-def _uncovered_point(ball: RationalIntervalSet, image: RationalIntervalSet) -> Optional[Fraction]:
-    """A point of ``ball`` outside ``image``, or None when covered."""
-    for part in ball.parts:
-        cover = intersect(RationalIntervalSet((part,)), image)
-        if cover.is_empty:
-            return part.lo
-        if cover.parts[0].lo > part.lo:
-            return part.lo
-        cursor = cover.parts[0].hi
-        for nxt in cover.parts[1:]:
-            if nxt.lo > cursor:
-                return (cursor + nxt.lo) / 2
-            cursor = nxt.hi
-        if cursor < part.hi:
-            return part.hi
+def _first_uncovered(ball: list[IntPart], image: list[IntPart]) -> Optional[Fraction]:
+    """The first point of ``ball`` outside ``image``, both canonical integer
+    sets, as a Fraction: a part's left end, the midpoint of the first gap in
+    its cover or its right end; None when covered."""
+    for part in ball:
+        ln, ld, hn, hd = part
+        cover = int_intersect([part], image)
+        if not cover or cover[0][0] * ld > ln * cover[0][1]:
+            return Fraction(ln, ld)
+        if len(cover) > 1:  # canonical parts: a gap of positive length follows the first
+            (_, _, cn, cd), (nn, nd, _, _) = cover[:2]
+            return Fraction(cn * nd + nn * cd, 2 * cd * nd)
+        if cover[0][2] * hd < hn * cover[0][3]:
+            return Fraction(hn, hd)
     return None
 
 
@@ -480,18 +508,23 @@ def _cantor_ball_expanding(system: CantorSystem, carrier: RationalIntervalSet, m
     """Probed at component endpoints plus up to 24 seeded left ends of
     space components: a probe failure is an exact falsification, while
     all-probes-pass yields ``undetermined`` unless the region is a finite
-    point set."""
-    space = system.space()
+    point set.  Each probe runs on the cell table's integers: f(x), the
+    image of its ε-window and the μ·ε ball about f(x) in the space; only a
+    missing point becomes a Fraction."""
+    parts, by_lo = system.space().parts, attrgetter("lo")
     rng = random.Random(11)
     probes = [end for part in carrier.parts for end in (part.lo, part.hi)]
-    pool = [p.lo for p in space.parts if carrier.contains(p.lo)]
+    # the left ends of space components inside the carrier, ascending: per carrier part, by bisection
+    pool = [p.lo for part in carrier.parts
+            for p in parts[bisect_left(parts, part.lo, key=by_lo):bisect_right(parts, part.hi, key=by_lo)]]
     for _ in range(min(24, len(pool))):
         probes.append(pool[rng.randrange(len(pool))])
+    radii = [(eps, mu * eps) for eps in eps_list]
     for x in sorted(set(probes)):
-        fx = system.evaluate(x)
-        for eps in eps_list:
-            image = from_int_set(system._int_forward(system._int_tube(x, eps)))
-            missing = _uncovered_point(system.tube(fx, mu * eps), image)
+        fn, fd = system._int_value(x.numerator, x.denominator)
+        for eps, r in radii:
+            image = system._int_forward(system._int_tube(x, eps))
+            missing = _first_uncovered(int_tube(system._int_space, fn, fd, r.numerator, r.denominator), image)
             if missing is not None:
                 return _ball_falsified(system, x, eps, mu, missing, constants)
     finite = all(p.width == 0 for p in carrier.parts)

@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from shadowlab.expansivity import (
     RegionSpec,
     _affine_cells,
+    _expanding_violation,
+    _first_uncovered,
+    _out_of_reach,
     _pair_bound_clears,
     _pair_violation,
     _pl_ball_expanding_once,
+    _run_ends,
     _search_ball_constants,
     _vertex_candidates,
     check_ball_expanding,
@@ -535,3 +539,197 @@ def test_hierarchy_implapplication_on_random_maps():
                     for part in carrier.parts for p in (part.lo, part.hi))
         if exp.certified and opens:
             assert _search_ball_constants(system, region) is not None
+
+
+# -- the run skip, the star window and the integer Cantor probe route ----------------
+# Each new loop against a copy of the loop it replaced: the same verdicts and the
+# same counterexample points.
+
+
+def ref_expanding_violation(cells, delta, mu):
+    """The pair loop before the run skip: every cell pair in reach, in order."""
+    for i, cx in enumerate(cells):
+        (ln, ld, hn, hd), a, _, q = cx
+        if ln * hd < hn * ld and abs(a) * mu.denominator < mu.numerator * q:
+            lo = F(ln, ld)
+            return lo, lo + min(delta / 2, F(hn, hd) - lo)
+        for cy in cells[i + 1:]:
+            if _out_of_reach(cx, cy, delta.numerator, delta.denominator):
+                break
+            hit = _pair_violation(cx, cy, delta, mu) or _pair_violation(cy, cx, delta, mu)
+            if hit is not None:
+                return hit
+    return None
+
+
+def ref_star_hit(system, carrier, delta, mu):
+    """The star loop before the window: every region cell against every space cell."""
+    dn, dd = delta.numerator, delta.denominator
+    cells_y = _affine_cells(system, system.space())
+    for cx in _affine_cells(system, carrier):
+        for cy in cells_y:
+            if _out_of_reach(cx, cy, dn, dd) or _out_of_reach(cy, cx, dn, dd):
+                continue
+            hit = _pair_violation(cx, cy, delta, mu)
+            if hit is None:
+                swapped = _pair_violation(cy, cx, delta, mu)
+                hit = None if swapped is None else (swapped[1], swapped[0])
+            if hit is not None:
+                return hit
+    return None
+
+
+def split_lap_case(rng):
+    """A PL map and a carrier that splits one of its laps into several
+    components, some of them single points, so that runs of cells sharing one
+    map occur; μ at, below or above that lap's slope modulus."""
+    system = rng.choice([random_zigzag_map(rng.getrandbits(32), 2, 6), tent_map(rng.choice((F(2), F(9, 5), F(3, 2))))])
+    k = rng.randrange(len(system.breakpoints) - 1)
+    lo, hi = system.breakpoints[k], system.breakpoints[k + 1]
+    ends = [lo + (hi - lo) * F(c, 64) for c in sorted(rng.sample(range(65), rng.randint(3, 10)))]
+    pairs = [(a, a) if rng.random() < 0.5 else (a, (a + b) / 2) for a, b in zip(ends, ends[1:])]
+    pairs += [(a, b) for a, b in rng.sample([(0, F(1, 8)), (F(7, 8), 1), (F(1, 3), F(1, 2))], rng.randint(0, 2))
+              if b < lo or a > hi]  # parts off the split lap, which would swallow its components
+    slope = abs(system.slopes[k])
+    mu = rng.choice((slope, slope * F(9, 8), (1 + slope) / 2, F(3, 2)))
+    return system, from_pairs(pairs), rng.choice((F(1, 50), F(1, 10), F(1, 3))), mu
+
+
+def cantor_case(rng):
+    """A middle-thirds system of depth 3–7 in either mode, a window of its
+    space, and μ below, at or above the piece slopes 3 and 9."""
+    system = CantorSystem(rng.randint(3, 7), rng.choice(("fold", "mirror")))
+    lo = rng.choice((F(-1), F(-1, 3), F(0), F(2, 9), F(2, 3)))
+    carrier = intersect(system.space(), from_pairs([(lo, lo + rng.choice((F(1, 3), F(2, 3), F(2))))]))
+    return system, carrier, rng.choice((F(1, 9), F(1, 27), F(1, 81))), rng.choice((F(2), F(3), F(4), F(9), F(10)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([split_lap_case, cantor_case]), st.integers(0, 2**32 - 1))
+def test_run_skip_matches_the_all_pairs_loop(make, seed):
+    # a run skip that ignores |slope| < μ misses the violations between
+    # isolated points of one lap, which no golden report has
+    system, carrier, delta, mu = make(random.Random(seed))
+    cells = _affine_cells(system, carrier)
+    assert _expanding_violation(cells, delta, mu) == ref_expanding_violation(cells, delta, mu)
+
+
+def test_split_lap_cases_have_runs_of_point_cells():
+    # every generated PL carrier has a run of cells with one map, and many
+    # have a run of single points with μ above its slope, which the skip must not take
+    point_runs = 0
+    for seed in range(200):
+        system, carrier, delta, mu = split_lap_case(random.Random(seed))
+        cells = _affine_cells(system, carrier)
+        ends = _run_ends(cells)
+        assert any(e > i + 1 for i, e in enumerate(ends)), (system, carrier)
+        point_runs += any(ends[i] > i + 1 and ln * hd == hn * ld and abs(F(a, q)) < mu
+                          for i, ((ln, ld, hn, hd), a, _, q) in enumerate(cells))
+    assert point_runs > 30, point_runs
+
+
+def test_star_window_matches_the_all_cells_loop():
+    # the same first pair in the same order; a window that starts one space
+    # cell late, or a run skip that ignores |slope| < μ, moves or loses it,
+    # and no golden report runs the star check
+    outcomes = {"certified": 0, "falsified": 0}
+    for seed in range(240):
+        rng = random.Random(seed)
+        system, carrier, delta, mu = (split_lap_case if seed % 2 else cantor_case)(rng)
+        if seed % 3 == 0:  # a few isolated points of the carrier alone
+            carrier = RationalIntervalSet(tuple(ClosedInterval(p.lo, p.lo) for p in carrier.parts[::2]))
+        verdict = check_star(system, RegionSpec(carrier), delta, mu)
+        hit = ref_star_hit(system, carrier, delta, mu)
+        if hit is None:
+            assert verdict.certified, (system, carrier, delta, mu)
+        else:
+            cx = verdict.counterexample
+            assert (F(cx["x"]), F(cx["y"])) == hit, (system, carrier, delta, mu)
+        outcomes[verdict.holds] += 1
+    assert min(outcomes.values()) > 40, outcomes
+
+
+def ref_uncovered_point(ball, image):
+    """A point of ``ball`` outside ``image`` on Fraction sets, or None when covered."""
+    for part in ball.parts:
+        cover = intersect(RationalIntervalSet((part,)), image)
+        if cover.is_empty or cover.parts[0].lo > part.lo:
+            return part.lo
+        cursor = cover.parts[0].hi
+        for nxt in cover.parts[1:]:
+            if nxt.lo > cursor:
+                return (cursor + nxt.lo) / 2
+            cursor = nxt.hi
+        if cursor < part.hi:
+            return part.hi
+    return None
+
+
+def ref_cantor_ball_hit(system, carrier, mu, eps_list):
+    """The Cantor probe route on Fraction sets: the first failing (x, ε, missing point), or None."""
+    space = system.space()
+    rng = random.Random(11)
+    probes = [end for part in carrier.parts for end in (part.lo, part.hi)]
+    pool = [p.lo for p in space.parts if carrier.contains(p.lo)]
+    for _ in range(min(24, len(pool))):
+        probes.append(pool[rng.randrange(len(pool))])
+    for x in sorted(set(probes)):
+        fx = system.evaluate(x)
+        for eps in eps_list:
+            missing = ref_uncovered_point(system.tube(fx, mu * eps), system.forward_image(system.tube(x, eps)))
+            if missing is not None:
+                return x, eps, missing
+    return None
+
+
+def test_cantor_ball_route_matches_the_fraction_probe_route():
+    # the same verdict and counterexample: carriers of one or several space
+    # components, points at component ends, windows, and μ and grids that
+    # falsify as well as ones that pass every probe
+    outcomes = {"certified": 0, "falsified": 0, "undetermined": 0}
+    grids = ([F(1, 81), F(1, 243)], [F(1, 27)], [F(1, 50), F(1, 100)], [F(1, 9), F(1, 30)], [F(1, 729)])
+    for seed in range(300):
+        rng = random.Random(seed)
+        system = CantorSystem(rng.randint(3, 7), rng.choice(("fold", "mirror")))
+        parts = system.space().parts
+        kind = seed % 4
+        if kind == 0:
+            carrier = RationalIntervalSet((rng.choice(parts),))
+        elif kind == 1:
+            p = rng.choice(parts)
+            carrier = point_set(rng.choice((p.lo, p.hi, F(0))))
+        elif kind == 2:
+            carrier = RationalIntervalSet(tuple(sorted(rng.sample(parts, 3))))
+        else:  # two hulls across gaps of the space, each from one component's left end to another's:
+            # only here do the seeded probes add points that are not carrier ends
+            ks = sorted(rng.sample(range(len(parts)), 4))
+            carrier = from_pairs([(parts[ks[0]].lo, parts[ks[1]].lo), (parts[ks[2]].lo, parts[ks[3]].lo)])
+        mu = rng.choice((F(2), F(3), F(3), F(9, 2), F(9), F(10)))
+        grid = rng.choice(grids)
+        verdict = check_ball_expanding(system, RegionSpec(carrier), mu, 2 * grid[0], grid)
+        hit = ref_cantor_ball_hit(system, carrier, mu, grid)
+        if hit is None:
+            assert not verdict.falsified, (system, carrier, mu, grid)
+        else:
+            cx = verdict.counterexample
+            assert (F(cx["x"]), F(cx["epsilon"]), F(cx["missingPoint"])) == hit, (system, carrier, mu, grid)
+        outcomes[verdict.holds] += 1
+    assert min(outcomes.values()) > 30, outcomes
+
+
+def test_first_uncovered_point_matches_the_fraction_scan():
+    # balls of several parts against images whose cover of one part has gaps:
+    # the integer scan returns the same point, a gap's midpoint included
+    rng = random.Random(41)
+    branches = set()
+    for _ in range(400):
+        def random_set(count):
+            ends = sorted(rng.sample(range(200), 2 * count))
+            return from_pairs([(F(a, 199), F(b + rng.randint(0, 1), 199)) for a, b in zip(ends[::2], ends[1::2])])
+        ball, image = random_set(rng.randint(1, 3)), random_set(rng.randint(0, 6))
+        got = _first_uncovered(list(ball.int_parts), list(image.int_parts))
+        assert got == ref_uncovered_point(ball, image), (ball, image)
+        if got is not None:
+            branches.add("left end" if any(got == p.lo for p in ball.parts) else
+                         "right end" if any(got == p.hi for p in ball.parts) else "gap")
+    assert branches == {"left end", "right end", "gap"}

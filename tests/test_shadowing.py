@@ -646,3 +646,21 @@ def test_certificate_serialization():
     assert data["feasible"] is True
     assert data["report"]["exactHit"] is True
     assert len(data["transcript"]) == len(orbit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_oracle_and_exact_hit_agree_in_opposite_directions(data):
+    # f^m(T₀) = F_m: the oracle's feasible set T₀, found backwards by preimages,
+    # mapped forward m times is exact hit's last forward set F_m, found by images.
+    # Jumps of two and four times ε make about one case in six empty on both sides
+    system = data.draw(st.one_of(st.integers(11, 20).map(lambda k: tent_map(F(k, 10))),
+                                 st.integers(0, 10**6).map(random_zigzag_map)))
+    eps = data.draw(st.sampled_from([F(1, 5), F(1, 10), F(1, 40)]))
+    x0 = F(data.draw(st.integers(0, 256)), 256)
+    orbit = perturbed_orbit(system, x0, data.draw(st.integers(1, 6)), eps * data.draw(st.sampled_from([F(1, 8), 2, 4])),
+                            seed=data.draw(st.integers(0, 99)))
+    image = shadow_oracle(system, orbit, eps).feasible_set
+    for _ in range(orbit.last_index):
+        image = system.forward_image(image)
+    assert image == h_shadow_solve(system, orbit, eps).transcript[-1]

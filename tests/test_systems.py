@@ -515,6 +515,18 @@ def test_constructors_refuse_a_depth_that_is_not_an_integer(make, name, value):
         make(value)
 
 
+@pytest.mark.parametrize("depth", [17, 40])
+def test_cantor_depth_above_the_limit_is_refused(depth):
+    # depth 40 used to be accepted, and its first query built 2^41 − 1 space
+    # components; both entries refuse it before anything is built
+    message = f"cantor depth is limited to 16, got depth {depth}"
+    with pytest.raises(ValueError, match=message):
+        CantorSystem(depth)
+    with pytest.raises(ValueError, match=message):
+        system_from_json({"kind": "cantor", "depth": depth, "negative_image_mode": "mirror"})
+    assert CantorSystem(16).depth == 16  # the limit itself is a system; nothing here builds its space
+
+
 def test_sqrt_enclosure_bounds():
     for q in (F(2), F(1, 3), F(7, 5), F(0)):
         lo, hi = sqrt_enclosure(q, 40)
