@@ -3,10 +3,13 @@
 Symbols are 'L', 'C', 'R' relative to the critical point.  The kneading word
 of a map is the itinerary of its critical value.  Words are compared in the
 order that mirrors the order of points on the line: lexicographic, with the
-orientation flipping after every 'R'.  Itineraries are exact.  Parameter
-search drives a bisection on the quadratic family with that order, reading
-each kneading word off outward-rounded dyadic enclosures of the critical
-orbit; a word they cannot certify is refused.
+orientation flipping after every 'R'.  Itineraries are exact; on the
+quadratic family each symbol is read off an outward-rounded dyadic
+enclosure of the point (``QuadraticFamilyMap.enclosures``) and exact
+iteration starts only at the first enclosure that meets the critical point.
+Parameter search drives a bisection on the quadratic family with that order,
+reading each kneading word off enclosures of the critical orbit; a word
+they cannot certify is refused.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .numerics import rat, rat_str
-from .systems import PiecewiseLinearMap, QuadraticFamilyMap, quadratic_map, require
+from .systems import DomainError, PiecewiseLinearMap, QuadraticFamilyMap, iterate, quadratic_map, require
 
 L, C, R = "L", "C", "R"
+ZERO = Fraction(0)
 _ORDER = {L: -1, C: 0, R: 1}
 
 
@@ -48,12 +52,13 @@ def word(symbols: str) -> KneadingWord:
     return KneadingWord(symbols, len(symbols))
 
 
-def _unimodal_critical(system) -> Fraction:
-    require(type(system), "itinerary", (PiecewiseLinearMap, QuadraticFamilyMap))
+def _unimodal(system) -> tuple[Callable[..., str], Fraction]:
+    """The symbol walk for the system's class (its one entry check) and its critical point."""
+    walk = _SYMBOL_WALKS[require(type(system), "itinerary", _SYMBOL_WALKS)]
     crit = system.critical_points()
     if len(crit) != 1:
         raise ValueError("itineraries need a unimodal map (exactly one critical point)")
-    return crit[0]
+    return walk, crit[0]
 
 
 def itinerary(system: Union[QuadraticFamilyMap, PiecewiseLinearMap], x, n: int) -> KneadingWord:
@@ -61,34 +66,56 @@ def itinerary(system: Union[QuadraticFamilyMap, PiecewiseLinearMap], x, n: int) 
     a critical hit emits 'C' and stops."""
     if n < 1:
         raise ValueError("need n >= 1")
-    c = _unimodal_critical(system)
+    walk, c = _unimodal(system)
     x = rat(x)
+    if not system.contains_point(x):
+        raise DomainError(f"{x} outside the space")
+    return KneadingWord(walk(system, x, c, n), n)
+
+
+def _exact_symbols(system, x: Fraction, c: Fraction, n: int) -> str:
     out = []
-    for _ in range(n):
-        if x == c:
-            out.append(C)
-            break
+    while x != c and len(out) < n - 1:  # fⁿ(x) carries no symbol
         out.append(L if x < c else R)
         x = system.evaluate(x)
-    return KneadingWord("".join(out), n)
+    return "".join(out) + (C if x == c else L if x < c else R)
+
+
+def _enclosed_symbols(system: QuadraticFamilyMap, x: Fraction, c: Fraction, n: int) -> str:
+    """Each symbol read off an outward-rounded enclosure of the point, at the
+    kneading ladder's first precision; from the first enclosure that meets c
+    on, the exact walk."""
+    bits = _KNEADING_BITS[0]
+    mid = (c.numerator << bits) // c.denominator
+    out = []
+    for lo, hi in islice(system.enclosures(x, bits), n):
+        if lo <= mid <= hi:
+            return "".join(out) + _exact_symbols(system, iterate(system, x, len(out)), c, n - len(out))
+        out.append(L if hi < mid else R)
+    return "".join(out)
+
+
+_SYMBOL_WALKS = {PiecewiseLinearMap: _exact_symbols, QuadraticFamilyMap: _enclosed_symbols}
 
 
 def kneading_word(system, horizon: int) -> KneadingWord:
     """Itinerary of the critical value (the first symbol sits at f(c))."""
-    c = _unimodal_critical(system)
+    c = _unimodal(system)[1]
     return itinerary(system, system.evaluate(c), horizon)
 
 
 def _fast_quadratic_kneading(mu: Fraction, horizon: int) -> Optional[KneadingWord]:
     """Kneading word of 1−μx² via outward-rounded dyadic interval iteration.
 
-    Every emitted symbol is certified by an enclosure that stays strictly on
-    one side of the critical point; returns None when the precision ladder
-    (``_KNEADING_BITS``) cannot separate some iterate from 0.
+    Every emitted symbol is certified by an enclosure of the critical orbit
+    that stays strictly on one side of the critical point; returns None when
+    the precision ladder (``_KNEADING_BITS``) cannot separate some iterate
+    from 0.
     """
+    system = quadratic_map(mu)
     for bits in _KNEADING_BITS:
         syms: list[str] = []
-        for lo, hi in islice(_critical_orbit_enclosures(mu, bits), horizon):
+        for lo, hi in islice(system.enclosures(ZERO, bits), 1, horizon + 1):
             if lo > 0:
                 syms.append(R)
             elif hi < 0:
@@ -241,32 +268,6 @@ _KNEADING_BITS = (192, 768, 3072)
 _SEPARATION_BITS = (512, 1024, 2048, 4096)
 
 
-def _quadratic_step(mu: Fraction, lo: int, hi: int, bits: int) -> tuple[int, int]:
-    """Image of [lo, hi]·2^−bits under 1 − μx², rounded outward to the
-    2^−bits grid; endpoints are integer numerators over 2^bits.
-
-    With μ = n/d and A ≤ B the endpoint magnitudes (A = 0 when the interval
-    contains 0), the image is [1 − μB², 1 − μA²], whose numerators over
-    2^bits are (d·4^bits − n·m²)/(d·2^bits) for m = B and m = A.
-    """
-    n, d = mu.numerator, mu.denominator
-    small, big = sorted((abs(lo), abs(hi)))
-    if lo <= 0 <= hi:
-        small = 0
-    one = d << (2 * bits)
-    den = d << bits
-    return (one - n * big * big) // den, -((n * small * small - one) // den)
-
-
-def _critical_orbit_enclosures(mu: Fraction, bits: int) -> Iterator[tuple[int, int]]:
-    """Outward-rounded enclosures of Fⁿ(0) for n = 1, 2, …, F = 1 − μx², as
-    numerator pairs over 2^bits, one :func:`_quadratic_step` each."""
-    lo = hi = 0
-    while True:
-        lo, hi = _quadratic_step(mu, lo, hi, bits)
-        yield lo, hi
-
-
 def critical_orbit_separation(mu: Fraction, first: int, last: int) -> Optional[Fraction]:
     """Certified positive lower bound on min |Fⁿ(0)| for n in [first, last],
     F = 1−μx², via outward-rounded dyadic interval iteration.
@@ -278,10 +279,10 @@ def critical_orbit_separation(mu: Fraction, first: int, last: int) -> Optional[F
     """
     if not 1 <= first <= last:
         raise ValueError("need 1 <= first <= last")
-    mu = quadratic_map(mu).parameter
+    system = quadratic_map(mu)
     for bits in _SEPARATION_BITS:
         best = math.inf
-        for lo, hi in islice(_critical_orbit_enclosures(mu, bits), first - 1, last):
+        for lo, hi in islice(system.enclosures(ZERO, bits), first, last + 1):
             if lo <= 0 <= hi:
                 break  # this enclosure meets 0: try more bits
             best = min(best, abs(lo), abs(hi))

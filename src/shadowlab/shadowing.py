@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 from .numerics import (
     IntPart,
@@ -381,49 +382,58 @@ def quadratic_shadow_verdict(system: QuadraticFamilyMap, orbit: PseudoOrbit, eps
     YES is certified by an explicit rational witness iterated exactly; NO by
     emptiness of an outward-rounded backward enclosure of the tube sets;
     anything else escalates precision from 64 to 512 bits and finally reports
-    UNKNOWN.
+    UNKNOWN.  x₀ is tried before any enclosure is built: if it traces, it
+    lies in the tracing set and so in every outer enclosure of it.
     """
     epsilon = rat(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     bits, grid = 64, 32
-    while True:
+    x0 = orbit.points[0]
+    found = _quadratic_witness_search(system, orbit, epsilon, [x0], bits)
+    while found is None:
         # outer backward propagation: tubes relaxed by the enclosure width
         outer0 = from_int_set(_backward_tube_sets(system, orbit, epsilon,
                                                   partial(system._int_preimage_outer, bits=bits))[0])
         if outer0.is_empty:
             return QuadraticShadowVerdict("no", None, None, bits)
-        found = _quadratic_witness_search(system, orbit, epsilon, outer0, grid)
-        if found is not None:
-            witness, report = found
-            return QuadraticShadowVerdict("yes", witness, report, bits)
-        if bits >= 512:
-            return QuadraticShadowVerdict("unknown", None, None, bits)
-        bits *= 2
-        grid *= 4
+        found = _quadratic_witness_search(system, orbit, epsilon, _witness_candidates(outer0, grid, x0), bits)
+        if found is None:
+            if bits >= 512:
+                return QuadraticShadowVerdict("unknown", None, None, bits)
+            bits, grid = 2 * bits, 4 * grid
+    return QuadraticShadowVerdict("yes", *found, bits)
 
 
-def _quadratic_witness_search(system, orbit: PseudoOrbit, epsilon: Fraction,
-                              outer0: RationalIntervalSet,
-                              grid: int) -> Optional[tuple[Fraction, DeviationReport]]:
-    """Exact forward verification of candidates drawn from the outer
-    enclosure of the tracing set (dense where it matters); the first
-    candidate that traces, with its report.  The candidates are generated
-    as they are tried: x₀, then per part its ends, midpoint and grid."""
-    pts = orbit.points
-    tube0 = system.tube(pts[0], epsilon)
+def _witness_candidates(outer0: RationalIntervalSet, grid: int, x0: Fraction) -> Iterator[Fraction]:
+    """Per part of the outer enclosure of the tracing set its ends, midpoint and
+    grid, each once, as they are tried; x₀, which the verdict tries first, is not."""
+    seen = {x0}
+    for part in outer0.parts:
+        for cand in chain((part.lo, part.hi, (part.lo + part.hi) / 2),
+                          (part.lo + t for t in interior_grid(part.width, grid - 1))):
+            if cand not in seen:
+                seen.add(cand)
+                yield cand
 
-    def candidates():
-        yield pts[0]
-        for part in outer0.parts:
-            yield from (part.lo, part.hi, (part.lo + part.hi) / 2)
-            yield from (part.lo + t for t in interior_grid(part.width, grid - 1))
 
-    seen = set()
-    for cand in candidates():
-        if cand in seen or not tube0.contains(cand):
+def _quadratic_witness_search(system: QuadraticFamilyMap, orbit: PseudoOrbit, epsilon: Fraction,
+                              candidates: Iterable[Fraction], bits: int) -> Optional[tuple[Fraction, DeviationReport]]:
+    """The first candidate in the first tube that traces, with its report.
+
+    A candidate y is rejected with no exact iteration when the outward-rounded
+    enclosure of some fⁱ(y) at ``bits`` lies wholly outside the closed tube
+    [xᵢ − ε, xᵢ + ε], its ends rounded inward: an integer is below a real
+    exactly when it is below its ceiling."""
+    tube0 = system.tube(orbit.points[0], epsilon)
+    ends = []
+    for x in orbit.points:  # x = n/d and ε = r/d
+        n, r, d = x.numerator * epsilon.denominator, epsilon.numerator * x.denominator, x.denominator * epsilon.denominator
+        ends.append((-(((r - n) << bits) // d), ((n + r) << bits) // d))
+    for cand in candidates:
+        if not tube0.contains(cand) or any(hi < tlo or lo > thi for (tlo, thi), (lo, hi)
+                                           in zip(ends, system.enclosures(cand, bits))):
             continue
-        seen.add(cand)
         rep = traces(system, cand, orbit, epsilon)
         if rep is not None:
             return cand, rep

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .numerics import (
     ClosedInterval,
@@ -345,6 +345,11 @@ def random_zigzag_map(seed: int, min_laps: int = 2, max_laps: int = 4) -> Piecew
 # ---------------------------------------------------------------------------
 
 
+# exact iteration doubles a point's bit length at every step: past this many bits
+# one more step takes seconds and tens of MiB, and each further one triples that
+QUADRATIC_MAX_BITS = 1 << 22
+
+
 @dataclass(frozen=True)
 class QuadraticFamilyMap(IntervalSystem):
     """Either g_λ(x)=λx(1−x) on [0,1] or f_μ(x)=1−μx² on [−1,1]."""
@@ -367,13 +372,40 @@ class QuadraticFamilyMap(IntervalSystem):
     def space(self) -> RationalIntervalSet:
         return _UNIT_INTERVAL if self.family == "logistic" else _SYMMETRIC_INTERVAL
 
+    @cached_property
+    def _int_form(self) -> tuple[int, int, int, int, int]:
+        """(a, b, d, cn, cd) with f(x) = α − β(x − c)² for α = a/d, β = b/d and c = cn/cd."""
+        p = self.parameter
+        if self.family == "logistic":  # (λ/4, λ, 1/2)
+            return p.numerator, 4 * p.numerator, 4 * p.denominator, 1, 2
+        return p.denominator, p.numerator, p.denominator, 0, 1  # (1, μ, 0)
+
     def evaluate(self, x: Fraction) -> Fraction:
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) > QUADRATIC_MAX_BITS:
+            raise ValueError(f"exact quadratic iteration is limited to points of {QUADRATIC_MAX_BITS} bits")
         if not self.contains_point(x):
             raise DomainError(f"{x} outside the domain")
         # x(1 - x) = 1/4 - (x - 1/2)^2: a Fraction power is not re-normalised and every
         # other operation has a small operand, so no gcd of two orbit-sized integers is taken
         p = self.parameter
         return p * (QUARTER - (x - HALF) ** 2) if self.family == "logistic" else 1 - p * x ** 2
+
+    def enclosures(self, x: Fraction, bits: int) -> Iterator[tuple[int, int]]:
+        """Outward-rounded enclosures of x, f(x), f²(x), … as numerator pairs over 2^bits.
+
+        With A ≤ B the magnitudes of the ends of (x − c)·2^bits (A = 0 when
+        they straddle 0), the image is [⌊N_B/(d·2^bits)⌋, ⌈N_A/(d·2^bits)⌉]
+        for N_m = a·4^bits − b·m², each floor taken as ⌊⌊N/2^bits⌋/d⌋."""
+        a, b, d, cn, cd = self._int_form
+        one = a << 2 * bits
+        mid = (cn << bits) // cd  # c·2^bits, an integer for c in {0, 1/2}
+        lo, hi = (x.numerator << bits) // x.denominator, -((-x.numerator << bits) // x.denominator)
+        while True:
+            yield lo, hi
+            small, big = sorted((abs(lo - mid), abs(hi - mid)))
+            if lo <= mid <= hi:
+                small = 0
+            lo, hi = ((one - b * big * big) >> bits) // d, -(((b * small * small - one) >> bits) // d)
 
     def critical_point(self) -> Fraction:
         return HALF if self.family == "logistic" else ZERO
@@ -400,20 +432,18 @@ class QuadraticFamilyMap(IntervalSystem):
         return from_int_set(self._int_preimage_outer(target.int_parts, bits))
 
     def _int_preimage_outer(self, target: Sequence[IntPart], bits: int) -> list[IntPart]:
-        # f(x) ∈ [a,b]  ⟺  (x − c)² ∈ [(f(c) − b)/p, (f(c) − a)/p] for the critical point c;
-        # the square roots are enclosed on the 2^−bits grid, every end over cd·2^bits
-        c, p = self.critical_point(), self.parameter
-        top = self.evaluate(c)
-        cn, cd, tn, td, pn, pd = c.numerator, c.denominator, top.numerator, top.denominator, p.numerator, p.denominator
+        # f(x) ∈ [l, h]  ⟺  (x − c)² ∈ [(α − h)/β, (α − l)/β], with α − l = (a·ld − ln·d)/(d·ld) and
+        # β = b/d; the square roots are enclosed on the 2^−bits grid, every end over cd·2^bits
+        a, b, d, cn, cd = self._int_form
         scale = cd << bits
         mid = cn << bits
         out = []
         for ln, ld, hn, hd in target:
-            hi2 = (tn * ld - ln * td) * pd  # over td·ld·pn
+            hi2 = a * ld - ln * d  # (α − l)/β = hi2/(ld·b)
             if hi2 < 0:
                 continue
-            rhi = _sqrt_bounds(hi2, td * ld * pn, bits)[1] * cd
-            rlo = _sqrt_bounds(max((tn * hd - hn * td) * pd, 0), td * hd * pn, bits)[0] * cd
+            rhi = _sqrt_bounds(hi2, ld * b, bits)[1] * cd
+            rlo = _sqrt_bounds(max(a * hd - hn * d, 0), hd * b, bits)[0] * cd
             out += [(mid - rhi, scale, mid - rlo, scale), (mid + rlo, scale, mid + rhi, scale)]
         return int_intersect(int_normalize(out), self._int_space)
 

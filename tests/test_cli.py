@@ -132,6 +132,19 @@ def test_cli_shadow_on_quadratic_writes_verdict_to_out(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "QuadraticFamilyMap" in captured.err
 
 
+def test_cli_quadratic_oracle_stops_at_the_exact_iteration_limit(tmp_path):
+    # every point traces this 30-point orbit, so its first point is iterated exactly to
+    # the end; the bit length doubles per step and, unchecked, grows until memory runs out
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(logistic_map("387/100").to_json()))
+    orbit_path = tmp_path / "orbit.csv"
+    orbit_path.write_text("1/2\n" * 30)
+    proc = subprocess.run([sys.executable, "-m", "shadowlab.cli", "shadow", "oracle", "--system", str(sys_path),
+                           "--orbit", str(orbit_path), "--epsilon", "1/2"], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "limited to points of 4194304 bits" in proc.stderr
+
+
 def test_cli_rejects_false_claimed_delta(tmp_path, capsys):
     sys_path = tmp_path / "system.json"
     sys_path.write_text(json.dumps(tent_map(2).to_json()))

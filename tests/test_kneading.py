@@ -1,14 +1,16 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import kneading
 from shadowlab.kneading import (
     KneadingWord,
     _fast_quadratic_kneading,
-    _quadratic_step,
     critical_orbit_separation,
     find_parameter,
     is_recurrent_prefix,
@@ -19,7 +21,14 @@ from shadowlab.kneading import (
     staircase_word,
     word,
 )
-from shadowlab.systems import logistic_map, quadratic_map, tent_map
+from shadowlab.systems import (
+    DomainError,
+    PiecewiseLinearMap,
+    QuadraticFamilyMap,
+    logistic_map,
+    quadratic_map,
+    tent_map,
+)
 
 
 # -- itineraries -----------------------------------------------------------
@@ -45,6 +54,68 @@ def test_kneading_word_starts_at_critical_value():
     for mu in (F(11, 10), F(3, 2), F(2)):
         assert kneading_word(quadratic_map(mu), 6).symbols[0] == "R"
     assert kneading_word(quadratic_map(2), 8).symbols == "RLLLLLLL"
+
+
+def exact_itinerary(system, x, n):
+    """The itinerary loop as first written: every symbol from the exact point."""
+    c = system.critical_points()[0]
+    x = F(x)
+    out = []
+    for _ in range(n):
+        if x == c:
+            out.append("C")
+            break
+        out.append("L" if x < c else "R")
+        x = system.evaluate(x)
+    return KneadingWord("".join(out), n)
+
+
+# (system, start) pairs whose orbit meets the critical point: logistic(9/4) maps 1/3 to 1/2,
+# and 1 − (16/9)x² maps ±3/8 to 3/4 and ±3/4 to 0
+CRITICAL_HITS = [(logistic_map(F(9, 4)), F(1, 3)), (logistic_map(4), F(1, 2)), (quadratic_map(F(16, 9)), F(3, 8)),
+                 (quadratic_map(F(16, 9)), F(-3, 4)), (quadratic_map(F(3, 2)), F(0)), (tent_map(2), F(1, 4))]
+OUTSIDE = [(logistic_map(F(387, 100)), F(-1, 10)), (logistic_map(4), F(11, 10)), (quadratic_map(2), F(-3, 2)),
+           (tent_map(F(3, 2)), F(2))]
+
+
+def _start_in_space(pair):
+    system, t = pair
+    hull = system.space().hull()
+    return system, hull.lo + (hull.hi - hull.lo) * t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_itinerary_matches_the_exact_loop(data):
+    # symbols read off enclosures equal the exact ones, including critical hits
+    # (an enclosure that only touches c must hand over to the exact walk) and
+    # starts outside the space, which both refuse
+    n = data.draw(st.integers(1, 14))
+    systems = st.one_of(st.integers(250, 400).map(lambda k: logistic_map(F(k, 100))),
+                        st.integers(100, 200).map(lambda k: quadratic_map(F(k, 100))),
+                        st.integers(11, 20).map(lambda k: tent_map(F(k, 10))))
+    system, x = data.draw(st.one_of(
+        st.sampled_from(CRITICAL_HITS + OUTSIDE),
+        st.tuples(systems, st.fractions(0, 1, max_denominator=1000)).map(_start_in_space)))
+    try:
+        want = exact_itinerary(system, x, n)
+    except DomainError:
+        with pytest.raises(DomainError, match="outside the space"):
+            itinerary(system, x, n)
+        return
+    assert itinerary(system, x, n) == want
+
+
+def test_itinerary_stops_after_the_last_symbol(monkeypatch):
+    # the walk never computes fⁿ(x), which no symbol reads; on the quadratic family it
+    # iterates exactly only up to the first enclosure that meets c
+    calls = []
+    for cls in (QuadraticFamilyMap, PiecewiseLinearMap):
+        monkeypatch.setattr(cls, "evaluate", lambda self, x, f=cls.evaluate: calls.append(x) or f(self, x))
+    assert itinerary(logistic_map(F(9, 4)), F(1, 3), 1).symbols == "L" and calls == []
+    assert itinerary(logistic_map(F(9, 4)), F(1, 3), 5).symbols == "LC" and calls == [F(1, 3)]
+    assert itinerary(logistic_map(F(387, 100)), F(1, 3), 12).symbols == "LRLRLLRLLRLL" and len(calls) == 1
+    assert itinerary(tent_map(2), F(1, 5), 2).symbols == "LL" and calls[1:] == [F(1, 5)]
 
 
 # -- the staircase sequence --------------------------------------------------
@@ -190,18 +261,35 @@ def test_critical_orbit_separation_refuses_parameters_outside_the_family(mu):
         critical_orbit_separation(mu, 2, 20)
 
 
-# -- the integer enclosure step against a Fraction reference ------------------------
+# -- the enclosure generator against a Fraction reference --------------------------
 
 
-def _reference_step(mu, lo, hi, bits):
-    """The step as written with Fractions: image of [lo, hi] under 1 − μx²,
+def _form(system):
+    """(α, β, c) with f(x) = α − β(x − c)², from the textbook formulas."""
+    p = system.parameter
+    return (p / 4, p, F(1, 2)) if system.family == "logistic" else (F(1), p, F(0))
+
+
+def _reference_step(form, lo, hi, bits):
+    """The step as written with Fractions: image of [lo, hi] under α − β(x − c)²,
     floor/ceil to the 2^−bits grid."""
+    alpha, beta, c = form
     scale = 1 << bits
-    mags = sorted((abs(lo), abs(hi)))
+    mags = sorted((abs(lo - c), abs(hi - c)))
     sq_hi = mags[1] * mags[1]
-    sq_lo = F(0) if lo <= 0 <= hi else mags[0] * mags[0]
-    return (F(math.floor((1 - mu * sq_hi) * scale), scale),
-            F(math.ceil((1 - mu * sq_lo) * scale), scale))
+    sq_lo = F(0) if lo <= c <= hi else mags[0] * mags[0]
+    return (F(math.floor((alpha - beta * sq_hi) * scale), scale),
+            F(math.ceil((alpha - beta * sq_lo) * scale), scale))
+
+
+def _reference_enclosures(system, x, bits, steps):
+    scale = 1 << bits
+    lo, hi = F(math.floor(x * scale), scale), F(math.ceil(x * scale), scale)
+    out = [(lo, hi)]
+    for _ in range(steps):
+        lo, hi = _reference_step(_form(system), lo, hi, bits)
+        out.append((lo, hi))
+    return out
 
 
 def _reference_fast_kneading(mu, horizon, bits=192):
@@ -220,7 +308,7 @@ def _reference_fast_kneading(mu, horizon, bits=192):
             else:
                 stuck = True
                 break
-            lo, hi = _reference_step(mu, lo, hi, bits)
+            lo, hi = _reference_step((F(1), mu, F(0)), lo, hi, bits)
         if not stuck:
             return KneadingWord("".join(syms), horizon)
         bits *= 4
@@ -233,7 +321,7 @@ def _reference_separation(mu, first, last, bits=512, max_bits=4096):
         best = None
         ok = True
         for n in range(1, last + 1):
-            lo, hi = _reference_step(mu, lo, hi, bits)
+            lo, hi = _reference_step((F(1), mu, F(0)), lo, hi, bits)
             if n >= first:
                 if lo <= 0 <= hi:
                     ok = False
@@ -249,23 +337,25 @@ def _reference_separation(mu, first, last, bits=512, max_bits=4096):
 
 @pytest.mark.parametrize("bits", [64, 192, 512])
 @pytest.mark.parametrize("den", [100, 2**40, 2**64])
-def test_integer_quadratic_step_matches_fraction_reference(bits, den):
-    rng = random.Random(bits * 7 + den.bit_length())
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_integer_quadratic_step_matches_fraction_reference(bits, den, data):
+    # the enclosures of x, f(x), … from dyadic and non-dyadic starts, the critical
+    # point and its grid neighbours included, in both forms; an inward-rounded or
+    # an off-centre step differs here
+    mu = F(den + data.draw(st.integers(0, den)), den)
+    system = data.draw(st.sampled_from([quadratic_map(mu), logistic_map(2 * mu)]))
+    c, lo_end = (F(1, 2), F(0)) if system.family == "logistic" else (F(0), F(-1))
     scale = 1 << bits
-    mus = [F(den + rng.randrange(den + 1), den) for _ in range(6)] + [F(1), F(2)]
-    straddling = 0
-    for mu in mus:
-        for _ in range(25):
-            a, b = sorted(rng.randrange(-scale, scale + 1) for _ in range(2))
-            for lo, hi in ((a, b), (abs(a) // 2, abs(b)), (-abs(b), -abs(a) // 3), (a, a), (0, 0), (-b, b)):
-                lo, hi = min(lo, hi), max(lo, hi)
-                straddling += lo <= 0 <= hi
-                got = _quadratic_step(mu, lo, hi, bits)
-                assert all(isinstance(v, int) for v in got)
-                want = _reference_step(mu, F(lo, scale), F(hi, scale), bits)
-                assert (F(got[0], scale), F(got[1], scale)) == want
-                assert got[0] <= got[1]
-    assert 0 < straddling < len(mus) * 25 * 6
+    x = data.draw(st.one_of(
+        st.sampled_from([c, c - F(1, scale), c + F(1, scale), lo_end, lo_end + 1 + (system.family == "quadratic")]),
+        st.integers(0, scale).map(lambda k: lo_end + F(k, scale) * (1 + (system.family == "quadratic"))),
+        st.fractions(lo_end, lo_end + 1 + (system.family == "quadratic"), max_denominator=10**30)))
+    got = list(islice(system.enclosures(x, bits), 41))
+    assert all(isinstance(v, int) for pair in got for v in pair)
+    want = _reference_enclosures(system, x, bits, 40)
+    assert [(F(lo, scale), F(hi, scale)) for lo, hi in got] == want
+    assert all(lo <= hi for lo, hi in got)
 
 
 def _separation_parameters():

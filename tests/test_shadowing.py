@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from shadowlab.numerics import from_int_set, from_pairs, interior_grid
 from shadowlab.pseudo_orbits import PseudoOrbit, deviation, perturbed_orbit, traces, verify_jumps
 from shadowlab.shadowing import (
+    QuadraticShadowVerdict,
     _backward_tube_sets,
     _chain_back,
     _forward_sets,
     _quadratic_witness_search,
+    _witness_candidates,
     asymptotic_shadow,
     ball_expanding_delta,
     finite_horizon_delta,
@@ -600,14 +602,15 @@ def test_quadratic_yes_carries_the_witness_deviation():
     assert yes >= 20 and no >= 1
 
 
-def eager_witness_search(system, orbit, epsilon, outer0, grid):
-    """The witness search as first written: every candidate listed before the first is tried."""
+def eager_witness_search(system, orbit, epsilon, outer0, grid, tried=()):
+    """The witness search as first written: every candidate listed before the
+    first is tried, x₀ first, each iterated exactly; ``tried`` are skipped."""
     tube0 = system.tube(orbit.points[0], epsilon)
     candidates = [orbit.points[0]]
     for part in outer0.parts:
         candidates.extend([part.lo, part.hi, (part.lo + part.hi) / 2])
         candidates.extend(part.lo + t for t in interior_grid(part.width, grid - 1))
-    seen = set()
+    seen = set(tried)
     for cand in candidates:
         if cand in seen or not tube0.contains(cand):
             continue
@@ -616,6 +619,27 @@ def eager_witness_search(system, orbit, epsilon, outer0, grid):
         if rep is not None:
             return cand, rep
     return None
+
+
+def _outer0(system, orbit, epsilon, bits):
+    return from_int_set(_backward_tube_sets(system, orbit, epsilon, partial(system._int_preimage_outer, bits=bits))[0])
+
+
+def exact_candidate_verdict(system, orbit, epsilon):
+    """The verdict as first written: each precision builds the outer enclosure
+    first, and its search tries x₀ and then every candidate by exact iteration."""
+    bits, grid = 64, 32
+    while True:
+        outer0 = _outer0(system, orbit, epsilon, bits)
+        if outer0.is_empty:
+            return QuadraticShadowVerdict("no", None, None, bits)
+        found = eager_witness_search(system, orbit, epsilon, outer0, grid)
+        if found is not None:
+            return QuadraticShadowVerdict("yes", *found, bits)
+        if bits >= 512:
+            return QuadraticShadowVerdict("unknown", None, None, bits)
+        bits *= 2
+        grid *= 4
 
 
 def test_lazy_witness_candidates_match_the_eager_list():
@@ -627,13 +651,80 @@ def test_lazy_witness_candidates_match_the_eager_list():
             orbits += [perturbed_orbit(system, x0, 3 + seed, delta, seed=seed) for delta in (F(1, 100), F(1, 6))]
             for orbit in orbits:
                 for eps in (F(1, 10), F(1, 40)):
-                    outer0 = from_int_set(_backward_tube_sets(system, orbit, eps,
-                                                              partial(system._int_preimage_outer, bits=64))[0])
-                    got = _quadratic_witness_search(system, orbit, eps, outer0, 32)
-                    assert got == eager_witness_search(system, orbit, eps, outer0, 32)
-                    found += got is not None and got[0] != orbit.points[0]
+                    outer0 = _outer0(system, orbit, eps, 64)
+                    # x₀ is the verdict's first try, and the candidates do not repeat it
+                    got = _quadratic_witness_search(system, orbit, eps, _witness_candidates(outer0, 32, orbit.points[0]),
+                                                    64)
+                    assert got == eager_witness_search(system, orbit, eps, outer0, 32, tried=(orbit.points[0],))
+                    found += got is not None
                     missed += got is None
     assert found >= 5 and missed >= 1, (found, missed)
+
+
+QUADRATIC_SYSTEMS = [logistic_map(4), logistic_map(F(37, 10)), logistic_map(F(387, 100)), quadratic_map(2),
+                     quadratic_map(F(9, 5))]
+
+
+def far_orbit(system, x0, length):
+    """Each point half the space away from the image of the one before, on the 2^−10 grid."""
+    hull = system.space().hull()
+    half = (hull.hi - hull.lo) / 2
+    pts = [x0]
+    for _ in range(length - 1):
+        fx = system.evaluate(pts[-1])
+        pts.append(F(round((fx + half if fx < hull.lo + half else fx - half) * 1024), 1024))
+    return PseudoOrbit(tuple(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quadratic_verdict_matches_the_exact_candidate_search(data):
+    # x₀ tried before any enclosure, and candidates rejected off their enclosures,
+    # give the same verdict, witness, report and precision as exact iteration of
+    # every candidate: a rejection of an enclosure that only touches its tube, or
+    # of one rounded inward, would change a witness here
+    system = data.draw(st.sampled_from(QUADRATIC_SYSTEMS))
+    hull = system.space().hull()
+    x0 = hull.lo + (hull.hi - hull.lo) * F(data.draw(st.integers(1, 1023)), 1024)
+    length = data.draw(st.integers(1, 12))
+    eps = data.draw(st.sampled_from([F(1, 10), F(1, 40), F(1, 200)]))
+    kind = data.draw(st.sampled_from(["true", "perturbed", "far"]))
+    if kind == "true":
+        orbit = true_orbit(system, x0, length)
+    elif kind == "perturbed":
+        delta = data.draw(st.sampled_from([F(1, 1000), F(1, 100), F(1, 20), F(1, 6)]))
+        orbit = perturbed_orbit(system, x0, length, delta, seed=data.draw(st.integers(0, 2**16)))
+    else:
+        orbit = far_orbit(system, x0, length)
+    assert quadratic_shadow_verdict(system, orbit, eps) == exact_candidate_verdict(system, orbit, eps)
+
+
+def jump_orbit(system, x0, s, signs):
+    pts = [x0]
+    hull = system.space().hull()
+    for sign in signs:
+        pts.append(min(max(system.evaluate(pts[-1]) + sign * s, hull.lo), hull.hi))
+    return PseudoOrbit(tuple(pts))
+
+
+def test_quadratic_verdict_matches_the_exact_candidate_search_near_the_tracing_threshold():
+    # jumps of size s: bisect s to where the 1024-bit outer enclosure becomes empty.
+    # Within 2^−k of that point the tracing set is tiny or the enclosures barely
+    # empty, so the verdict escalates to 128, 256 and 512 bits and ends unknown
+    seen = set()
+    for system, x0, signs, eps in ((quadratic_map(2), F(1, 8), (1, 1), F(1, 10)),
+                                   (logistic_map(F(37, 10)), F(19, 32), (1, -1, -1, 1), F(1, 10))):
+        lo, hi = F(0), F(1)
+        for _ in range(800):
+            s = (lo + hi) / 2
+            lo, hi = (lo, s) if _outer0(system, jump_orbit(system, x0, s, signs), eps, 1024).is_empty else (s, hi)
+        for k in (8, 100, 200, 400, 600):
+            for s in (lo - F(1, 2**k), hi + F(1, 2**k)):
+                orbit = jump_orbit(system, x0, s, signs)
+                verdict = quadratic_shadow_verdict(system, orbit, eps)
+                assert verdict == exact_candidate_verdict(system, orbit, eps)
+                seen.add((verdict.value, verdict.bits_used))
+    assert seen >= {("yes", 64), ("no", 64), ("unknown", 512)} | {(v, b) for v in ("yes", "no") for b in (128, 256, 512)}
 
 
 # -- certificates -----------------------------------------------------------------
