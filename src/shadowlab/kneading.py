@@ -24,7 +24,6 @@ from .numerics import rat, rat_str
 from .systems import DomainError, PiecewiseLinearMap, QuadraticFamilyMap, iterate, quadratic_map, require
 
 L, C, R = "L", "C", "R"
-ZERO = Fraction(0)
 _ORDER = {L: -1, C: 0, R: 1}
 
 
@@ -75,7 +74,7 @@ def itinerary(system: Union[QuadraticFamilyMap, PiecewiseLinearMap], x, n: int) 
 
 def _exact_symbols(system, x: Fraction, c: Fraction, n: int) -> str:
     out = []
-    while x != c and len(out) < n - 1:  # fⁿ(x) carries no symbol
+    while x != c and len(out) < n - 1:  # the last symbol is f^{n−1}(x)'s: fⁿ(x) is never computed
         out.append(L if x < c else R)
         x = system.evaluate(x)
     return "".join(out) + (C if x == c else L if x < c else R)
@@ -115,7 +114,7 @@ def _fast_quadratic_kneading(mu: Fraction, horizon: int) -> Optional[KneadingWor
     system = quadratic_map(mu)
     for bits in _KNEADING_BITS:
         syms: list[str] = []
-        for lo, hi in islice(system.enclosures(ZERO, bits), 1, horizon + 1):
+        for lo, hi in islice(system.enclosures(system.critical_point(), bits), 1, horizon + 1):
             if lo > 0:
                 syms.append(R)
             elif hi < 0:
@@ -282,7 +281,7 @@ def critical_orbit_separation(mu: Fraction, first: int, last: int) -> Optional[F
     system = quadratic_map(mu)
     for bits in _SEPARATION_BITS:
         best = math.inf
-        for lo, hi in islice(system.enclosures(ZERO, bits), first, last + 1):
+        for lo, hi in islice(system.enclosures(system.critical_point(), bits), first, last + 1):
             if lo <= 0 <= hi:
                 break  # this enclosure meets 0: try more bits
             best = min(best, abs(lo), abs(hi))

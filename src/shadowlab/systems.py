@@ -345,9 +345,9 @@ def random_zigzag_map(seed: int, min_laps: int = 2, max_laps: int = 4) -> Piecew
 # ---------------------------------------------------------------------------
 
 
-# exact iteration doubles a point's bit length at every step: past this many bits
-# one more step takes seconds and tens of MiB, and each further one triples that
-QUADRATIC_MAX_BITS = 1 << 22
+# exact iteration doubles a point's bit length at every step: one more step from a
+# point of this many bits takes seconds, and each further step about three times that
+QUADRATIC_MAX_BITS = 1 << 23
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def test_cli_quadratic_oracle_stops_at_the_exact_iteration_limit(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "shadowlab.cli", "shadow", "oracle", "--system", str(sys_path),
                            "--orbit", str(orbit_path), "--epsilon", "1/2"], capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.count("\n") == 1 and "limited to points of 4194304 bits" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "limited to points of 8388608 bits" in proc.stderr
 
 
 def test_cli_rejects_false_claimed_delta(tmp_path, capsys):
