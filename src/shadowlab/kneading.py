@@ -3,13 +3,11 @@
 Symbols are 'L', 'C', 'R' relative to the critical point.  The kneading word
 of a map is the itinerary of its critical value.  Words are compared in the
 order that mirrors the order of points on the line: lexicographic, with the
-orientation flipping after every 'R'.  Itineraries are exact; on the
-quadratic family each symbol is read off an outward-rounded dyadic
-enclosure of the point (``QuadraticFamilyMap.enclosures``) and exact
-iteration starts only at the first enclosure that meets the critical point.
-Parameter search drives a bisection on the quadratic family with that order,
-reading each kneading word off enclosures of the critical orbit; a word
-they cannot certify is refused.
+orientation flipping after every 'R'.  Itineraries are exact; on the quadratic family their
+symbols are read off ``QuadraticFamilyMap.enclosures`` up to the first enclosure that meets
+the critical point.  Parameter search drives a bisection on the quadratic family with that
+order, reading each kneading word off enclosures of the critical orbit; a word they cannot
+certify is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from itertools import islice
 from typing import Callable, Optional, Union
 
 from .numerics import rat, rat_str
-from .systems import DomainError, PiecewiseLinearMap, QuadraticFamilyMap, iterate, quadratic_map, require
+from .systems import DomainError, PiecewiseLinearMap, QuadraticFamilyMap, dyadic_bounds, iterate, quadratic_map, require
 
 L, C, R = "L", "C", "R"
 _ORDER = {L: -1, C: 0, R: 1}
@@ -81,11 +79,10 @@ def _exact_symbols(system, x: Fraction, c: Fraction, n: int) -> str:
 
 
 def _enclosed_symbols(system: QuadraticFamilyMap, x: Fraction, c: Fraction, n: int) -> str:
-    """Each symbol read off an outward-rounded enclosure of the point, at the
-    kneading ladder's first precision; from the first enclosure that meets c
-    on, the exact walk."""
+    """Each symbol read off an outward-rounded enclosure of the point at the kneading
+    ladder's first precision; from the first enclosure that meets c on, the exact walk."""
     bits = _KNEADING_BITS[0]
-    mid = (c.numerator << bits) // c.denominator
+    mid = dyadic_bounds(c.numerator, c.denominator, bits)[0]
     out = []
     for lo, hi in islice(system.enclosures(x, bits), n):
         if lo <= mid <= hi:
@@ -106,10 +103,9 @@ def kneading_word(system, horizon: int) -> KneadingWord:
 def _fast_quadratic_kneading(mu: Fraction, horizon: int) -> Optional[KneadingWord]:
     """Kneading word of 1−μx² via outward-rounded dyadic interval iteration.
 
-    Every emitted symbol is certified by an enclosure of the critical orbit
-    that stays strictly on one side of the critical point; returns None when
-    the precision ladder (``_KNEADING_BITS``) cannot separate some iterate
-    from 0.
+    Every emitted symbol is certified by an enclosure that stays strictly on
+    one side of the critical point; returns None when the precision ladder
+    (``_KNEADING_BITS``) cannot separate some iterate from 0.
     """
     system = quadratic_map(mu)
     for bits in _KNEADING_BITS:

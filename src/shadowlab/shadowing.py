@@ -50,6 +50,7 @@ from .systems import (
     SymbolicPoint,
     SystemSpec,
     cylinder_length,
+    dyadic_bounds,
     iterate,
     iterate_pl,
     require,
@@ -382,57 +383,57 @@ def quadratic_shadow_verdict(system: QuadraticFamilyMap, orbit: PseudoOrbit, eps
     YES is certified by an explicit rational witness iterated exactly; NO by
     emptiness of an outward-rounded backward enclosure of the tube sets;
     anything else escalates precision from 64 to 512 bits and finally reports
-    UNKNOWN.  x₀ is tried before any enclosure is built: if it traces, it
-    lies in the tracing set and so in every outer enclosure of it.
+    UNKNOWN.  An x₀ whose enclosures lie in every tube is in the tracing set: no outer one is built.
     """
     epsilon = rat(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     bits, grid = 64, 32
-    x0 = orbit.points[0]
-    found = _quadratic_witness_search(system, orbit, epsilon, [x0], bits)
-    while found is None:
+    x0, tried = orbit.points[0], set()
+    if system.contains_point(x0) and all(tlo <= lo and hi <= thi for (tlo, thi), (lo, hi)
+                                         in zip(_tube_grid(orbit, epsilon, bits), system.enclosures(x0, bits))):
+        return QuadraticShadowVerdict("yes", x0, traces(system, x0, orbit, epsilon), bits)
+    while True:
         # outer backward propagation: tubes relaxed by the enclosure width
         outer0 = from_int_set(_backward_tube_sets(system, orbit, epsilon,
                                                   partial(system._int_preimage_outer, bits=bits))[0])
         if outer0.is_empty:
             return QuadraticShadowVerdict("no", None, None, bits)
-        found = _quadratic_witness_search(system, orbit, epsilon, _witness_candidates(outer0, grid, x0), bits)
-        if found is None:
-            if bits >= 512:
-                return QuadraticShadowVerdict("unknown", None, None, bits)
-            bits, grid = 2 * bits, 4 * grid
-    return QuadraticShadowVerdict("yes", *found, bits)
+        found = _quadratic_witness_search(system, orbit, epsilon, _witness_candidates(x0, outer0, grid, tried), bits)
+        if found is not None:
+            return QuadraticShadowVerdict("yes", *found, bits)
+        if bits >= 512:
+            return QuadraticShadowVerdict("unknown", None, None, bits)
+        bits, grid = 2 * bits, 4 * grid
 
 
-def _witness_candidates(outer0: RationalIntervalSet, grid: int, x0: Fraction) -> Iterator[Fraction]:
-    """Per part of the outer enclosure of the tracing set its ends, midpoint and
-    grid, each once, as they are tried; x₀, which the verdict tries first, is not."""
-    seen = {x0}
-    for part in outer0.parts:
-        for cand in chain((part.lo, part.hi, (part.lo + part.hi) / 2),
-                          (part.lo + t for t in interior_grid(part.width, grid - 1))):
-            if cand not in seen:
-                seen.add(cand)
-                yield cand
+def _witness_candidates(x0: Fraction, outer0: RationalIntervalSet, grid: int, tried: set) -> Iterator[Fraction]:
+    """x₀, then per part of the outer enclosure of the tracing set its ends, midpoint and grid, as they
+    are tried; each once per verdict (``tried``): one that fails at one precision fails at all."""
+    parts = (chain((p.lo, p.hi, (p.lo + p.hi) / 2), (p.lo + t for t in interior_grid(p.width, grid - 1)))
+             for p in outer0.parts)
+    for cand in chain([x0], chain.from_iterable(parts)):
+        if cand not in tried:
+            tried.add(cand)
+            yield cand
+
+
+def _tube_grid(orbit: PseudoOrbit, epsilon: Fraction, bits: int) -> list[tuple[int, int]]:
+    """The closed tubes [xᵢ − ε, xᵢ + ε] rounded inward to the 2^−bits grid, as numerators: an
+    integer is at least a real exactly when it is at least its ceiling, at most it when at most its floor."""
+    r, e = epsilon.numerator, epsilon.denominator  # x = n/d: x ± ε = (n·e ± r·d)/(d·e)
+    return [(dyadic_bounds(x.numerator * e - r * x.denominator, x.denominator * e, bits)[1],
+             dyadic_bounds(x.numerator * e + r * x.denominator, x.denominator * e, bits)[0]) for x in orbit.points]
 
 
 def _quadratic_witness_search(system: QuadraticFamilyMap, orbit: PseudoOrbit, epsilon: Fraction,
                               candidates: Iterable[Fraction], bits: int) -> Optional[tuple[Fraction, DeviationReport]]:
-    """The first candidate in the first tube that traces, with its report.
-
-    A candidate y is rejected with no exact iteration when the outward-rounded
-    enclosure of some fⁱ(y) at ``bits`` lies wholly outside the closed tube
-    [xᵢ − ε, xᵢ + ε], its ends rounded inward: an integer is below a real
-    exactly when it is below its ceiling."""
-    tube0 = system.tube(orbit.points[0], epsilon)
-    ends = []
-    for x in orbit.points:  # x = n/d and ε = r/d
-        n, r, d = x.numerator * epsilon.denominator, epsilon.numerator * x.denominator, x.denominator * epsilon.denominator
-        ends.append((-(((r - n) << bits) // d), ((n + r) << bits) // d))
+    """The first candidate in the first tube that traces, with its report.  A candidate y is rejected
+    with no exact iteration when the enclosure of some fⁱ(y) at ``bits`` lies wholly outside its tube."""
+    tube0, tubes = system.tube(orbit.points[0], epsilon), _tube_grid(orbit, epsilon, bits)
     for cand in candidates:
         if not tube0.contains(cand) or any(hi < tlo or lo > thi for (tlo, thi), (lo, hi)
-                                           in zip(ends, system.enclosures(cand, bits))):
+                                           in zip(tubes, system.enclosures(cand, bits))):
             continue
         rep = traces(system, cand, orbit, epsilon)
         if rep is not None:

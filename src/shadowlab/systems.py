@@ -393,13 +393,12 @@ class QuadraticFamilyMap(IntervalSystem):
     def enclosures(self, x: Fraction, bits: int) -> Iterator[tuple[int, int]]:
         """Outward-rounded enclosures of x, f(x), f²(x), … as numerator pairs over 2^bits.
 
-        With A ≤ B the magnitudes of the ends of (x − c)·2^bits (A = 0 when
-        they straddle 0), the image is [⌊N_B/(d·2^bits)⌋, ⌈N_A/(d·2^bits)⌉]
-        for N_m = a·4^bits − b·m², each floor taken as ⌊⌊N/2^bits⌋/d⌋."""
+        With A ≤ B the magnitudes of the ends of (x − c)·2^bits (A = 0 when they straddle 0), the
+        image is [⌊N_B/(d·2^bits)⌋, ⌈N_A/(d·2^bits)⌉] for N_m = a·4^bits − b·m², each floor ⌊⌊N/2^bits⌋/d⌋."""
         a, b, d, cn, cd = self._int_form
         one = a << 2 * bits
-        mid = (cn << bits) // cd  # c·2^bits, an integer for c in {0, 1/2}
-        lo, hi = (x.numerator << bits) // x.denominator, -((-x.numerator << bits) // x.denominator)
+        mid = dyadic_bounds(cn, cd, bits)[0]  # c·2^bits, an integer for c in {0, 1/2}
+        lo, hi = dyadic_bounds(x.numerator, x.denominator, bits)
         while True:
             yield lo, hi
             small, big = sorted((abs(lo - mid), abs(hi - mid)))
@@ -465,6 +464,11 @@ def sqrt_enclosure(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
         raise ValueError("negative radicand")
     lo, hi = _sqrt_bounds(q.numerator, q.denominator, bits)
     return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+
+
+def dyadic_bounds(n: int, d: int, bits: int) -> tuple[int, int]:
+    """⌊2^bits·n/d⌋ and ⌈2^bits·n/d⌉ (d > 0): the numerators of the 2^−bits grid points either side of n/d."""
+    return (n << bits) // d, -((-n << bits) // d)
 
 
 def _sqrt_bounds(n: int, d: int, bits: int) -> tuple[int, int]:

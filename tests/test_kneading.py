@@ -335,7 +335,7 @@ def _reference_separation(mu, first, last, bits=512, max_bits=4096):
     return None
 
 
-@pytest.mark.parametrize("bits", [64, 192, 512])
+@pytest.mark.parametrize("bits", [4, 8, 64, 192, 512])
 @pytest.mark.parametrize("den", [100, 2**40, 2**64])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
@@ -356,6 +356,27 @@ def test_integer_quadratic_step_matches_fraction_reference(bits, den, data):
     want = _reference_enclosures(system, x, bits, 40)
     assert [(F(lo, scale), F(hi, scale)) for lo, hi in got] == want
     assert all(lo <= hi for lo, hi in got)
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_enclosures_that_straddle_the_critical_point_match_the_reference(bits):
+    # at low precision the enclosures widen and meet c strictly (lo < c < hi) within 40
+    # steps; only such an enclosure takes the step's straddling branch, whose image
+    # reaches up to α, and the other users of the generator stop before stepping one
+    rng = random.Random(bits)
+    scale = 1 << bits
+    straddling = {"logistic": 0, "quadratic": 0}
+    for _ in range(12):
+        den = rng.choice([100, 2**40])
+        mu = F(den + rng.randrange(den + 1), den)
+        for system in (quadratic_map(mu), logistic_map(2 * mu)):
+            hull = system.space().hull()
+            x = hull.lo + (hull.hi - hull.lo) * F(rng.randrange(1, 1000), 1000)
+            got = list(islice(system.enclosures(x, bits), 41))
+            assert [(F(lo, scale), F(hi, scale)) for lo, hi in got] == _reference_enclosures(system, x, bits, 40)
+            mid = system.critical_point() * scale
+            straddling[system.family] += sum(lo < mid < hi for lo, hi in got[:-1])
+    assert min(straddling.values()) > 0, straddling
 
 
 def _separation_parameters():

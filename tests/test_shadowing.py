@@ -602,15 +602,14 @@ def test_quadratic_yes_carries_the_witness_deviation():
     assert yes >= 20 and no >= 1
 
 
-def eager_witness_search(system, orbit, epsilon, outer0, grid, tried=()):
-    """The witness search as first written: every candidate listed before the
-    first is tried, x₀ first, each iterated exactly; ``tried`` are skipped."""
+def eager_witness_search(system, orbit, epsilon, outer0, grid):
+    """The witness search as first written: every candidate listed before the first is tried."""
     tube0 = system.tube(orbit.points[0], epsilon)
     candidates = [orbit.points[0]]
     for part in outer0.parts:
         candidates.extend([part.lo, part.hi, (part.lo + part.hi) / 2])
         candidates.extend(part.lo + t for t in interior_grid(part.width, grid - 1))
-    seen = set(tried)
+    seen = set()
     for cand in candidates:
         if cand in seen or not tube0.contains(cand):
             continue
@@ -652,11 +651,10 @@ def test_lazy_witness_candidates_match_the_eager_list():
             for orbit in orbits:
                 for eps in (F(1, 10), F(1, 40)):
                     outer0 = _outer0(system, orbit, eps, 64)
-                    # x₀ is the verdict's first try, and the candidates do not repeat it
-                    got = _quadratic_witness_search(system, orbit, eps, _witness_candidates(outer0, 32, orbit.points[0]),
-                                                    64)
-                    assert got == eager_witness_search(system, orbit, eps, outer0, 32, tried=(orbit.points[0],))
-                    found += got is not None
+                    got = _quadratic_witness_search(system, orbit, eps,
+                                                    _witness_candidates(orbit.points[0], outer0, 32, set()), 64)
+                    assert got == eager_witness_search(system, orbit, eps, outer0, 32)
+                    found += got is not None and got[0] != orbit.points[0]
                     missed += got is None
     assert found >= 5 and missed >= 1, (found, missed)
 
@@ -725,6 +723,34 @@ def test_quadratic_verdict_matches_the_exact_candidate_search_near_the_tracing_t
                 assert verdict == exact_candidate_verdict(system, orbit, eps)
                 seen.add((verdict.value, verdict.bits_used))
     assert seen >= {("yes", 64), ("no", 64), ("unknown", 512)} | {(v, b) for v in ("yes", "no") for b in (128, 256, 512)}
+
+
+def precise_stretch_then_jump(system, x0, length):
+    """``length`` points of the true orbit of x₀ on the 2^−200 grid, then a jump of 1."""
+    pts = [x0]
+    for _ in range(length - 1):
+        pts.append(F(round(system.evaluate(pts[-1]) * 2**200), 2**200))
+    fx = system.evaluate(pts[-1])
+    return PseudoOrbit((*pts, fx - 1 if fx > 0 else fx + 1))
+
+
+@pytest.mark.parametrize("system, orbit, value", [
+    # f(1/2) = 1/2 lies on the 64-bit grid, 2^−70 outside the second tube: its exact enclosure
+    # ends on the grid point of the tube's end rounded outward, so only tubes rounded inward
+    # keep x₀ from being taken as a witness without exact iteration
+    (quadratic_map(2), PseudoOrbit((F(1, 2), F(6, 10) + F(1, 2**70))), "yes"),
+    (quadratic_map(2), PseudoOrbit((F(1, 2), F(4, 10) - F(1, 2**70))), "yes"),
+    # the enclosures of −1/1000 lie in both tubes, but the map is not defined there
+    (logistic_map(F(387, 100)), PseudoOrbit((F(-1, 1000), F(0))), "yes"),
+    # x₀'s 64-bit enclosure covers the space long before the jump, so it is neither surely in
+    # every tube nor surely out of one: the empty outer enclosure answers no, where exact
+    # iteration of x₀ would reach the exact iteration limit near step 21 and raise
+    (quadratic_map(2), precise_stretch_then_jump(quadratic_map(2), F(1, 3), 70), "no"),
+], ids=["above-tube", "below-tube", "outside-space", "precise-then-jump"])
+def test_quadratic_verdict_takes_x0_early_only_when_its_enclosures_lie_in_every_tube(system, orbit, value):
+    verdict = quadratic_shadow_verdict(system, orbit, F(1, 10))
+    assert verdict == exact_candidate_verdict(system, orbit, F(1, 10)) and verdict.value == value
+    assert verdict.witness != orbit.points[0] and verdict.bits_used == 64
 
 
 # -- certificates -----------------------------------------------------------------
