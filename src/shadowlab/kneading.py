@@ -4,10 +4,10 @@ Symbols are 'L', 'C', 'R' relative to the critical point.  The kneading word
 of a map is the itinerary of its critical value.  Words are compared in the
 order that mirrors the order of points on the line: lexicographic, with the
 orientation flipping after every 'R'.  Itineraries are exact; on the quadratic family their
-symbols are read off ``QuadraticFamilyMap.enclosures`` up to the first enclosure that meets
-the critical point.  Parameter search drives a bisection on the quadratic family with that
-order, reading each kneading word off enclosures of the critical orbit; a word they cannot
-certify is refused.
+symbols are read off ``QuadraticFamilyMap.enclosures`` on the kneading precision ladder, and
+past its top iterated exactly from the first enclosure that meets c.  Parameter search drives a
+bisection on the quadratic family with that order, reading each kneading word off enclosures of
+the critical orbit; a word they cannot certify is refused.
 """
 
 from __future__ import annotations
@@ -79,16 +79,18 @@ def _exact_symbols(system, x: Fraction, c: Fraction, n: int) -> str:
 
 
 def _enclosed_symbols(system: QuadraticFamilyMap, x: Fraction, c: Fraction, n: int) -> str:
-    """Each symbol read off an outward-rounded enclosure of the point at the kneading
-    ladder's first precision; from the first enclosure that meets c on, the exact walk."""
-    bits = _KNEADING_BITS[0]
-    mid = dyadic_bounds(c.numerator, c.denominator, bits)[0]
-    out = []
-    for lo, hi in islice(system.enclosures(x, bits), n):
-        if lo <= mid <= hi:
-            return "".join(out) + _exact_symbols(system, iterate(system, x, len(out)), c, n - len(out))
-        out.append(L if hi < mid else R)
-    return "".join(out)
+    """Each symbol read off an outward-rounded enclosure of the point, climbing the kneading
+    ladder while some enclosure meets c; past its top, the exact walk from the first such one."""
+    for bits in _KNEADING_BITS:
+        mid = dyadic_bounds(c.numerator, c.denominator, bits)[0]
+        out = []
+        for lo, hi in islice(system.enclosures(x, bits), n):
+            if lo <= mid <= hi:
+                break
+            out.append(L if hi < mid else R)
+        else:
+            return "".join(out)
+    return "".join(out) + _exact_symbols(system, iterate(system, x, len(out)), c, n - len(out))
 
 
 _SYMBOL_WALKS = {PiecewiseLinearMap: _exact_symbols, QuadraticFamilyMap: _enclosed_symbols}
@@ -280,7 +282,7 @@ def critical_orbit_separation(mu: Fraction, first: int, last: int) -> Optional[F
         for lo, hi in islice(system.enclosures(system.critical_point(), bits), first, last + 1):
             if lo <= 0 <= hi:
                 break  # this enclosure meets 0: try more bits
-            best = min(best, abs(lo), abs(hi))
+            best = min(best, lo if lo > 0 else -hi)
         else:
             return Fraction(best, 1 << bits)
     return None

@@ -118,11 +118,21 @@ def _trace_report(system: SystemSpec, y: Point, orbit: PseudoOrbit,
             z = system.evaluate(z)
         d = system.distance(z, x)
         per.append(d)
-        if worst is None or d > worst:
-            if bound is not None and d > bound:
+        dn, dd = d.numerator, d.denominator
+        if worst is None or _exceeds(dn, dd, wn, wd):
+            if bound is not None and _exceeds(dn, dd, bound.numerator, bound.denominator):
                 return None
-            worst = d
+            worst, wn, wd = d, dn, dd
     return DeviationReport(worst, tuple(per), z == orbit.points[-1])
+
+
+def _exceeds(an: int, ad: int, bn: int, bd: int) -> bool:
+    """an/ad > bn/bd for an, bn ≥ 0 and ad, bd > 0.  A product of positive integers has the sum of
+    their bit lengths or one less, so sums two or more apart decide with no cross product."""
+    if not (an and bn):
+        return an > bn
+    s = an.bit_length() + bd.bit_length() - bn.bit_length() - ad.bit_length()
+    return s > 1 or (s > -2 and an * bd > bn * ad)
 
 
 def deviation(system: SystemSpec, y: Point, orbit: PseudoOrbit) -> DeviationReport:

@@ -50,7 +50,6 @@ from .systems import (
     SymbolicPoint,
     SystemSpec,
     cylinder_length,
-    dyadic_bounds,
     iterate,
     iterate_pl,
     require,
@@ -420,10 +419,13 @@ def _witness_candidates(x0: Fraction, outer0: RationalIntervalSet, grid: int, tr
 
 def _tube_grid(orbit: PseudoOrbit, epsilon: Fraction, bits: int) -> list[tuple[int, int]]:
     """The closed tubes [xᵢ − ε, xᵢ + ε] rounded inward to the 2^−bits grid, as numerators: an
-    integer is at least a real exactly when it is at least its ceiling, at most it when at most its floor."""
-    r, e = epsilon.numerator, epsilon.denominator  # x = n/d: x ± ε = (n·e ± r·d)/(d·e)
-    return [(dyadic_bounds(x.numerator * e - r * x.denominator, x.denominator * e, bits)[1],
-             dyadic_bounds(x.numerator * e + r * x.denominator, x.denominator * e, bits)[0]) for x in orbit.points]
+    integer is at least a real exactly when it is at least its ceiling, at most it when at most its floor.
+    With x·2^bits = q + ρ/d and ε·2^bits = E + Eᵣ/e (0 ≤ ρ < d, 0 ≤ Eᵣ < e) the ends are
+    q − E + [ρe > Eᵣd] and q + E + [ρe + Eᵣd ≥ de]: one division of an orbit-sized integer per point."""
+    e = epsilon.denominator
+    big_e, rem_e = divmod(epsilon.numerator << bits, e)
+    return [(q - big_e + (rho * e > rem_e * d), q + big_e + (rho * e + rem_e * d >= d * e))
+            for d, (q, rho) in ((x.denominator, divmod(x.numerator << bits, x.denominator)) for x in orbit.points)]
 
 
 def _quadratic_witness_search(system: QuadraticFamilyMap, orbit: PseudoOrbit, epsilon: Fraction,

@@ -92,7 +92,7 @@ class IntervalSystem:
     def distance(self, x: Fraction, y: Fraction) -> Fraction:
         if not isinstance(x, Fraction) or not isinstance(y, Fraction):
             raise DomainError("interval systems take rational points")
-        return abs(x - y)
+        return ZERO if x == y else abs(x - y)
 
     def point_to_str(self, x: Fraction) -> str:
         return rat_str(x)
@@ -394,17 +394,28 @@ class QuadraticFamilyMap(IntervalSystem):
         """Outward-rounded enclosures of x, f(x), f²(x), … as numerator pairs over 2^bits.
 
         With A ≤ B the magnitudes of the ends of (x − c)·2^bits (A = 0 when they straddle 0), the
-        image is [⌊N_B/(d·2^bits)⌋, ⌈N_A/(d·2^bits)⌉] for N_m = a·4^bits − b·m², each floor ⌊⌊N/2^bits⌋/d⌋."""
+        image is [⌊N_B/(d·2^bits)⌋, ⌈N_A/(d·2^bits)⌉] for N_m = a·4^bits − b·m².  With d = odd·2^k each
+        floor is ⌊⌊N/2^(bits+k)⌋/odd⌋, and on one side of c B² = A² + (B − A)(B + A), whose second
+        product is by the enclosure's width: one full squaring per step."""
         a, b, d, cn, cd = self._int_form
-        one = a << 2 * bits
+        k = (d & -d).bit_length() - 1
+        odd, shift, one = d >> k, bits + k, a << 2 * bits
         mid = dyadic_bounds(cn, cd, bits)[0]  # c·2^bits, an integer for c in {0, 1/2}
         lo, hi = dyadic_bounds(x.numerator, x.denominator, bits)
         while True:
             yield lo, hi
-            small, big = sorted((abs(lo - mid), abs(hi - mid)))
-            if lo <= mid <= hi:
-                small = 0
-            lo, hi = ((one - b * big * big) >> bits) // d, -(((b * small * small - one) >> bits) // d)
+            if lo > mid:
+                small, big = lo - mid, hi - mid
+            elif hi < mid:
+                small, big = mid - hi, mid - lo
+            else:  # straddles c: the image reaches up to α
+                small, big = 0, max(mid - lo, hi - mid)
+            small_sq = small * small
+            big_sq = small_sq + (big - small) * (big + small)
+            lo, neg_hi = (one - b * big_sq) >> shift, (b * small_sq - one) >> shift
+            if odd > 1:  # odd is 1 for a dyadic μ
+                lo, neg_hi = lo // odd, neg_hi // odd
+            hi = -neg_hi
 
     def critical_point(self) -> Fraction:
         return HALF if self.family == "logistic" else ZERO
@@ -468,7 +479,8 @@ def sqrt_enclosure(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 def dyadic_bounds(n: int, d: int, bits: int) -> tuple[int, int]:
     """⌊2^bits·n/d⌋ and ⌈2^bits·n/d⌉ (d > 0): the numerators of the 2^−bits grid points either side of n/d."""
-    return (n << bits) // d, -((-n << bits) // d)
+    q, rem = divmod(n << bits, d)
+    return q, q + (rem > 0)
 
 
 def _sqrt_bounds(n: int, d: int, bits: int) -> tuple[int, int]:

@@ -118,6 +118,20 @@ def test_itinerary_stops_after_the_last_symbol(monkeypatch):
     assert itinerary(tent_map(2), F(1, 5), 2).symbols == "LL" and calls[1:] == [F(1, 5)]
 
 
+def test_itinerary_climbs_the_precision_ladder(monkeypatch):
+    # the 192-bit enclosures of this orbit first meet c at step 323 and the 768-bit ones at
+    # step 1,240: the walk takes the next rung instead of iterating 323 steps exactly, which
+    # ends in the exact-iteration limit
+    system, x, n = logistic_map(F(387, 100)), F(1, 3), 400
+    mid = 1 << 191
+    assert any(lo <= mid <= hi for lo, hi in islice(system.enclosures(x, 192), n))
+    monkeypatch.setattr(QuadraticFamilyMap, "evaluate", lambda self, x: pytest.fail("exact iteration"))
+    got = itinerary(system, x, n)
+    want = _reference_enclosures(system, x, 768, n - 1)
+    assert all(hi < F(1, 2) or lo > F(1, 2) for lo, hi in want)
+    assert got == KneadingWord("".join("L" if hi < F(1, 2) else "R" for lo, hi in want), n)
+
+
 # -- the staircase sequence --------------------------------------------------
 
 

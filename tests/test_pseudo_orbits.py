@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shadowlab.numerics import ClosedInterval, normalize
 from shadowlab.pseudo_orbits import (
+    DeviationReport,
     PseudoOrbit,
     _sample_in_set,
     checked_orbit,
@@ -23,6 +24,7 @@ from shadowlab.shadowing import finite_horizon_delta
 from shadowlab.systems import (
     CantorSystem,
     DomainError,
+    IntervalSystem,
     OdometerSystem,
     SLimitSystem,
     SymbolicPoint,
@@ -311,3 +313,48 @@ def test_traces_stops_at_the_first_tube_it_leaves():
     counted = _CountingSystem(t2)
     assert traces(counted, F(1, 3), orbit, F(1, 100)) == deviation(t2, F(1, 3), orbit)
     assert counted.evaluations == 11
+
+
+class _PathSystem(IntervalSystem):
+    """Steps along a given path of rationals, whatever the point; the interval metric."""
+
+    def __init__(self, path):
+        self.path, self.steps = path, 0
+
+    def evaluate(self, x):
+        self.steps += 1
+        return self.path[self.steps]
+
+
+def _reference_report(path, points, bound):
+    """The report with Fraction comparisons: None when some deviation exceeds the bound."""
+    per = tuple(abs(z - x) for z, x in zip(path, points))
+    if bound is not None and max(per) > bound:
+        return None
+    return DeviationReport(max(per), per, path[-1] == points[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trace_reports_match_fraction_comparisons(data):
+    # orbit-sized deviations within a factor of two of the one before, where the bit-length
+    # test leaves the decision to the cross product, equal ones, zeros from equal points, and
+    # bounds at, just above and just below the maximum
+    big = st.integers(1, 2**3000)
+    dev = data.draw(st.builds(F, big, big))
+    devs = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        devs.append(dev)
+        near = st.fractions(F(1, 2), 2, max_denominator=2**64).map((dev or F(1, 3)).__mul__)
+        dev = data.draw(st.one_of(st.just(dev), st.just(F(0)), st.builds(F, big, big), near))
+    path = [data.draw(st.builds(F, big, big)) for _ in devs]
+    points = [z + d * data.draw(st.sampled_from([1, -1])) for z, d in zip(path, devs)]
+    worst = max(devs)
+    bound = data.draw(st.sampled_from([None, worst, worst * F(2**64 + 1, 2**64), worst * F(2**64 - 1, 2**64),
+                                       *devs]))
+    orbit = PseudoOrbit(tuple(points))
+    report = deviation(_PathSystem(path), path[0], orbit)
+    assert report == _reference_report(path, points, None)
+    assert all(type(d) is F for d in report.per_step)
+    if bound is not None:
+        assert traces(_PathSystem(path), path[0], orbit, bound) == _reference_report(path, points, bound)

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from shadowlab.shadowing import (
     _chain_back,
     _forward_sets,
     _quadratic_witness_search,
+    _tube_grid,
     _witness_candidates,
     asymptotic_shadow,
     ball_expanding_delta,
@@ -781,3 +782,33 @@ def test_oracle_and_exact_hit_agree_in_opposite_directions(data):
     for _ in range(orbit.last_index):
         image = system.forward_image(image)
     assert image == h_shadow_solve(system, orbit, eps).transcript[-1]
+
+
+@lru_cache(maxsize=1)
+def _long_orbit_points():
+    """The true logistic(387/100) orbit of 1/3 up to its first point of more than 250,000 bits."""
+    pts = [F(1, 3)]
+    while pts[-1].denominator.bit_length() <= 250_000:
+        pts.append(logistic_map(F(387, 100)).evaluate(pts[-1]))
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tube_grid_matches_ceiling_and_floor(data):
+    # the inward-rounded tube ends read off x's and ε's fractional parts on the grid, against
+    # math.ceil and math.floor on Fractions; ends that fall on the grid test the strict and
+    # non-strict comparisons, and points of a long true orbit the orbit-sized integers
+    bits = data.draw(st.sampled_from([1, 8, 64, 192, 512]))
+    scale = 1 << bits
+    eps = data.draw(st.one_of(st.fractions(F(1, 10**6), 2, max_denominator=10**12),
+                              st.integers(1, 4 * scale).map(lambda k: F(k, scale))))
+    on_grid = st.integers(-2 * scale, 2 * scale).map(lambda k: F(k, scale))
+    points = data.draw(st.lists(st.one_of(
+        st.fractions(-2, 2, max_denominator=10**30),
+        on_grid,
+        on_grid.map(lambda g: g + eps),
+        on_grid.map(lambda g: g - eps),
+        st.sampled_from(_long_orbit_points())), min_size=1, max_size=4))
+    want = [(math.ceil((x - eps) * scale), math.floor((x + eps) * scale)) for x in points]
+    assert _tube_grid(PseudoOrbit(tuple(points)), eps, bits) == want
