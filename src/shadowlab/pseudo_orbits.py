@@ -127,10 +127,10 @@ def _trace_report(system: SystemSpec, y: Point, orbit: PseudoOrbit,
 
 
 def _exceeds(an: int, ad: int, bn: int, bd: int) -> bool:
-    """an/ad > bn/bd for an, bn ≥ 0 and ad, bd > 0.  A product of positive integers has the sum of
-    their bit lengths or one less, so sums two or more apart decide with no cross product."""
-    if not (an and bn):
-        return an > bn
+    """an/ad > bn/bd for ad, bd > 0.  A product of positive integers has the sum of their bit
+    lengths or one less, so for positive an, bn sums two or more apart decide with no cross product."""
+    if an <= 0 or bn <= 0:
+        return an * bd > bn * ad
     s = an.bit_length() + bd.bit_length() - bn.bit_length() - ad.bit_length()
     return s > 1 or (s > -2 and an * bd > bn * ad)
 

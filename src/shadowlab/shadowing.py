@@ -50,6 +50,7 @@ from .systems import (
     SymbolicPoint,
     SystemSpec,
     cylinder_length,
+    dyadic_ball,
     iterate,
     iterate_pl,
     require,
@@ -390,7 +391,8 @@ def quadratic_shadow_verdict(system: QuadraticFamilyMap, orbit: PseudoOrbit, eps
     bits, grid = 64, 32
     x0, tried = orbit.points[0], set()
     if system.contains_point(x0) and all(tlo <= lo and hi <= thi for (tlo, thi), (lo, hi)
-                                         in zip(_tube_grid(orbit, epsilon, bits), system.enclosures(x0, bits))):
+                                         in zip((dyadic_ball(x, epsilon, bits) for x in orbit.points),
+                                                system.enclosures(x0, bits))):
         return QuadraticShadowVerdict("yes", x0, traces(system, x0, orbit, epsilon), bits)
     while True:
         # outer backward propagation: tubes relaxed by the enclosure width
@@ -417,22 +419,11 @@ def _witness_candidates(x0: Fraction, outer0: RationalIntervalSet, grid: int, tr
             yield cand
 
 
-def _tube_grid(orbit: PseudoOrbit, epsilon: Fraction, bits: int) -> list[tuple[int, int]]:
-    """The closed tubes [xᵢ − ε, xᵢ + ε] rounded inward to the 2^−bits grid, as numerators: an
-    integer is at least a real exactly when it is at least its ceiling, at most it when at most its floor.
-    With x·2^bits = q + ρ/d and ε·2^bits = E + Eᵣ/e (0 ≤ ρ < d, 0 ≤ Eᵣ < e) the ends are
-    q − E + [ρe > Eᵣd] and q + E + [ρe + Eᵣd ≥ de]: one division of an orbit-sized integer per point."""
-    e = epsilon.denominator
-    big_e, rem_e = divmod(epsilon.numerator << bits, e)
-    return [(q - big_e + (rho * e > rem_e * d), q + big_e + (rho * e + rem_e * d >= d * e))
-            for d, (q, rho) in ((x.denominator, divmod(x.numerator << bits, x.denominator)) for x in orbit.points)]
-
-
 def _quadratic_witness_search(system: QuadraticFamilyMap, orbit: PseudoOrbit, epsilon: Fraction,
                               candidates: Iterable[Fraction], bits: int) -> Optional[tuple[Fraction, DeviationReport]]:
     """The first candidate in the first tube that traces, with its report.  A candidate y is rejected
     with no exact iteration when the enclosure of some fⁱ(y) at ``bits`` lies wholly outside its tube."""
-    tube0, tubes = system.tube(orbit.points[0], epsilon), _tube_grid(orbit, epsilon, bits)
+    tube0, tubes = system.tube(orbit.points[0], epsilon), [dyadic_ball(x, epsilon, bits) for x in orbit.points]
     for cand in candidates:
         if not tube0.contains(cand) or any(hi < tlo or lo > thi for (tlo, thi), (lo, hi)
                                            in zip(tubes, system.enclosures(cand, bits))):

@@ -483,6 +483,17 @@ def dyadic_bounds(n: int, d: int, bits: int) -> tuple[int, int]:
     return q, q + (rem > 0)
 
 
+def dyadic_ball(x: Fraction, r: Fraction, bits: int) -> tuple[int, int]:
+    """⌈2^bits·(x − r)⌉ and ⌊2^bits·(x + r)⌋ (r ≥ 0): the numerators of the first and last 2^−bits grid
+    points in the closed ball [x − r, x + r], an integer being at least a real exactly when it is at least its
+    ceiling.  With x·2^bits = q + ρ/d and r·2^bits = E + Eᵣ/e (0 ≤ ρ < d, 0 ≤ Eᵣ < e) they are
+    q − E + [ρe > Eᵣd] and q + E + [ρe + Eᵣd ≥ de]: one division of an integer of x's size."""
+    d, e = x.denominator, r.denominator
+    q, rho = divmod(x.numerator << bits, d)
+    big_e, rem_e = divmod(r.numerator << bits, e)
+    return q - big_e + (rho * e > rem_e * d), q + big_e + (rho * e + rem_e * d >= d * e)
+
+
 def _sqrt_bounds(n: int, d: int, bits: int) -> tuple[int, int]:
     """sqrt_enclosure of n/d ≥ 0 (d > 0) as numerators over 2^bits: (0, 0) at
     0, else ⌊2^bits·√(n/d)⌋ and one more.  isqrt of ⌊N/d⌋ is ⌊√(N/d)⌋, since

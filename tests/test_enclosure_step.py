@@ -4,11 +4,6 @@ The first step sorted the magnitudes of the enclosure's ends about c and took
 each end with one division by d·2^bits.  The generator now branches on the side
 of c, takes one full squaring per step and divides by the odd part of d only.
 Both must yield the same integers at every step.
-
-The module needs only the standard library, so it also runs as a script on an
-interpreter without pytest:
-
-    PYTHONPATH=src python tests/test_enclosure_step.py
 """
 
 import random
@@ -85,12 +80,3 @@ def test_straddling_runs_match_the_first_step_at_4_and_8_bits():
     # at low precision the enclosures widen until they straddle c and take the straddling branch
     for bits in (4, 8):
         assert min(_compare(bits, bits).values()) > 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    tests = [f for name, f in sorted(globals().items()) if name.startswith("test_")]
-    for test in tests:
-        test()
-    print(f"{len(tests)} enclosure step comparisons passed on Python {sys.version.split()[0]}")

@@ -315,6 +315,14 @@ def test_traces_stops_at_the_first_tube_it_leaves():
     assert counted.evaluations == 11
 
 
+def test_traces_under_a_negative_epsilon_is_none():
+    # every distance exceeds a negative ε, a zero one included
+    t2 = tent_map(2)
+    assert traces(t2, F(1, 3), PseudoOrbit((F(1, 3) + F(1, 1000),)), -1) is None
+    assert traces(t2, F(1, 3), true_orbit(t2, F(1, 3), 3), F(-1, 10**30)) is None
+    assert traces(t2, F(1, 3), true_orbit(t2, F(1, 3), 3), 0) == deviation(t2, F(1, 3), true_orbit(t2, F(1, 3), 3))
+
+
 class _PathSystem(IntervalSystem):
     """Steps along a given path of rationals, whatever the point; the interval metric."""
 
@@ -339,7 +347,7 @@ def _reference_report(path, points, bound):
 def test_trace_reports_match_fraction_comparisons(data):
     # orbit-sized deviations within a factor of two of the one before, where the bit-length
     # test leaves the decision to the cross product, equal ones, zeros from equal points, and
-    # bounds at, just above and just below the maximum
+    # bounds at, just above and just below the maximum and at its negative
     big = st.integers(1, 2**3000)
     dev = data.draw(st.builds(F, big, big))
     devs = []
@@ -351,7 +359,7 @@ def test_trace_reports_match_fraction_comparisons(data):
     points = [z + d * data.draw(st.sampled_from([1, -1])) for z, d in zip(path, devs)]
     worst = max(devs)
     bound = data.draw(st.sampled_from([None, worst, worst * F(2**64 + 1, 2**64), worst * F(2**64 - 1, 2**64),
-                                       *devs]))
+                                       -worst, *devs]))
     orbit = PseudoOrbit(tuple(points))
     report = deviation(_PathSystem(path), path[0], orbit)
     assert report == _reference_report(path, points, None)

@@ -15,7 +15,6 @@ from shadowlab.shadowing import (
     _chain_back,
     _forward_sets,
     _quadratic_witness_search,
-    _tube_grid,
     _witness_candidates,
     asymptotic_shadow,
     ball_expanding_delta,
@@ -35,6 +34,7 @@ from shadowlab.systems import (
     OdometerSystem,
     SLimitSystem,
     SymbolicPoint,
+    dyadic_ball,
     golden_mean_shift,
     iterate,
     logistic_map,
@@ -795,13 +795,13 @@ def _long_orbit_points():
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_tube_grid_matches_ceiling_and_floor(data):
+def test_dyadic_ball_matches_ceiling_and_floor(data):
     # the inward-rounded tube ends read off x's and ε's fractional parts on the grid, against
     # math.ceil and math.floor on Fractions; ends that fall on the grid test the strict and
     # non-strict comparisons, and points of a long true orbit the orbit-sized integers
     bits = data.draw(st.sampled_from([1, 8, 64, 192, 512]))
     scale = 1 << bits
-    eps = data.draw(st.one_of(st.fractions(F(1, 10**6), 2, max_denominator=10**12),
+    eps = data.draw(st.one_of(st.just(F(0)), st.fractions(F(1, 10**6), 2, max_denominator=10**12),
                               st.integers(1, 4 * scale).map(lambda k: F(k, scale))))
     on_grid = st.integers(-2 * scale, 2 * scale).map(lambda k: F(k, scale))
     points = data.draw(st.lists(st.one_of(
@@ -811,4 +811,4 @@ def test_tube_grid_matches_ceiling_and_floor(data):
         on_grid.map(lambda g: g - eps),
         st.sampled_from(_long_orbit_points())), min_size=1, max_size=4))
     want = [(math.ceil((x - eps) * scale), math.floor((x + eps) * scale)) for x in points]
-    assert _tube_grid(PseudoOrbit(tuple(points)), eps, bits) == want
+    assert [dyadic_ball(x, eps, bits) for x in points] == want
