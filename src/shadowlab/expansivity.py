@@ -16,7 +16,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import attrgetter
 from typing import Optional, Sequence
 
 from .numerics import (
@@ -511,14 +510,14 @@ def _cantor_ball_expanding(system: CantorSystem, carrier: RationalIntervalSet, m
     point set.  Each probe runs on the cell table's integers: f(x), the
     image of its ε-window and the μ·ε ball about f(x) in the space; only a
     missing point becomes a Fraction."""
-    parts, by_lo = system.space().parts, attrgetter("lo")
+    space, parts, by_lo = system._int_space, carrier.parts, lambda p: Fraction(p[0], p[1])
     rng = random.Random(11)
-    probes = [end for part in carrier.parts for end in (part.lo, part.hi)]
-    # the left ends of space components inside the carrier, ascending: per carrier part, by bisection
-    pool = [p.lo for part in carrier.parts
-            for p in parts[bisect_left(parts, part.lo, key=by_lo):bisect_right(parts, part.hi, key=by_lo)]]
+    probes = [end for part in parts for end in (part.lo, part.hi)]
+    # the space components whose left end lies in the carrier, ascending: per carrier part, by bisection
+    pool = [p for part in parts
+            for p in space[bisect_left(space, part.lo, key=by_lo):bisect_right(space, part.hi, key=by_lo)]]
     for _ in range(min(24, len(pool))):
-        probes.append(pool[rng.randrange(len(pool))])
+        probes.append(by_lo(pool[rng.randrange(len(pool))]))
     radii = [(eps, mu * eps) for eps in eps_list]
     for x in sorted(set(probes)):
         fn, fd = system._int_value(x.numerator, x.denominator)
@@ -527,7 +526,7 @@ def _cantor_ball_expanding(system: CantorSystem, carrier: RationalIntervalSet, m
             missing = _first_uncovered(int_tube(system._int_space, fn, fd, r.numerator, r.denominator), image)
             if missing is not None:
                 return _ball_falsified(system, x, eps, mu, missing, constants)
-    finite = all(p.width == 0 for p in carrier.parts)
+    finite = all(p.lo == p.hi for p in parts)
     holds = "certified" if finite else "undetermined"
     return ExpansivityVerdict("ballExpanding", holds, constants)
 
@@ -575,7 +574,7 @@ def check_open_at(system: SystemSpec, x) -> ExpansivityVerdict:
     neighbourhood of f(x)?  Exact for interval maps and the middle-thirds
     system."""
     route = _OPEN_AT_ROUTES[require(type(system), "check_open_at", _OPEN_AT_ROUTES)]
-    return route(system, rat(x), {"x": rat_str(x)})
+    return route(system, x := rat(x), {"x": rat_str(x)})
 
 
 def _pl_open_at(system: PiecewiseLinearMap, x: Fraction, constants) -> ExpansivityVerdict:

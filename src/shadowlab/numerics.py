@@ -4,16 +4,17 @@ Every geometric question asked elsewhere in the package (does this ball fit
 inside that image, is this constraint set empty, how far is a point from a
 region) reduces to operations on finite unions of closed intervals with
 rational endpoints.  All arithmetic is exact; nothing here ever touches a
-float.  The sets come in two forms: the public one, with Fraction endpoints,
-and an integer one of unreduced numerator and denominator pairs that the
-tracing loops propagate step after step without taking a gcd.
+float.  A set stores one form: integer parts (ln, ld, hn, hd), numerator and
+denominator pairs that the tracing loops propagate step after step without
+taking a gcd.  Fractions are built only when a caller reads the parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -33,12 +34,16 @@ def rat(value: RationalLike) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Canonical 'p/q' form with q > 0, denominator always explicit."""
-    value = Fraction(value)
+    """Canonical 'p/q' form of a Fraction or int, denominator always explicit."""
+    return _ratio_str(value.numerator, value.denominator)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """'n/d' for n/d in lowest terms with d > 0, at any length."""
     try:
-        return f"{value.numerator}/{value.denominator}"
+        return f"{n}/{d}"
     except ValueError:  # beyond the interpreter's int-to-str digit limit
-        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+        return f"{_decimal(n)}/{_decimal(d)}"
 
 
 _DECIMAL_CHUNK = 10**500  # str() of anything below this is within every allowed digit limit (>= 640)
@@ -64,7 +69,7 @@ class ClosedInterval:
         if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
             object.__setattr__(self, "lo", rat(self.lo))
             object.__setattr__(self, "hi", rat(self.hi))
-        if _lt(self.hi, self.lo):
+        if self.hi.numerator * self.lo.denominator < self.lo.numerator * self.hi.denominator:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
     @property
@@ -79,18 +84,10 @@ class ClosedInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-# Comparisons on the hot paths cross-multiply numerators and denominators
-# (positive for Fraction and int) instead of going through Fraction's rich
-# comparison, whose numbers.Rational check costs more than the products.
-def _lt(a: Fraction, b: Fraction) -> bool:
-    return a.numerator * b.denominator < b.numerator * a.denominator
-
-
 def _ordered(lo: Fraction, hi: Fraction) -> ClosedInterval:
     """A ClosedInterval from Fraction endpoints already known to satisfy lo <= hi."""
     iv = object.__new__(ClosedInterval)
-    # set as the dataclass's own __init__ does: writing to iv.__dict__ would
-    # give every instance a dict of its own (160 bytes instead of 96)
+    # as the dataclass's own __init__ does: a write to iv.__dict__ would cost a dict per instance
     object.__setattr__(iv, "lo", lo)
     object.__setattr__(iv, "hi", hi)
     return iv
@@ -100,7 +97,7 @@ def interval(lo: RationalLike, hi: RationalLike) -> ClosedInterval:
     return ClosedInterval(rat(lo), rat(hi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RationalIntervalSet:
     """Canonical finite union of disjoint closed intervals.
 
@@ -108,68 +105,69 @@ class RationalIntervalSet:
     touching or overlapping inputs are merged by :func:`normalize`.  The
     empty set is the empty tuple.  Degenerate parts (single points) are
     allowed and used for isolated points of a space.
+
+    The one stored field is ``int_parts``, the integer form below; ``parts``,
+    iteration, ``leftmost`` and ``hull`` build Fractions on each call.
     """
 
-    parts: tuple[ClosedInterval, ...]
+    int_parts: tuple[IntPart, ...]
 
-    def __post_init__(self):
-        parts = self.parts
-        for p, q in zip(parts, parts[1:]):
-            if not _lt(p.hi, q.lo):
+    def __init__(self, parts: Iterable[ClosedInterval]):
+        ints = tuple([(p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator) for p in parts])
+        for p, q in zip(ints, ints[1:]):
+            if not p[2] * q[1] < q[0] * p[3]:
                 raise ValueError("parts not canonical (overlap or touch)")
+        object.__setattr__(self, "int_parts", ints)
+
+    def __eq__(self, other):
+        return isinstance(other, RationalIntervalSet) and _reduced(self.int_parts) == _reduced(other.int_parts)
+
+    def __hash__(self):
+        return hash(tuple(_reduced(self.int_parts)))
 
     # -- queries ----------------------------------------------------------
 
     @property
+    def parts(self) -> tuple[ClosedInterval, ...]:
+        return tuple([_ordered(Fraction(ln, ld), Fraction(hn, hd)) for ln, ld, hn, hd in self.int_parts])
+
+    @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.int_parts
 
     def contains(self, x: Fraction) -> bool:
         return int_contains(self.int_parts, x.numerator, x.denominator)
 
-    @cached_property
-    def int_parts(self) -> tuple[IntPart, ...]:
-        """The integer form of the set, built once: repeated queries on one
-        set (a space, a carrier) bisect it without converting it again."""
-        return tuple([_int_part(p) for p in self.parts])
-
     def subset_of(self, other: "RationalIntervalSet") -> bool:
-        return intersect(self, other) == self
+        return from_int_set(int_intersect(self.int_parts, other.int_parts)) == self
 
     def leftmost(self) -> Fraction:
         if self.is_empty:
             raise ValueError("empty set has no leftmost point")
-        return self.parts[0].lo
+        return Fraction(*self.int_parts[0][:2])
 
     def hull(self) -> ClosedInterval:
         if self.is_empty:
             raise ValueError("empty set has no hull")
-        return _ordered(self.parts[0].lo, self.parts[-1].hi)
+        return _ordered(Fraction(*self.int_parts[0][:2]), Fraction(*self.int_parts[-1][2:]))
 
     def distance_to(self, x: Fraction) -> Fraction:
         """Distance from a point to the set (0 if the point is inside)."""
         if self.is_empty:
             raise ValueError("distance to the empty set is undefined")
-        best = None
-        for p in self.parts:
-            if p.contains(x):
-                return Fraction(0)
-            d = p.lo - x if x < p.lo else x - p.hi
-            if best is None or d < best:
-                best = d
-        return best
+        return min(max(p.lo - x, x - p.hi, Fraction(0)) for p in self.parts)
 
     def __iter__(self):
         return iter(self.parts)
 
     def __repr__(self):
-        inner = " ∪ ".join(repr(p) for p in self.parts) if self.parts else "∅"
+        inner = " ∪ ".join(repr(p) for p in self.parts) if self.int_parts else "∅"
         return f"{{{inner}}}"
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> list:
-        return [[rat_str(p.lo), rat_str(p.hi)] for p in self.parts]
+        return [[_ratio_str(ln, ld), _ratio_str(hn, hd)] for ln, ld, hn, hd in _reduced(self.int_parts)]
 
     @staticmethod
     def from_json(data: Sequence) -> "RationalIntervalSet":
@@ -182,7 +180,8 @@ def normalize(raw: Iterable[ClosedInterval]) -> RationalIntervalSet:
 
     Touching intervals merge: [0,1/3] ∪ [1/3,1] becomes [0,1].
     """
-    return from_int_set(int_normalize([_int_part(p) for p in raw]))
+    return from_int_set(int_normalize([(p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator)
+                                       for p in raw]))
 
 
 def from_pairs(pairs: Iterable[tuple[RationalLike, RationalLike]]) -> RationalIntervalSet:
@@ -197,12 +196,12 @@ def point_set(x: RationalLike) -> RationalIntervalSet:
 def closed_ball(center: RationalLike, radius: RationalLike) -> RationalIntervalSet:
     """B̄_r(c) on the line; clip against a space by intersecting afterwards."""
     c, r = rat(center), rat(radius)
-    return from_int_set([int_ball(c.numerator, c.denominator, r.numerator, r.denominator)])
+    return from_int_set(_reduced([int_ball(c.numerator, c.denominator, r.numerator, r.denominator)]))
 
 
 def intersect(a: RationalIntervalSet, b: RationalIntervalSet) -> RationalIntervalSet:
     """Exact intersection (:func:`int_intersect` on the integer forms)."""
-    return from_int_set(int_intersect(a.int_parts, b.int_parts))
+    return from_int_set(_reduced(int_intersect(a.int_parts, b.int_parts)))
 
 
 def interior_grid(span: RationalLike, size: int) -> list[Fraction]:
@@ -218,29 +217,31 @@ def affine_image(s: RationalIntervalSet, slope: RationalLike, offset: RationalLi
     if slope == 0:
         raise ValueError("zero slope collapses intervals")
     sd, od = slope.denominator, offset.denominator
-    return from_int_set(int_affine(s.int_parts, slope.numerator * od, offset.numerator * sd, sd * od))
+    return from_int_set(_reduced(int_affine(s.int_parts, slope.numerator * od, offset.numerator * sd, sd * od)))
 
 
 # ---------------------------------------------------------------------------
 # integer interval sets
 # ---------------------------------------------------------------------------
 
-# The tube loops work on a second form of a canonical interval set: a list of
-# parts (ln, ld, hn, hd) standing for [ln/ld, hn/hd], with ld, hd > 0 and no
-# fraction reduced.  Parts ascend with gaps of positive length, as in a
-# RationalIntervalSet.  Every comparison cross-multiplies, so no gcd is taken
-# until a set leaves this form, with one Fraction per endpoint.
+# A set's integer form: a sequence of parts (ln, ld, hn, hd) standing for
+# [ln/ld, hn/hd], with ld, hd > 0 and no fraction necessarily reduced.  Parts
+# ascend with gaps of positive length.  Every comparison cross-multiplies, so
+# the tracing loops take no gcd; the public operations above reduce their
+# results, so chains of public calls do not grow bit lengths.
 IntPart = tuple[int, int, int, int]
 
 
-def _int_part(p: ClosedInterval) -> IntPart:
-    return (p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator)
-
-
 def from_int_set(parts: Sequence[IntPart]) -> RationalIntervalSet:
-    # tuple() of a list: of a generator it resizes a guessed-size tuple, which
-    # drifts tuples between CPython's per-size free lists and raises peak RSS
-    return RationalIntervalSet(tuple([_ordered(Fraction(ln, ld), Fraction(hn, hd)) for ln, ld, hn, hd in parts]))
+    """The set of canonical integer parts, stored as they are (no gcd, no check)."""
+    s = object.__new__(RationalIntervalSet)
+    object.__setattr__(s, "int_parts", tuple(parts))
+    return s
+
+
+def _reduced(parts: Iterable[IntPart]) -> list[IntPart]:
+    """The same parts with each endpoint in lowest terms."""
+    return [(ln // g, ld // g, hn // h, hd // h) for ln, ld, hn, hd in parts for g, h in [(gcd(ln, ld), gcd(hn, hd))]]
 
 
 def int_ball(cn: int, cd: int, rn: int, rd: int) -> IntPart:

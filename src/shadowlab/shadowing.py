@@ -80,9 +80,9 @@ class ShadowCertificate:
     carry the merged constraint word in ``cylinder`` instead.  ``system`` is
     the system the query ran on; it writes the witness.
 
-    The tube sets are propagated on unreduced integers; ``feasible_set`` and
-    the ``transcript`` sets are converted once, as the certificate is built,
-    with one Fraction per endpoint.
+    The tube sets are propagated on unreduced integers, and ``feasible_set``
+    and the ``transcript`` sets keep them: no Fraction is built unless a
+    caller reads a set's parts, and ``to_json`` takes one gcd per endpoint.
     """
 
     system: SystemSpec
@@ -273,9 +273,7 @@ def _slimit_oracle(system: SLimitSystem, orbit: PseudoOrbit, epsilon: Fraction) 
         return ShadowCertificate(system, False, None, None, None, constants, forward,
                                  infeasible_reason="no point stays inside every closed tube")
     # a rational witness may still exist, try tube points
-    candidates = []
-    for part in forward[0].parts:
-        candidates.extend({part.lo, part.hi, (part.lo + part.hi) / 2})
+    candidates = [c for part in forward[0].parts for c in {part.lo, part.hi, (part.lo + part.hi) / 2}]
     for cand in sorted(candidates):
         rep = traces(system, cand, orbit, epsilon)
         if rep is not None:

@@ -73,7 +73,7 @@ class IntervalSystem:
 
     The tracing loops run on the integer form of interval sets
     (``numerics.int_*``): each system's ``_int_*`` steps take and return that
-    form, and its public set methods convert at the boundary."""
+    form, and its public set methods wrap it in a set as it is."""
 
     @cached_property
     def _int_space(self) -> tuple[IntPart, ...]:
@@ -195,9 +195,9 @@ class PiecewiseAffineSystem(IntervalSystem):
         return out
 
     def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
-        hull = self.space().hull()
-        if s.parts and (s.parts[0].lo < hull.lo or s.parts[-1].hi > hull.hi):
-            raise DomainError(f"{s} not inside {hull}")
+        sp, t = self._int_space, s.int_parts
+        if t and (t[0][0] * sp[0][1] < sp[0][0] * t[0][1] or t[-1][2] * sp[-1][3] > sp[-1][2] * t[-1][3]):
+            raise DomainError(f"{s} not inside {self.space().hull()}")
         return from_int_set(self._int_forward(s.int_parts))
 
     def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
@@ -396,7 +396,9 @@ class QuadraticFamilyMap(IntervalSystem):
         With A ≤ B the magnitudes of the ends of (x − c)·2^bits (A = 0 when they straddle 0), the
         image is [⌊N_B/(d·2^bits)⌋, ⌈N_A/(d·2^bits)⌉] for N_m = a·4^bits − b·m².  With d = odd·2^k each
         floor is ⌊⌊N/2^(bits+k)⌋/odd⌋, and on one side of c B² = A² + (B − A)(B + A), whose second
-        product is by the enclosure's width: one full squaring per step."""
+        product is by the enclosure's width: one full squaring per step.  A start outside the space is refused."""
+        if not self.contains_point(x):
+            raise DomainError(f"{x} outside the domain")
         a, b, d, cn, cd = self._int_form
         k = (d & -d).bit_length() - 1
         odd, shift, one = d >> k, bits + k, a << 2 * bits

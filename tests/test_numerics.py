@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction as F
 
@@ -142,7 +143,7 @@ def test_normalize_keeps_exactly_the_union(pairs, k):
 @settings(max_examples=60)
 def test_int_parts_round_trip(s):
     assert from_int_set(s.int_parts) == s
-    assert s.int_parts is s.int_parts  # built once per set
+    assert s.int_parts is s.int_parts  # the one stored field
 
 
 def test_intersect_skips_to_touching_and_point_parts():
@@ -234,3 +235,79 @@ def test_rat_str_beyond_int_to_str_digit_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert text == expected
+
+
+# -- sets stored as unreduced integer parts -----------------------------------
+
+
+@st.composite
+def point_and_interval_sets(draw):
+    """Canonical sets whose parts are points or intervals, with negative ends and 0 among the ends."""
+    ends = sorted(set(draw(st.lists(st.one_of(st.just(F(0)), rationals), max_size=10))))
+    parts, i = [], 0
+    while i < len(ends):
+        if i + 1 < len(ends) and draw(st.booleans()):
+            parts.append(interval(ends[i], ends[i + 1]))
+            i += 3  # skip one end, so the next part leaves a gap
+        else:
+            parts.append(interval(ends[i], ends[i]))
+            i += 2
+    return RationalIntervalSet(tuple(parts))
+
+
+def scaled(s, ks):
+    """The integer parts of s with each endpoint's numerator and denominator multiplied by its own k >= 1."""
+    ks = iter(ks)
+    return from_int_set([(ln * k, ld * k, hn * m, hd * m) for (ln, ld, hn, hd), k, m in zip(s.int_parts, ks, ks)])
+
+
+def in_lowest_terms(s):
+    return all(math.gcd(n, d) == 1 for ln, ld, hn, hd in s.int_parts for n, d in ((ln, ld), (hn, hd)))
+
+
+@given(point_and_interval_sets(), st.lists(st.integers(1, 10**6), min_size=20, max_size=20))
+@settings(max_examples=150)
+def test_unreduced_integer_parts_are_the_same_set(s, ks):
+    t = scaled(s, ks)
+    assert t == s and s == t and hash(t) == hash(s)
+    assert t.to_json() == s.to_json() == [[rat_str(p.lo), rat_str(p.hi)] for p in s.parts]
+    assert t.parts == s.parts and list(t) == list(s)
+    if not s.is_empty:
+        assert t.leftmost() == s.leftmost() and t.hull() == s.hull()
+    assert (t == from_int_set([(1, 1, 2, 1)])) == (s == from_pairs([(1, 2)]))
+
+
+def test_unreduced_integer_parts_with_zero_negative_and_point_parts():
+    s = from_pairs([(-2, F(-3, 2)), (0, 0), (F(1, 3), F(1, 3)), (F(1, 2), 4)])
+    t = from_int_set([(-14, 7, -9, 6), (0, 5, 0, 9), (4, 12, 2, 6), (3, 6, 8, 2)])
+    assert t == s and hash(t) == hash(s) and t.to_json() == s.to_json()
+    assert t.to_json() == [["-2/1", "-3/2"], ["0/1", "0/1"], ["1/3", "1/3"], ["1/2", "4/1"]]
+    assert t != from_int_set([(-14, 7, -9, 6), (0, 5, 0, 9), (4, 12, 2, 6), (3, 6, 9, 2)])
+
+
+def test_unreduced_integer_parts_beyond_int_to_str_digit_limit():
+    big = F(10**5000 + 1, 3**200)  # a 5001-digit numerator, past the default 4300-digit limit
+    s = from_pairs([(F(-1, 3), 0), (big, big + 1)])
+    k = 7**50
+    t = from_int_set([(-k, 3 * k, 0, k), (big.numerator * k, big.denominator * k, (big + 1).numerator, big.denominator)])
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 0):  # the interpreter's default and the benchmark worker's setting
+            sys.set_int_max_str_digits(digits)
+            assert t.to_json() == s.to_json() == [["-1/3", "0/1"], [rat_str(big), rat_str(big + 1)]]
+        assert s.to_json()[1][0] == f"{big.numerator}/{big.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert t == s and hash(t) == hash(s)
+
+
+@given(point_and_interval_sets(), st.lists(st.integers(1, 10**6), min_size=20, max_size=20), rationals, rationals)
+@settings(max_examples=80)
+def test_public_results_hold_reduced_integers(s, ks, a, b):
+    t = scaled(s, ks)
+    results = [intersect(t, t), intersect(t, from_pairs([(-1, 1)])), normalize(t.parts), RationalIntervalSet(t.parts),
+               closed_ball(a, abs(b)), RationalIntervalSet.from_json(t.to_json())]
+    if a != 0:
+        results.append(affine_image(t, a, b))
+    assert all(in_lowest_terms(r) for r in results)
+    assert results[0] == s

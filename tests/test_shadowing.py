@@ -784,6 +784,29 @@ def test_oracle_and_exact_hit_agree_in_opposite_directions(data):
     assert image == h_shadow_solve(system, orbit, eps).transcript[-1]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_hit_is_feasible_exactly_when_the_point_walk_through_the_oracle_sets_survives(data):
+    # exact hit runs forward with images, the oracle backward with preimages: the points of T_i
+    # whose orbit reaches x_m inside T_{i+1}, …, T_m, walked back from x_m ∈ T_m by point
+    # preimages, are nonempty at T_0 exactly when exact hit is feasible, and hold its witness
+    system = data.draw(st.one_of(st.integers(11, 20).map(lambda k: tent_map(F(k, 10))),
+                                 st.integers(0, 10**6).map(random_zigzag_map)))
+    eps = data.draw(st.sampled_from([F(1, 5), F(1, 10), F(1, 40)]))
+    x0 = F(data.draw(st.integers(0, 256)), 256)
+    orbit = perturbed_orbit(system, x0, data.draw(st.integers(1, 6)), eps * data.draw(st.sampled_from([F(1, 8), 2, 4])),
+                            seed=data.draw(st.integers(0, 99)))
+    sets = shadow_oracle(system, orbit, eps).transcript
+    xm = orbit.points[-1]
+    walk = {xm} if sets[-1].contains(xm) else set()
+    for t in reversed(sets[:-1]):
+        walk = {w for y in walk for w in system.point_preimages(y) if t.contains(w)}
+    solved = h_shadow_solve(system, orbit, eps)
+    assert solved.feasible == bool(walk)
+    if walk:
+        assert solved.witness in walk
+
+
 @lru_cache(maxsize=1)
 def _long_orbit_points():
     """The true logistic(387/100) orbit of 1/3 up to its first point of more than 250,000 bits."""

@@ -68,6 +68,15 @@ def test_quadratic_family_orbits_match_the_textbook_formula(make, lo, params):
                 assert math.gcd(x.numerator, x.denominator) == 1
 
 
+@pytest.mark.parametrize("system, x", [(quadratic_map(2), F(3, 2)), (quadratic_map(2), F(-1, 1 << 200) - 1),
+                                       (logistic_map(4), F(-1, 3)), (logistic_map(F(387, 100)), F(7, 6))])
+def test_enclosures_refuse_a_start_outside_the_space(system, x):
+    # from 3/2 under quadratic_map(2) the ends double their bit length per step: 2.9 million bits after 22 steps
+    with pytest.raises(DomainError, match=f"^{x} outside the domain$"):
+        next(system.enclosures(x, 64))
+    assert next(system.enclosures(system.critical_point(), 64)) == (system.critical_point() * 2**64,) * 2
+
+
 def test_cantor_slope_nine_piece():
     assert CantorSystem(6).evaluate(F(2, 27)) == F(2, 3)
 
