@@ -11,8 +11,7 @@ side lands.
 from __future__ import annotations
 
 import math
-import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -22,7 +21,6 @@ from .numerics import (
     ClosedInterval,
     IntPart,
     RationalIntervalSet,
-    from_int_set,
     int_affine,
     int_intersect,
     int_tube,
@@ -487,6 +485,8 @@ def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu, eps_gri
         raise ValueError("empty epsilon grid: there is nothing to certify")
     if any(not (0 < e < nu) for e in eps_list):
         raise ValueError("grid values must lie in (0, nu)")
+    if not region.carrier.subset_of(system.space()):
+        raise DomainError("the region is not in the space")
     constants = {"mu": rat_str(mu), "nu": rat_str(nu), "gridSize": len(eps_list)}
     return route(system, region.carrier, mu, eps_list, constants)
 
@@ -504,22 +504,14 @@ def _pl_ball_expanding(system: PiecewiseLinearMap, carrier: RationalIntervalSet,
 
 def _cantor_ball_expanding(system: CantorSystem, carrier: RationalIntervalSet, mu: Fraction,
                            eps_list: list, constants: dict) -> ExpansivityVerdict:
-    """Probed at component endpoints plus up to 24 seeded left ends of
-    space components: a probe failure is an exact falsification, while
-    all-probes-pass yields ``undetermined`` unless the region is a finite
-    point set.  Each probe runs on the cell table's integers: f(x), the
-    image of its ε-window and the μ·ε ball about f(x) in the space; only a
-    missing point becomes a Fraction."""
-    space, parts, by_lo = system._int_space, carrier.parts, lambda p: Fraction(p[0], p[1])
-    rng = random.Random(11)
-    probes = [end for part in parts for end in (part.lo, part.hi)]
-    # the space components whose left end lies in the carrier, ascending: per carrier part, by bisection
-    pool = [p for part in parts
-            for p in space[bisect_left(space, part.lo, key=by_lo):bisect_right(space, part.hi, key=by_lo)]]
-    for _ in range(min(24, len(pool))):
-        probes.append(by_lo(pool[rng.randrange(len(pool))]))
+    """Probed at the region's component endpoints: a probe failure is an
+    exact falsification, while all-probes-pass yields ``undetermined``
+    unless the region is a finite point set.  Each probe runs on the cell
+    table's integers: f(x), the image of its ε-window and the μ·ε ball about
+    f(x) in the space; only a missing point becomes a Fraction."""
+    parts = carrier.parts
     radii = [(eps, mu * eps) for eps in eps_list]
-    for x in sorted(set(probes)):
+    for x in sorted({end for part in parts for end in (part.lo, part.hi)}):
         fn, fd = system._int_value(x.numerator, x.denominator)
         for eps, r in radii:
             image = system._int_forward(system._int_tube(x, eps))
@@ -535,10 +527,10 @@ _BALL_ROUTES = {PiecewiseLinearMap: _pl_ball_expanding, CantorSystem: _cantor_ba
 
 
 def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdict:
+    # re-checked through the point preimages, not the ε-ball's forward image the routes computed
     fx = system.evaluate(x)
-    space = system.space()
-    image = from_int_set(system._int_forward(system._int_tube(x, eps)))
-    if image.contains(missing) or abs(missing - fx) > mu * eps or not space.contains(missing):
+    if (any(abs(p - x) <= eps for p in system.point_preimages(missing)) or abs(missing - fx) > mu * eps
+            or not system.contains_point(missing)):
         raise AssertionError("ball-expanding counterexample failed re-validation")
     counter = {
         "x": rat_str(x),

@@ -19,7 +19,7 @@ from itertools import islice
 from typing import Callable, Optional, Union
 
 from .numerics import rat, rat_str
-from .systems import DomainError, PiecewiseLinearMap, QuadraticFamilyMap, dyadic_bounds, iterate, quadratic_map, require
+from .systems import ZERO, DomainError, PiecewiseLinearMap, QuadraticFamilyMap, dyadic_bounds, iterate, quadratic_map, require
 
 L, C, R = "L", "C", "R"
 _ORDER = {L: -1, C: 0, R: 1}
@@ -78,19 +78,34 @@ def _exact_symbols(system, x: Fraction, c: Fraction, n: int) -> str:
     return "".join(out) + (C if x == c else L if x < c else R)
 
 
-def _enclosed_symbols(system: QuadraticFamilyMap, x: Fraction, c: Fraction, n: int) -> str:
-    """Each symbol read off an outward-rounded enclosure of the point, climbing the kneading
-    ladder while some enclosure meets c; past its top, the exact walk from the first such one."""
-    for bits in _KNEADING_BITS:
-        mid = dyadic_bounds(c.numerator, c.denominator, bits)[0]
+def _ladder(system: QuadraticFamilyMap, x: Fraction, start: int, stop: int,
+            ladder: tuple[int, ...]) -> tuple[int, int, list[tuple[int, int]]]:
+    """(bits, c·2^bits, the enclosures of f^start(x), …, f^(stop−1)(x) over 2^bits) at the first
+    rung of the ladder where none of them meets c·2^bits; past its top rung, the enclosures up to
+    and including the first that meets it."""
+    cn, cd = system._int_form[3:]
+    for bits in ladder:
+        mid = dyadic_bounds(cn, cd, bits)[0]  # exact: c is 0 or 1/2
         out = []
-        for lo, hi in islice(system.enclosures(x, bits), n):
-            if lo <= mid <= hi:
+        for pair in islice(system.enclosures(x, bits), start, stop):
+            out.append(pair)
+            if pair[0] <= mid <= pair[1]:
                 break
-            out.append(L if hi < mid else R)
         else:
-            return "".join(out)
-    return "".join(out) + _exact_symbols(system, iterate(system, x, len(out)), c, n - len(out))
+            break
+    return bits, mid, out
+
+
+def _enclosed_symbols(system: QuadraticFamilyMap, x: Fraction, c: Fraction, n: int) -> str:
+    """Each symbol read off an outward-rounded enclosure of the point on the kneading ladder;
+    past its top, the exact walk from the first enclosure that meets c."""
+    _, mid, encs = _ladder(system, x, 0, n, _KNEADING_BITS)
+    lo, hi = encs[-1]
+    exact = ""
+    if lo <= mid <= hi:
+        encs.pop()
+        exact = _exact_symbols(system, iterate(system, x, len(encs)), c, n - len(encs))
+    return "".join([L if hi < mid else R for _, hi in encs]) + exact
 
 
 _SYMBOL_WALKS = {PiecewiseLinearMap: _exact_symbols, QuadraticFamilyMap: _enclosed_symbols}
@@ -102,37 +117,16 @@ def kneading_word(system, horizon: int) -> KneadingWord:
     return itinerary(system, system.evaluate(c), horizon)
 
 
-def _fast_quadratic_kneading(mu: Fraction, horizon: int) -> Optional[KneadingWord]:
-    """Kneading word of 1−μx² via outward-rounded dyadic interval iteration.
-
-    Every emitted symbol is certified by an enclosure that stays strictly on
-    one side of the critical point; returns None when the precision ladder
-    (``_KNEADING_BITS``) cannot separate some iterate from 0.
-    """
-    system = quadratic_map(mu)
-    for bits in _KNEADING_BITS:
-        syms: list[str] = []
-        for lo, hi in islice(system.enclosures(system.critical_point(), bits), 1, horizon + 1):
-            if lo > 0:
-                syms.append(R)
-            elif hi < 0:
-                syms.append(L)
-            elif lo == hi == 0:
-                return KneadingWord("".join(syms) + C, horizon)
-            else:
-                break  # not separated from 0 at this precision
-        else:
-            return KneadingWord("".join(syms), horizon)
-    return None
-
-
 def _kneading_for_search(mu: Fraction, horizon: int) -> KneadingWord:
-    # past the ladder, exact iteration would double its bit length at every step
-    fast = _fast_quadratic_kneading(mu, horizon)
-    if fast is None:
+    """Kneading word of 1−μx², each symbol read off an enclosure of the critical orbit on the
+    kneading ladder; a word it cannot certify is refused, as exact iteration would double its bit
+    length at every step."""
+    encs = _ladder(quadratic_map(mu), ZERO, 1, horizon + 1, _KNEADING_BITS)[2]
+    lo, hi = encs[-1]
+    if lo <= 0 <= hi and (lo, hi) != (0, 0):
         raise ValueError(f"kneading word at mu = {rat_str(mu)}, horizon {horizon} is not certified "
                          f"at {_KNEADING_BITS[-1]} bits")
-    return fast
+    return KneadingWord("".join([R if lo > 0 else L if hi < 0 else C for lo, hi in encs]), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +270,8 @@ def critical_orbit_separation(mu: Fraction, first: int, last: int) -> Optional[F
     """
     if not 1 <= first <= last:
         raise ValueError("need 1 <= first <= last")
-    system = quadratic_map(mu)
-    for bits in _SEPARATION_BITS:
-        best = math.inf
-        for lo, hi in islice(system.enclosures(system.critical_point(), bits), first, last + 1):
-            if lo <= 0 <= hi:
-                break  # this enclosure meets 0: try more bits
-            best = min(best, lo if lo > 0 else -hi)
-        else:
-            return Fraction(best, 1 << bits)
-    return None
+    bits, _, encs = _ladder(quadratic_map(mu), ZERO, first, last + 1, _SEPARATION_BITS)
+    lo, hi = encs[-1]
+    if lo <= 0 <= hi:
+        return None
+    return Fraction(min(lo if lo > 0 else -hi for lo, hi in encs), 1 << bits)

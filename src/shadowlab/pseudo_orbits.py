@@ -74,16 +74,16 @@ class DeviationReport:
         }
 
 
+def _jumps(system: SystemSpec, orbit: PseudoOrbit) -> list[Fraction]:
+    """d(f(x_i), x_{i+1}) for each consecutive pair."""
+    return [system.distance(system.evaluate(a), b) for a, b in zip(orbit.points, orbit.points[1:])]
+
+
 def verify_jumps(system: SystemSpec, orbit: PseudoOrbit) -> Fraction:
     """Exact maximum of d(f(x_i), x_{i+1}); zero for a genuine orbit."""
     if len(orbit.points) == 0:
         raise ValueError("empty orbit")
-    worst = ZERO
-    for a, b in zip(orbit.points, orbit.points[1:]):
-        jump = system.distance(system.evaluate(a), b)
-        if jump > worst:
-            worst = jump
-    return worst
+    return max(_jumps(system, orbit), default=ZERO)
 
 
 def checked_orbit(system: SystemSpec, points: Sequence[Point], claimed_delta=None,
@@ -94,11 +94,14 @@ def checked_orbit(system: SystemSpec, points: Sequence[Point], claimed_delta=Non
         if not system.contains_point(p):
             raise DomainError(f"orbit point {i} ({system.point_to_str(p)}) is not in the space")
     orbit = PseudoOrbit(tuple(points), claimed_delta, decay_schedule)
-    if claimed_delta is not None and verify_jumps(system, orbit) >= claimed_delta:
+    if claimed_delta is None and decay_schedule is None:
+        return orbit
+    jumps = _jumps(system, orbit)
+    if claimed_delta is not None and max(jumps, default=ZERO) >= claimed_delta:
         raise ValueError("claimed delta not satisfied by the jump sequence")
     if decay_schedule is not None:
-        for i, (a, b) in enumerate(zip(points, points[1:])):
-            if system.distance(system.evaluate(a), b) > decay_schedule[i]:
+        for i, (jump, bound) in enumerate(zip(jumps, decay_schedule)):
+            if jump > bound:
                 raise ValueError(f"decay schedule violated at index {i}")
     return orbit
 
@@ -157,30 +160,30 @@ def _sample_in_set(sset: RationalIntervalSet, rng: random.Random) -> Fraction:
     Samples snap toward zero to the 2^−48 grid (kept at their part's left
     end if that moves them below it, at its right end if above it) so that
     repeated sampling never compounds denominators across orbit steps.  The
-    work is on the parts' endpoints as integers over one common denominator.
+    work is on the set's integer parts over one common denominator.
     """
     if sset.is_empty:
         raise ValueError("cannot sample the empty set")
-    parts = sset.parts
-    den = math.lcm(*(e.denominator for p in parts for e in (p.lo, p.hi)))
-    ends = [(p.lo.numerator * (den // p.lo.denominator), p.hi.numerator * (den // p.hi.denominator)) for p in parts]
+    parts = sset.int_parts
+    den = math.lcm(*(d for _, ld, _, hd in parts for d in (ld, hd)))
+    ends = [(ln * (den // ld), hn * (den // hd)) for ln, ld, hn, hd in parts]
     total = sum(hi - lo for lo, hi in ends)
     if total == 0:
-        return parts[rng.randrange(len(parts))].lo
+        return Fraction(ends[rng.randrange(len(ends))][0], den)
     # the ticket total·r/2^32 in units of 1/(den·2^32), walked down part by part
     ticket = rng.getrandbits(32) * total
-    for p, (lo, hi) in zip(parts, ends):
+    for lo, hi in ends:
         width = (hi - lo) << 32
         if ticket <= width:
-            raw = ((lo << 32) + ticket) << (_SAMPLE_BITS - 32)  # p.lo + ticket, in units of 1/(den·2^48)
+            raw = ((lo << 32) + ticket) << (_SAMPLE_BITS - 32)  # lo + ticket, in units of 1/(den·2^48)
             snapped = raw // den if raw >= 0 else -(-raw // den)
             if snapped * den < lo << _SAMPLE_BITS:
-                return p.lo
+                return Fraction(lo, den)
             if snapped * den > hi << _SAMPLE_BITS:
-                return p.hi
+                return Fraction(hi, den)
             return Fraction(snapped, 1 << _SAMPLE_BITS)
         ticket -= width
-    return parts[-1].hi
+    return Fraction(ends[-1][1], den)
 
 
 def perturbed_orbit(system: SystemSpec, x0: Point, length: int, delta, seed: int,

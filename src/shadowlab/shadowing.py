@@ -34,6 +34,7 @@ from .pseudo_orbits import (
     DeviationReport,
     PseudoOrbit,
     _interval_steps,
+    _jumps,
     deviation,
     traces,
     verify_jumps,
@@ -543,7 +544,7 @@ def asymptotic_shadow(system: PiecewiseLinearMap, orbit: PseudoOrbit, region: Ra
     if mu <= 1:
         raise DomainError("staged tracing needs a slope modulus above 1")
 
-    jumps = [system.distance(system.evaluate(a), b) for a, b in zip(orbit.points, orbit.points[1:])]
+    jumps = _jumps(system, orbit)
     if all(jump == 0 for jump in jumps):
         check = {"a": True, "b": True, "c": True, "d": True}
         return StagedShadowLog((orbit.points[0],), (orbit.last_index,), (epsilon / 2,), (check,), True)

@@ -49,7 +49,6 @@ from .numerics import (
 ONE = Fraction(1)
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 _UNIT_INTERVAL = RationalIntervalSet((ClosedInterval(ZERO, ONE),))
 _SYMMETRIC_INTERVAL = RationalIntervalSet((ClosedInterval(-ONE, ONE),))
 
@@ -380,15 +379,21 @@ class QuadraticFamilyMap(IntervalSystem):
             return p.numerator, 4 * p.numerator, 4 * p.denominator, 1, 2
         return p.denominator, p.numerator, p.denominator, 0, 1  # (1, μ, 0)
 
+    @cached_property
+    def _form(self) -> tuple[Fraction, Fraction, Fraction]:
+        """(α, β, c) of ``_int_form`` as Fractions."""
+        a, b, d, cn, cd = self._int_form
+        return Fraction(a, d), Fraction(b, d), Fraction(cn, cd)
+
     def evaluate(self, x: Fraction) -> Fraction:
         if max(x.numerator.bit_length(), x.denominator.bit_length()) > QUADRATIC_MAX_BITS:
             raise ValueError(f"exact quadratic iteration is limited to points of {QUADRATIC_MAX_BITS} bits")
         if not self.contains_point(x):
             raise DomainError(f"{x} outside the domain")
-        # x(1 - x) = 1/4 - (x - 1/2)^2: a Fraction power is not re-normalised and every
-        # other operation has a small operand, so no gcd of two orbit-sized integers is taken
-        p = self.parameter
-        return p * (QUARTER - (x - HALF) ** 2) if self.family == "logistic" else 1 - p * x ** 2
+        # a Fraction power is not re-normalised and every other operation has a small
+        # operand, so no gcd of two orbit-sized integers is taken
+        alpha, beta, c = self._form
+        return alpha - beta * (x - c) ** 2
 
     def enclosures(self, x: Fraction, bits: int) -> Iterator[tuple[int, int]]:
         """Outward-rounded enclosures of x, f(x), f²(x), … as numerator pairs over 2^bits.
@@ -420,7 +425,7 @@ class QuadraticFamilyMap(IntervalSystem):
             hi = -neg_hi
 
     def critical_point(self) -> Fraction:
-        return HALF if self.family == "logistic" else ZERO
+        return self._form[2]
 
     def critical_points(self) -> list[Fraction]:
         return [self.critical_point()]
@@ -430,11 +435,11 @@ class QuadraticFamilyMap(IntervalSystem):
         return ZERO
 
     def derivative(self, x: Fraction) -> Fraction:
-        p = self.parameter
-        return p * (1 - 2 * x) if self.family == "logistic" else -2 * p * x
+        _, beta, c = self._form
+        return -2 * beta * (x - c)
 
     def second_derivative(self, x: Fraction) -> Fraction:
-        return -2 * self.parameter
+        return -2 * self._form[1]
 
     def third_derivative(self, x: Fraction) -> Fraction:
         return ZERO

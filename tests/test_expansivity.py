@@ -40,6 +40,7 @@ from shadowlab.numerics import (
 )
 from shadowlab.systems import (
     CantorSystem,
+    DomainError,
     PiecewiseLinearMap,
     logistic_map,
     quadratic_map,
@@ -306,6 +307,13 @@ def test_ball_expanding_rejects_an_empty_grid(system):
     # an empty grid used to certify vacuously, with gridSize 0
     with pytest.raises(ValueError, match="empty epsilon grid"):
         check_ball_expanding(system, RegionSpec(point_set(F(0))), F(3), F(1, 27), [])
+
+
+@pytest.mark.parametrize("system, pair", [(T2, ("-1", "2")), (CantorSystem(6), ("1/3", "2/3"))])
+def test_ball_expanding_refuses_a_region_outside_the_space(system, pair):
+    # the tent map's [−1, 2], half outside [0, 1], used to certify
+    with pytest.raises(DomainError, match="not in the space"):
+        check_ball_expanding(system, region_of(pair), 2, F(1, 4), [F(1, 8)])
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -667,12 +675,7 @@ def ref_uncovered_point(ball, image):
 
 def ref_cantor_ball_hit(system, carrier, mu, eps_list):
     """The Cantor probe route on Fraction sets: the first failing (x, ε, missing point), or None."""
-    space = system.space()
-    rng = random.Random(11)
     probes = [end for part in carrier.parts for end in (part.lo, part.hi)]
-    pool = [p.lo for p in space.parts if carrier.contains(p.lo)]
-    for _ in range(min(24, len(pool))):
-        probes.append(pool[rng.randrange(len(pool))])
     for x in sorted(set(probes)):
         fx = system.evaluate(x)
         for eps in eps_list:
@@ -700,12 +703,15 @@ def test_cantor_ball_route_matches_the_fraction_probe_route():
             carrier = point_set(rng.choice((p.lo, p.hi, F(0))))
         elif kind == 2:
             carrier = RationalIntervalSet(tuple(sorted(rng.sample(parts, 3))))
-        else:  # two hulls across gaps of the space, each from one component's left end to another's:
-            # only here do the seeded probes add points that are not carrier ends
+        else:  # two hulls across gaps of the space, each from one component's left end to another's
             ks = sorted(rng.sample(range(len(parts)), 4))
             carrier = from_pairs([(parts[ks[0]].lo, parts[ks[1]].lo), (parts[ks[2]].lo, parts[ks[3]].lo)])
         mu = rng.choice((F(2), F(3), F(3), F(9, 2), F(9), F(10)))
         grid = rng.choice(grids)
+        if kind == 3:  # such a region is not in the space
+            with pytest.raises(DomainError, match="not in the space"):
+                check_ball_expanding(system, RegionSpec(carrier), mu, 2 * grid[0], grid)
+            continue
         verdict = check_ball_expanding(system, RegionSpec(carrier), mu, 2 * grid[0], grid)
         hit = ref_cantor_ball_hit(system, carrier, mu, grid)
         if hit is None:

@@ -1,6 +1,6 @@
 """The runtime imports nothing outside the standard library and the package,
-every name a module imports is used, and few places in it decide a system's
-class."""
+every name a module imports is used, every private function and class is used
+by the package itself, and few places in it decide a system's class."""
 
 import ast
 import re
@@ -53,3 +53,15 @@ def test_class_dispatch_sites_stay_few():
     sites = [f"{path.name}:{n}" for path in SOURCES
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if DISPATCH.search(line)]
     assert len(sites) <= 11, sites
+
+
+def test_every_private_function_and_class_is_used_by_the_package():
+    # a private helper that only tests call is code the package does not need
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
+    defined = {(path.name, node.name) for path, tree in zip(SOURCES, trees) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = sorted(f"{module}: {name}" for module, name in defined if name not in used)
+    assert defined and unused == [], f"defined but never referenced in the package: {unused}"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlab.numerics import ClosedInterval, normalize
+from shadowlab.numerics import ClosedInterval, from_int_set, normalize
 from shadowlab.pseudo_orbits import (
     DeviationReport,
     PseudoOrbit,
@@ -163,6 +164,48 @@ def test_sample_in_set_matches_the_fraction_reference():
             assert x == ref_sample_in_set(sset, ref) and type(x) is F, (sset, x)
         assert ours.getstate() == ref.getstate()
     assert any(len(s.parts) > 1 and any(p.width == 0 for p in s.parts) for s in sets)
+
+
+def fraction_parts_sample_in_set(sset, rng):
+    """The sampler as it read the Fraction parts, taken back to integers over their lcm."""
+    parts = sset.parts
+    den = math.lcm(*(e.denominator for p in parts for e in (p.lo, p.hi)))
+    ends = [(p.lo.numerator * (den // p.lo.denominator), p.hi.numerator * (den // p.hi.denominator)) for p in parts]
+    total = sum(hi - lo for lo, hi in ends)
+    if total == 0:
+        return parts[rng.randrange(len(parts))].lo
+    ticket = rng.getrandbits(32) * total
+    for p, (lo, hi) in zip(parts, ends):
+        width = (hi - lo) << 32
+        if ticket <= width:
+            raw = ((lo << 32) + ticket) << 16
+            snapped = raw // den if raw >= 0 else -(-raw // den)
+            if snapped * den < lo << 48:
+                return p.lo
+            if snapped * den > hi << 48:
+                return p.hi
+            return F(snapped, 1 << 48)
+        ticket -= width
+    return parts[-1].hi
+
+
+def test_sample_in_set_on_integer_parts_matches_the_fraction_parts():
+    # unreduced, negative and point parts: the same samples and the same rng state after
+    rng = random.Random(20)
+    for k in range(600):
+        base = rng.choice((7, 2**20, 3**30))
+        ends = sorted(rng.sample(range(-3 * base, 3 * base), 2 * rng.randint(1, 5)))
+        parts = []
+        for lo, hi in zip(ends[::2], ends[1::2]):
+            hi = lo if rng.random() < 0.3 else hi
+            f, g = rng.randint(1, 9), rng.randint(1, 9)
+            parts.append((lo * f, base * f, hi * g, base * g))
+        sset = from_int_set(parts)
+        ours, ref = random.Random(k), random.Random(k)
+        for _ in range(3):
+            x = _sample_in_set(sset, ours)
+            assert x == fraction_parts_sample_in_set(sset, ref) and type(x) is F, (parts, x)
+        assert ours.getstate() == ref.getstate()
 
 
 def test_sample_in_set_stays_inside_a_negative_part_off_the_grid():
