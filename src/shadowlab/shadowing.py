@@ -296,12 +296,12 @@ def _shift_solve(system: ShiftSystem, orbit: PseudoOrbit, epsilon: Fraction) -> 
     constants = {"epsilon": rat_str(epsilon), "cylinder": k}
     merged: dict[int, str] = {}
     for i, x in enumerate(pts):
-        for j in range(k):
-            want = x.symbol(j)
+        for j, want in enumerate(x.prefix(k)):
             if merged.setdefault(i + j, want) != want:
                 return ShadowCertificate(system, False, None, None, None, constants,
                                          infeasible_reason=f"conflicting symbol constraints at position {i + j}")
-    prefix = tuple(merged.get(p, pts[min(p, m)].symbol(p - min(p, m))) for p in range(m))
+    # with k = 0 nothing is merged and each position takes its own point's first symbol
+    prefix = tuple(merged[i] if i in merged else x.prefix(1)[0] for i, x in enumerate(pts[:-1]))
     witness = SymbolicPoint(prefix + pts[-1].preamble, pts[-1].cycle)
     if not system.contains_point(witness):
         # complete only when forbidden words fit inside the constraint

@@ -718,34 +718,46 @@ class SymbolicPoint:
         return self.cycle[(i - len(self.preamble)) % len(self.cycle)]
 
     def prefix(self, k: int) -> tuple[str, ...]:
-        return tuple(self.symbol(i) for i in range(k))
+        """The first k symbols, one slice of preamble + cycle·⌈(k − |preamble|)/|cycle|⌉."""
+        pre = self.preamble
+        if k <= len(pre):
+            return pre[:k]
+        return (pre + self.cycle * -((len(pre) - k) // len(self.cycle)))[:k]
 
     def shifted(self) -> "SymbolicPoint":
-        if self.preamble:
-            return SymbolicPoint(self.preamble[1:], self.cycle)
-        return SymbolicPoint((), self.cycle[1:] + self.cycle[:1])
+        # canonical in, canonical out: dropping the first preamble symbol keeps the
+        # last one distinct from the cycle's last, and a rotated primitive cycle is
+        # primitive, so __post_init__ is not run again
+        p = object.__new__(SymbolicPoint)
+        pre, cyc = self.preamble, self.cycle
+        object.__setattr__(p, "preamble", pre[1:])
+        object.__setattr__(p, "cycle", cyc if pre else cyc[1:] + cyc[:1])
+        return p
 
     def __str__(self):
         return "".join(self.preamble) + "(" + "".join(self.cycle) + ")"
 
     @staticmethod
     def parse(text: str) -> "SymbolicPoint":
-        if "(" not in text:
-            raise ValueError("expected 'preamble(cycle)'")
-        pre, rest = text.split("(", 1)
-        cyc = rest.rstrip(")")
-        return SymbolicPoint(tuple(pre), tuple(cyc))
+        pre, _, cyc = text.partition("(")
+        if not cyc.endswith(")") or ")" in pre or "(" in cyc or ")" in cyc[:-1]:
+            raise ValueError(f"expected 'preamble(cycle)' with one '(' and one final ')', got {text!r}")
+        return SymbolicPoint(tuple(pre), tuple(cyc[:-1]))
 
 
 def common_prefix_length(a: SymbolicPoint, b: SymbolicPoint) -> Optional[int]:
-    """Length of the longest common prefix; None when the points are equal."""
+    """Length of the longest common prefix; None when the points are equal.
+
+    From position max(|u|, |u′|) on both points repeat with period lcm(|v|, |w|),
+    so two that agree on that many more symbols are equal."""
     if a == b:
         return None
-    bound = len(a.preamble) + len(b.preamble) + math.lcm(len(a.cycle), len(b.cycle)) + 1
-    for i in range(bound + 1):
-        if a.symbol(i) != b.symbol(i):
-            return i
-    raise AssertionError("distinct eventually periodic points must disagree within the bound")
+    n = max(len(a.preamble), len(b.preamble)) + math.lcm(len(a.cycle), len(b.cycle))
+    return next(i for i, (s, t) in enumerate(zip(a.prefix(n), b.prefix(n))) if s != t)
+
+
+# 2^−k for the common prefix lengths that short words reach, built once
+_HALF_POWERS = tuple(Fraction(1, 1 << k) for k in range(64))
 
 
 def cylinder_length(epsilon: Fraction) -> int:
@@ -766,22 +778,26 @@ class ShiftSystem:
             raise ValueError("alphabet must be nonempty")
         if any(len(a) != 1 for a in self.alphabet):
             raise ValueError("alphabet symbols must be single characters")
+        if "(" in self.alphabet or ")" in self.alphabet:
+            raise ValueError("'(' and ')' cannot be alphabet symbols: they delimit a point's cycle")
 
-    @property
+    @cached_property
     def max_forbidden_length(self) -> int:
         return max((len(w) for w in self.forbidden), default=0)
+
+    @cached_property
+    def _symbols(self) -> frozenset:
+        return frozenset(self.alphabet)
 
     def word_admissible(self, word: Sequence[str]) -> bool:
         text = "".join(word)
         return not any(bad in text for bad in self.forbidden)
 
     def point_admissible(self, p: SymbolicPoint) -> bool:
-        window = list(p.preamble) + list(p.cycle) * 2
-        horizon = len(window) + self.max_forbidden_length
-        return self.word_admissible([p.symbol(i) for i in range(horizon)])
+        return self.word_admissible(p.prefix(len(p.preamble) + 2 * len(p.cycle) + self.max_forbidden_length))
 
     def contains_point(self, p: SymbolicPoint) -> bool:
-        return all(s in self.alphabet for s in p.preamble + p.cycle) and self.point_admissible(p)
+        return self._symbols.issuperset(p.preamble + p.cycle) and self.point_admissible(p)
 
     def evaluate(self, p: SymbolicPoint) -> SymbolicPoint:
         if not self.contains_point(p):
@@ -792,7 +808,9 @@ class ShiftSystem:
         if not isinstance(a, SymbolicPoint) or not isinstance(b, SymbolicPoint):
             raise DomainError("shift systems take symbolic points")
         k = common_prefix_length(a, b)
-        return ZERO if k is None else Fraction(1, 2**k)
+        if k is None:
+            return ZERO
+        return _HALF_POWERS[k] if k < len(_HALF_POWERS) else Fraction(1, 2**k)
 
     def point_to_str(self, p: SymbolicPoint) -> str:
         return str(p)

@@ -323,6 +323,19 @@ def test_cli_malformed_orbit_json_is_one_line_error(tmp_path, capsys, orbit_text
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+@pytest.mark.parametrize("point", ["0(10))", "0(1", "01(1)0"])
+def test_cli_rejects_malformed_symbolic_point(tmp_path, capsys, point):
+    # 0(10)) was read as 0(10) and answered feasible; 01(1)0 became the cycle ('1', ')', '0')
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(golden_mean_shift().to_json()))
+    orbit_path = tmp_path / "orbit.json"
+    orbit_path.write_text(json.dumps({"points": [point, "(10)"]}))
+    code = main(["shadow", "oracle", "--system", str(sys_path), "--orbit", str(orbit_path), "--epsilon", "1/2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "expected 'preamble(cycle)'" in captured.err and repr(point) in captured.err
+
+
 @pytest.mark.parametrize("system_text, message", [
     # the first three ended in a TypeError traceback with exit code 1
     ('{"kind": "pl", "breakpoints": 5, "values": [0, 1]}', "field 'breakpoints' must be a list, not 5"),

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab.expansivity import (
     RegionSpec,
@@ -23,6 +25,7 @@ from shadowlab.systems import (
     ShiftSystem,
     SLimitSystem,
     SymbolicPoint,
+    common_prefix_length,
     compose_pl,
     golden_mean_shift,
     iterate_pl,
@@ -399,6 +402,109 @@ def test_symbolic_point_canonical_forms():
     b = SymbolicPoint((), ("0", "1", "0", "1"))
     assert b.cycle == ("0", "1")
     assert a == b
+
+
+@pytest.mark.parametrize("text", ["0(10))", "0(1", "01(1)0", "01", "0()", "((0)", "0)(1)", "0(1(0))"])
+def test_symbolic_point_parse_refuses_malformed_text(text):
+    # the first three were read as 0(10), 0(1) and a cycle ('1', ')', '0')
+    with pytest.raises(ValueError, match=r"expected 'preamble\(cycle\)'|cycle must be nonempty"):
+        SymbolicPoint.parse(text)
+
+
+def test_symbolic_point_parse_reads_its_own_text():
+    for text in ["1(10)", "(0)", "ab(cba)"]:
+        assert str(SymbolicPoint.parse(text)) == text
+
+
+@pytest.mark.parametrize("alphabet", [("0", "("), (")", "1")])
+def test_shift_alphabet_refuses_the_cycle_delimiters(alphabet):
+    with pytest.raises(ValueError, match="cannot be alphabet symbols"):
+        ShiftSystem(alphabet)
+
+
+# -- sliced shift primitives against the per-symbol readings -----------------
+
+
+def _ref_prefix(p, k):
+    return tuple(p.symbol(i) for i in range(k))
+
+
+def _ref_common_prefix_length(a, b):
+    if a == b:
+        return None
+    bound = len(a.preamble) + len(b.preamble) + math.lcm(len(a.cycle), len(b.cycle)) + 1
+    for i in range(bound + 1):
+        if a.symbol(i) != b.symbol(i):
+            return i
+    raise AssertionError("distinct eventually periodic points must disagree within the bound")
+
+
+def _ref_point_admissible(system, p):
+    horizon = len(p.preamble) + 2 * len(p.cycle) + max((len(w) for w in system.forbidden), default=0)
+    return system.word_admissible([p.symbol(i) for i in range(horizon)])
+
+
+def _ref_contains_point(system, p):
+    return all(s in system.alphabet for s in p.preamble + p.cycle) and _ref_point_admissible(system, p)
+
+
+def _points(symbols):
+    return st.builds(lambda u, v: SymbolicPoint(tuple(u), tuple(v)),
+                     st.text(symbols, max_size=6), st.text(symbols, min_size=1, max_size=5))
+
+
+@given(_points("01abc"), st.data())
+@settings(max_examples=200, deadline=None)
+def test_prefix_matches_the_per_symbol_reading(p, data):
+    for k in range(len(p.preamble) + 3 * len(p.cycle) + 2):
+        assert p.prefix(k) == _ref_prefix(p, k)
+    s = data.draw(st.integers(1, 8))
+    q = p
+    for _ in range(s):
+        # shifted() skips canonicalisation; the constructor, run on the same words, must agree field by field
+        full = SymbolicPoint(q.preamble[1:], q.cycle) if q.preamble else SymbolicPoint((), q.cycle[1:] + q.cycle[:1])
+        q = q.shifted()
+        assert (q.preamble, q.cycle) == (full.preamble, full.cycle)
+    assert q.prefix(6) == _ref_prefix(p, 6 + s)[s:]
+
+
+@given(_points("01"), _points("01"))
+@settings(max_examples=300, deadline=None)
+def test_common_prefix_length_matches_the_per_symbol_reading(a, b):
+    assert common_prefix_length(a, b) == _ref_common_prefix_length(a, b)
+    # the same point written with a longer preamble and a repeated cycle
+    twin = SymbolicPoint(a.preamble + a.cycle, a.cycle * 2)
+    assert common_prefix_length(a, twin) is None is _ref_common_prefix_length(a, twin)
+
+
+@given(st.text("ab", max_size=4), st.text("abc", max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_common_prefix_length_reads_up_to_the_last_index_of_its_bound(u, body):
+    # u·c(body·a) and u·c(body·b) first differ at |u| + 1 + |body|; when both cycles
+    # stay primitive that is the last index the bound max(|u|, |u′|) + lcm(|v|, |w|) reads
+    a = SymbolicPoint(tuple(u + "c"), tuple(body + "a"))
+    b = SymbolicPoint(tuple(u + "c"), tuple(body + "b"))
+    k = common_prefix_length(a, b)
+    assert k == _ref_common_prefix_length(a, b) == len(u) + 1 + len(body)
+    if len(a.cycle) == len(b.cycle) == len(body) + 1:
+        assert k == max(len(a.preamble), len(b.preamble)) + math.lcm(len(a.cycle), len(b.cycle)) - 1
+
+
+@pytest.mark.parametrize("a, b, k", [("c(aba)", "c(abb)", 3), ("(0)", "(1)", 0), ("01(0)", "(01)", 3)])
+def test_common_prefix_length_at_the_last_index_of_its_bound(a, b, k):
+    a, b = SymbolicPoint.parse(a), SymbolicPoint.parse(b)
+    assert max(len(a.preamble), len(b.preamble)) + math.lcm(len(a.cycle), len(b.cycle)) == k + 1
+    assert common_prefix_length(a, b) == _ref_common_prefix_length(a, b) == k
+
+
+@given(st.sampled_from(["01", "abc"]).flatmap(lambda alphabet: st.tuples(
+    st.just(alphabet), st.lists(st.text(alphabet, min_size=1, max_size=3), max_size=3))), _points("01abc"))
+@settings(max_examples=300, deadline=None)
+def test_admissibility_matches_the_per_symbol_reading(spec, p):
+    alphabet, forbidden = spec
+    system = ShiftSystem(tuple(alphabet), tuple(forbidden))
+    assert system.point_admissible(p) == _ref_point_admissible(system, p)
+    assert system.contains_point(p) == _ref_contains_point(system, p)
 
 
 # -- composition ------------------------------------------------------------
