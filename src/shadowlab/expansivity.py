@@ -33,6 +33,8 @@ from .numerics import (
 from .systems import (
     CantorSystem,
     DomainError,
+    IntervalSystem,
+    PiecewiseAffineSystem,
     PiecewiseLinearMap,
     QuadraticFamilyMap,
     SLimitSystem,
@@ -64,8 +66,18 @@ def region_of(*pairs) -> RegionSpec:
 
 def whole_space_region(system) -> RegionSpec:
     """The whole space as a region; only interval systems have one."""
-    require(type(system), "whole_space_region", (PiecewiseLinearMap, QuadraticFamilyMap, CantorSystem, SLimitSystem))
+    require(type(system), "whole_space_region", (IntervalSystem,))
     return RegionSpec(system.space())
+
+
+def _carrier(system, region: RegionSpec) -> RationalIntervalSet:
+    """The region's carrier, refused with one DomainError naming its first part outside the space:
+    every expansion notion is of a map on a subset of its space, and only this decides it."""
+    carrier, space = region.carrier, system.space()
+    if not carrier.subset_of(space):
+        part = next(p for p in carrier.parts if not RationalIntervalSet((p,)).subset_of(space))
+        raise DomainError(f"region part [{rat_str(part.lo)}, {rat_str(part.hi)}] is not in the space")
+    return carrier
 
 
 @dataclass(frozen=True)
@@ -308,12 +320,12 @@ def check_star(system: SystemSpec, lambda_set: RegionSpec, delta, mu) -> Expansi
 
 
 def _pair_check(routes: dict, solver: str, system, region: RegionSpec, delta, mu) -> ExpansivityVerdict:
-    """The entry of the two pair checks: one class check, the constants, one route."""
+    """The entry of the two pair checks: one class check, the constants, the region gate, one route."""
     route = routes[require(type(system), solver, routes)]
     delta, mu = rat(delta), rat(mu)
     if mu <= 1 or delta <= 0:
         raise ValueError("need mu > 1 and delta > 0")
-    return route(system, region.carrier, delta, mu, {"delta": rat_str(delta), "mu": rat_str(mu)})
+    return route(system, _carrier(system, region), delta, mu, {"delta": rat_str(delta), "mu": rat_str(mu)})
 
 
 def _affine_expanding(system, carrier: RationalIntervalSet, delta, mu, constants) -> ExpansivityVerdict:
@@ -366,10 +378,8 @@ def _quadratic_expanding(system, carrier: RationalIntervalSet, delta, mu, consta
     return ExpansivityVerdict(prop, "undetermined", constants)
 
 
-_EXPANDING_ROUTES = {PiecewiseLinearMap: _affine_expanding, CantorSystem: _affine_expanding,
-                     QuadraticFamilyMap: partial(_quadratic_expanding, one_sided=False)}
-_STAR_ROUTES = {PiecewiseLinearMap: _affine_star, CantorSystem: _affine_star,
-                QuadraticFamilyMap: partial(_quadratic_expanding, one_sided=True)}
+_EXPANDING_ROUTES = {PiecewiseAffineSystem: _affine_expanding, QuadraticFamilyMap: partial(_quadratic_expanding, one_sided=False)}
+_STAR_ROUTES = {PiecewiseAffineSystem: _affine_star, QuadraticFamilyMap: partial(_quadratic_expanding, one_sided=True)}
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +495,8 @@ def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu, eps_gri
         raise ValueError("empty epsilon grid: there is nothing to certify")
     if any(not (0 < e < nu) for e in eps_list):
         raise ValueError("grid values must lie in (0, nu)")
-    if not region.carrier.subset_of(system.space()):
-        raise DomainError("the region is not in the space")
     constants = {"mu": rat_str(mu), "nu": rat_str(nu), "gridSize": len(eps_list)}
-    return route(system, region.carrier, mu, eps_list, constants)
+    return route(system, _carrier(system, region), mu, eps_list, constants)
 
 
 def _pl_ball_expanding(system: PiecewiseLinearMap, carrier: RationalIntervalSet, mu: Fraction,
@@ -644,9 +652,10 @@ _OPEN_AT_ROUTES = {PiecewiseLinearMap: _pl_open_at, QuadraticFamilyMap: _quadrat
 def check_locally_injective(system: SystemSpec, region: RegionSpec) -> ExpansivityVerdict:
     """Holds exactly when the region avoids the critical set."""
     require(type(system), "check_locally_injective", (PiecewiseLinearMap, QuadraticFamilyMap, SLimitSystem))
+    carrier = _carrier(system, region)
     constants = {"margin": rat_str(region.margin)}
     for c in system.critical_points():
-        if region.carrier.contains(c):
+        if carrier.contains(c):
             counter = {"criticalPoint": rat_str(c),
                        "statement": "the region contains a point with no injective neighbourhood"}
             return ExpansivityVerdict("locallyInjective", "falsified", constants, counter)
@@ -689,7 +698,7 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
     constants over 10-point ε grids."""
     ball_side_of = _CROSSCHECK_BALL_SIDES[
         require(type(system), "crosscheck_expanding_characterizations", _CROSSCHECK_BALL_SIDES)]
-    carrier = region.carrier
+    carrier = _carrier(system, region)
     margin = region.margin
     crit = system.critical_points()
     if margin == 0 and crit and not carrier.is_empty:

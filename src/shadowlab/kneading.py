@@ -146,12 +146,8 @@ def staircase_symbol(n: int) -> str:
         raise ValueError("need n >= 0")
     if n < 3:
         return (R, L, L)[n]
-    k = (math.isqrt(8 * n + 1) - 1) // 2
-    while k * (k + 1) // 2 > n:
-        k -= 1
-    while (k + 1) * (k + 2) // 2 <= n:
-        k += 1
-    return L if n == (k + 1) * (k + 2) // 2 - 1 else R
+    # n + 1 is a triangular number m(m+1)/2 exactly when 8(n+1) + 1 = (2m+1)²
+    return L if math.isqrt(8 * n + 9) ** 2 == 8 * n + 9 else R
 
 
 def staircase_word(length: int) -> KneadingWord:

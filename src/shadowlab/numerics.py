@@ -139,7 +139,17 @@ class RationalIntervalSet:
         return int_contains(self.int_parts, x.numerator, x.denominator)
 
     def subset_of(self, other: "RationalIntervalSet") -> bool:
-        return from_int_set(int_intersect(self.int_parts, other.int_parts)) == self
+        """Whether each part lies in the first part of ``other`` that reaches its
+        left end: the last one found, the next, or one found by bisection."""
+        s, n, j = other.int_parts, len(other.int_parts), 0
+        for ln, ld, hn, hd in self.int_parts:
+            if j < n and s[j][2] * ld < ln * s[j][3]:
+                j += 1
+                if j < n and s[j][2] * ld < ln * s[j][3]:
+                    j = _int_reaching(s, j + 1, n, ln, ld)
+            if j == n or ln * s[j][1] < s[j][0] * ld or hn * s[j][3] > s[j][2] * hd:
+                return False
+        return True
 
     def leftmost(self) -> Fraction:
         if self.is_empty:

@@ -20,14 +20,11 @@ from typing import Optional, Sequence
 
 from .numerics import RationalIntervalSet, from_int_set, int_intersect, int_tube, rat, rat_str
 from .systems import (
-    CantorSystem,
     DomainError,
+    IntervalSystem,
     OdometerSystem,
-    PiecewiseLinearMap,
     Point,
-    QuadraticFamilyMap,
     ShiftSystem,
-    SLimitSystem,
     SymbolicPoint,
     SystemSpec,
     cylinder_length,
@@ -241,10 +238,7 @@ def _shift_steps(system: ShiftSystem, x0, length, radius, rng, region) -> list:
 
 
 _PERTURBED_STEPS = {
-    PiecewiseLinearMap: _interval_steps,
-    QuadraticFamilyMap: _interval_steps,
-    CantorSystem: _interval_steps,
-    SLimitSystem: _interval_steps,
+    IntervalSystem: _interval_steps,
     OdometerSystem: _odometer_steps,
     ShiftSystem: _shift_steps,
 }

@@ -88,19 +88,9 @@ class Report:
              "status": status, "provenance": provenance}
         )
 
-    def add_undetermined(self, label: str, note: str, provenance: str):
-        self.checks.append(
-            {"label": label, "expected": "", "actual": note,
-             "status": "undetermined", "provenance": provenance}
-        )
-
     @property
     def status(self) -> str:
-        if any(c["status"] == "fail" for c in self.checks):
-            return "fail"
-        if any(c["status"] == "undetermined" for c in self.checks):
-            return "undetermined"
-        return "pass"
+        return "fail" if any(c["status"] == "fail" for c in self.checks) else "pass"
 
     def to_json(self) -> dict:
         return {

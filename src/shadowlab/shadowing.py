@@ -40,9 +40,9 @@ from .pseudo_orbits import (
     verify_jumps,
 )
 from .systems import (
-    CantorSystem,
     DomainError,
     OdometerSystem,
+    PiecewiseAffineSystem,
     PiecewiseLinearMap,
     Point,
     QuadraticFamilyMap,
@@ -202,10 +202,7 @@ def shadow_oracle(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCert
     is refused with a DomainError.  Quadratic maps are rejected here; use
     :func:`quadratic_shadow_verdict`.
     """
-    epsilon = rat(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return _ORACLES[require(type(system), "shadow_oracle", _ORACLES)](system, orbit, epsilon)
+    return _trace(_ORACLES, "shadow_oracle", system, orbit, epsilon)
 
 
 def _tube_oracle(system, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
@@ -227,10 +224,15 @@ def h_shadow_solve(system: SystemSpec, orbit: PseudoOrbit, epsilon) -> ShadowCer
     walk from x_m; infeasibility of the exact hit is reported separately
     from emptiness of the tubes.
     """
+    return _trace(_EXACT_HIT_SOLVERS, "h_shadow_solve", system, orbit, epsilon)
+
+
+def _trace(solvers: dict, solver: str, system, orbit: PseudoOrbit, epsilon) -> ShadowCertificate:
+    """The entry of the two tracing solvers: the ε check, then one table read."""
     epsilon = rat(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return _EXACT_HIT_SOLVERS[require(type(system), "h_shadow_solve", _EXACT_HIT_SOLVERS)](system, orbit, epsilon)
+    return solvers[require(type(system), solver, solvers)](system, orbit, epsilon)
 
 
 def _tube_exact_hit(system, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowCertificate:
@@ -341,15 +343,13 @@ def _odometer_solve(system: OdometerSystem, orbit: PseudoOrbit, epsilon: Fractio
 
 
 _ORACLES = {
-    PiecewiseLinearMap: _tube_oracle,
-    CantorSystem: _tube_oracle,
+    PiecewiseAffineSystem: _tube_oracle,
     SLimitSystem: _slimit_oracle,
     ShiftSystem: _shift_solve,
     OdometerSystem: _odometer_solve,
 }
 _EXACT_HIT_SOLVERS = {
-    PiecewiseLinearMap: _tube_exact_hit,
-    CantorSystem: _tube_exact_hit,
+    PiecewiseAffineSystem: _tube_exact_hit,
     ShiftSystem: _shift_solve,
     OdometerSystem: partial(_odometer_solve, require_exact_hit=True),
 }

@@ -58,12 +58,14 @@ class DomainError(ValueError):
 
 
 def require(system_class: type, solver: str, supported) -> type:
-    """A solver's one entry check: ``system_class`` itself when it is among
-    ``supported`` (a tuple of classes or a dict keyed by them), else one
-    DomainError naming it."""
-    if system_class not in supported:
-        raise DomainError(f"{solver} does not support {system_class.__name__}")
-    return system_class
+    """A solver's one entry check: the first class in ``system_class``'s MRO
+    that ``supported`` holds (a tuple of classes or a dict keyed by them), so
+    a table may name a base of the contract; else one DomainError naming the
+    concrete class."""
+    for cls in system_class.__mro__:
+        if cls in supported:
+            return cls
+    raise DomainError(f"{solver} does not support {system_class.__name__}")
 
 
 class IntervalSystem:
@@ -295,20 +297,13 @@ def tent_map(lam) -> PiecewiseLinearMap:
 
 
 def compose_pl(outer: PiecewiseLinearMap, inner: PiecewiseLinearMap) -> PiecewiseLinearMap:
-    """Exact composition outer∘inner as a piecewise-linear map."""
-    bps = set(inner.breakpoints)
-    for dom, s, c in inner.laps():
-        lo, hi = s * dom.lo + c, s * dom.hi + c
-        lo, hi = min(lo, hi), max(lo, hi)
-        for b in outer.breakpoints:
-            if lo < b < hi:
-                bps.add((b - c) / s)
-    bp_list = tuple(sorted(bps))
-    vals = tuple(outer.evaluate(inner.evaluate(b)) for b in bp_list)
-    m = PiecewiseLinearMap(bp_list, vals)
-    # drop interior breakpoints where adjacent laps are collinear
-    keep = [0, *(i for i in range(1, len(bp_list) - 1) if m.slopes[i - 1] != m.slopes[i]), len(bp_list) - 1]
-    return PiecewiseLinearMap(tuple(bp_list[i] for i in keep), tuple(vals[i] for i in keep))
+    """Exact composition outer∘inner as a piecewise-linear map: inner's breakpoints and the
+    preimages of outer's, less those where the laps on either side are collinear."""
+    bps = sorted(set(inner.breakpoints).union(*map(inner.point_preimages, outer.breakpoints)))
+    vals = [outer.evaluate(inner.evaluate(b)) for b in bps]
+    slopes = [(v1 - v0) / (b1 - b0) for b0, b1, v0, v1 in zip(bps, bps[1:], vals, vals[1:])]
+    keep = [0, *(i for i in range(1, len(bps) - 1) if slopes[i - 1] != slopes[i]), len(bps) - 1]
+    return PiecewiseLinearMap(tuple(bps[i] for i in keep), tuple(vals[i] for i in keep))
 
 
 def iterate_pl(system: PiecewiseLinearMap, n: int) -> PiecewiseLinearMap:

@@ -74,9 +74,6 @@ def test_report_status_semantics():
     assert report.status == "pass"
     report.add("gamma", 1, 2, "oracle")
     assert report.status == "fail"
-    report2 = Report("u", {})
-    report2.add_undetermined("delta", "no verdict", "oracle")
-    assert report2.status == "undetermined"
 
 
 def test_cli_scenario_list_and_run(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -314,6 +315,20 @@ def test_ball_expanding_refuses_a_region_outside_the_space(system, pair):
     # the tent map's [−1, 2], half outside [0, 1], used to certify
     with pytest.raises(DomainError, match="not in the space"):
         check_ball_expanding(system, region_of(pair), 2, F(1, 4), [F(1, 8)])
+
+
+@pytest.mark.parametrize("check, part", [
+    # each of these used to answer "certified" (the crosscheck: every side, and consistent)
+    (lambda: check_expanding(T2, region_of(("3/2", "2")), F(1, 8), F(3, 2)), "[3/2, 2/1]"),
+    (lambda: check_star(T2, region_of(("3/2", "2")), F(1, 8), F(3, 2)), "[3/2, 2/1]"),
+    (lambda: check_expanding(logistic_map(4), region_of(("-1", "-1/2")), F(1, 8), 2), "[-1/1, -1/2]"),
+    (lambda: check_expanding(CantorSystem(6), region_of(("1/5", "1/4")), F(1, 9), 3), "[1/5, 1/4]"),  # a gap
+    (lambda: crosscheck_expanding_characterizations(T2, region_of(("3/2", "2"))), "[3/2, 2/1]"),
+    (lambda: check_locally_injective(T2, region_of((0, 1), (2, 3))), "[2/1, 3/1]"),
+], ids=["expanding", "star", "logistic", "cantor-gap", "crosscheck", "locally-injective"])
+def test_every_region_check_refuses_a_region_outside_the_space(check, part):
+    with pytest.raises(DomainError, match=rf"^region part {re.escape(part)} is not in the space$"):
+        check()
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])

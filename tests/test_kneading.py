@@ -140,6 +140,24 @@ def test_staircase_prefix_and_blocks():
     assert [staircase_symbol(n) for n in range(15, 21)] == ["R", "R", "R", "R", "R", "L"]
 
 
+def staircase_symbol_by_search(n):
+    """``staircase_symbol`` as it was first written: the block index k from an
+    isqrt guess, adjusted by loops, and L at each block's last position."""
+    if n < 3:
+        return "RLL"[n]
+    k = (math.isqrt(8 * n + 1) - 1) // 2
+    while k * (k + 1) // 2 > n:
+        k -= 1
+    while (k + 1) * (k + 2) // 2 <= n:
+        k += 1
+    return "L" if n == (k + 1) * (k + 2) // 2 - 1 else "R"
+
+
+def test_staircase_closed_form_matches_the_block_search():
+    ns = [*range(20000), *(t * (t + 1) // 2 + d for t in range(200, 100000, 997) for d in (-2, -1, 0, 1))]
+    assert [staircase_symbol(n) for n in ns] == [staircase_symbol_by_search(n) for n in ns]
+
+
 def test_staircase_run_lengths_increase_by_one():
     text = staircase_word(600).symbols
     runs = []

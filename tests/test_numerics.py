@@ -12,6 +12,7 @@ from shadowlab.numerics import (
     closed_ball,
     from_int_set,
     from_pairs,
+    int_intersect,
     intersect,
     interval,
     normalize,
@@ -311,3 +312,33 @@ def test_public_results_hold_reduced_integers(s, ks, a, b):
         results.append(affine_image(t, a, b))
     assert all(in_lowest_terms(r) for r in results)
     assert results[0] == s
+
+
+def reduced_subset(a, b):
+    """``subset_of`` as it was first written: the integer intersection and the
+    set compared as two copies with every endpoint in lowest terms."""
+    def lowest(parts):
+        return [(ln // g, ld // g, hn // h, hd // h)
+                for ln, ld, hn, hd in parts for g, h in [(math.gcd(ln, ld), math.gcd(hn, hd))]]
+    return lowest(int_intersect(a.int_parts, b.int_parts)) == lowest(a.int_parts)
+
+
+@given(point_and_interval_sets(), point_and_interval_sets(), st.lists(st.integers(1, 10**6), min_size=40, max_size=40))
+@settings(max_examples=150)
+def test_subset_of_matches_the_reduced_comparison(s, t, ks):
+    # unreduced parts, point parts and pairs that are and are not subsets
+    a, b = scaled(s, ks[:20]), scaled(t, ks[20:])
+    met = scaled(intersect(s, t), ks[20:])
+    grown = scaled(normalize(s.parts + t.parts), ks[:20])
+    for x, y in ((a, b), (b, a), (met, a), (met, b), (a, grown), (grown, a), (a, a), (a, s), (from_int_set([]), a)):
+        assert x.subset_of(y) == reduced_subset(x, y)
+    assert met.subset_of(a) and met.subset_of(b) and a.subset_of(grown) and a.subset_of(s)
+
+
+def test_subset_of_on_unreduced_and_point_parts():
+    space = from_int_set([(-4, 2, -3, 2), (0, 3, 2, 6), (6, 8, 9, 9)])  # [−2, −3/2] ∪ [0, 1/3] ∪ [3/4, 1]
+    assert from_int_set([(-6, 4, -6, 4), (2, 12, 4, 12), (9, 9, 9, 9)]).subset_of(space)
+    assert from_int_set([(0, 5, 2, 6)]).subset_of(space)
+    assert not from_int_set([(0, 5, 3, 6)]).subset_of(space)  # [0, 1/2] runs into the gap
+    assert not from_int_set([(1, 2, 1, 2)]).subset_of(space)  # the point 1/2 lies in the gap
+    assert not from_int_set([(-4, 2, -3, 2), (0, 1, 0, 1), (3, 4, 1, 1), (2, 1, 2, 1)]).subset_of(space)

@@ -12,11 +12,15 @@ from shadowlab.expansivity import (
     check_ball_expanding,
     check_expanding,
     check_locally_injective,
+    check_open_at,
+    check_star,
+    crosscheck_expanding_characterizations,
     whole_space_region,
 )
-from shadowlab.numerics import from_pairs, intersect, normalize
-from shadowlab.pseudo_orbits import PseudoOrbit
-from shadowlab.shadowing import shadow_oracle
+from shadowlab.kneading import itinerary
+from shadowlab.numerics import from_pairs, intersect, normalize, point_set
+from shadowlab.pseudo_orbits import PseudoOrbit, perturbed_orbit
+from shadowlab.shadowing import h_shadow_solve, shadow_oracle
 from shadowlab.systems import (
     CantorSystem,
     DomainError,
@@ -531,6 +535,44 @@ def test_compose_collapses_collinear_breakpoints():
     assert tent_map(2) != tent_map(F(3, 2))
 
 
+def compose_pl_by_lap_crossings(outer, inner):
+    """``compose_pl`` as it was first written: each lap of inner crossed with
+    outer's breakpoints, and the collinear breakpoints dropped from a first map."""
+    bps = set(inner.breakpoints)
+    for dom, s, c in inner.laps():
+        lo, hi = s * dom.lo + c, s * dom.hi + c
+        lo, hi = min(lo, hi), max(lo, hi)
+        for b in outer.breakpoints:
+            if lo < b < hi:
+                bps.add((b - c) / s)
+    bp_list = tuple(sorted(bps))
+    vals = tuple(outer.evaluate(inner.evaluate(b)) for b in bp_list)
+    m = PiecewiseLinearMap(bp_list, vals)
+    keep = [0, *(i for i in range(1, len(bp_list) - 1) if m.slopes[i - 1] != m.slopes[i]), len(bp_list) - 1]
+    return PiecewiseLinearMap(tuple(bp_list[i] for i in keep), tuple(vals[i] for i in keep))
+
+
+def random_pl_map(rng):
+    """Breakpoints and values on a grid of twelfths, neighbouring values distinct:
+    laps that are not onto, shared values and collinear neighbours all occur."""
+    k = rng.randint(1, 4)
+    bps = [F(0), *sorted(F(b, 12) for b in rng.sample(range(1, 12), k - 1)), F(1)]
+    vals = [F(rng.randint(0, 12), 12)]
+    for _ in range(k):
+        vals.append(F(rng.choice([v for v in range(13) if F(v, 12) != vals[-1]]), 12))
+    return PiecewiseLinearMap(tuple(bps), tuple(vals))
+
+
+def test_compose_pl_matches_the_lap_crossing_composition():
+    rng = random.Random(17)
+    pairs = [(random_pl_map(rng), random_pl_map(rng)) for _ in range(300)]
+    pairs += [(tent_map(2), tent_map(2)), (tent_map(F(3, 2)), random_zigzag_map(4)), (random_zigzag_map(5), tent_map(1))]
+    for outer, inner in pairs:
+        composed = compose_pl(outer, inner)
+        assert composed == compose_pl_by_lap_crossings(outer, inner)
+        assert composed.breakpoints == compose_pl_by_lap_crossings(outer, inner).breakpoints
+
+
 # -- serialization ----------------------------------------------------------
 
 
@@ -604,6 +646,63 @@ def test_solvers_reject_unsupported_classes():
         shadow_oracle(quadratic_map(F(3, 2)), PseudoOrbit((F(0),)), F(1, 8))
     with pytest.raises(DomainError, match="check_locally_injective does not support CantorSystem"):
         check_locally_injective(CantorSystem(4), RegionSpec(CantorSystem(4).space()))
+
+
+# the classes each class-keyed entry accepts; every other class is refused with one DomainError
+SUPPORT = {
+    "shadow_oracle": ("PiecewiseLinearMap", "CantorSystem", "ShiftSystem", "OdometerSystem", "SLimitSystem"),
+    "h_shadow_solve": ("PiecewiseLinearMap", "CantorSystem", "ShiftSystem", "OdometerSystem"),
+    "perturbed_orbit": ("PiecewiseLinearMap", "QuadraticFamilyMap", "CantorSystem", "ShiftSystem", "OdometerSystem",
+                        "SLimitSystem"),
+    "whole_space_region": ("PiecewiseLinearMap", "QuadraticFamilyMap", "CantorSystem", "SLimitSystem"),
+    "check_expanding": ("PiecewiseLinearMap", "QuadraticFamilyMap", "CantorSystem"),
+    "check_star": ("PiecewiseLinearMap", "QuadraticFamilyMap", "CantorSystem"),
+    "check_ball_expanding": ("PiecewiseLinearMap", "CantorSystem"),
+    "check_open_at": ("PiecewiseLinearMap", "QuadraticFamilyMap", "CantorSystem"),
+    "check_locally_injective": ("PiecewiseLinearMap", "QuadraticFamilyMap", "SLimitSystem"),
+    "crosscheck_expanding_characterizations": ("PiecewiseLinearMap", "QuadraticFamilyMap", "CantorSystem"),
+    "itinerary": ("PiecewiseLinearMap", "QuadraticFamilyMap"),
+}
+
+# one system of each class with a point of its space; a region is that point, or empty on a symbolic system
+SUPPORT_SYSTEMS = [(tent_map(2), F(0)), (logistic_map(4), F(0)), (CantorSystem(4), F(0)),
+                   (golden_mean_shift(), SymbolicPoint.parse("(0)")), (OdometerSystem(4), (0, 0, 0, 0)),
+                   (SLimitSystem(3), F(0))]
+
+
+def _region(x):
+    return RegionSpec(point_set(x) if isinstance(x, F) else from_pairs([]))
+
+
+SUPPORT_CALLS = {
+    "shadow_oracle": lambda s, x: shadow_oracle(s, PseudoOrbit((x, s.evaluate(x))), F(1, 8)),
+    "h_shadow_solve": lambda s, x: h_shadow_solve(s, PseudoOrbit((x, s.evaluate(x))), F(1, 8)),
+    "perturbed_orbit": lambda s, x: perturbed_orbit(s, x, 3, F(1, 8), 0),
+    "whole_space_region": lambda s, x: whole_space_region(s),
+    "check_expanding": lambda s, x: check_expanding(s, _region(x), F(1, 9), 3),
+    "check_star": lambda s, x: check_star(s, _region(x), F(1, 9), 3),
+    "check_ball_expanding": lambda s, x: check_ball_expanding(s, _region(x), 3, F(1, 27), [F(1, 81)]),
+    "check_open_at": lambda s, x: check_open_at(s, x),
+    "check_locally_injective": lambda s, x: check_locally_injective(s, _region(x)),
+    "crosscheck_expanding_characterizations": lambda s, x: crosscheck_expanding_characterizations(s, _region(x)),
+    "itinerary": lambda s, x: itinerary(s, x, 4),
+}
+
+
+def test_class_keyed_entries_support_the_same_classes():
+    matrix = {}
+    for entry, call in SUPPORT_CALLS.items():
+        accepted = []
+        for system, x in SUPPORT_SYSTEMS:
+            name = type(system).__name__
+            try:
+                call(system, x)
+            except DomainError as refusal:
+                assert str(refusal) == f"{entry} does not support {name}"  # the concrete class, not a base
+            else:
+                accepted.append(name)
+        matrix[entry] = tuple(accepted)
+    assert matrix == SUPPORT
 
 
 def test_cantor_min_slope_modulus_from_piece_slopes():
