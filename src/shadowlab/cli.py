@@ -17,7 +17,6 @@ from .expansivity import (
     check_locally_injective,
     check_open_at,
     check_star,
-    whole_space_region,
 )
 from .kneading import find_parameter, staircase_word, word
 from .numerics import RationalIntervalSet, interior_grid, rat
@@ -55,11 +54,6 @@ def _load_orbit(system, path: str):
     text = Path(path).read_text(encoding="utf-8")
     orbit = orbit_from_csv(system, text) if path.endswith(".csv") else orbit_from_json(system, text)
     return checked_orbit(system, orbit.points, orbit.claimed_delta, orbit.decay_schedule)
-
-
-def _load_region(system, text) -> RegionSpec:
-    """The ``--region`` set as parsed (each check refuses one outside the space), else the whole space."""
-    return RegionSpec(RationalIntervalSet.from_json(json.loads(text))) if text else whole_space_region(system)
 
 
 def _print_json(data: dict, out=None) -> None:
@@ -129,8 +123,11 @@ def main(argv=None) -> int:
     p_knead.add_argument("--steps", type=int, default=40)
 
     args = parser.parse_args(argv)
-    if args.command == "expansivity" and args.prop == "open" and args.at is None:
-        p_check.error("--property open requires --at")
+    if args.command == "expansivity" and args.prop == "open":
+        if args.at is None:
+            p_check.error("--property open requires --at")
+        if args.region is not None:
+            p_check.error("--property open reads no --region")
     try:
         return _run(args)
     except (ValueError, OSError) as exc:  # DomainError included; OSError: a file that cannot be read
@@ -166,7 +163,8 @@ def _run(args) -> int:
 
     if args.command == "expansivity":
         system = _load_system(args.system)
-        region = _load_region(system, args.region)
+        # None is the whole space; each check refuses a region outside the space
+        region = RegionSpec(RationalIntervalSet.from_json(json.loads(args.region))) if args.region else None
         if args.prop == "expanding":
             verdict = check_expanding(system, region, rat(args.delta), rat(args.mu))
         elif args.prop == "star":
@@ -179,7 +177,7 @@ def _run(args) -> int:
         elif args.prop == "locally-injective":
             verdict = check_locally_injective(system, region)
         else:
-            verdict = check_open_at(system, rat(args.at))
+            verdict = check_open_at(system, args.at)  # the point is read after the class check
         _print_json(verdict.to_json())
         return 0 if verdict.holds == "certified" else 1
 

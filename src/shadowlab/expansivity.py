@@ -33,7 +33,6 @@ from .numerics import (
 from .systems import (
     CantorSystem,
     DomainError,
-    IntervalSystem,
     PiecewiseAffineSystem,
     PiecewiseLinearMap,
     QuadraticFamilyMap,
@@ -64,16 +63,14 @@ def region_of(*pairs) -> RegionSpec:
     return RegionSpec(normalize([ClosedInterval(rat(a), rat(b)) for a, b in pairs]))
 
 
-def whole_space_region(system) -> RegionSpec:
-    """The whole space as a region; only interval systems have one."""
-    require(type(system), "whole_space_region", (IntervalSystem,))
-    return RegionSpec(system.space())
-
-
-def _carrier(system, region: RegionSpec) -> RationalIntervalSet:
-    """The region's carrier, refused with one DomainError naming its first part outside the space:
-    every expansion notion is of a map on a subset of its space, and only this decides it."""
-    carrier, space = region.carrier, system.space()
+def _carrier(system, region: Optional[RegionSpec]) -> RationalIntervalSet:
+    """The region's carrier, the whole space for None, refused with one DomainError naming its first
+    part outside the space: every expansion notion is of a map on a subset of its space, and only this
+    decides it.  Each region check calls it after its class check."""
+    space = system.space()
+    if region is None:
+        return space
+    carrier = region.carrier
     if not carrier.subset_of(space):
         part = next(p for p in carrier.parts if not RationalIntervalSet((p,)).subset_of(space))
         raise DomainError(f"region part [{rat_str(part.lo)}, {rat_str(part.hi)}] is not in the space")
@@ -294,10 +291,10 @@ def _expanding_violation(cells: list[IntCell], delta: Fraction, mu: Fraction) ->
     return None
 
 
-def _falsified_pair_verdict(system, prop: str, x, y, mu, constants) -> ExpansivityVerdict:
+def _falsified_pair_verdict(system, prop: str, x, y, delta, mu, constants) -> ExpansivityVerdict:
     lhs = system.distance(system.evaluate(x), system.evaluate(y))
     dxy = system.distance(x, y)
-    if lhs >= mu * dxy:
+    if not 0 < dxy < delta or lhs >= mu * dxy:
         raise AssertionError("counterexample failed direct re-validation")
     counter = {
         "x": rat_str(x),
@@ -309,17 +306,18 @@ def _falsified_pair_verdict(system, prop: str, x, y, mu, constants) -> Expansivi
     return ExpansivityVerdict(prop, "falsified", constants, counter)
 
 
-def check_expanding(system: SystemSpec, region: RegionSpec, delta, mu) -> ExpansivityVerdict:
-    """Does d(f(x), f(y)) ≥ μ·d(x, y) hold for all region pairs closer than δ?"""
+def check_expanding(system: SystemSpec, region: Optional[RegionSpec], delta, mu) -> ExpansivityVerdict:
+    """Does d(f(x), f(y)) ≥ μ·d(x, y) hold for all region pairs closer than δ?
+    Every region check reads None as the whole space."""
     return _pair_check(_EXPANDING_ROUTES, "check_expanding", system, region, delta, mu)
 
 
-def check_star(system: SystemSpec, lambda_set: RegionSpec, delta, mu) -> ExpansivityVerdict:
+def check_star(system: SystemSpec, lambda_set: Optional[RegionSpec], delta, mu) -> ExpansivityVerdict:
     """One-sided variant: only x is confined to the region, y roams the space."""
     return _pair_check(_STAR_ROUTES, "check_star", system, lambda_set, delta, mu)
 
 
-def _pair_check(routes: dict, solver: str, system, region: RegionSpec, delta, mu) -> ExpansivityVerdict:
+def _pair_check(routes: dict, solver: str, system, region: Optional[RegionSpec], delta, mu) -> ExpansivityVerdict:
     """The entry of the two pair checks: one class check, the constants, the region gate, one route."""
     route = routes[require(type(system), solver, routes)]
     delta, mu = rat(delta), rat(mu)
@@ -332,7 +330,7 @@ def _affine_expanding(system, carrier: RationalIntervalSet, delta, mu, constants
     hit = _expanding_violation(_affine_cells(system, carrier), delta, mu)
     if hit is None:
         return ExpansivityVerdict("expanding", "certified", constants)
-    return _falsified_pair_verdict(system, "expanding", hit[0], hit[1], mu, constants)
+    return _falsified_pair_verdict(system, "expanding", hit[0], hit[1], delta, mu, constants)
 
 
 def _affine_star(system, carrier: RationalIntervalSet, delta, mu, constants) -> ExpansivityVerdict:
@@ -349,7 +347,7 @@ def _affine_star(system, carrier: RationalIntervalSet, delta, mu, constants) -> 
                 hit = None if swapped is None else (swapped[1], swapped[0])
             if hit is not None:
                 # first coordinate is the region-constrained point
-                return _falsified_pair_verdict(system, "star", hit[0], hit[1], mu, constants)
+                return _falsified_pair_verdict(system, "star", hit[0], hit[1], delta, mu, constants)
     return ExpansivityVerdict("star", "certified", constants)
 
 
@@ -367,14 +365,14 @@ def _quadratic_expanding(system, carrier: RationalIntervalSet, delta, mu, consta
         dmin = min(abs(system.derivative(hull.lo)), abs(system.derivative(hull.hi)))
         if dmin >= mu:
             return ExpansivityVerdict(prop, "certified", {**constants, "minDerivative": rat_str(dmin)})
-    # sampling falsifier around the critical point
+    # sampling falsifier around the critical point: pairs δ/2^k apart, strictly closer than δ
     for k in range(1, 12):
-        s = delta / 2**k
+        s = delta / 2 ** (k + 1)
         x, y = c - s, c + s
         if carrier.contains(x) and (one_sided or carrier.contains(y)) and system.contains_point(y):
             lhs = abs(system.evaluate(x) - system.evaluate(y))
             if lhs < mu * (y - x):
-                return _falsified_pair_verdict(system, prop, x, y, mu, constants)
+                return _falsified_pair_verdict(system, prop, x, y, delta, mu, constants)
     return ExpansivityVerdict(prop, "undetermined", constants)
 
 
@@ -482,7 +480,7 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
     return None
 
 
-def check_ball_expanding(system: SystemSpec, region: RegionSpec, mu, nu, eps_grid: Sequence) -> ExpansivityVerdict:
+def check_ball_expanding(system: SystemSpec, region: Optional[RegionSpec], mu, nu, eps_grid: Sequence) -> ExpansivityVerdict:
     """Does f(B̄_ε(x) ∩ X) cover B̄_{μsenε}(f(x)) ∩ X for region x and ε < ν?"""
     route = _BALL_ROUTES[require(type(system), "check_ball_expanding", _BALL_ROUTES)]
     mu, nu = rat(mu), rat(nu)
@@ -552,7 +550,7 @@ def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdic
     return ExpansivityVerdict("ballExpanding", "falsified", constants, counter)
 
 
-def _search_ball_constants(system: PiecewiseLinearMap, region: RegionSpec) -> Optional[tuple[Fraction, Fraction]]:
+def _search_ball_constants(system: PiecewiseLinearMap, region: Optional[RegionSpec]) -> Optional[tuple[Fraction, Fraction]]:
     """Small search for working (μ, ν) on a piecewise-linear map, each checked
     on the 10-point ε grid below ν; None when nothing on the menu certifies."""
     for mu in (system.min_slope_modulus(), Fraction(3, 2), Fraction(5, 4), Fraction(9, 8)):
@@ -649,11 +647,11 @@ _OPEN_AT_ROUTES = {PiecewiseLinearMap: _pl_open_at, QuadraticFamilyMap: _quadrat
                    CantorSystem: _cantor_open_at}
 
 
-def check_locally_injective(system: SystemSpec, region: RegionSpec) -> ExpansivityVerdict:
+def check_locally_injective(system: SystemSpec, region: Optional[RegionSpec]) -> ExpansivityVerdict:
     """Holds exactly when the region avoids the critical set."""
     require(type(system), "check_locally_injective", (PiecewiseLinearMap, QuadraticFamilyMap, SLimitSystem))
     carrier = _carrier(system, region)
-    constants = {"margin": rat_str(region.margin)}
+    constants = {"margin": rat_str(region.margin if region else ZERO)}
     for c in system.critical_points():
         if carrier.contains(c):
             counter = {"criticalPoint": rat_str(c),
@@ -690,7 +688,7 @@ def _inflate(carrier: RationalIntervalSet, margin: Fraction, space: RationalInte
     return intersect(grown, space)
 
 
-def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpec) -> dict:
+def crosscheck_expanding_characterizations(system: SystemSpec, region: Optional[RegionSpec]) -> dict:
     """Runs the two equivalent characterizations on a margin-inflated region:
     (1) open + expanding, (2) ball expanding + locally one-to-one, and
     reports whether the verdicts are consistent (mismatches through
@@ -699,7 +697,7 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: RegionSpe
     ball_side_of = _CROSSCHECK_BALL_SIDES[
         require(type(system), "crosscheck_expanding_characterizations", _CROSSCHECK_BALL_SIDES)]
     carrier = _carrier(system, region)
-    margin = region.margin
+    margin = region.margin if region else ZERO
     crit = system.critical_points()
     if margin == 0 and crit and not carrier.is_empty:
         margin = min(carrier.distance_to(c) for c in crit) / 2

@@ -25,7 +25,6 @@ from .expansivity import (
     check_locally_injective,
     crosscheck_expanding_characterizations,
     region_of,
-    whole_space_region,
 )
 from .kneading import (
     critical_orbit_separation,
@@ -130,11 +129,11 @@ def run_cantor_example(depth: int = 6) -> Report:
     mirror = CantorSystem(depth, "mirror")
     fold = CantorSystem(depth, "fold")
 
-    verdict = check_expanding(mirror, whole_space_region(mirror), Fraction(1, 9), Fraction(3))
+    verdict = check_expanding(mirror, None, Fraction(1, 9), Fraction(3))
     report.add("expanding certificate, delta=1/9 mu=3 (mirror convention)",
                "certified", verdict.holds, "constant")
 
-    verdict_fold = check_expanding(fold, whole_space_region(fold), Fraction(1, 9), Fraction(3))
+    verdict_fold = check_expanding(fold, None, Fraction(1, 9), Fraction(3))
     report.add("expanding fails under the one-sided image convention (fold)",
                "falsified", verdict_fold.holds, "oracle")
     if verdict_fold.counterexample:
@@ -184,17 +183,17 @@ def run_tent_ball_example(grid_size: int = 50) -> Report:
     system = tent_map(2)
     nu = Fraction(1, 4)
     grid = interior_grid(nu, grid_size)
-    verdict = check_ball_expanding(system, whole_space_region(system), Fraction(2), nu, grid)
+    verdict = check_ball_expanding(system, None, Fraction(2), nu, grid)
     report.add("ball expanding certified on [0,1], mu=2 nu=1/4", "certified", verdict.holds, "constant")
 
-    exp = check_expanding(system, whole_space_region(system), Fraction(1, 10), Fraction(2))
+    exp = check_expanding(system, None, Fraction(1, 10), Fraction(2))
     report.add("expanding falsified on [0,1]", "falsified", exp.holds, "oracle")
     if exp.counterexample:
         x, y = rat(exp.counterexample["x"]), rat(exp.counterexample["y"])
         report.add("counterexample pair is symmetric about the kink",
                    rat_str(ONE), rat_str(x + y), "oracle")
 
-    inj = check_locally_injective(system, whole_space_region(system))
+    inj = check_locally_injective(system, None)
     report.add("locally one-to-one falsified on [0,1]", "falsified", inj.holds, "oracle")
     report.add("falsification point is the kink", "1/2",
                inj.counterexample["criticalPoint"], "construction")
@@ -302,7 +301,7 @@ def run_exact_hit_suite(trials: int = 1000, seed: int = 7, epsilon="1/10") -> Re
     rng = random.Random(seed)
     for label, system, count in cases:
         mu = system.min_slope_modulus()
-        verdict = check_ball_expanding(system, whole_space_region(system), mu, nu, grid)
+        verdict = check_ball_expanding(system, None, mu, nu, grid)
         report.add(f"{label}: ball expanding certified (mu={rat_str(mu)})",
                    "certified", verdict.holds, "oracle")
         eps_prime, delta = ball_expanding_delta(mu, nu, epsilon)

@@ -6,7 +6,14 @@ import pytest
 
 from shadowlab.cli import emit, main
 from shadowlab.scenarios import REGISTRY, Report, run_scenario
-from shadowlab.systems import CantorSystem, OdometerSystem, golden_mean_shift, logistic_map, tent_map
+from shadowlab.systems import (
+    CantorSystem,
+    OdometerSystem,
+    PiecewiseLinearMap,
+    golden_mean_shift,
+    logistic_map,
+    tent_map,
+)
 
 
 REQUIRED_SCENARIOS = {
@@ -155,6 +162,18 @@ def test_cli_rejects_false_claimed_delta(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "claimed delta" in captured.err
 
 
+def test_cli_rejects_a_violated_decay_schedule(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    orbit_path = tmp_path / "orbit.json"
+    # the second jump |T(2/3) − 1/3| = 1/3 is above its scheduled bound 0
+    orbit_path.write_text(json.dumps({"points": ["1/3", "2/3", "1/3"], "decaySchedule": ["1/2", "0/1"]}))
+    code = main(["shadow", "solve", "--system", str(sys_path), "--orbit", str(orbit_path), "--epsilon", "1/8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "shadowlab: error: decay schedule violated at index 1\n"
+
+
 def test_cli_rejects_system_json_missing_a_field(tmp_path, capsys):
     sys_path = tmp_path / "system.json"
     sys_path.write_text(json.dumps({"kind": "pl"}))
@@ -191,16 +210,48 @@ def test_cli_open_check_without_point_is_a_usage_error(tmp_path, capsys):
     assert "--property open requires --at" in capsys.readouterr().err
 
 
+def test_cli_open_check_with_a_region_is_a_usage_error(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    with pytest.raises(SystemExit) as exc:
+        main(["expansivity", "check", "--property", "open", "--system", str(sys_path), "--at", "1/2",
+              "--region", "[[0, 1]]"])
+    assert exc.value.code == 2
+    assert "--property open reads no --region" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, code, holds", [
+    (PiecewiseLinearMap(("0", "1/2", "1"), ("0", "4/5", "0")), 1, "falsified"),  # the peak 4/5 is no end of [0, 1]
+    (tent_map(2), 0, "certified"),
+], ids=["peak-4/5", "tent-2"])
+def test_cli_open_check_at_the_peak(tmp_path, capsys, system, code, holds):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(system.to_json()))
+    assert main(["expansivity", "check", "--property", "open", "--system", str(sys_path), "--at", "1/2"]) == code
+    assert json.loads(capsys.readouterr().out)["holds"] == holds
+
+
 @pytest.mark.parametrize("system", [golden_mean_shift(), OdometerSystem(4)])
 def test_cli_expanding_check_on_symbolic_system_is_one_line_error(tmp_path, capsys, system):
-    # without --region the whole space is asked for, and a symbolic space is no interval set
+    # without --region the check reads the whole space after its own class check;
+    # the refusal used to name whole_space_region, which the user did not call
     sys_path = tmp_path / "system.json"
     sys_path.write_text(json.dumps(system.to_json()))
     code = main(["expansivity", "check", "--property", "expanding", "--system", str(sys_path),
                  "--delta", "1/4", "--mu", "2"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.count("\n") == 1 and type(system).__name__ in captured.err
+    assert captured.err == f"shadowlab: error: check_expanding does not support {type(system).__name__}\n"
+
+
+def test_cli_open_check_on_the_shift_names_check_open_at(tmp_path, capsys):
+    # the open check reads no region; it used to ask for the whole space first
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(golden_mean_shift().to_json()))
+    code = main(["expansivity", "check", "--property", "open", "--system", str(sys_path), "--at", "0(0)"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "shadowlab: error: check_open_at does not support ShiftSystem\n"
 
 
 @pytest.mark.parametrize("system, prop, region, part", [

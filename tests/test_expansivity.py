@@ -27,7 +27,6 @@ from shadowlab.expansivity import (
     crosscheck_expanding_characterizations,
     region_of,
     schwarzian,
-    whole_space_region,
 )
 from shadowlab.numerics import (
     ClosedInterval,
@@ -57,13 +56,13 @@ T2 = tent_map(2)
 
 def test_cantor_expanding_certified_with_printed_constants():
     system = CantorSystem(6, "mirror")
-    verdict = check_expanding(system, whole_space_region(system), F(1, 9), F(3))
+    verdict = check_expanding(system, None, F(1, 9), F(3))
     assert verdict.certified
 
 
 def test_cantor_fold_convention_contracts_across_zero():
     system = CantorSystem(6, "fold")
-    verdict = check_expanding(system, whole_space_region(system), F(1, 9), F(3))
+    verdict = check_expanding(system, None, F(1, 9), F(3))
     assert verdict.falsified
     x, y = F(verdict.counterexample["x"]), F(verdict.counterexample["y"])
     lhs = system.distance(system.evaluate(x), system.evaluate(y))
@@ -71,7 +70,7 @@ def test_cantor_fold_convention_contracts_across_zero():
 
 
 def test_tent_not_expanding_symmetric_pair():
-    verdict = check_expanding(T2, whole_space_region(T2), F(1, 10), F(2))
+    verdict = check_expanding(T2, None, F(1, 10), F(2))
     assert verdict.falsified
     x, y = F(verdict.counterexample["x"]), F(verdict.counterexample["y"])
     assert x + y == 1  # symmetric about the kink
@@ -259,12 +258,56 @@ def test_star_implies_expanding_on_same_region():
             assert check_expanding(system, region, delta, mu).certified
 
 
+# -- the smooth family's pair checks ------------------------------------------------
+
+L4 = logistic_map(4)
+
+
+def test_smooth_pair_checks_probe_only_pairs_closer_than_delta():
+    # 7/16 and 9/16 are exactly δ = 1/8 apart; the first probe pair used to be
+    # that pair, so both checks answered "falsified" with d(x, y) = δ
+    two_points = region_of(("7/16", "7/16"), ("9/16", "9/16"))
+    assert check_expanding(L4, two_points, F(1, 8), 2).holds == "undetermined"
+    assert check_expanding(T2, two_points, F(1, 8), 2).certified
+    assert check_star(L4, region_of(("7/16", "7/16")), F(1, 8), 2).holds == "undetermined"
+
+
+@pytest.mark.parametrize("check", [check_expanding, check_star])
+def test_smooth_falsified_pairs_lie_strictly_within_delta(check):
+    falsified = 0
+    for system in (L4, logistic_map(F(7, 2)), quadratic_map(2), quadratic_map(F(3, 2))):
+        c = system.critical_point()
+        for delta in (F(1, 8), F(1, 5), F(1, 64)):
+            for lo, hi in ((c - delta, c + delta), (c - delta / 2, c), (c, c), (c - 2 * delta, c + delta / 4)):
+                verdict = check(system, region_of((lo, hi)), delta, 2)
+                if verdict.falsified:
+                    falsified += 1
+                    assert 0 < F(verdict.counterexample["d(x,y)"]) < delta
+    assert falsified > 10
+
+
+def _pair(verdict):
+    return verdict.counterexample["x"], verdict.counterexample["y"]
+
+
+def test_smooth_pair_check_answers_on_logistic_4():
+    delta = F(1, 8)
+    for check in (check_expanding, check_star):
+        assert _pair(check(L4, region_of(("1/4", "3/4")), delta, 2)) == ("15/32", "17/32")
+    expanding = check_expanding(L4, region_of((0, "1/8")), delta, 2)
+    star = check_star(L4, region_of((0, "1/8")), delta, 2)
+    assert expanding.certified and expanding.constants["minDerivative"] == "3/1"
+    assert star.certified and star.constants["minDerivative"] == "2/1"
+    assert check_expanding(L4, region_of(("1/4", "1/2")), delta, 2).holds == "undetermined"
+    assert _pair(check_star(L4, region_of(("1/4", "1/2")), delta, 2)) == ("15/32", "17/32")
+
+
 # -- ball expanding ---------------------------------------------------------------
 
 
 def test_tent_ball_expanding_certified():
     grid = [F(1, 4) * F(j, 51) for j in range(1, 51)]
-    verdict = check_ball_expanding(T2, whole_space_region(T2), F(2), F(1, 4), grid)
+    verdict = check_ball_expanding(T2, None, F(2), F(1, 4), grid)
     assert verdict.certified
 
 
@@ -294,13 +337,13 @@ def test_ball_expanding_falsifier_on_interior_peak():
     # an interior local max with value 1/2 breaks the covering immediately
     peak = PiecewiseLinearMap((F(0), F(1, 4), F(1)), (F(0), F(1, 2), F(0)))
     grid = [F(1, 40), F(1, 50)]
-    verdict = check_ball_expanding(peak, whole_space_region(peak), F(3, 2), F(1, 10), grid)
+    verdict = check_ball_expanding(peak, None, F(3, 2), F(1, 10), grid)
     assert verdict.falsified
 
 
 def test_ball_expanding_rejects_mu_one():
     with pytest.raises(ValueError):
-        check_ball_expanding(T2, whole_space_region(T2), 1, F(1, 4), [F(1, 8)])
+        check_ball_expanding(T2, None, 1, F(1, 4), [F(1, 8)])
 
 
 @pytest.mark.parametrize("system", [T2, CantorSystem(6)])
@@ -420,7 +463,7 @@ def test_pl_ball_route_matches_the_fraction_reference():
 
 
 def test_constant_search_finds_tent_constants():
-    found = _search_ball_constants(T2, whole_space_region(T2))
+    found = _search_ball_constants(T2, None)
     assert found is not None
     mu, nu = found
     assert mu == 2
@@ -481,7 +524,7 @@ def test_quadratic_openness():
 
 
 def test_locally_injective_verdicts():
-    assert check_locally_injective(T2, whole_space_region(T2)).falsified
+    assert check_locally_injective(T2, None).falsified
     assert check_locally_injective(T2, region_of((0, "2/5"))).certified
     assert check_locally_injective(T2, RegionSpec(from_pairs([]))).certified
 
@@ -531,7 +574,7 @@ def test_crosscheck_consistent_on_tent_band():
 
 
 def test_crosscheck_consistent_on_whole_tent():
-    out = crosscheck_expanding_characterizations(T2, whole_space_region(T2))
+    out = crosscheck_expanding_characterizations(T2, None)
     assert out["consistent"]
     assert out["expanding"] == "falsified"
     assert out["locallyInjective"] == "falsified"

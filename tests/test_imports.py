@@ -52,7 +52,7 @@ DISPATCH = re.compile(
 def test_class_dispatch_sites_stay_few():
     sites = [f"{path.name}:{n}" for path in SOURCES
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if DISPATCH.search(line)]
-    assert len(sites) <= 10, sites
+    assert len(sites) <= 9, sites
 
 
 def test_every_private_function_and_class_is_used_by_the_package():

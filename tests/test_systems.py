@@ -15,10 +15,9 @@ from shadowlab.expansivity import (
     check_open_at,
     check_star,
     crosscheck_expanding_characterizations,
-    whole_space_region,
 )
 from shadowlab.kneading import itinerary
-from shadowlab.numerics import from_pairs, intersect, normalize, point_set
+from shadowlab.numerics import ClosedInterval, from_pairs, intersect, normalize, point_set
 from shadowlab.pseudo_orbits import PseudoOrbit, perturbed_orbit
 from shadowlab.shadowing import h_shadow_solve, shadow_oracle
 from shadowlab.systems import (
@@ -29,6 +28,10 @@ from shadowlab.systems import (
     ShiftSystem,
     SLimitSystem,
     SymbolicPoint,
+    _cantor_cells,
+    _cantor_space,
+    _int_affine_form,
+    _piece_set,
     common_prefix_length,
     compose_pl,
     golden_mean_shift,
@@ -348,6 +351,56 @@ def test_cantor_piece_sets_match_middle_thirds_construction():
             assert [(p.lo, p.hi) for p in system.space()] == sorted(space)
 
 
+# the Fraction construction of the middle-thirds tables that the integer one replaced, kept as the reference
+def _reference_piece_set(n, resolution):
+    m = abs(n)
+    lo, width = F(2, 3**m), F(1, 3**m)
+    inner = [ClosedInterval(lo + width * a, lo + width * b)
+             for a, b in middle_thirds(F(0), F(1), max(resolution - m, 0))]
+    if n < 0:
+        inner = [ClosedInterval(-p.hi, -p.lo) for p in inner]
+    return normalize(inner).int_parts
+
+
+def _reference_piece_affine(n, mode):
+    def half(k, side):
+        return (F(2, 3**k), F(7, 3 ** (k + 1))) if side == "left" else (F(8, 3 ** (k + 1)), F(1, 3 ** (k - 1)))
+
+    src = CantorSystem.piece_interval(n)
+    if abs(n) == 1:
+        dst = (F(min(n, 0)), F(max(n, 0)))
+    elif abs(n) <= 3:
+        dst = (F(2, 3), F(1))
+    elif n > 3:
+        dst = half(n - 2, "right")
+    else:
+        a, b = half(-n - 2, "left")
+        dst = (a, b) if mode == "fold" else (-b, -a)
+    slope = (dst[1] - dst[0]) / src.width
+    return slope, dst[0] - slope * src.lo
+
+
+def _reference_cells(depth, mode):
+    return tuple((_reference_piece_set(n, depth), *_int_affine_form(*_reference_piece_affine(n, mode))) if n
+                 else (((0, 1, 0, 1),), 1, 0, 1)
+                 for n in (*range(-1, -depth - 1, -1), 0, *range(depth, 0, -1)))
+
+
+def test_cantor_tables_match_the_fraction_construction():
+    # stored integer tuples, not only values: the pair engine's run skip compares cell triples for equality
+    for depth in range(1, 13):
+        pieces = [n for k in range(1, depth + 1) for n in (k, -k)]
+        for n in pieces:
+            for resolution in (depth - 1, depth):
+                assert _piece_set(n, resolution).int_parts == _reference_piece_set(n, resolution)
+        for mode in ("fold", "mirror"):
+            cells = _reference_cells(depth, mode)
+            assert _cantor_cells(depth, mode) == cells
+            assert [CantorSystem(depth, mode).piece_affine(n) for n in pieces] == [
+                _reference_piece_affine(n, mode) for n in pieces]
+        assert _cantor_space(depth).int_parts == tuple(part for parts, *_ in cells for part in parts)
+
+
 def test_membership_is_decidable():
     system = CantorSystem(4)
     assert system.contains_point(F(2, 27))
@@ -632,11 +685,17 @@ def test_odometer_point_from_str_takes_only_depth_length_binary_words():
             odo.point_from_str(text)
 
 
-def test_whole_space_region_needs_an_interval_space():
-    assert whole_space_region(tent_map(2)).carrier == tent_map(2).space()
+def test_the_whole_space_default_needs_an_interval_space():
+    # every region check reads None as the whole space, after its own class check
+    t2, whole = tent_map(2), RegionSpec(tent_map(2).space())
+    for check in (lambda r: check_expanding(t2, r, F(1, 10), 2), lambda r: check_star(t2, r, F(1, 10), 2),
+                  lambda r: check_ball_expanding(t2, r, 2, F(1, 4), [F(1, 8)]),
+                  lambda r: check_locally_injective(t2, r),
+                  lambda r: crosscheck_expanding_characterizations(t2, r)):
+        assert check(None) == check(whole)
     for system in (golden_mean_shift(), OdometerSystem(4)):
-        with pytest.raises(DomainError, match=f"whole_space_region does not support {type(system).__name__}"):
-            whole_space_region(system)
+        with pytest.raises(DomainError, match=f"check_expanding does not support {type(system).__name__}"):
+            check_expanding(system, None, F(1, 8), 2)
 
 
 def test_solvers_reject_unsupported_classes():
@@ -654,7 +713,6 @@ SUPPORT = {
     "h_shadow_solve": ("PiecewiseLinearMap", "CantorSystem", "ShiftSystem", "OdometerSystem"),
     "perturbed_orbit": ("PiecewiseLinearMap", "QuadraticFamilyMap", "CantorSystem", "ShiftSystem", "OdometerSystem",
                         "SLimitSystem"),
-    "whole_space_region": ("PiecewiseLinearMap", "QuadraticFamilyMap", "CantorSystem", "SLimitSystem"),
     "check_expanding": ("PiecewiseLinearMap", "QuadraticFamilyMap", "CantorSystem"),
     "check_star": ("PiecewiseLinearMap", "QuadraticFamilyMap", "CantorSystem"),
     "check_ball_expanding": ("PiecewiseLinearMap", "CantorSystem"),
@@ -678,7 +736,6 @@ SUPPORT_CALLS = {
     "shadow_oracle": lambda s, x: shadow_oracle(s, PseudoOrbit((x, s.evaluate(x))), F(1, 8)),
     "h_shadow_solve": lambda s, x: h_shadow_solve(s, PseudoOrbit((x, s.evaluate(x))), F(1, 8)),
     "perturbed_orbit": lambda s, x: perturbed_orbit(s, x, 3, F(1, 8), 0),
-    "whole_space_region": lambda s, x: whole_space_region(s),
     "check_expanding": lambda s, x: check_expanding(s, _region(x), F(1, 9), 3),
     "check_star": lambda s, x: check_star(s, _region(x), F(1, 9), 3),
     "check_ball_expanding": lambda s, x: check_ball_expanding(s, _region(x), 3, F(1, 27), [F(1, 81)]),
@@ -738,7 +795,11 @@ def test_cantor_depth_above_the_limit_is_refused(depth):
         CantorSystem(depth)
     with pytest.raises(ValueError, match=message):
         system_from_json({"kind": "cantor", "depth": depth, "negative_image_mode": "mirror"})
-    assert CantorSystem(16).depth == 16  # the limit itself is a system; nothing here builds its space
+    # the limit itself builds, on integers, in a fraction of a second
+    space = CantorSystem(16).space()
+    assert len(space.int_parts) == 131_071
+    assert space.int_parts[0] == (-1, 1, -43046720, 43046721)
+    assert space.int_parts[-1] == (43046720, 43046721, 1, 1)
 
 
 def test_sqrt_enclosure_bounds():
