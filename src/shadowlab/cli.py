@@ -163,8 +163,10 @@ def _run(args) -> int:
 
     if args.command == "expansivity":
         system = _load_system(args.system)
-        # None is the whole space; each check refuses a region outside the space
-        region = RegionSpec(RationalIntervalSet.from_json(json.loads(args.region))) if args.region else None
+        try:  # None is the whole space; each check refuses a region outside the space
+            region = None if args.region is None else RegionSpec(RationalIntervalSet.from_json(json.loads(args.region)))
+        except ValueError as exc:  # malformed JSON included
+            raise ValueError(f"--region: {exc}") from None
         if args.prop == "expanding":
             verdict = check_expanding(system, region, rat(args.delta), rat(args.mu))
         elif args.prop == "star":

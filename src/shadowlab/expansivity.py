@@ -21,6 +21,7 @@ from .numerics import (
     ClosedInterval,
     IntPart,
     RationalIntervalSet,
+    _INT_LO,
     int_affine,
     int_intersect,
     int_tube,
@@ -412,12 +413,12 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
     breakpoint values, f(x) ± μ·ε) is a single affine function of x, so
     after refining each cell by all pairwise crossings of those affines the
     two covering inequalities are affine per piece and endpoint checks
-    decide them completely.  All on the cell table's integers (breakpoints
-    are the laps' left ends and 1): the cuts over one common denominator D,
-    each candidate as (A, B, Q) with value (A·x + B)/Q, each crossing as
-    n/d, compared by cross-multiplication; a Fraction is built only for a
-    crossing inside its cell, for the ends of the segments the carrier keeps
-    and for the missing point returned.
+    decide them completely; a continuous map sends the window onto the hull
+    of its values there, so each test point is decided on those candidates.
+    All on the cell table's integers: the cuts over one common denominator
+    D, each candidate as (A, B, Q) with value (A·x + B)/Q, each test point as
+    n/d with d > 0, compared by cross-multiplication; only the pair returned
+    becomes Fractions.
     """
     en, ed = eps.numerator, eps.denominator
     men, med = mu.numerator * en, mu.denominator * ed  # μ·ε
@@ -429,19 +430,7 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
     bps = [n * (D // d) for n, d in ends]
     base = sorted({0, D}.union(v for b in bps for v in (b - E, b, b + E) if 0 <= v <= D))
 
-    def violation_at(x: Fraction) -> Optional[Fraction]:
-        # the window [x − ε, x + ε] ∩ [0,1] is an interval, so its image is one
-        (ln, ld, hn, hd), = system._int_forward(system._int_tube(x, eps))
-        fn, fd = system._int_value(x.numerator, x.denominator)
-        sn, sd, rn = fn * med, fd * med, men * fd  # f(x) and μ·ε over one denominator
-        top, bot = min(sn + rn, sd), max(sn - rn, 0)
-        if top * hd > hn * sd:
-            return Fraction(top, sd)
-        if bot * ld < ln * sd:
-            return Fraction(bot, sd)
-        return None
-
-    last = None  # the test points ascend, and two segments may share an end: test it once
+    pn, pd = -1, 1  # the test points ascend, and two segments may share an end: test it once
     for lo, hi in zip(base, base[1:]):
         seg = int_intersect([(lo, D, hi, D)], carrier.int_parts)
         if not seg:
@@ -449,18 +438,19 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
         # affine candidates valid throughout (lo, hi), read at its midpoint (lo + hi)/2D;
         # every b and b ± ε is a cut, so mid ± ε and mid lie strictly inside one lap
         mid, D2, E2 = lo + hi, 2 * D, 2 * E
-        cands = []
-        for sign, end in ((-1, vals[0]), (1, vals[-1])):  # the window edges f(x − ε), f(x + ε)
+        window = []  # the window edges f(x − ε), f(x + ε), then the breakpoint values inside it
+        for sign, end in ((-1, vals[0]), (1, vals[-1])):
             if 0 < mid + sign * E2 < D2:
                 _, a, b, q = cells[system.cell_index(mid + sign * E2, D2)]
-                cands.append((a * ed, b * ed + sign * a * en, q * ed))
+                window.append((a * ed, b * ed + sign * a * en, q * ed))
             else:
-                cands.append((0, *end))
-        cands += [(0, *v) for b, v in zip(bps, vals) if mid - E2 < 2 * b < mid + E2]
+                window.append((0, *end))
+        window += [(0, *v) for b, v in zip(bps, vals) if mid - E2 < 2 * b < mid + E2]
         _, a, b, q = cells[system.cell_index(mid, D2)]
-        cands += [(a * med, b * med + q * men, q * med), (a * med, b * med - q * men, q * med), (0, 1, 1), (0, 0, 1)]
+        ta, tb, bb, tq = a * med, b * med + q * men, b * med - q * men, q * med  # f(x) ± μ·ε
+        cands = window + [(ta, tb, tq), (ta, bb, tq), (0, 1, 1), (0, 0, 1)]
 
-        crossings = set()
+        crossings = []
         for i, (a1, b1, q1) in enumerate(cands):
             for a2, b2, q2 in cands[i + 1:]:
                 d = a1 * q2 - a2 * q1
@@ -469,19 +459,24 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
                     if d < 0:
                         n, d = -n, -d
                     if lo * d < n * D < hi * d:
-                        crossings.add(Fraction(n, d))
-        for ln, ld, hn, hd in seg:
-            plo, phi = Fraction(ln, ld), Fraction(hn, hd)
-            for x in sorted({plo, phi}.union(x for x in crossings if plo < x < phi)):
-                missing = None if x == last else violation_at(x)
-                if missing is not None:
-                    return x, missing
-                last = x
+                        crossings.append((n, d))
+        crossings.sort(key=_INT_LO)
+        for pln, pld, phn, phd in seg:
+            inner = [(n, d) for n, d in crossings if pln * d < n * pld and n * phd < phn * d]
+            for xn, xd in [(pln, pld), *inner, (phn, phd)]:
+                if xn * pd != pn * xd:
+                    pn, pd = xn, xd
+                    # f(x) ± μ·ε clipped to [0, 1], over tq·xd; a window value over Q·xd
+                    top, bot, sd = min(ta * xn + tb * xd, tq * xd), max(ta * xn + bb * xd, 0), tq * xd
+                    if all(top * Q > (A * xn + B * xd) * tq for A, B, Q in window):
+                        return Fraction(xn, xd), Fraction(top, sd)
+                    if all(bot * Q < (A * xn + B * xd) * tq for A, B, Q in window):
+                        return Fraction(xn, xd), Fraction(bot, sd)
     return None
 
 
 def check_ball_expanding(system: SystemSpec, region: Optional[RegionSpec], mu, nu, eps_grid: Sequence) -> ExpansivityVerdict:
-    """Does f(B̄_ε(x) ∩ X) cover B̄_{μsenε}(f(x)) ∩ X for region x and ε < ν?"""
+    """Does f(B̄_ε(x) ∩ X) cover B̄_{με}(f(x)) ∩ X for region x and ε < ν?"""
     route = _BALL_ROUTES[require(type(system), "check_ball_expanding", _BALL_ROUTES)]
     mu, nu = rat(mu), rat(nu)
     if mu <= 1:

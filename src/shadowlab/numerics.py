@@ -180,7 +180,10 @@ class RationalIntervalSet:
         return [[_ratio_str(ln, ld), _ratio_str(hn, hd)] for ln, ld, hn, hd in _reduced(self.int_parts)]
 
     @staticmethod
-    def from_json(data: Sequence) -> "RationalIntervalSet":
+    def from_json(data: list) -> "RationalIntervalSet":
+        """The set of a list of [lo, hi] pairs, as :meth:`to_json` writes it; anything else is one ValueError."""
+        if not isinstance(data, list) or not all(isinstance(p, list) and len(p) == 2 for p in data):
+            raise ValueError("an interval set is a list of [lo, hi] pairs")
         return normalize([interval(lo, hi) for lo, hi in data])
 
 

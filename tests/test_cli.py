@@ -272,6 +272,34 @@ def test_cli_rejects_region_outside_the_space(tmp_path, capsys, system, prop, re
     assert captured.err.count("\n") == 1 and f"region part {part} is not in the space" in captured.err
 
 
+@pytest.mark.parametrize("region, message", [
+    # the first two used to certify with exit 0, the third named a part [0/1, 2/1]
+    # never written, the fourth printed the JSON error without the flag, and the
+    # empty string was read as the whole space and certified
+    ('["01"]', "an interval set is a list of [lo, hi] pairs"),
+    ("{}", "an interval set is a list of [lo, hi] pairs"),
+    ('[["0","1"],"12"]', "an interval set is a list of [lo, hi] pairs"),
+    ("0,1", "Extra data: line 1 column 2 (char 1)"),
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+])
+def test_cli_malformed_region_is_a_one_line_error(tmp_path, capsys, region, message):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    code = main(["expansivity", "check", "--property", "ball", "--mu", "2", "--nu", "1/4", "--grid", "3",
+                 "--system", str(sys_path), "--region", region])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"shadowlab: error: --region: {message}\n"
+
+
+def test_cli_empty_region_list_is_the_empty_region(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    code = main(["expansivity", "check", "--property", "ball", "--mu", "2", "--nu", "1/4", "--grid", "3",
+                 "--system", str(sys_path), "--region", "[]"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["holds"] == "certified"
+
+
 def test_cli_region_on_symbolic_system_keeps_the_class_error(tmp_path, capsys):
     sys_path = tmp_path / "system.json"
     sys_path.write_text(json.dumps(golden_mean_shift().to_json()))

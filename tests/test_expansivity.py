@@ -438,6 +438,20 @@ def ref_pl_ball_expanding_once(system, carrier, mu, eps):
     return None
 
 
+def random_lap_map(rng):
+    """2–5 laps, breakpoints and values on grids of 1/6 to 1/24: seldom onto
+    [0, 1], so the window's extrema are often interior breakpoint values
+    strictly inside it, unlike a zigzag's 0 and 1."""
+    laps, m, g = rng.randint(2, 5), rng.randint(6, 24), rng.randint(6, 24)
+    breakpoints = (F(0), *sorted(F(j, m) for j in rng.sample(range(1, m), laps - 1)), F(1))
+    values = [F(rng.randint(0, g), g)]
+    while len(values) <= laps:
+        v = F(rng.randint(0, g), g)
+        if v != values[-1]:
+            values.append(v)
+    return PiecewiseLinearMap(breakpoints, tuple(values))
+
+
 def test_pl_ball_route_matches_the_fraction_reference():
     # the integer route returns exactly the reference's (x, missing point), so a
     # change of candidate, crossing or lap (one lap off moves only the points,
@@ -460,6 +474,20 @@ def test_pl_ball_route_matches_the_fraction_reference():
                     cases += 1
                     falsified += got is not None
     assert cases >= 3000 and falsified >= 500, (cases, falsified)
+    # non-surjective maps on sub-interval carriers, one with a point part and one
+    # ending exactly on a cut b ± ε: dropping the crossings of f(x) ± μ·ε with the
+    # interior breakpoint values moves a returned point here, not on the zigzags
+    verdicts = {"certified": 0, "falsified": 0}
+    for _ in range(1200):
+        system, eps = random_lap_map(rng), rng.choice(grid)
+        lo, hi, p = sorted(F(rng.randint(0, 24), 24) for _ in range(2)) + [F(rng.randint(0, 24), 24)]
+        cut = min(max(rng.choice(system.breakpoints) + rng.choice((-eps, eps)), F(0)), F(1))
+        for carrier in (from_pairs([(lo, hi)]), from_pairs([(lo, hi), (p, p)]), from_pairs([(min(lo, cut), cut)])):
+            mu = rng.choice((max(system.min_slope_modulus(), F(9, 8)), F(5, 4), F(3, 2)))
+            got = _pl_ball_expanding_once(system, carrier, mu, eps)
+            assert got == ref_pl_ball_expanding_once(system, carrier, mu, eps), (system, carrier, mu, eps)
+            verdicts["certified" if got is None else "falsified"] += 1
+    assert min(verdicts.values()) >= 200, verdicts
 
 
 def test_constant_search_finds_tent_constants():

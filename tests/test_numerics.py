@@ -224,6 +224,14 @@ def test_rational_serialization_round_trip():
     assert rat_str(F(4)) == "4/1"
     s = from_pairs([(0, "1/2"), ("2/3", 1)])
     assert RationalIntervalSet.from_json(s.to_json()) == s
+    assert RationalIntervalSet.from_json([]) == RationalIntervalSet(())
+
+
+@pytest.mark.parametrize("data", [["01"], {}, [["0", "1"], "12"], [["0", "1", "2"]], [("0", "1")], "01", None])
+def test_interval_set_json_is_a_list_of_pairs(data):
+    # each string used to be unpacked as a pair, and a dict read as the empty set
+    with pytest.raises(ValueError, match=r"^an interval set is a list of \[lo, hi\] pairs$"):
+        RationalIntervalSet.from_json(data)
 
 
 def test_rat_str_beyond_int_to_str_digit_limit():
