@@ -545,14 +545,14 @@ def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdic
     return ExpansivityVerdict("ballExpanding", "falsified", constants, counter)
 
 
-def _search_ball_constants(system: PiecewiseLinearMap, region: Optional[RegionSpec]) -> Optional[tuple[Fraction, Fraction]]:
-    """Small search for working (μ, ν) on a piecewise-linear map, each checked
-    on the 10-point ε grid below ν; None when nothing on the menu certifies."""
+def _search_ball_constants(system: PiecewiseLinearMap, carrier: RationalIntervalSet) -> Optional[tuple[Fraction, Fraction]]:
+    """Small search for working (μ, ν) on a piecewise-linear map over a gated carrier,
+    each checked on the 10-point ε grid below ν; None when nothing on the menu certifies."""
     for mu in (system.min_slope_modulus(), Fraction(3, 2), Fraction(5, 4), Fraction(9, 8)):
         if mu <= 1:
             continue
         for nu in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
-            if check_ball_expanding(system, region, mu, nu, interior_grid(nu, 10)).certified:
+            if _pl_ball_expanding(system, carrier, mu, interior_grid(nu, 10), {}).certified:
                 return mu, nu
     return None
 
@@ -689,16 +689,16 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: Optional[
     reports whether the verdicts are consistent (mismatches through
     ``undetermined`` are tolerated).  A PL map's ball side searches its
     constants over 10-point ε grids."""
-    ball_side_of = _CROSSCHECK_BALL_SIDES[
-        require(type(system), "crosscheck_expanding_characterizations", _CROSSCHECK_BALL_SIDES)]
+    expanding, ball_side_of = _CROSSCHECK_SIDES[
+        require(type(system), "crosscheck_expanding_characterizations", _CROSSCHECK_SIDES)]
     carrier = _carrier(system, region)
     margin = region.margin if region else ZERO
     crit = system.critical_points()
     if margin == 0 and crit and not carrier.is_empty:
         margin = min(carrier.distance_to(c) for c in crit) / 2
-    inflated = RegionSpec(_inflate(carrier, margin, system.space()), ZERO)
+    inflated = _inflate(carrier, margin, system.space())
 
-    probes = [x for part in inflated.carrier.parts for x in (part.lo, part.hi, (part.lo + part.hi) / 2)]
+    probes = [x for part in inflated.parts for x in (part.lo, part.hi, (part.lo + part.hi) / 2)]
     open_verdicts = [check_open_at(system, p) for p in sorted(set(probes))]
     if any(v.falsified for v in open_verdicts):
         open_side = "falsified"
@@ -712,10 +712,10 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: Optional[
         expanding_side = "undetermined"
     else:
         delta = margin if margin > 0 else Fraction(1, 9)
-        expanding_side = check_expanding(system, inflated, delta, mu).holds
+        expanding_side = expanding(system, inflated, delta, mu, {}).holds
 
     ball_side = ball_side_of(system, inflated)
-    inj_side = "falsified" if any(inflated.carrier.contains(c) for c in crit) else "certified"
+    inj_side = "falsified" if any(inflated.contains(c) for c in crit) else "certified"
 
     side1 = _conjoin(open_side, expanding_side)
     side2 = _conjoin(ball_side, inj_side)
@@ -734,20 +734,20 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: Optional[
     }
 
 
-def _pl_ball_side(system: PiecewiseLinearMap, region: RegionSpec) -> str:
-    return "undetermined" if _search_ball_constants(system, region) is None else "certified"
+def _pl_ball_side(system: PiecewiseLinearMap, carrier: RationalIntervalSet) -> str:
+    return "undetermined" if _search_ball_constants(system, carrier) is None else "certified"
 
 
-def _cantor_ball_side(system: CantorSystem, region: RegionSpec) -> str:
+def _cantor_ball_side(system: CantorSystem, carrier: RationalIntervalSet) -> str:
     if system.depth < 4:  # the ε grid 3^-4 .. 3^-min(6, depth) would be empty
         return "undetermined"
     ball_grid = [Fraction(1, 3**k) for k in range(4, min(7, system.depth + 1))]
-    return check_ball_expanding(system, region, Fraction(3), Fraction(1, 27), ball_grid).holds
+    return _cantor_ball_expanding(system, carrier, Fraction(3), ball_grid, {}).holds
 
 
-# the ball side of the crosscheck; the smooth family has no ball certifier
-_CROSSCHECK_BALL_SIDES = {PiecewiseLinearMap: _pl_ball_side, CantorSystem: _cantor_ball_side,
-                          QuadraticFamilyMap: lambda system, region: "undetermined"}
+# the crosscheck's expanding route and ball side, on a gated carrier; the smooth family has no ball certifier
+_CROSSCHECK_SIDES = {PiecewiseLinearMap: (_affine_expanding, _pl_ball_side), CantorSystem: (_affine_expanding, _cantor_ball_side),
+                     QuadraticFamilyMap: (_EXPANDING_ROUTES[QuadraticFamilyMap], lambda system, carrier: "undetermined")}
 
 
 def _conjoin(a: str, b: str) -> str:

@@ -332,9 +332,11 @@ def int_intersect(a: Sequence[IntPart], b: Sequence[IntPart]) -> list[IntPart]:
 _INT_LO = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
 
 
-def int_normalize(raw: Iterable[IntPart]) -> list[IntPart]:
+def int_normalize(raw: list[IntPart]) -> list[IntPart]:
     """Canonical form of parts in any order: sorted by left end, and merged
-    where they overlap or touch."""
+    where they overlap or touch; a list of at most one part is returned as it is."""
+    if len(raw) < 2:
+        return raw
     out = []
     for ln, ld, hn, hd in sorted(raw, key=_INT_LO):
         if out and ln * ed <= en * ld:

@@ -40,6 +40,7 @@ from .pseudo_orbits import (
     verify_jumps,
 )
 from .systems import (
+    PARTS_LIMIT,
     DomainError,
     OdometerSystem,
     PiecewiseAffineSystem,
@@ -160,6 +161,7 @@ def _backward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction, preimage)
     sets = _tubes(system, orbit, epsilon)
     for i in range(len(sets) - 2, -1, -1):
         sets[i] = int_intersect(sets[i], preimage(sets[i + 1])) if sets[i + 1] else []
+        _within_limit(system, "T", i, sets[i])
     return sets
 
 
@@ -169,7 +171,16 @@ def _forward_sets(system, sets: list) -> list:
     step = system._int_forward
     for i in range(1, len(sets)):
         sets[i] = int_intersect(step(sets[i - 1]), sets[i]) if sets[i - 1] else []
+        _within_limit(system, "F", i, sets[i])
     return sets
+
+
+def _within_limit(system, name: str, i: int, s: list) -> None:
+    """The stated limit on a tracing set: more parts than PARTS_LIMIT and than the
+    space has (a deep middle-thirds space has more) is one DomainError."""
+    limit = max(PARTS_LIMIT, len(system._int_space))
+    if len(s) > limit:
+        raise DomainError(f"tracing set {name}_{i} has {len(s)} parts, past the limit of {limit}")
 
 
 def _forward_tube_sets(system, orbit: PseudoOrbit, epsilon: Fraction) -> list[list[IntPart]]:
@@ -182,7 +193,7 @@ def _chain_back(system, forward: list, last: tuple[int, int]) -> list[tuple[int,
     as integer pairs: the walk back takes the leftmost preimage in each F_i."""
     chain = [last]
     for s in reversed(forward[:-1]):
-        w = next((c for c in system._int_point_preimages(*chain[-1]) if int_contains(s, *c)), None)
+        w = system._int_leftmost_preimage(*chain[-1], s)
         if w is None:
             raise AssertionError("reachable point lost its preimage; forward sets inconsistent")
         chain.append(w)

@@ -55,7 +55,15 @@ _SYMMETRIC_INTERVAL = RationalIntervalSet((ClosedInterval(-ONE, ONE),))
 
 
 class DomainError(ValueError):
-    """Point outside the system's space, or a system class a solver does not support."""
+    """Point outside the system's space, a system class a solver does not support,
+    or exact work past a stated limit."""
+
+
+# Exact sets stop here: a tracing set of more parts (unless its space has more), or
+# an iterate of more laps, is refused with one DomainError.  Every golden and
+# benchmark set has at most 8 parts; tent(2)'s tracing sets about the constant orbit
+# 1/2 at ε = 9/20 grow about 1.87× per orbit point, and tent(2)ⁿ has 2ⁿ laps.
+PARTS_LIMIT = 1 << 16
 
 
 def require(system_class: type, solver: str, supported) -> type:
@@ -184,17 +192,17 @@ class PiecewiseAffineSystem(IntervalSystem):
                 out += int_intersect(int_affine(hit, q, -b, a), parts)
         return int_normalize(out)
 
-    def _int_point_preimages(self, yn: int, yd: int) -> list[tuple[int, int]]:
-        """Every x with f(x) = yn/yd, ascending, as unreduced pairs; a hit on an
-        end two cells share is listed once."""
-        out = []
+    def _int_leftmost_preimage(self, yn: int, yd: int, within: Sequence[IntPart]) -> Optional[tuple[int, int]]:
+        """The leftmost x in ``within`` with f(x) = yn/yd (yd > 0), as an unreduced
+        pair, or None: the cells ascend, so the first cell whose preimage
+        (q·y − b)/a lies in the cell and in ``within`` holds it."""
         for parts, a, b, q in self._int_cells:
-            n, d = q * yn - b * yd, a * yd  # x = (q·y − b)/a
+            n, d = q * yn - b * yd, a * yd
             if d < 0:
                 n, d = -n, -d
-            if int_contains(parts, n, d) and not (out and out[-1][0] * d == n * out[-1][1]):
-                out.append((n, d))
-        return out
+            if int_contains(parts, n, d) and int_contains(within, n, d):
+                return n, d
+        return None
 
     def forward_image(self, s: RationalIntervalSet) -> RationalIntervalSet:
         sp, t = self._int_space, s.int_parts
@@ -206,8 +214,8 @@ class PiecewiseAffineSystem(IntervalSystem):
         return from_int_set(self._int_preimage(target.int_parts))
 
     def point_preimages(self, y: Fraction) -> list[Fraction]:
-        """Every x with f(x) = y, ascending."""
-        return [Fraction(n, d) for n, d in self._int_point_preimages(y.numerator, y.denominator)]
+        """Every x with f(x) = y, ascending and each once: the parts of f⁻¹([y, y])."""
+        return [Fraction(n, d) for n, d, _, _ in self._int_preimage([(y.numerator, y.denominator) * 2])]
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +315,17 @@ def compose_pl(outer: PiecewiseLinearMap, inner: PiecewiseLinearMap) -> Piecewis
     return PiecewiseLinearMap(tuple(bps[i] for i in keep), tuple(vals[i] for i in keep))
 
 
+@lru_cache(maxsize=32)
 def iterate_pl(system: PiecewiseLinearMap, n: int) -> PiecewiseLinearMap:
+    """fⁿ by n − 1 exact compositions, kept per (map, n); an iterate of more than
+    PARTS_LIMIT laps is refused before it can be kept."""
     if n < 1:
         raise ValueError("iterate count must be >= 1")
     out = system
-    for _ in range(n - 1):
+    for k in range(2, n + 1):
         out = compose_pl(system, out)
+        if len(out.slopes) > PARTS_LIMIT:
+            raise DomainError(f"iterate f^{k} has {len(out.slopes)} laps, past the limit of {PARTS_LIMIT}")
     return out
 
 

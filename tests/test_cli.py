@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -345,6 +346,21 @@ def test_cli_odometer_oracle_above_search_depth_is_one_line_error(tmp_path, caps
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and "limited to depth 20, got depth 40" in captured.err
+
+
+def test_cli_oracle_stops_growing_sets_at_the_stated_limit(tmp_path, capsys):
+    # tent(2) about the constant orbit 1/2 at ε = 9/20: T_0 would need about 2·10⁸ parts at
+    # 31 points, and the backward sets pass 2^16 parts at T_12 (19 points, 106,572 parts)
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    orbit_path = tmp_path / "orbit.csv"
+    orbit_path.write_text("1/2\n" * 31)
+    start = time.perf_counter()
+    code = main(["shadow", "oracle", "--system", str(sys_path), "--orbit", str(orbit_path), "--epsilon", "9/20"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "shadowlab: error: tracing set T_12 has 106572 parts, past the limit of 65536\n"
 
 
 @pytest.mark.parametrize("system_text, args, message", [

@@ -491,7 +491,7 @@ def test_pl_ball_route_matches_the_fraction_reference():
 
 
 def test_constant_search_finds_tent_constants():
-    found = _search_ball_constants(T2, None)
+    found = _search_ball_constants(T2, T2.space())
     assert found is not None
     mu, nu = found
     assert mu == 2
@@ -632,7 +632,7 @@ def test_hierarchy_implapplication_on_random_maps():
         opens = all(check_open_at(system, p).certified
                     for part in carrier.parts for p in (part.lo, part.hi))
         if exp.certified and opens:
-            assert _search_ball_constants(system, region) is not None
+            assert _search_ball_constants(system, carrier) is not None
 
 
 # -- the run skip, the star window and the integer Cantor probe route ----------------

@@ -3,14 +3,25 @@ These tests pin every such kernel to a plain-Fraction reference written with
 ordinary Fraction comparisons and arithmetic, on endpoints that touch, on
 single points, and on denominators of 2^200 and more."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shadowlab.numerics import ClosedInterval, RationalIntervalSet, affine_image, closed_ball, intersect, normalize
-from shadowlab.systems import DomainError, PiecewiseLinearMap, random_zigzag_map, tent_map
+from shadowlab.numerics import (
+    ClosedInterval,
+    RationalIntervalSet,
+    affine_image,
+    closed_ball,
+    from_pairs,
+    int_contains,
+    intersect,
+    normalize,
+)
+from shadowlab.systems import CantorSystem, DomainError, PiecewiseLinearMap, random_zigzag_map, tent_map
+from test_expansivity import random_lap_map  # seeded maps whose laps are seldom onto [0, 1]
 
 # -- endpoint strategies ------------------------------------------------------
 
@@ -154,7 +165,7 @@ def ref_evaluate(f, x):
 
 
 def ref_point_preimages(f, y):
-    return sorted({(y - c) / s for dom, s, c in f.laps() if dom.lo <= (y - c) / s <= dom.hi})
+    return sorted({(y - c) / s for dom, s, c in f.affine_cells() if dom.lo <= (y - c) / s <= dom.hi})
 
 
 def ref_preimage(f, target):
@@ -211,3 +222,67 @@ def test_pl_int_arguments_and_domain():
                 f.evaluate(bad)
     # a shared breakpoint is one preimage, not two
     assert tent_map(2).point_preimages(1) == [F(1, 2)]
+
+
+@pytest.mark.parametrize("mode", ["fold", "mirror"])
+@pytest.mark.parametrize("depth", [3, 4, 5, 6])
+def test_cantor_point_preimages_at_shared_ends(depth, mode):
+    # every cell end and its image: several cells map an end to one point (the
+    # ends of the first and last pieces, the fixed point 0), each preimage listed once
+    system = CantorSystem(depth, mode)
+    ends = {end for dom, _, _ in system.affine_cells() for end in (dom.lo, dom.hi)}
+    for y in sorted(ends | {system.evaluate(x) for x in ends}):
+        got = system.point_preimages(y)
+        assert got == ref_point_preimages(system, y) and all(type(p) is F for p in got)
+    assert system.point_preimages(F(0)) == [F(-2, 3), F(0), F(2, 3)]
+
+
+# -- the exact-hit walk's leftmost preimage ----------------------------------------
+
+
+def list_and_filter_leftmost(system, yn, yd, within):
+    """The walk step as first written on the cell table: every preimage, ascending and
+    listed once as unreduced pairs, then the first of them in ``within``."""
+    out = []
+    for parts, a, b, q in system._int_cells:
+        n, d = q * yn - b * yd, a * yd
+        if d < 0:
+            n, d = -n, -d
+        if int_contains(parts, n, d) and not (out and out[-1][0] * d == n * out[-1][1]):
+            out.append((n, d))
+    return next((c for c in out if int_contains(within, *c)), None)
+
+
+def leftmost_cases(system, rng):
+    """Targets at cell ends, inside cells and outside the space, each reduced and
+    unreduced, against ``within`` sets of one part and of several."""
+    ends = sorted({end for dom, _, _ in system.affine_cells() for end in (dom.lo, dom.hi)})
+    inside = [dom.lo + (dom.hi - dom.lo) * F(rng.randint(1, 15), 16) for dom, _, _ in system.affine_cells()]
+    targets = {system.evaluate(x) for x in ends + inside} | {F(-3, 2), F(5, 4), F(7, 3)}
+    lo, hi = ends[0], ends[-1]
+    cuts = sorted({lo + (hi - lo) * F(rng.randint(0, 60), 60) for _ in range(6)})
+    withins = [system.space(), from_pairs([(lo, hi)]), from_pairs([(cuts[0], cuts[-1])]),
+               from_pairs(list(zip(cuts[::2], cuts[1::2]))), from_pairs([(x, x) for x in ends[::3]])]
+    for y in sorted(targets):
+        k = rng.randint(2, 9)
+        for yn, yd in ((y.numerator, y.denominator), (k * y.numerator, k * y.denominator)):
+            for w in withins:
+                yield yn, yd, w.int_parts
+
+
+@pytest.mark.parametrize("family", ["lap", "zigzag", "cantor"])
+def test_leftmost_preimage_matches_the_list_and_filter_walk(family):
+    rng = random.Random(26)
+    if family == "lap":
+        systems = [random_lap_map(rng) for _ in range(40)] + [tent_map(2), tent_map(F(9, 5))]
+    elif family == "zigzag":
+        systems = [random_zigzag_map(seed) for seed in range(20)]
+    else:
+        systems = [CantorSystem(depth, mode) for depth in (3, 4, 5, 6) for mode in ("fold", "mirror")]
+    found = missed = 0
+    for system in systems:
+        for yn, yd, within in leftmost_cases(system, rng):
+            got = system._int_leftmost_preimage(yn, yd, within)
+            assert got == list_and_filter_leftmost(system, yn, yd, within), (system, yn, yd, within)
+            found, missed = found + (got is not None), missed + (got is None)
+    assert found >= 100 and missed >= 100, (found, missed)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowlab import shadowing
 from shadowlab.numerics import from_int_set, from_pairs, interior_grid
 from shadowlab.pseudo_orbits import PseudoOrbit, deviation, perturbed_orbit, traces, verify_jumps
 from shadowlab.shadowing import (
@@ -30,6 +31,7 @@ from shadowlab.shadowing import (
     tent_critical_orbit_gap,
 )
 from shadowlab.systems import (
+    CantorSystem,
     DomainError,
     OdometerSystem,
     SLimitSystem,
@@ -835,3 +837,36 @@ def test_dyadic_ball_matches_ceiling_and_floor(data):
         st.sampled_from(_long_orbit_points())), min_size=1, max_size=4))
     want = [(math.ceil((x - eps) * scale), math.floor((x + eps) * scale)) for x in points]
     assert [dyadic_ball(x, eps, bits) for x in points] == want
+
+
+# -- the stated limit on tracing sets ------------------------------------------------
+
+
+def test_tracing_sets_stop_at_exactly_the_stated_limit(monkeypatch):
+    # tent(2) about the constant orbit 1/2 at ε = 9/20: T_0 has 200 parts at 9 points, more than any later T_i
+    orbit, eps = PseudoOrbit((F(1, 2),) * 9), F(9, 20)
+    assert shadowing.PARTS_LIMIT == 2**16
+    assert len(_backward_tube_sets(T2, orbit, eps, T2._int_preimage)[0]) == 200
+    monkeypatch.setattr(shadowing, "PARTS_LIMIT", 200)
+    assert len(shadow_oracle(T2, orbit, eps).feasible_set.int_parts) == 200
+    monkeypatch.setattr(shadowing, "PARTS_LIMIT", 199)
+    with pytest.raises(DomainError, match=r"^tracing set T_0 has 200 parts, past the limit of 199$"):
+        shadow_oracle(T2, orbit, eps)
+    # the forward sets through a region of three parts keep three
+    region = from_pairs([(0, F(1, 5)), (F(2, 5), F(3, 5)), (F(4, 5), 1)]).int_parts
+    monkeypatch.setattr(shadowing, "PARTS_LIMIT", 3)
+    assert [len(s) for s in _forward_sets(T2, [region] * 4)] == [3, 3, 3, 3]
+    monkeypatch.setattr(shadowing, "PARTS_LIMIT", 2)
+    with pytest.raises(DomainError, match=r"^tracing set F_1 has 3 parts, past the limit of 2$"):
+        _forward_sets(T2, [region] * 4)
+
+
+def test_a_space_of_more_parts_than_the_limit_raises_it_to_its_count(monkeypatch):
+    # the depth-6 middle-thirds space has 127 parts; at ε = 1 about 0 every tube is the space
+    system, orbit = CantorSystem(6), PseudoOrbit((F(0),) * 3)
+    monkeypatch.setattr(shadowing, "PARTS_LIMIT", 8)
+    cert = h_shadow_solve(system, orbit, 1)
+    assert cert.feasible and [len(s.int_parts) for s in cert.transcript] == [127] * 3
+    with pytest.raises(DomainError, match=r"^tracing set T_1 has \d+ parts, past the limit of 127$"):
+        shadow_oracle(system, orbit, 1)
+

@@ -20,6 +20,7 @@ from shadowlab.kneading import itinerary
 from shadowlab.numerics import ClosedInterval, from_pairs, intersect, normalize, point_set
 from shadowlab.pseudo_orbits import PseudoOrbit, perturbed_orbit
 from shadowlab.shadowing import h_shadow_solve, shadow_oracle
+from shadowlab import systems as systems_module
 from shadowlab.systems import (
     CantorSystem,
     DomainError,
@@ -624,6 +625,35 @@ def test_compose_pl_matches_the_lap_crossing_composition():
         composed = compose_pl(outer, inner)
         assert composed == compose_pl_by_lap_crossings(outer, inner)
         assert composed.breakpoints == compose_pl_by_lap_crossings(outer, inner).breakpoints
+
+
+def test_iterate_pl_keeps_one_map_per_equal_map_and_count():
+    iterate_pl.cache_clear()
+    rng = random.Random(26)
+    for system in [tent_map(2), random_zigzag_map(3)] + [random_pl_map(rng) for _ in range(4)]:
+        twin = PiecewiseLinearMap(system.breakpoints, system.values)  # equal, built apart
+        chain = system
+        for n in range(2, 5):
+            chain = compose_pl(system, chain)
+            assert iterate_pl(system, n) == chain
+            assert iterate_pl(twin, n) is iterate_pl(system, n)
+    assert iterate_pl.cache_info().hits == 36 and iterate_pl.cache_info().currsize == 18
+    # bounded: 40 more maps keep the newest 32 (maxsize), not 58
+    for k in range(40):
+        iterate_pl(tent_map(1 + F(2 * k + 1, 81)), 2)
+    assert iterate_pl.cache_info().currsize == iterate_pl.cache_info().maxsize == 32
+
+
+def test_iterate_pl_refuses_laps_past_the_limit(monkeypatch):
+    assert systems_module.PARTS_LIMIT == 2**16
+    monkeypatch.setattr(systems_module, "PARTS_LIMIT", 8)
+    iterate_pl.cache_clear()
+    assert len(iterate_pl(tent_map(2), 3).slopes) == 8  # exactly the limit: kept
+    with pytest.raises(DomainError, match=r"^iterate f\^4 has 16 laps, past the limit of 8$"):
+        iterate_pl(tent_map(2), 4)
+    assert iterate_pl.cache_info().currsize == 1  # the refused call is not kept
+    monkeypatch.setattr(systems_module, "PARTS_LIMIT", 16)
+    assert len(iterate_pl(tent_map(2), 4).slopes) == 16
 
 
 # -- serialization ----------------------------------------------------------

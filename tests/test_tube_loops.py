@@ -329,12 +329,13 @@ def test_a_corrupted_backward_chain_trips_the_self_check(monkeypatch, system):
     orbit = perturbed_orbit(system, _sample_in_set(system.space(), random.Random(5)), 6, F(1, 1000), seed=5)
     eps = F(1, 20)
     assert h_shadow_solve(system, orbit, eps).feasible
-    honest = type(system)._int_point_preimages
+    honest = type(system)._int_leftmost_preimage
 
-    def nudged(self, yn, yd):
-        # each preimage moved by 2^-200: still inside the forward set, no longer a preimage
-        return [(n * 2**200 + 1, d * 2**200) for n, d in honest(self, yn, yd)]
+    def nudged(self, yn, yd, within):
+        # the leftmost preimage moved by 2^-200: no longer a preimage of the next chain point
+        n, d = honest(self, yn, yd, within)
+        return n * 2**200 + 1, d * 2**200
 
-    monkeypatch.setattr(type(system), "_int_point_preimages", nudged)
+    monkeypatch.setattr(type(system), "_int_leftmost_preimage", nudged)
     with pytest.raises(AssertionError, match="reconstructed witness misses the terminal point"):
         h_shadow_solve(system, orbit, eps)
