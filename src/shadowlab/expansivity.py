@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import takewhile
 from typing import Optional, Sequence
 
 from .numerics import (
@@ -256,27 +257,33 @@ def _run_ends(cells: list[IntCell]) -> list[int]:
     return ends
 
 
-def _reachable(cx: IntCell, cells: list[IntCell], ends: list[int], j: int, dn: int, dd: int, steep: bool):
-    """The cells from index j on that start less than δ = dn/dd right of where
-    cx ends, ascending (cells sorted by lo: the first out of reach ends them).
-    When cx's slope modulus is at least μ (``steep``), each run of cells that
-    share cx's map is skipped whole: bound (a) of :func:`_pair_bound_clears`
-    clears every pair with it."""
-    own_map = cx[1:]
+def _reachable(cx: IntCell, cells: list[IntCell], ends: list[int], j: int, delta: Fraction, mu: Fraction, steep: bool):
+    """The cells from index j on that start less than δ right of where cx ends, ascending (the first out of
+    reach ends them), less each run of cells with one map that :func:`_pair_bound_clears` clears whole:
+    by (a) when it has cx's map and cx is ``steep`` (slope modulus at least μ), by (b) between cx and the
+    run's hull right of cx, or the hull and cx left of it; G(hull) covers each member's image and min(δ,
+    iy.hi − ix.lo) is at least each member's.  A run that overlaps cx, or whose hull fails, is walked cell by cell."""
+    dn, dd = delta.numerator, delta.denominator
+    ln, ld, hn, hd = cx[0]
     while j < len(cells):
-        cy = cells[j]
+        cy, end = cells[j], ends[j]
         if _out_of_reach(cx, cy, dn, dd):
             return
-        if steep and cy[1:] == own_map:
-            j = ends[j]
-        else:
-            yield cy
-            j += 1
+        if steep and cy[1:] == cx[1:]:
+            j = end
+            continue
+        (rln, rld, _, _), (_, _, rhn, rhd) = cy[0], cells[end - 1][0]
+        hull = ((rln, rld, rhn, rhd), *cy[1:])
+        if not (hn * rld <= rln * hd and _pair_bound_clears(cx, hull, delta, mu)
+                or rhn * ld <= ln * rhd and _pair_bound_clears(hull, cx, delta, mu)):
+            yield from takewhile(lambda c: not _out_of_reach(cx, c, dn, dd), cells[j:end])
+        j = end
 
 
 def _expanding_violation(cells: list[IntCell], delta: Fraction, mu: Fraction) -> Optional[tuple]:
-    """The first violating pair over cells in ascending order, as :func:`_affine_cells` gives them."""
-    dn, dd, mn, md = delta.numerator, delta.denominator, mu.numerator, mu.denominator
+    """The first violating pair over cells in ascending order, as :func:`_affine_cells` gives them:
+    each cy starts where cx ends or later, so only the order (cx, cy) can hold a pair with y − x > 0."""
+    mn, md = mu.numerator, mu.denominator
     ends = _run_ends(cells)
     for i, cx in enumerate(cells):
         (ln, ld, hn, hd), a, _, q = cx
@@ -285,8 +292,8 @@ def _expanding_violation(cells: list[IntCell], delta: Fraction, mu: Fraction) ->
         if ln * hd < hn * ld and not steep:
             lo = Fraction(ln, ld)
             return lo, lo + min(delta / 2, Fraction(hn, hd) - lo)
-        for cy in _reachable(cx, cells, ends, i + 1, dn, dd, steep):
-            hit = _pair_violation(cx, cy, delta, mu) or _pair_violation(cy, cx, delta, mu)
+        for cy in _reachable(cx, cells, ends, i + 1, delta, mu, steep):
+            hit = _pair_violation(cx, cy, delta, mu)
             if hit is not None:
                 return hit
     return None
@@ -341,7 +348,7 @@ def _affine_star(system, carrier: RationalIntervalSet, delta, mu, constants) -> 
     for cx in _affine_cells(system, carrier):
         # the space cells within δ of cx: from the first that ends less than δ left of it
         first = bisect_left(cells_y, True, key=lambda cy: not _out_of_reach(cy, cx, dn, dd))
-        for cy in _reachable(cx, cells_y, ends, first, dn, dd, abs(cx[1]) * md >= mn * cx[3]):
+        for cy in _reachable(cx, cells_y, ends, first, delta, mu, abs(cx[1]) * md >= mn * cx[3]):
             hit = _pair_violation(cx, cy, delta, mu)
             if hit is None:
                 swapped = _pair_violation(cy, cx, delta, mu)
@@ -387,24 +394,31 @@ _STAR_ROUTES = {PiecewiseAffineSystem: _affine_star, QuadraticFamilyMap: partial
 
 
 def _first_uncovered(ball: list[IntPart], image: list[IntPart]) -> Optional[Fraction]:
-    """The first point of ``ball`` outside ``image``, both canonical integer
-    sets, as a Fraction: a part's left end, the midpoint of the first gap in
-    its cover or its right end; None when covered."""
-    for part in ball:
-        ln, ld, hn, hd = part
-        cover = int_intersect([part], image)
-        if not cover or cover[0][0] * ld > ln * cover[0][1]:
+    """The first point of ``ball`` outside ``image``, both canonical integer sets, as a Fraction: a part's left
+    end, the midpoint of the first gap in its cover or its right end; None when covered.  One sweep over the
+    ball and its cover: each part before the first that fails holds one cover part, so part k's starts cover[k]."""
+    cover = int_intersect(ball, image)
+    for k, (ln, ld, hn, hd) in enumerate(ball):
+        if k == len(cover) or cover[k][0] * ld > ln * cover[k][1]:
             return Fraction(ln, ld)
-        if len(cover) > 1:  # canonical parts: a gap of positive length follows the first
-            (_, _, cn, cd), (nn, nd, _, _) = cover[:2]
+        _, _, cn, cd = cover[k]
+        if k + 1 < len(cover) and cover[k + 1][0] * hd <= hn * cover[k + 1][1]:  # a second cover part in this one
+            nn, nd = cover[k + 1][:2]  # canonical parts: a gap of positive length lies before it
             return Fraction(cn * nd + nn * cd, 2 * cd * nd)
-        if cover[0][2] * hd < hn * cover[0][3]:
+        if cn * hd < hn * cd:
             return Fraction(hn, hd)
     return None
 
 
-def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalIntervalSet,
-                            mu: Fraction, eps: Fraction) -> Optional[tuple]:
+def _pl_ball_table(system: PiecewiseLinearMap, carrier: RationalIntervalSet) -> tuple:
+    """What :func:`_pl_ball_step` reads for every ε, built once per check: the system, its breakpoints
+    (each lap's left end, then 1) over the lcm L of their denominators, their values, L and the carrier."""
+    ends = [parts[0][:2] for parts, *_ in system._int_cells] + [(1, 1)]
+    L = math.lcm(*(d for _, d in ends))
+    return system, [n * (L // d) for n, d in ends], [system._int_value(n, d) for n, d in ends], L, carrier.int_parts
+
+
+def _pl_ball_step(table: tuple, mu: Fraction, eps: Fraction) -> Optional[tuple]:
     """Exact certification over all carrier x for one ε: the first failing
     (x, missing point) in ascending x, or None.
 
@@ -416,23 +430,21 @@ def _pl_ball_expanding_once(system: PiecewiseLinearMap, carrier: RationalInterva
     decide them completely; a continuous map sends the window onto the hull
     of its values there, so each test point is decided on those candidates.
     All on the cell table's integers: the cuts over one common denominator
-    D, each candidate as (A, B, Q) with value (A·x + B)/Q, each test point as
-    n/d with d > 0, compared by cross-multiplication; only the pair returned
-    becomes Fractions.
+    D = L·ε's denominator, each candidate as (A, B, Q) with value (A·x + B)/Q,
+    each test point as n/d with d > 0, compared by cross-multiplication; only
+    the pair returned becomes Fractions.
     """
+    system, bps, vals, L, carrier_parts = table
     en, ed = eps.numerator, eps.denominator
     men, med = mu.numerator * en, mu.denominator * ed  # μ·ε
     cells = system._int_cells
-    ends = [parts[0][:2] for parts, *_ in cells] + [(1, 1)]  # the breakpoints: each lap's left end, then 1
-    vals = [system._int_value(n, d) for n, d in ends]
-    D = math.lcm(*(d for _, d in ends)) * ed
-    E = en * (D // ed)  # ε in units of 1/D
-    bps = [n * (D // d) for n, d in ends]
+    D, E = L * ed, en * L  # ε in units of 1/D
+    bps = [b * ed for b in bps]
     base = sorted({0, D}.union(v for b in bps for v in (b - E, b, b + E) if 0 <= v <= D))
 
     pn, pd = -1, 1  # the test points ascend, and two segments may share an end: test it once
     for lo, hi in zip(base, base[1:]):
-        seg = int_intersect([(lo, D, hi, D)], carrier.int_parts)
+        seg = int_intersect([(lo, D, hi, D)], carrier_parts)
         if not seg:
             continue
         # affine candidates valid throughout (lo, hi), read at its midpoint (lo + hi)/2D;
@@ -495,8 +507,9 @@ def check_ball_expanding(system: SystemSpec, region: Optional[RegionSpec], mu, n
 def _pl_ball_expanding(system: PiecewiseLinearMap, carrier: RationalIntervalSet, mu: Fraction,
                        eps_list: list, constants: dict) -> ExpansivityVerdict:
     """Certified for every grid ε over the whole region by breakpoint case analysis."""
+    table = _pl_ball_table(system, carrier)
     for eps in eps_list:
-        hit = _pl_ball_expanding_once(system, carrier, mu, eps)
+        hit = _pl_ball_step(table, mu, eps)
         if hit is not None:
             x, missing = hit
             return _ball_falsified(system, x, eps, mu, missing, constants)
@@ -547,12 +560,13 @@ def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdic
 
 def _search_ball_constants(system: PiecewiseLinearMap, carrier: RationalIntervalSet) -> Optional[tuple[Fraction, Fraction]]:
     """Small search for working (μ, ν) on a piecewise-linear map over a gated carrier,
-    each checked on the 10-point ε grid below ν; None when nothing on the menu certifies."""
+    each checked on the 10-point ε grid below ν on one table; None when nothing on the menu certifies."""
+    table = _pl_ball_table(system, carrier)
     for mu in (system.min_slope_modulus(), Fraction(3, 2), Fraction(5, 4), Fraction(9, 8)):
         if mu <= 1:
             continue
         for nu in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
-            if _pl_ball_expanding(system, carrier, mu, interior_grid(nu, 10), {}).certified:
+            if all(_pl_ball_step(table, mu, eps) is None for eps in interior_grid(nu, 10)):
                 return mu, nu
     return None
 
@@ -699,6 +713,7 @@ def crosscheck_expanding_characterizations(system: SystemSpec, region: Optional[
     inflated = _inflate(carrier, margin, system.space())
 
     probes = [x for part in inflated.parts for x in (part.lo, part.hi, (part.lo + part.hi) / 2)]
+    probes += [c for c in crit if inflated.contains(c)]  # a turn inside a part can close the map there
     open_verdicts = [check_open_at(system, p) for p in sorted(set(probes))]
     if any(v.falsified for v in open_verdicts):
         open_side = "falsified"

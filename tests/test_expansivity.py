@@ -1,21 +1,22 @@
 import random
 import re
-from bisect import bisect_right
 from fractions import Fraction as F
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowlab import expansivity
 from shadowlab.expansivity import (
     RegionSpec,
     _affine_cells,
     _expanding_violation,
     _first_uncovered,
-    _out_of_reach,
     _pair_bound_clears,
     _pair_violation,
-    _pl_ball_expanding_once,
+    _pl_ball_step,
+    _pl_ball_table,
     _run_ends,
     _search_ball_constants,
     _vertex_candidates,
@@ -46,6 +47,14 @@ from shadowlab.systems import (
     quadratic_map,
     random_zigzag_map,
     tent_map,
+)
+
+from reference import (
+    ref_cantor_ball_hit,
+    ref_expanding_violation,
+    ref_pl_ball_expanding_once,
+    ref_star_hit,
+    ref_uncovered_point,
 )
 
 T2 = tent_map(2)
@@ -382,62 +391,6 @@ def test_crosscheck_below_depth_four_leaves_ball_side_undetermined(depth, mode):
     assert out["ballExpanding"] == "undetermined" and out["side2"] == "undetermined"
 
 
-def ref_pl_ball_expanding_once(system, carrier, mu, eps):
-    """The PL ball route as first written, on Fraction arithmetic throughout:
-    the lap by a linear scan, f(x) as s·x + c, window bounds as the min and max
-    of the window ends and the interior breakpoint values."""
-    laps = system.laps()
-    lefts = [dom.lo for dom, _, _ in laps]
-
-    def lap_at(t):  # the rightmost lap whose left end is at most t
-        _, s, c = laps[bisect_right(lefts, t) - 1]
-        return s, c
-
-    def f(t):
-        s, c = lap_at(t)
-        return s * t + c
-
-    def violation_at(x):
-        lo, hi = max(F(0), x - eps), min(F(1), x + eps)
-        window = [f(lo), f(hi)] + [v for b, v in zip(system.breakpoints, system.values) if lo < b < hi]
-        fx = f(x)
-        top, bot = min(F(1), fx + mu * eps), max(F(0), fx - mu * eps)
-        if top > max(window):
-            return top
-        if bot < min(window):
-            return bot
-        return None
-
-    base = sorted({F(0), F(1)} | {v for b in system.breakpoints for v in (b, b + eps, b - eps) if 0 <= v <= 1})
-    for lo, hi in zip(base, base[1:]):
-        seg = intersect(RationalIntervalSet((ClosedInterval(lo, hi),)), carrier)
-        if seg.is_empty:
-            continue
-        xm = (lo + hi) / 2
-        cands = []
-        if xm - eps <= 0:
-            cands.append((F(0), f(F(0))))
-        else:
-            s, c = lap_at(xm - eps)
-            cands.append((s, c - s * eps))
-        if xm + eps >= 1:
-            cands.append((F(0), f(F(1))))
-        else:
-            s, c = lap_at(xm + eps)
-            cands.append((s, c + s * eps))
-        cands += [(F(0), v) for b, v in zip(system.breakpoints, system.values) if xm - eps < b < xm + eps]
-        s, c = lap_at(xm)
-        cands += [(s, c + mu * eps), (s, c - mu * eps), (F(0), F(1)), (F(0), F(0))]
-        crossings = {(c2 - c1) / (s1 - s2) for i, (s1, c1) in enumerate(cands) for s2, c2 in cands[i + 1:] if s1 != s2}
-        crossings = [x for x in crossings if lo < x < hi]
-        for part in seg.parts:
-            for x in sorted({part.lo, part.hi} | {x for x in crossings if part.lo < x < part.hi}):
-                missing = violation_at(x)
-                if missing is not None:
-                    return x, missing
-    return None
-
-
 def random_lap_map(rng):
     """2–5 laps, breakpoints and values on grids of 1/6 to 1/24: seldom onto
     [0, 1], so the window's extrema are often interior breakpoint values
@@ -457,7 +410,8 @@ def test_pl_ball_route_matches_the_fraction_reference():
     # change of candidate, crossing or lap (one lap off moves only the points,
     # not the verdicts) shows.  ε on the tent-ball-2.9 and pl-region-5.2 grids;
     # μ = min slope and 5/4 certify most zigzag cases (every cell swept), μ
-    # just above the min slope falsifies them inside the flattest lap
+    # just above the min slope falsifies them inside the flattest lap.  One table
+    # per map and carrier serves every μ and ε, as in a check
     rng = random.Random(29)
     carriers = (from_pairs([(0, 1)]), from_pairs([("1/20", "9/20"), ("11/20", "19/20")]))
     grid = interior_grid(F(1, 4), 50) + interior_grid(F(1, 20), 12)
@@ -467,9 +421,10 @@ def test_pl_ball_route_matches_the_fraction_reference():
     for system in maps:
         slope = system.min_slope_modulus()
         for carrier in carriers:
+            table = _pl_ball_table(system, carrier)
             for mu, count in ((slope, 4), (F(5, 4), 4), (slope * F(9, 8), 30)):
                 for eps in rng.sample(grid, count):
-                    got = _pl_ball_expanding_once(system, carrier, mu, eps)
+                    got = _pl_ball_step(table, mu, eps)
                     assert got == ref_pl_ball_expanding_once(system, carrier, mu, eps), (system, carrier, mu, eps)
                     cases += 1
                     falsified += got is not None
@@ -484,7 +439,7 @@ def test_pl_ball_route_matches_the_fraction_reference():
         cut = min(max(rng.choice(system.breakpoints) + rng.choice((-eps, eps)), F(0)), F(1))
         for carrier in (from_pairs([(lo, hi)]), from_pairs([(lo, hi), (p, p)]), from_pairs([(min(lo, cut), cut)])):
             mu = rng.choice((max(system.min_slope_modulus(), F(9, 8)), F(5, 4), F(3, 2)))
-            got = _pl_ball_expanding_once(system, carrier, mu, eps)
+            got = _pl_ball_step(_pl_ball_table(system, carrier), mu, eps)
             assert got == ref_pl_ball_expanding_once(system, carrier, mu, eps), (system, carrier, mu, eps)
             verdicts["certified" if got is None else "falsified"] += 1
     assert min(verdicts.values()) >= 200, verdicts
@@ -615,6 +570,16 @@ def test_crosscheck_consistent_at_cantor_fixed_point():
     assert out["ballExpanding"] == "falsified"
 
 
+@pytest.mark.parametrize("system", [PiecewiseLinearMap((0, F(1, 2), 1), (0, F(4, 5), 0)), logistic_map(F(39, 10))],
+                         ids=["tent-peak-4/5", "logistic-39/10"])
+def test_crosscheck_probes_openness_at_the_critical_point(system):
+    # the fold at 1/2 closes the map there; probing only the region's ends and
+    # midpoint (3/10, 3/5, 9/20) used to answer "open: certified"
+    assert check_open_at(system, F(1, 2)).falsified
+    out = crosscheck_expanding_characterizations(system, region_of(("3/10", "3/5")))
+    assert out["open"] == "falsified" and out["side1"] == "falsified" and out["consistent"]
+
+
 def test_hierarchy_implapplication_on_random_maps():
     # certified expanding + open on a band implies ball-expanding constants
     # can be found by search; a failure here would be a hard error
@@ -640,43 +605,11 @@ def test_hierarchy_implapplication_on_random_maps():
 # same counterexample points.
 
 
-def ref_expanding_violation(cells, delta, mu):
-    """The pair loop before the run skip: every cell pair in reach, in order."""
-    for i, cx in enumerate(cells):
-        (ln, ld, hn, hd), a, _, q = cx
-        if ln * hd < hn * ld and abs(a) * mu.denominator < mu.numerator * q:
-            lo = F(ln, ld)
-            return lo, lo + min(delta / 2, F(hn, hd) - lo)
-        for cy in cells[i + 1:]:
-            if _out_of_reach(cx, cy, delta.numerator, delta.denominator):
-                break
-            hit = _pair_violation(cx, cy, delta, mu) or _pair_violation(cy, cx, delta, mu)
-            if hit is not None:
-                return hit
-    return None
-
-
-def ref_star_hit(system, carrier, delta, mu):
-    """The star loop before the window: every region cell against every space cell."""
-    dn, dd = delta.numerator, delta.denominator
-    cells_y = _affine_cells(system, system.space())
-    for cx in _affine_cells(system, carrier):
-        for cy in cells_y:
-            if _out_of_reach(cx, cy, dn, dd) or _out_of_reach(cy, cx, dn, dd):
-                continue
-            hit = _pair_violation(cx, cy, delta, mu)
-            if hit is None:
-                swapped = _pair_violation(cy, cx, delta, mu)
-                hit = None if swapped is None else (swapped[1], swapped[0])
-            if hit is not None:
-                return hit
-    return None
-
-
 def split_lap_case(rng):
     """A PL map and a carrier that splits one of its laps into several
     components, some of them single points, so that runs of cells sharing one
-    map occur; μ at, below or above that lap's slope modulus."""
+    map occur, plus a point of each neighbouring lap close to it; μ at, below
+    or above that lap's slope modulus."""
     system = rng.choice([random_zigzag_map(rng.getrandbits(32), 2, 6), tent_map(rng.choice((F(2), F(9, 5), F(3, 2))))])
     k = rng.randrange(len(system.breakpoints) - 1)
     lo, hi = system.breakpoints[k], system.breakpoints[k + 1]
@@ -684,6 +617,10 @@ def split_lap_case(rng):
     pairs = [(a, a) if rng.random() < 0.5 else (a, (a + b) / 2) for a, b in zip(ends, ends[1:])]
     pairs += [(a, b) for a, b in rng.sample([(0, F(1, 8)), (F(7, 8), 1), (F(1, 3), F(1, 2))], rng.randint(0, 2))
               if b < lo or a > hi]  # parts off the split lap, which would swallow its components
+    # isolated points of the neighbouring laps just outside the split one: a point whose image falls
+    # between those of two members, at μ·reach from each, clears each member and fails at the run's hull
+    pairs += [(p, p) for p in (lo - (hi - lo) * F(rng.randint(1, 8), 1024), hi + (hi - lo) * F(rng.randint(1, 8), 1024))
+              if 0 <= p <= 1]
     slope = abs(system.slopes[k])
     mu = rng.choice((slope, slope * F(9, 8), (1 + slope) / 2, F(3, 2)))
     return system, from_pairs(pairs), rng.choice((F(1, 50), F(1, 10), F(1, 3))), mu
@@ -722,6 +659,59 @@ def test_split_lap_cases_have_runs_of_point_cells():
     assert point_runs > 30, point_runs
 
 
+def test_run_hulls_clear_whole_runs_and_fail_back_to_their_cells():
+    # for every run of two or more cells with one map (from each of its cells on)
+    # wholly right or wholly left of a cell cx and within δ of it, the pair in the
+    # order of positions: a hull that clears clears every member, and both cases
+    # occur on the generators above, a run cleared at its hull and a hull that
+    # fails while every member clears (the walk checks those cell by cell)
+    cases = {"hull clears": 0, "hull fails, members clear": 0}
+    for seed in range(100):
+        for make in (split_lap_case, cantor_case):
+            system, carrier, delta, mu = make(random.Random(seed))
+            cells = _affine_cells(system, carrier)
+            ends = _run_ends(cells)
+            views = [_view(cell)[0] for cell in cells]
+            for i, cx in enumerate(cells):
+                ix = views[i]
+                # cells ascend and meet at most at an end: a run from j > i lies right of cx, one ending at i or before left of it
+                near = [*takewhile(lambda j: views[j].lo - ix.hi < delta, range(i + 1, len(cells))),
+                        *takewhile(lambda j: ix.lo - views[j].hi < delta, range(i - 1, -1, -1))]
+                for j in near:
+                    run = cells[j:ends[j]]
+                    if len(run) < 2 or i in range(j, ends[j]):
+                        continue
+                    hull = ((*run[0][0][:2], *run[-1][0][2:]), *run[0][1:])
+                    order = (lambda cy: (cx, cy)) if j > i else (lambda cy: (cy, cx))
+                    members = [_pair_bound_clears(*order(cy), delta, mu) for cy in run]
+                    if _pair_bound_clears(*order(hull), delta, mu):
+                        assert all(members), (system, carrier, delta, mu, cx, run)
+                        cases["hull clears"] += 1
+                    elif all(members):
+                        cases["hull fails, members clear"] += 1
+    assert min(cases.values()) > 30, cases
+
+
+def test_the_reversed_order_holds_no_pair_on_the_cells_the_pair_loop_meets(monkeypatch):
+    # each cell the pair loop meets starts where cx ends or later, so y − x > 0 has
+    # no pair with x in it and y in cx: the loop calls the order (cx, cy) alone
+    met = []
+
+    def recording(cx, cy, delta, mu):
+        met.append((cx, cy, delta, mu))
+        return _pair_violation(cx, cy, delta, mu)
+
+    monkeypatch.setattr(expansivity, "_pair_violation", recording)
+    for seed in range(200):
+        for make in (split_lap_case, cantor_case):
+            system, carrier, delta, mu = make(random.Random(seed))
+            _expanding_violation(_affine_cells(system, carrier), delta, mu)
+    monkeypatch.undo()
+    assert len(met) > 200, len(met)
+    for cx, cy, delta, mu in met:
+        assert _pair_violation(cy, cx, delta, mu) is None, (cx, cy, delta, mu)
+
+
 def test_star_window_matches_the_all_cells_loop():
     # the same first pair in the same order; a window that starts one space
     # cell late, or a run skip that ignores |slope| < μ, moves or loses it,
@@ -741,34 +731,6 @@ def test_star_window_matches_the_all_cells_loop():
             assert (F(cx["x"]), F(cx["y"])) == hit, (system, carrier, delta, mu)
         outcomes[verdict.holds] += 1
     assert min(outcomes.values()) > 40, outcomes
-
-
-def ref_uncovered_point(ball, image):
-    """A point of ``ball`` outside ``image`` on Fraction sets, or None when covered."""
-    for part in ball.parts:
-        cover = intersect(RationalIntervalSet((part,)), image)
-        if cover.is_empty or cover.parts[0].lo > part.lo:
-            return part.lo
-        cursor = cover.parts[0].hi
-        for nxt in cover.parts[1:]:
-            if nxt.lo > cursor:
-                return (cursor + nxt.lo) / 2
-            cursor = nxt.hi
-        if cursor < part.hi:
-            return part.hi
-    return None
-
-
-def ref_cantor_ball_hit(system, carrier, mu, eps_list):
-    """The Cantor probe route on Fraction sets: the first failing (x, ε, missing point), or None."""
-    probes = [end for part in carrier.parts for end in (part.lo, part.hi)]
-    for x in sorted(set(probes)):
-        fx = system.evaluate(x)
-        for eps in eps_list:
-            missing = ref_uncovered_point(system.tube(fx, mu * eps), system.forward_image(system.tube(x, eps)))
-            if missing is not None:
-                return x, eps, missing
-    return None
 
 
 def test_cantor_ball_route_matches_the_fraction_probe_route():
