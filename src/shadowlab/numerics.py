@@ -297,10 +297,6 @@ def _int_reaching(s: Sequence[IntPart], lo: int, hi: int, xn: int, xd: int) -> i
     return lo
 
 
-# past this many parts on the other side, one part is met by two bisections and a slice, not by the sweep
-_CLIP_PAST = 16
-
-
 def int_intersect(a: Sequence[IntPart], b: Sequence[IntPart]) -> list[IntPart]:
     """Exact intersection by a two-pointer sweep over canonical parts.
 
@@ -310,11 +306,7 @@ def int_intersect(a: Sequence[IntPart], b: Sequence[IntPart]) -> list[IntPart]:
     overlap anything are skipped in logarithmic time: one part against n
     costs O(log n) comparisons, not O(n).  After each output the side that
     ended it advances to a part starting strictly past that end, so the
-    outputs ascend with gaps and are already canonical.  A side of one part
-    (a tube, a cell's hull or its image) against more than _CLIP_PAST parts
-    is met by :func:`_int_clip`, which copies the parts inside it in one slice."""
-    if len(a) == 1 and len(b) > _CLIP_PAST or len(b) == 1 and len(a) > _CLIP_PAST:
-        return _int_clip(a, b)
+    outputs ascend with gaps and are already canonical."""
     out = []
     i = j = 0
     na, nb = len(a), len(b)
@@ -333,30 +325,6 @@ def int_intersect(a: Sequence[IntPart], b: Sequence[IntPart]) -> list[IntPart]:
             else:
                 out.append((ln, ld, qhn, qhd))
                 j += 1
-    return out
-
-
-def _int_clip(a: Sequence[IntPart], b: Sequence[IntPart]) -> list[IntPart]:
-    """int_intersect when a or b is one part: the other side's parts from the first
-    reaching the part's left end to the last starting by its right end, in one
-    slice and two bisections, with the two end parts clipped.  Each end is taken
-    from the side the sweep takes it from, so the pairs are the sweep's pairs."""
-    first = len(a) == 1
-    s, (ln, ld, hn, hd) = (b, a[0]) if first else (a, b[0])
-    i = _int_reaching(s, 0, len(s), ln, ld)
-    k = _int_reaching(s, i, len(s), hn, hd)
-    if k < len(s) and s[k][0] * hd <= hn * s[k][1]:
-        k += 1
-    out = list(s[i:k])
-    if out:
-        pln, pld, phn, phd = out[0]
-        c = pln * ld - ln * pld
-        if c < 0 or first and c == 0:
-            out[0] = (ln, ld, phn, phd)
-        pln, pld, phn, phd = out[-1]
-        c = phn * hd - hn * phd
-        if c > 0 or not first and c == 0:
-            out[-1] = (pln, pld, hn, hd)
     return out
 
 

@@ -184,23 +184,13 @@ class PiecewiseAffineSystem(IntervalSystem):
 
     def _int_preimage(self, target: Sequence[IntPart]) -> list[IntPart]:
         """f⁻¹(target): per cell, the target clipped to the image of the cell's
-        hull, mapped through the inverse (q·y − b)/a and met with the cell.  Each
-        share lies in its cell and the cells ascend, so the shares are joined in
-        order: only two parts meeting at an end two cells share are merged."""
+        hull, mapped through the inverse (q·y − b)/a and met with the cell."""
         out = []
         for (parts, a, b, q), image in zip(self._int_cells, self._int_cell_images):
             hit = int_intersect(target, image)
             if hit:
-                share = int_intersect(int_affine(hit, q, -b, a), parts)
-                if out and share:
-                    ln, ld, hn, hd = share[0]
-                    en, ed = out[-1][2:]
-                    if ln * ed <= en * ld:
-                        if hn * ed > en * hd:
-                            out[-1] = (*out[-1][:2], hn, hd)
-                        share = share[1:]
-                out += share
-        return out
+                out += int_intersect(int_affine(hit, q, -b, a), parts)
+        return int_normalize(out)
 
     def _int_leftmost_preimage(self, yn: int, yd: int, within: Sequence[IntPart]) -> Optional[tuple[int, int]]:
         """The leftmost x in ``within`` with f(x) = yn/yd (yd > 0), as an unreduced

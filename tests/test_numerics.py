@@ -132,27 +132,6 @@ def test_intersect_one_part_against_many(one, many):
     assert intersect(many, one) == expected
 
 
-@st.composite
-def many_int_parts(draw):
-    """Canonical integer parts on the quarter grid of [0, 100], more than int_intersect's sweep takes
-    against one part, with point parts among them."""
-    ends = sorted(draw(st.lists(st.integers(min_value=0, max_value=400), min_size=36, max_size=80, unique=True)))
-    points = draw(st.lists(st.booleans(), min_size=len(ends) // 2, max_size=len(ends) // 2))
-    return [(lo, 4, lo if point else hi, 4) for lo, hi, point in zip(ends[::2], ends[1::2], points)]
-
-
-@given(st.tuples(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=400)),
-       many_int_parts(), st.integers(min_value=1, max_value=3))
-@settings(max_examples=300)
-def test_int_intersect_one_part_keeps_the_sweeps_pairs(ends, many, m):
-    # the one part's pairs are unreduced unlike the many's, so an end the two sides share shows which side it
-    # came from; a far part after the one part sends the same query through the two-pointer sweep
-    part = [(min(ends) * m, 4 * m, max(ends) * m, 4 * m)]
-    far = (1000, 1, 1000, 1)
-    assert int_intersect(part, many) == int_intersect([*part, far], many)
-    assert int_intersect(many, part) == int_intersect(many, [*part, far])
-
-
 @given(st.lists(st.tuples(grid_points, grid_points), max_size=12), st.integers(min_value=-2, max_value=98))
 @settings(max_examples=200)
 def test_normalize_keeps_exactly_the_union(pairs, k):
