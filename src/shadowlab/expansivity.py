@@ -15,7 +15,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import takewhile
 from typing import Optional, Sequence
 
 from .numerics import (
@@ -23,6 +22,7 @@ from .numerics import (
     IntPart,
     RationalIntervalSet,
     _INT_LO,
+    _int_reaching,
     int_affine,
     int_intersect,
     int_tube,
@@ -258,26 +258,24 @@ def _run_ends(cells: list[IntCell]) -> list[int]:
 
 
 def _reachable(cx: IntCell, cells: list[IntCell], ends: list[int], j: int, delta: Fraction, mu: Fraction, steep: bool):
-    """The cells from index j on that start less than δ right of where cx ends, ascending (the first out of
-    reach ends them), less each run of cells with one map that :func:`_pair_bound_clears` clears whole:
-    by (a) when it has cx's map and cx is ``steep`` (slope modulus at least μ), by (b) between cx and the
-    run's hull right of cx, or the hull and cx left of it; G(hull) covers each member's image and min(δ,
-    iy.hi − ix.lo) is at least each member's.  A run that overlaps cx, or whose hull fails, is walked cell by cell."""
-    dn, dd = delta.numerator, delta.denominator
-    ln, ld, hn, hd = cx[0]
-    while j < len(cells):
+    """The cells from index j on that start less than δ right of where cx ends, ascending (the first out of reach
+    ends them), less each run of one map that :func:`_pair_bound_clears` clears whole: by (a) when it has cx's map and
+    cx is ``steep``, or, for two cells or more, by (b) on cx and the run's hull in the order of their positions (G(hull)
+    covers each member's image; min(δ, iy.hi − ix.lo) is at least each member's); the others one cell at a time."""
+    (ln, ld, hn, hd), dn, dd = cx[0], delta.numerator, delta.denominator
+    walk = j  # the cells before this index are in a run walked cell by cell
+    while j < len(cells) and not _out_of_reach(cx, cells[j], dn, dd):
         cy, end = cells[j], ends[j]
-        if _out_of_reach(cx, cy, dn, dd):
-            return
-        if steep and cy[1:] == cx[1:]:
-            j = end
-            continue
-        (rln, rld, _, _), (_, _, rhn, rhd) = cy[0], cells[end - 1][0]
-        hull = ((rln, rld, rhn, rhd), *cy[1:])
-        if not (hn * rld <= rln * hd and _pair_bound_clears(cx, hull, delta, mu)
-                or rhn * ld <= ln * rhd and _pair_bound_clears(hull, cx, delta, mu)):
-            yield from takewhile(lambda c: not _out_of_reach(cx, c, dn, dd), cells[j:end])
-        j = end
+        if j >= walk:
+            rln, rld, rhn, rhd = part = cy[0][:2] + cells[end - 1][0][2:]
+            if steep and cy[1:] == cx[1:] or end - j > 1 and (
+                    hn * rld <= rln * hd and _pair_bound_clears(cx, (part, *cy[1:]), delta, mu)
+                    or rhn * ld <= ln * rhd and _pair_bound_clears((part, *cy[1:]), cx, delta, mu)):
+                j = end
+                continue
+            walk = end
+        yield cy
+        j += 1
 
 
 def _expanding_violation(cells: list[IntCell], delta: Fraction, mu: Fraction) -> Optional[tuple]:
@@ -395,18 +393,17 @@ _STAR_ROUTES = {PiecewiseAffineSystem: _affine_star, QuadraticFamilyMap: partial
 
 def _first_uncovered(ball: list[IntPart], image: list[IntPart]) -> Optional[Fraction]:
     """The first point of ``ball`` outside ``image``, both canonical integer sets, as a Fraction: a part's left
-    end, the midpoint of the first gap in its cover or its right end; None when covered.  One sweep over the
-    ball and its cover: each part before the first that fails holds one cover part, so part k's starts cover[k]."""
-    cover = int_intersect(ball, image)
-    for k, (ln, ld, hn, hd) in enumerate(ball):
-        if k == len(cover) or cover[k][0] * ld > ln * cover[k][1]:
+    end, the midpoint of the first gap in its cover or its right end; None when covered.  One walk over both:
+    each part is met from the first image part that reaches its left end, bisected for from the last one's on."""
+    j = 0
+    for ln, ld, hn, hd in ball:
+        j = _int_reaching(image, j, len(image), ln, ld)
+        if j == len(image) or image[j][0] * ld > ln * image[j][1]:
             return Fraction(ln, ld)
-        _, _, cn, cd = cover[k]
-        if k + 1 < len(cover) and cover[k + 1][0] * hd <= hn * cover[k + 1][1]:  # a second cover part in this one
-            nn, nd = cover[k + 1][:2]  # canonical parts: a gap of positive length lies before it
-            return Fraction(cn * nd + nn * cd, 2 * cd * nd)
-        if cn * hd < hn * cd:
-            return Fraction(hn, hd)
+        _, _, cn, cd = image[j]
+        if cn * hd < hn * cd:  # image[j] ends inside the part: a gap follows, to the next image part or past hn
+            nn, nd = image[j + 1][:2] if j + 1 < len(image) else (hn + hd, hd)
+            return Fraction(cn * nd + nn * cd, 2 * cd * nd) if nn * hd <= hn * nd else Fraction(hn, hd)
     return None
 
 
@@ -511,8 +508,7 @@ def _pl_ball_expanding(system: PiecewiseLinearMap, carrier: RationalIntervalSet,
     for eps in eps_list:
         hit = _pl_ball_step(table, mu, eps)
         if hit is not None:
-            x, missing = hit
-            return _ball_falsified(system, x, eps, mu, missing, constants)
+            return _ball_falsified(system, hit[0], eps, mu, hit[1], constants)
     return ExpansivityVerdict("ballExpanding", "certified", constants)
 
 
