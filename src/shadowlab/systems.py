@@ -183,18 +183,14 @@ class PiecewiseAffineSystem(IntervalSystem):
         return int_normalize(out)
 
     def _int_preimage(self, target: Sequence[IntPart]) -> list[IntPart]:
-        """f⁻¹(target): per cell, the target clipped to the image of the cell's hull, mapped through the
-        inverse (q·y − b)/a and met with the cell; the cells ascend, so the shares join in cell order,
-        merged only where one starts at the end the last stops at (an end two cells share)."""
+        """f⁻¹(target): per cell, the target clipped to the image of the cell's
+        hull, mapped through the inverse (q·y − b)/a and met with the cell."""
         out = []
         for (parts, a, b, q), image in zip(self._int_cells, self._int_cell_images):
             hit = int_intersect(target, image)
-            share = int_intersect(int_affine(hit, q, -b, a), parts) if hit else []
-            if out and share and share[0][0] * out[-1][3] <= out[-1][2] * share[0][1]:
-                (ln, ld, en, ed), (_, _, hn, hd) = out.pop(), share[0]
-                share[0] = (ln, ld, hn, hd) if hn * ed > en * hd else (ln, ld, en, ed)
-            out += share
-        return out
+            if hit:
+                out += int_intersect(int_affine(hit, q, -b, a), parts)
+        return int_normalize(out)
 
     def _int_leftmost_preimage(self, yn: int, yd: int, within: Sequence[IntPart]) -> Optional[tuple[int, int]]:
         """The leftmost x in ``within`` with f(x) = yn/yd (yd > 0), as an unreduced
