@@ -44,7 +44,6 @@ from .systems import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ class ExpansivityVerdict:
 # ---------------------------------------------------------------------------
 
 IntCell = tuple[IntPart, int, int, int]  # (part, a, b, q): f(x) = (a·x + b)/q on the part
-Cell = tuple[ClosedInterval, Fraction, Fraction]  # the Fraction view: (domain, slope, offset)
 
 
 def _affine_cells(system, carrier: RationalIntervalSet) -> list[IntCell]:
@@ -126,37 +124,6 @@ def _out_of_reach(cx: IntCell, cy: IntCell, dn: int, dd: int) -> bool:
     """Whether cy starts at least δ = dn/dd right of where cx ends."""
     (_, _, hn, hd), (ln, ld, _, _) = cx[0], cy[0]
     return (ln * hd - hn * ld) * dd >= dn * ld * hd
-
-
-def _vertex_candidates(cx: Cell, cy: Cell, delta: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Vertices of the arrangement of the pair polytope with the image-equality line."""
-    (ix, sx, ox), (iy, sy, oy) = cx, cy
-    xs = [ix.lo, ix.hi]
-    ys = [iy.lo, iy.hi]
-    lines = []  # y = a*x + b
-    lines.append((ONE, ZERO))            # y = x
-    lines.append((ONE, delta))           # y = x + delta
-    lines.append((sx / sy, (ox - oy) / sy))  # F(x) = G(y)
-    pts = set()
-    for x in xs:
-        for y in ys:
-            pts.add((x, y))
-        for a, b in lines:
-            pts.add((x, a * x + b))
-    for y in ys:
-        for a, b in lines:
-            if a != 0:
-                pts.add(((y - b) / a, y))
-    for (a1, b1) in lines:
-        for (a2, b2) in lines:
-            if a1 != a2:
-                x = (b2 - b1) / (a1 - a2)
-                pts.add((x, a1 * x + b1))
-    out = []
-    for x, y in pts:
-        if ix.lo <= x <= ix.hi and iy.lo <= y <= iy.hi and ZERO <= y - x <= delta:
-            out.append((x, y))
-    return out
 
 
 def _pair_bound_clears(cx: IntCell, cy: IntCell, delta: Fraction, mu: Fraction) -> bool:
@@ -189,63 +156,77 @@ def _pair_violation(cx: IntCell, cy: IntCell, delta: Fraction, mu: Fraction) -> 
 
     Pairs out of reach (iy.lo − ix.hi ≥ delta) and pairs that
     :func:`_pair_bound_clears` proves clear are None at once; the rest are
-    decided exactly at the vertices of the line arrangement, on Fractions."""
-    if _out_of_reach(cx, cy, delta.numerator, delta.denominator) or _pair_bound_clears(cx, cy, delta, mu):
+    decided on the table's integers.  h = |F(x)−G(y)| − μ(y−x) is convex and
+    affine on each side of the collision line F(x) = G(y), so its least value
+    over the closed polytope P (the box ix × iy met with 0 ≤ y−x ≤ delta) is
+    taken at a crossing of two of seven lines A·x + B·y = C: the four cell
+    sides, y = x, y = x + delta and the collision line.  Each crossing is an
+    integer triple (xn, yn, d) with d > 0 for the point (xn/d, yn/d), kept when
+    it lies in P.
+
+    The point: first the middle of the collision segment (P met with the
+    collision line, where h = −μ(y−x)), when it has two ends, or one when the
+    line is parallel to y = x, and the middle lies strictly inside the strip;
+    otherwise the crossing of least h, compared as h·md·qx·qy·d by
+    cross-multiplication, a tie going to the first crossing in the fixed order
+    of the lines (the Fraction engine kept in ``tests/reference.py`` broke ties
+    in its set's hash order and nudged along the axes, so its points may differ
+    there).  h ≥ 0 wherever y = x, so a best crossing v with h(v) < 0 has
+    y−x > 0, and it lies on the strip's edge only where y−x = delta.  There it
+    moves to v + t·(c − v) toward the box corner c = (ix.hi, iy.lo), where y−x
+    is least and, the pair being in reach, less than delta: t = 1 if h(c) < 0,
+    and otherwise t = h(v)/(2(h(v) − h(c))) in (0, 1/2], where convexity gives
+    h ≤ (1−t)·h(v) + t·h(c) = h(v)/2 < 0.  y−x < delta for every t > 0, and
+    y−x > 0 wherever h < 0.  Only the pair returned becomes Fractions."""
+    dn, dd = delta.numerator, delta.denominator
+    if _out_of_reach(cx, cy, dn, dd) or _pair_bound_clears(cx, cy, delta, mu):
         return None
-    cx, cy = [(ClosedInterval(Fraction(ln, ld), Fraction(hn, hd)), Fraction(a, q), Fraction(b, q))
-              for (ln, ld, hn, hd), a, b, q in (cx, cy)]  # the Fraction view of both cells
-    (ix, sx, ox), (iy, sy, oy) = cx, cy
-    # prefer an exact image collision F(x) = G(y), i.e. y = a·x + b
-    a, b = sx / sy, (ox - oy) / sy
-    lo, hi = ix.lo, ix.hi
-    y_bounds = sorted(((iy.lo - b) / a, (iy.hi - b) / a))
-    lo, hi = max(lo, y_bounds[0]), min(hi, y_bounds[1])
-    if a != 1:
-        sep_bounds = sorted((-b / (a - 1), (delta - b) / (a - 1)))
-        lo, hi = max(lo, sep_bounds[0]), min(hi, sep_bounds[1])
-        feasible_line = lo < hi
-    else:
-        feasible_line = lo <= hi and ZERO < b < delta
-    if feasible_line:
-        x = (lo + hi) / 2
-        y = a * x + b
-        if ix.lo <= x <= ix.hi and iy.lo <= y <= iy.hi and ZERO < y - x < delta:
-            return x, y
+    ((ln, ld, hn, hd), ax, bx, qx), ((yln, yld, yhn, yhd), ay, by, qy) = cx, cy
+    A, B, C = ax * qy, -ay * qx, by * qx - bx * qy  # the collision line qx·qy·(F(x) − G(y)) = 0
+    md, mq = mu.denominator, mu.numerator * qx * qy
+
+    def h(xn, yn, d):  # h·md·qx·qy·d at (xn/d, yn/d)
+        return md * abs(A * xn + B * yn - C * d) - mq * (yn - xn)
+
+    lines = ((ld, 0, ln), (hd, 0, hn), (0, yld, yln), (0, yhd, yhn), (-1, 1, 0), (-dd, dd, dn), (A, B, C))
+    vertices = []
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1:]:
+            d = a1 * b2 - a2 * b1
+            if d:
+                xn, yn = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+                if d < 0:
+                    xn, yn, d = -xn, -yn, -d
+                if (ln * d <= xn * ld and xn * hd <= hn * d and yln * d <= yn * yld and yn * yhd <= yhn * d
+                        and 0 <= (yn - xn) * dd <= dn * d):
+                    vertices.append((xn, yn, d))
+    # a crossing of the collision line inside P is an end of its segment there
+    ends = [v for v in vertices if A * v[0] + B * v[1] == C * v[2]]
+    if ends:
+        x1, y1, d1 = ends[0]
+        x2, y2, d2 = next((v for v in ends if v[0] * d1 != x1 * v[2] or v[1] * d1 != y1 * v[2]), ends[0])
+        if A + B == 0 or (x2, y2, d2) != ends[0]:  # parallel to y = x, or two distinct ends
+            xn, yn, d = x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, 2 * d1 * d2
+            if 0 < (yn - xn) * dd < dn * d:
+                return Fraction(xn, d), Fraction(yn, d)
     best = None
-    for (x, y) in _vertex_candidates(cx, cy, delta):
-        h = abs((sx * x + ox) - (sy * y + oy)) - mu * (y - x)
-        if h < 0 and (best is None or h < best[2]):
-            best = (x, y, h)
+    for v in vertices:
+        hv = h(*v)
+        if hv < 0 and (best is None or hv * best[3] < best[0] * v[2]):
+            best = (hv, *v)
     if best is None:
         return None
-    x, y, _ = best
-    # restore strictness 0 < y−x < delta by nudging into the cell interior
-    if y - x == 0 or y - x == delta:
-        shrink = Fraction(1, 2)
-        for _ in range(64):
-            found = None
-            for (xx, yy) in (
-                (x - _small_step(ix, shrink), y),
-                (x + _small_step(ix, shrink), y),
-                (x, y - _small_step(iy, shrink)),
-                (x, y + _small_step(iy, shrink)),
-            ):
-                if ix.lo <= xx <= ix.hi and iy.lo <= yy <= iy.hi and ZERO < yy - xx < delta:
-                    if abs((sx * xx + ox) - (sy * yy + oy)) - mu * (yy - xx) < 0:
-                        found = (xx, yy)
-                        break
-            if found is not None:
-                x, y = found
-                break
-            shrink /= 2
+    hv, xn, yn, d = best
+    if (yn - xn) * dd == dn * d:  # on the strip's edge: step toward the corner (ix.hi, iy.lo)
+        cxn, cyn, cd = hn * yld, yln * hd, hd * yld
+        hc = h(cxn, cyn, cd)
+        if hc < 0:
+            xn, yn, d = cxn, cyn, cd
         else:
-            return None
-    return x, y
-
-
-def _small_step(iv: ClosedInterval, shrink: Fraction) -> Fraction:
-    w = iv.width if iv.width > 0 else ONE
-    return w * shrink / 4
+            tn, td = hv * cd, 2 * (hv * cd - hc * d)  # t = tn/td
+            xn, yn, d = (xn * cd * td + tn * (cxn * d - xn * cd), yn * cd * td + tn * (cyn * d - yn * cd),
+                         d * cd * td)
+    return Fraction(xn, d), Fraction(yn, d)
 
 
 def _run_ends(cells: list[IntCell]) -> list[int]:

@@ -1,11 +1,16 @@
+import importlib
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from shadowlab.cli import emit, main
+from shadowlab.expansivity import ExpansivityVerdict
+from shadowlab.numerics import from_pairs
 from shadowlab.scenarios import REGISTRY, Report, run_scenario
 from shadowlab.systems import (
     CantorSystem,
@@ -200,6 +205,22 @@ def test_cli_expansivity_check(tmp_path, capsys):
     assert code == 1
     data = json.loads(capsys.readouterr().out)
     assert data["counterexample"]["inequality"]
+
+
+def test_cli_falsifies_a_violation_thinner_than_the_nudge(tmp_path, capsys, monkeypatch):
+    # every violating pair lies within about 10⁻²¹ of y − x = δ; the check used to
+    # answer "certified", exit 0; its pair passes the benchmark's own check
+    sys_path = tmp_path / "tent2.json"
+    sys_path.write_text('{"kind":"pl","breakpoints":["0/1","1/2","1/1"],"values":["0/1","1/1","0/1"]}')
+    mu = "400000000000000000001/300000000000000000000"
+    code = main(["expansivity", "check", "--property", "expanding", "--system", str(sys_path),
+                 "--region", '[["0","49/100"],["3/5","1"]]', "--delta", "3/25", "--mu", mu])
+    data = json.loads(capsys.readouterr().out)
+    assert data["holds"] == "falsified" and code == 1  # 1: a verdict other than certified
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    check = importlib.import_module("workloads")._check_expanding(
+        tent_map(2), from_pairs([(0, F(49, 100)), (F(3, 5), 1)]), F(3, 25), F(mu), seed=0)
+    assert check(ExpansivityVerdict(data["property"], data["holds"], data["constants"], data["counterexample"])) is None
 
 
 def test_cli_open_check_without_point_is_a_usage_error(tmp_path, capsys):

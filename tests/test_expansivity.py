@@ -19,7 +19,6 @@ from shadowlab.expansivity import (
     _pl_ball_table,
     _run_ends,
     _search_ball_constants,
-    _vertex_candidates,
     check_ball_expanding,
     check_expanding,
     check_locally_injective,
@@ -52,9 +51,11 @@ from shadowlab.systems import (
 from reference import (
     ref_cantor_ball_hit,
     ref_expanding_violation,
+    ref_pair_violation,
     ref_pl_ball_expanding_once,
     ref_star_hit,
     ref_uncovered_point,
+    ref_vertex_candidates,
 )
 
 T2 = tent_map(2)
@@ -172,13 +173,88 @@ def test_pair_bounds_skip_only_violation_free_pairs():
                     continue
                 same = sx == sy and ox == oy and abs(sx) >= mu
                 skipped["same map" if same else "images apart"] += 1
-                for x, y in _vertex_candidates(vx, vy, delta):
+                for x, y in ref_vertex_candidates(vx, vy, delta):
                     fx, gy = sx * x + ox, sy * y + oy
                     assert abs(fx - gy) >= mu * (y - x), (cx, cy, delta, mu, x, y)
                     if fx == gy:
                         assert y == x, (cx, cy, delta, mu, x, y)
                 assert _pair_violation(cx, cy, delta, mu) is None
     assert skipped["same map"] > 100 and skipped["images apart"] > 100, skipped
+
+
+def test_a_violation_thinner_than_the_nudge_is_falsified():
+    # tent(2) on [0, 49/100] ∪ [3/5, 1], δ = 3/25, μ = 4/3 + 1/(3·10²⁰): the pair
+    # x = 12/25 + 10⁻²², y = 3/5 violates, but every violating pair lies within
+    # about 10⁻²¹ of y − x = δ, thinner than the 64 axis halvings that used to
+    # move the best vertex off that edge; they gave up, and the check certified
+    delta, mu = F(3, 25), F(4, 3) + F(1, 3 * 10**20)
+    x, y = F(12, 25) + F(1, 10**22), F(3, 5)
+    assert 0 < y - x < delta and abs(T2.evaluate(x) - T2.evaluate(y)) < mu * (y - x)
+    region = region_of((0, "49/100"), ("3/5", 1))
+    cx, cy = _affine_cells(T2, region.carrier)
+    assert ref_pair_violation(cx, cy, delta, mu) is None  # the Fraction engine's give-up
+    hx, hy = _pair_violation(cx, cy, delta, mu)
+    (ix, sx, ox), (iy, sy, oy) = _view(cx), _view(cy)
+    assert ix.lo <= hx <= ix.hi and iy.lo <= hy <= iy.hi and 0 < hy - hx < delta
+    assert abs((sx * hx + ox) - (sy * hy + oy)) < mu * (hy - hx)
+    verdict = check_expanding(T2, region, delta, mu)  # the verdict re-validates its pair
+    assert verdict.falsified and (F(verdict.counterexample["x"]), F(verdict.counterexample["y"])) == (hx, hy)
+
+
+slopes = st.sampled_from([F(n, d) for n in (-9, -3, -2, -1, 1, 2, 3, 5) for d in (1, 2, 3)])
+
+
+@st.composite
+def cell_pairs(draw):
+    """(cx, cy, δ, μ): two pair-engine cells on a grid of 1/g, single points
+    among them, cy starting up to half a unit before or after cx's end, and μ
+    on the grid or just above 4/3 or 2; in the continuous half cy starts where
+    cx ends and G(cy.lo) = F(cx.hi), as two laps of a continuous map meet."""
+    g = draw(st.sampled_from((3, 4, 12, 40)))
+
+    def grid(lo, hi):
+        return F(draw(st.integers(lo, hi)), g)
+
+    xlo, sx, sy = grid(0, g), draw(slopes), draw(slopes)
+    xhi, ox = xlo + grid(0, g // 2), grid(-2 * g, 2 * g)
+    if draw(st.booleans()):
+        ylo, oy = xhi, (sx - sy) * xhi + ox
+    else:
+        ylo, oy = xhi + grid(-g // 2, g // 2), grid(-2 * g, 2 * g)
+    yhi, delta = ylo + grid(0, g // 2), grid(1, g // 2)
+    mu = draw(st.one_of(st.integers(g + 1, 6 * g).map(lambda n: F(n, g)),
+                        st.sampled_from((F(4, 3) + F(1, 3 * 10**20), F(2) + F(1, 10**9)))))
+    return _int_cell(xlo, xhi, sx, ox), _int_cell(ylo, yhi, sy, oy), delta, mu
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell_pairs())
+def test_pair_engine_matches_the_fraction_engine(case):
+    # the integer engine against the Fraction one it replaced: every hit
+    # re-validates; a reference hit implies an engine hit, so an engine None
+    # implies a reference None (the reference may give up where the engine
+    # does not); and the points are equal unless the reference nudged or chose
+    # among tied least-h vertices, whose order was its set's hash order
+    cx, cy, delta, mu = case
+    hit, ref = _pair_violation(cx, cy, delta, mu), ref_pair_violation(cx, cy, delta, mu)
+    (ix, sx, ox), (iy, sy, oy) = _view(cx), _view(cy)
+    if hit is not None:
+        x, y = hit
+        assert ix.lo <= x <= ix.hi and iy.lo <= y <= iy.hi and 0 < y - x < delta
+        assert abs((sx * x + ox) - (sy * y + oy)) < mu * (y - x)
+    assert ref is None or hit is not None
+    if ref is None and hit is None:
+        return
+    # the reference's path: the collision segment's middle when the segment has two
+    # ends (one when F(x) = G(y) is parallel to y = x) strictly inside the strip, else
+    # the least-h vertex, nudged when it lies on y − x = δ
+    vertices = ref_vertex_candidates(_view(cx), _view(cy), delta)
+    ends = [(x, y) for x, y in vertices if sx * x + ox == sy * y + oy]
+    collision = len(ends) > 1 if sx != sy else bool(ends) and 0 < ends[0][1] - ends[0][0] < delta
+    h = {(x, y): abs((sx * x + ox) - (sy * y + oy)) - mu * (y - x) for x, y in vertices}
+    least = [v for v in vertices if h[v] == min(h.values())]
+    if collision or len(least) == 1 and least[0][1] - least[0][0] < delta:
+        assert hit == ref, (cx, cy, delta, mu)
 
 
 def test_affine_cells_on_a_128_part_cantor_carrier():

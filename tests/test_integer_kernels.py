@@ -23,6 +23,8 @@ from shadowlab.numerics import (
 from shadowlab.systems import CantorSystem, DomainError, PiecewiseLinearMap, random_zigzag_map, tent_map
 from test_expansivity import random_lap_map  # seeded maps whose laps are seldom onto [0, 1]
 
+from reference import ref_evaluate, ref_image_bounds, ref_intersect, ref_normalize, ref_point_preimages, ref_preimage
+
 # -- endpoint strategies ------------------------------------------------------
 
 coarse = st.integers(min_value=-8, max_value=8).map(lambda k: F(k, 4))  # parts often touch
@@ -42,24 +44,6 @@ def raw_parts(draw, max_parts=6):
 
 
 interval_sets = raw_parts().map(normalize)
-
-
-# -- plain-Fraction references ---------------------------------------------------
-
-
-def ref_normalize(parts):
-    merged = []
-    for p in sorted(parts, key=lambda p: (p.lo, p.hi)):
-        if merged and p.lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], p.hi)
-        else:
-            merged.append([p.lo, p.hi])
-    return [(lo, hi) for lo, hi in merged]
-
-
-def ref_intersect(a, b):
-    return ref_normalize([ClosedInterval(max(p.lo, q.lo), min(p.hi, q.hi))
-                          for p in a.parts for q in b.parts if max(p.lo, q.lo) <= min(p.hi, q.hi)])
 
 
 def pairs(s):
@@ -156,33 +140,6 @@ seeded_maps = st.one_of(
     st.sampled_from([F(2), F(3, 2), F(1), F(1, 3)]).map(tent_map),
     pl_maps(),
 )
-
-
-def ref_evaluate(f, x):
-    idx = max(i for i in range(len(f.breakpoints) - 1) if f.breakpoints[i] <= x)
-    _, s, c = f.laps()[idx]
-    return s * x + c
-
-
-def ref_point_preimages(f, y):
-    return sorted({(y - c) / s for dom, s, c in f.affine_cells() if dom.lo <= (y - c) / s <= dom.hi})
-
-
-def ref_preimage(f, target):
-    out = []
-    for dom, s, c in f.laps():
-        a, b = s * dom.lo + c, s * dom.hi + c
-        rng = normalize([ClosedInterval(min(a, b), max(a, b))])
-        for lo, hi in ref_intersect(target, rng):
-            u, v = (lo - c) / s, (hi - c) / s
-            out.extend(ref_intersect(normalize([ClosedInterval(min(u, v), max(u, v))]), normalize([dom])))
-    return ref_normalize([ClosedInterval(lo, hi) for lo, hi in out])
-
-
-def ref_image_bounds(f, lo, hi):
-    vals = [ref_evaluate(f, lo), ref_evaluate(f, hi)]
-    vals.extend(ref_evaluate(f, b) for b in f.breakpoints if lo < b < hi)
-    return min(vals), max(vals)
 
 
 @given(seeded_maps, st.data())
