@@ -396,21 +396,38 @@ def _pl_ball_table(system: PiecewiseLinearMap, carrier: RationalIntervalSet) -> 
     return system, [n * (L // d) for n, d in ends], [system._int_value(n, d) for n, d in ends], L, carrier.int_parts
 
 
+def _int_meets(rows: list, ln: int, ld: int, hn: int, hd: int) -> bool:
+    """Does some x in [ln/ld, hn/hd] have α·x + β > 0 for every (α, β) in ``rows``?  One pass that
+    tightens the part's bounds by each open half-line, by cross-multiplication, keeping whether each is open."""
+    lo_open = hi_open = False
+    for a, b in rows:
+        if a > 0:  # x > −b/a
+            if -b * ld >= ln * a:
+                ln, ld, lo_open = -b, a, True
+        elif a < 0:  # x < b/−a
+            if b * hd <= hn * -a:
+                hn, hd, hi_open = b, -a, True
+        elif b <= 0:
+            return False
+    gap = hn * ld - ln * hd
+    return gap > 0 or gap == 0 and not (lo_open or hi_open)
+
+
 def _pl_ball_step(table: tuple, mu: Fraction, eps: Fraction) -> Optional[tuple]:
     """Exact certification over all carrier x for one ε: the first failing
     (x, missing point) in ascending x, or None.
 
-    Between consecutive cuts (0, 1, every breakpoint b and b ± ε) every
-    quantity involved (the window edges f(x∓ε), the window-interior
-    breakpoint values, f(x) ± μ·ε) is a single affine function of x, so
-    after refining each cell by all pairwise crossings of those affines the
-    two covering inequalities are affine per piece and endpoint checks
-    decide them completely; a continuous map sends the window onto the hull
-    of its values there, so each test point is decided on those candidates.
-    All on the cell table's integers: the cuts over one common denominator
-    D = L·ε's denominator, each candidate as (A, B, Q) with value (A·x + B)/Q,
-    each test point as n/d with d > 0, compared by cross-multiplication; only
-    the pair returned becomes Fractions.
+    Between consecutive cuts (0, 1, every breakpoint b and b ± ε) the window
+    edges f(x∓ε), the window-interior breakpoint values and f(x) ± μ·ε are
+    each affine in x, and a continuous map sends the window onto the hull of
+    its values.  So each covering test fails exactly where a few affine
+    margins are all positive: a segment whose carrier parts meet neither
+    failing set (:func:`_int_meets`) is skipped.  Otherwise the least margin
+    is concave with its breakpoints at pairwise crossings of the affines, so
+    a failing set that meets a part holds a test point: a part end or a
+    crossing.  All on the cell table's integers: the cuts over D = L·ε's
+    denominator, each candidate as (A, B, Q) with value (A·x + B)/Q, each
+    test point as n/d with d > 0; only the pair returned becomes Fractions.
     """
     system, bps, vals, L, carrier_parts = table
     en, ed = eps.numerator, eps.denominator
@@ -438,6 +455,11 @@ def _pl_ball_step(table: tuple, mu: Fraction, eps: Fraction) -> Optional[tuple]:
         window += [(0, *v) for b, v in zip(bps, vals) if mid - E2 < 2 * b < mid + E2]
         _, a, b, q = cells[system.cell_index(mid, D2)]
         ta, tb, bb, tq = a * med, b * med + q * men, b * med - q * men, q * med  # f(x) ± μ·ε
+        # test 1 fails where min(f(x) + μ·ε, 1) is above every window value, test 2 where max(f(x) − μ·ε, 0) is below
+        up = [r for A, B, Q in window for r in ((ta * Q - A * tq, tb * Q - B * tq), (-A, Q - B))]
+        down = [r for A, B, Q in window for r in ((A * tq - ta * Q, B * tq - bb * Q), (A, B))]
+        if not any(_int_meets(up, *p) or _int_meets(down, *p) for p in seg):
+            continue
         cands = window + [(ta, tb, tq), (ta, bb, tq), (0, 1, 1), (0, 0, 1)]
 
         crossings = []

@@ -184,13 +184,18 @@ class PiecewiseAffineSystem(IntervalSystem):
 
     def _int_preimage(self, target: Sequence[IntPart]) -> list[IntPart]:
         """f⁻¹(target): per cell, the target clipped to the image of the cell's
-        hull, mapped through the inverse (q·y − b)/a and met with the cell."""
+        hull, mapped through the inverse (q·y − b)/a and met with the cell; joined
+        in cell order, merged only where a share starts on the last one's end."""
         out = []
         for (parts, a, b, q), image in zip(self._int_cells, self._int_cell_images):
             hit = int_intersect(target, image)
             if hit:
-                out += int_intersect(int_affine(hit, q, -b, a), parts)
-        return int_normalize(out)
+                share = int_intersect(int_affine(hit, q, -b, a), parts)
+                if out and share and share[0][0] * out[-1][3] <= out[-1][2] * share[0][1]:
+                    (ln, ld, en, ed), (_, _, hn, hd) = out.pop(), share[0]
+                    share[0] = (ln, ld, hn, hd) if hn * ed > en * hd else (ln, ld, en, ed)
+                out += share
+        return out
 
     def _int_leftmost_preimage(self, yn: int, yd: int, within: Sequence[IntPart]) -> Optional[tuple[int, int]]:
         """The leftmost x in ``within`` with f(x) = yn/yd (yd > 0), as an unreduced

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import takewhile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shadowlab import expansivity
@@ -13,6 +13,7 @@ from shadowlab.expansivity import (
     _affine_cells,
     _expanding_violation,
     _first_uncovered,
+    _int_meets,
     _pair_bound_clears,
     _pair_violation,
     _pl_ball_step,
@@ -163,11 +164,13 @@ def test_pair_bounds_skip_only_violation_free_pairs():
     # so it suffices that every collision vertex has y = x)
     skipped = {"same map": 0, "images apart": 0}
     for cells, delta, mu in _bound_test_cases():
-        for cx in cells:
-            for cy in cells:
-                vx, vy = _view(cx), _view(cy)
-                (ix, sx, ox), (iy, sy, oy) = vx, vy
-                if cy is cx or max(iy.lo - ix.hi, ix.lo - iy.hi) >= delta:
+        views = [_view(c) for c in cells]  # built once per case: the pair loop reads them n² times
+        reach = [(ix.lo, ix.hi + delta) for ix, _, _ in views]
+        for cx, vx, (lx, rx) in zip(cells, views, reach):
+            ix, sx, ox = vx
+            for cy, vy, (ly, ry) in zip(cells, views, reach):
+                iy, sy, oy = vy
+                if cy is cx or ly >= rx or lx >= ry:  # the cells lie δ or more apart
                     continue
                 if not _pair_bound_clears(cx, cy, delta, mu):
                     continue
@@ -519,6 +522,46 @@ def test_pl_ball_route_matches_the_fraction_reference():
             assert got == ref_pl_ball_expanding_once(system, carrier, mu, eps), (system, carrier, mu, eps)
             verdicts["certified" if got is None else "falsified"] += 1
     assert min(verdicts.values()) >= 200, verdicts
+
+
+_sixths = st.integers(-12, 12).map(lambda k: F(k, 6))
+
+
+@st.composite
+def half_line_cases(draw):
+    """A closed part, often a point, in unreduced integers, and open half-lines α·x + β > 0 with
+    α = 0 allowed and every root on a grid that holds the part's ends: bounds land on a part end,
+    on each other, or both."""
+    lo, hi = sorted((draw(_sixths), draw(_sixths)))
+    if draw(st.booleans()):
+        lo = hi
+    k = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        alpha = draw(st.integers(-3, 3))
+        root = draw(st.one_of(st.sampled_from((lo, hi)), _sixths))
+        rows.append((alpha * root.denominator, -alpha * root.numerator) if alpha else (0, draw(st.integers(-2, 2))))
+    return rows, (k * lo.numerator, k * lo.denominator, k * hi.numerator, k * hi.denominator)
+
+
+def _brute_meets(rows, lo, hi):
+    # the set is an interval whose ends are part ends or roots: test those points and the midpoints between them
+    points = sorted({lo, hi} | {F(-b, a) for a, b in rows if a and lo < F(-b, a) < hi})
+    points += [(u + v) / 2 for u, v in zip(points, points[1:])]
+    return any(all(a * x + b > 0 for a, b in rows) for x in points)
+
+
+@settings(max_examples=400, deadline=None)
+@given(half_line_cases())
+@example(([(1, -1)], (1, 1, 1, 1)))  # x > 1 on the point part [1, 1]: open at the point, empty
+@example(([(1, -1)], (0, 1, 1, 1)))  # x > 1 on [0, 1]: the bound is the part's closed end, empty
+@example(([(-1, 1)], (1, 1, 2, 1)))  # x < 1 on [1, 2]
+@example(([(1, -1), (-1, 1)], (0, 1, 2, 1)))  # x > 1 and x < 1: equal open bounds, empty
+@example(([(0, 0)], (0, 1, 1, 1)))  # α = 0, β = 0: 0 > 0 nowhere
+@example(([(0, 1), (2, -1)], (1, 2, 1, 2)))  # α = 0, β > 0 holds; 2x − 1 > 0 fails at the point 1/2
+def test_half_line_pass_matches_brute_force_over_ends_and_roots(case):
+    rows, (ln, ld, hn, hd) = case
+    assert _int_meets(rows, ln, ld, hn, hd) == _brute_meets(rows, F(ln, ld), F(hn, hd))
 
 
 def test_constant_search_finds_tent_constants():
