@@ -25,6 +25,8 @@ from .scenarios import REGISTRY, Report, run_scenario
 from .shadowing import h_shadow_solve, quadratic_shadow_verdict, shadow_oracle
 from .systems import QuadraticFamilyMap, system_from_json
 
+GRID_LIMIT = 10_000  # the most ε grid points a ball check takes
+
 
 def emit(report: Report, fmt: str, path) -> None:
     """Write a report deterministically: sorted keys, canonical rationals."""
@@ -172,8 +174,8 @@ def _run(args) -> int:
         elif args.prop == "star":
             verdict = check_star(system, region, rat(args.delta), rat(args.mu))
         elif args.prop == "ball":
-            if args.grid < 1:
-                raise ValueError("--grid must be at least 1")
+            if not 1 <= args.grid <= GRID_LIMIT:  # interior_grid builds every point before the check starts
+                raise ValueError(f"--grid must be at least 1 and at most {GRID_LIMIT}")
             nu = rat(args.nu)
             verdict = check_ball_expanding(system, region, rat(args.mu), nu, interior_grid(nu, args.grid))
         elif args.prop == "locally-injective":

@@ -11,7 +11,7 @@ side lands.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -397,20 +397,38 @@ def _pl_ball_table(system: PiecewiseLinearMap, carrier: RationalIntervalSet) -> 
 
 
 def _int_meets(rows: list, ln: int, ld: int, hn: int, hd: int) -> bool:
-    """Does some x in [ln/ld, hn/hd] have α·x + β > 0 for every (α, β) in ``rows``?  One pass that
-    tightens the part's bounds by each open half-line, by cross-multiplication, keeping whether each is open."""
+    """Does some x in [ln/ld, hn/hd] have α·x + β > 0 (≥ 0 where closed) for every (α, β, closed) in ``rows``?
+    One pass that tightens the part's bounds by each half-line, by cross-multiplication, keeping whether each is open."""
     lo_open = hi_open = False
-    for a, b in rows:
+    for a, b, closed in rows:
         if a > 0:  # x > −b/a
-            if -b * ld >= ln * a:
-                ln, ld, lo_open = -b, a, True
+            c = -b * ld - ln * a
+            if c > 0 or c == 0 and not closed:
+                ln, ld, lo_open = -b, a, not closed
         elif a < 0:  # x < b/−a
-            if b * hd <= hn * -a:
-                hn, hd, hi_open = b, -a, True
-        elif b <= 0:
+            c = hn * -a - b * hd
+            if c > 0 or c == 0 and not closed:
+                hn, hd, hi_open = b, -a, not closed
+        elif b < 0 or b == 0 and not closed:
             return False
     gap = hn * ld - ln * hd
     return gap > 0 or gap == 0 and not (lo_open or hi_open)
+
+
+def _pl_window(table: tuple, mid: int, D2: int, E2: int, ed: int) -> tuple[list, tuple]:
+    """The window values on the segment about mid/D2 at ε = E2/D2 (D2 = 2·L·ed), each (A·x + S·ε + C)/Q as (A, S, C, Q):
+    f(x ∓ ε), or f(0) and f(1) where the window is clipped, then the breakpoint values inside; and f's lap (a, b, q) at x."""
+    system, bps, vals, _, _ = table
+    cells = system._int_cells
+    window = []
+    for sign, end in ((-1, vals[0]), (1, vals[-1])):
+        if 0 < mid + sign * E2 < D2:
+            _, a, b, q = cells[system.cell_index(mid + sign * E2, D2)]
+            window.append((a, sign * a, b, q))
+        else:
+            window.append((0, 0, *end))
+    window += [(0, 0, *v) for b, v in zip(bps, vals) if mid - E2 < 2 * b * ed < mid + E2]
+    return window, cells[system.cell_index(mid, D2)][1:]
 
 
 def _pl_ball_step(table: tuple, mu: Fraction, eps: Fraction) -> Optional[tuple]:
@@ -422,20 +440,18 @@ def _pl_ball_step(table: tuple, mu: Fraction, eps: Fraction) -> Optional[tuple]:
     each affine in x, and a continuous map sends the window onto the hull of
     its values.  So each covering test fails exactly where a few affine
     margins are all positive: a segment whose carrier parts meet neither
-    failing set (:func:`_int_meets`) is skipped.  Otherwise the least margin
-    is concave with its breakpoints at pairwise crossings of the affines, so
-    a failing set that meets a part holds a test point: a part end or a
-    crossing.  All on the cell table's integers: the cuts over D = L·ε's
+    failing set (:func:`_int_meets`, every row open) is skipped.  Otherwise
+    the least margin is concave with its breakpoints at pairwise crossings
+    of the affines, so a failing set that meets a part holds a test point:
+    a part end or a crossing.  All on the cell table's integers: the cuts over D = L·ε's
     denominator, each candidate as (A, B, Q) with value (A·x + B)/Q, each
     test point as n/d with d > 0; only the pair returned becomes Fractions.
     """
-    system, bps, vals, L, carrier_parts = table
+    _, bps, _, L, carrier_parts = table
     en, ed = eps.numerator, eps.denominator
     men, med = mu.numerator * en, mu.denominator * ed  # μ·ε
-    cells = system._int_cells
     D, E = L * ed, en * L  # ε in units of 1/D
-    bps = [b * ed for b in bps]
-    base = sorted({0, D}.union(v for b in bps for v in (b - E, b, b + E) if 0 <= v <= D))
+    base = sorted({0, D}.union(v for b in bps for v in (b * ed - E, b * ed, b * ed + E) if 0 <= v <= D))
 
     pn, pd = -1, 1  # the test points ascend, and two segments may share an end: test it once
     for lo, hi in zip(base, base[1:]):
@@ -444,20 +460,12 @@ def _pl_ball_step(table: tuple, mu: Fraction, eps: Fraction) -> Optional[tuple]:
             continue
         # affine candidates valid throughout (lo, hi), read at its midpoint (lo + hi)/2D;
         # every b and b ± ε is a cut, so mid ± ε and mid lie strictly inside one lap
-        mid, D2, E2 = lo + hi, 2 * D, 2 * E
-        window = []  # the window edges f(x − ε), f(x + ε), then the breakpoint values inside it
-        for sign, end in ((-1, vals[0]), (1, vals[-1])):
-            if 0 < mid + sign * E2 < D2:
-                _, a, b, q = cells[system.cell_index(mid + sign * E2, D2)]
-                window.append((a * ed, b * ed + sign * a * en, q * ed))
-            else:
-                window.append((0, *end))
-        window += [(0, *v) for b, v in zip(bps, vals) if mid - E2 < 2 * b < mid + E2]
-        _, a, b, q = cells[system.cell_index(mid, D2)]
+        window, (a, b, q) = _pl_window(table, lo + hi, 2 * D, 2 * E, ed)
+        window = [(A * ed, C * ed + S * en, Q * ed) for A, S, C, Q in window]
         ta, tb, bb, tq = a * med, b * med + q * men, b * med - q * men, q * med  # f(x) ± μ·ε
         # test 1 fails where min(f(x) + μ·ε, 1) is above every window value, test 2 where max(f(x) − μ·ε, 0) is below
-        up = [r for A, B, Q in window for r in ((ta * Q - A * tq, tb * Q - B * tq), (-A, Q - B))]
-        down = [r for A, B, Q in window for r in ((A * tq - ta * Q, B * tq - bb * Q), (A, B))]
+        up = [r for A, B, Q in window for r in ((ta * Q - A * tq, tb * Q - B * tq, False), (-A, Q - B, False))]
+        down = [r for A, B, Q in window for r in ((A * tq - ta * Q, B * tq - bb * Q, False), (A, B, False))]
         if not any(_int_meets(up, *p) or _int_meets(down, *p) for p in seg):
             continue
         cands = window + [(ta, tb, tq), (ta, bb, tq), (0, 1, 1), (0, 0, 1)]
@@ -487,6 +495,64 @@ def _pl_ball_step(table: tuple, mu: Fraction, eps: Fraction) -> Optional[tuple]:
     return None
 
 
+def _pl_ball_run_clear(table: tuple, mu: Fraction, lo: tuple, hi: tuple) -> bool:
+    """Does no carrier x fail a covering test at any ε in [lo, hi] (integer pairs), a range strictly between
+    two critical radii?  There the cut order is fixed, so each segment's laps and window, read at lo, hold
+    throughout, and every margin of :func:`_pl_ball_step` is affine in (x, ε): per segment, carrier part and
+    test, the failing set is a closed face (lo ≤ ε ≤ hi, the segment's cuts, the part) cut by strict rows
+    α·x + β·ε + γ > 0.  Eliminating x (Fourier–Motzkin: each lower bound below each upper one, strictly if
+    either is strict) leaves half-lines in ε for :func:`_int_meets`.  At each ε the face's slice is the
+    step's own failing set, scaled by positive factors, so a cleared run holds no failing grid ε."""
+    _, bps, _, L, carrier_parts = table
+    (en, ed), (hn, hd), (mn, md) = lo, hi, (mu.numerator, mu.denominator)
+    D, E = L * ed, en * L
+    cuts = sorted((b * ed + s * E, b, s) for b in bps for s in (-1, 0, 1) if 0 <= b * ed + s * E <= D)
+    for (cl, bl, sl), (cr, br, sr) in zip(cuts, cuts[1:]):
+        # the parts the segment sweeps: its left cut b + s·ε is least at hi if s < 0, its right one greatest if s > 0
+        (xn, xd), (yn, yd) = hi if sl < 0 else lo, hi if sr > 0 else lo
+        parts = int_intersect([(bl * xd + sl * xn * L, L * xd, br * yd + sr * yn * L, L * yd)], carrier_parts)
+        if not parts:
+            continue
+        window, (a, b, q) = _pl_window(table, cl + cr, 2 * D, 2 * E, ed)
+        ta, tm, tb, tq = a * md, q * mn, b * md, q * md  # f(x) ± μ·ε = (ta·x ± tm·ε + tb)/tq
+        up = [r for A, S, C, Q in window
+              for r in ((ta * Q - A * tq, tm * Q - S * tq, tb * Q - C * tq, False), (-A, -S, Q - C, False))]
+        down = [r for A, S, C, Q in window
+                for r in ((A * tq - ta * Q, S * tq + tm * Q, C * tq - tb * Q, False), (A, S, C, False))]
+        for pln, pld, phn, phd in parts:
+            box = [(L, -sl * L, -bl, True), (-L, sr * L, br, True), (pld, 0, -pln, True), (-phd, 0, phn, True)]
+            for rows in (up + box, down + box):
+                erows = [(b1, c1, k1) for a1, b1, c1, k1 in rows if not a1]
+                erows += [(a1 * b2 - a2 * b1, a1 * c2 - a2 * c1, k1 and k2) for a1, b1, c1, k1 in rows if a1 > 0
+                          for a2, b2, c2, k2 in rows if a2 < 0]
+                if _int_meets(erows, en, ed, hn, hd):
+                    return False
+    return True
+
+
+def _pl_ball_failure(table: tuple, mu: Fraction, eps_list: list) -> Optional[tuple]:
+    """The first grid ε, in the grid's order, at which :func:`_pl_ball_step` fails, as (ε, x, missing point);
+    None when every ε certifies.  The cut order changes only at the critical radii bⱼ − bᵢ and (bⱼ − bᵢ)/2,
+    so the grid ε strictly between two of them form a run, bucketed on integers over 2L; a run of two or
+    more that :func:`_pl_ball_run_clear` clears skips its steps, and every other ε is stepped."""
+    _, bps, _, L, _ = table
+    ts = [divmod(2 * L * eps.numerator, eps.denominator) for eps in eps_list]  # 2L·ε = t + r/ε's denominator
+    top = max(t for t, _ in ts)  # radii over 2L, v − u and 2(v − u), past top split no two grid ε
+    crit = sorted({c for i, u in enumerate(bps) for v in bps[i + 1:bisect_right(bps, u + top)]
+                   for c in (v - u, 2 * (v - u)) if c <= top})
+    runs = {}
+    for i, (eps, (t, r)) in enumerate(zip(eps_list, ts)):
+        k = bisect_right(crit, t)
+        if r or not k or crit[k - 1] != t:  # ε is on no critical radius
+            runs.setdefault(k, []).append((eps.numerator, eps.denominator, i))
+    cleared = {i for run in runs.values() if len(run) > 1
+               and _pl_ball_run_clear(table, mu, min(run, key=_INT_LO)[:2], max(run, key=_INT_LO)[:2]) for *_, i in run}
+    for i, eps in enumerate(eps_list):
+        if i not in cleared and (hit := _pl_ball_step(table, mu, eps)) is not None:
+            return eps, *hit
+    return None
+
+
 def check_ball_expanding(system: SystemSpec, region: Optional[RegionSpec], mu, nu, eps_grid: Sequence) -> ExpansivityVerdict:
     """Does f(B̄_ε(x) ∩ X) cover B̄_{με}(f(x)) ∩ X for region x and ε < ν?"""
     route = _BALL_ROUTES[require(type(system), "check_ball_expanding", _BALL_ROUTES)]
@@ -506,12 +572,11 @@ def check_ball_expanding(system: SystemSpec, region: Optional[RegionSpec], mu, n
 
 def _pl_ball_expanding(system: PiecewiseLinearMap, carrier: RationalIntervalSet, mu: Fraction,
                        eps_list: list, constants: dict) -> ExpansivityVerdict:
-    """Certified for every grid ε over the whole region by breakpoint case analysis."""
-    table = _pl_ball_table(system, carrier)
-    for eps in eps_list:
-        hit = _pl_ball_step(table, mu, eps)
-        if hit is not None:
-            return _ball_falsified(system, hit[0], eps, mu, hit[1], constants)
+    """Certified for every grid ε over the whole region by breakpoint case analysis, a run of ε between
+    two critical radii at a time where one (x, ε) face test clears it (:func:`_pl_ball_failure`)."""
+    hit = _pl_ball_failure(_pl_ball_table(system, carrier), mu, eps_list)
+    if hit is not None:
+        return _ball_falsified(system, hit[1], hit[0], mu, hit[2], constants)
     return ExpansivityVerdict("ballExpanding", "certified", constants)
 
 
@@ -559,13 +624,14 @@ def _ball_falsified(system, x, eps, mu, missing, constants) -> ExpansivityVerdic
 
 def _search_ball_constants(system: PiecewiseLinearMap, carrier: RationalIntervalSet) -> Optional[tuple[Fraction, Fraction]]:
     """Small search for working (μ, ν) on a piecewise-linear map over a gated carrier,
-    each checked on the 10-point ε grid below ν on one table; None when nothing on the menu certifies."""
+    each checked on the 10-point ε grid below ν on one table, as a check runs it (:func:`_pl_ball_failure`);
+    None when nothing on the menu certifies."""
     table = _pl_ball_table(system, carrier)
     for mu in (system.min_slope_modulus(), Fraction(3, 2), Fraction(5, 4), Fraction(9, 8)):
         if mu <= 1:
             continue
         for nu in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
-            if all(_pl_ball_step(table, mu, eps) is None for eps in interior_grid(nu, 10)):
+            if _pl_ball_failure(table, mu, interior_grid(nu, 10)) is None:
                 return mu, nu
     return None
 

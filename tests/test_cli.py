@@ -480,6 +480,28 @@ def test_cli_ball_check_rejects_an_empty_grid(tmp_path, capsys, grid):
     assert captured.err.count("\n") == 1 and "--grid must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("grid", ["10001", "1000000000000"])
+def test_cli_ball_check_refuses_a_grid_past_the_limit(tmp_path, capsys, grid):
+    # --grid 1000000000000 built every grid point before the check and did not answer within 20 s
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    start = time.perf_counter()
+    code = main(["expansivity", "check", "--property", "ball", "--system", str(sys_path), "--grid", grid])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "shadowlab: error: --grid must be at least 1 and at most 10000\n"
+
+
+def test_cli_ball_check_takes_a_grid_at_the_limit(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(tent_map(2).to_json()))
+    code = main(["expansivity", "check", "--property", "ball", "--system", str(sys_path), "--mu", "2", "--nu", "1/4",
+                 "--grid", "10000"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["holds"] == "certified" and out["constants"]["gridSize"] == "10000"
+
+
 @pytest.mark.parametrize("args, name", [
     (["logistic-5.4", "--depth", "3", "--trials", "5"], "'depth'"),
     (["nonshadow-5.3", "--seed", "1"], "'seed'"),

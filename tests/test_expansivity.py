@@ -1,5 +1,6 @@
 import random
 import re
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import takewhile
 
@@ -9,13 +10,18 @@ from hypothesis import strategies as st
 
 from shadowlab import expansivity
 from shadowlab.expansivity import (
+    ExpansivityVerdict,
     RegionSpec,
     _affine_cells,
+    _ball_falsified,
     _expanding_violation,
     _first_uncovered,
     _int_meets,
     _pair_bound_clears,
     _pair_violation,
+    _pl_ball_expanding,
+    _pl_ball_failure,
+    _pl_ball_run_clear,
     _pl_ball_step,
     _pl_ball_table,
     _run_ends,
@@ -529,9 +535,9 @@ _sixths = st.integers(-12, 12).map(lambda k: F(k, 6))
 
 @st.composite
 def half_line_cases(draw):
-    """A closed part, often a point, in unreduced integers, and open half-lines α·x + β > 0 with
-    α = 0 allowed and every root on a grid that holds the part's ends: bounds land on a part end,
-    on each other, or both."""
+    """A closed part, often a point, in unreduced integers, and half-lines α·x + β > 0, or ≥ 0 where
+    closed, with α = 0 allowed and every root on a grid that holds the part's ends: bounds land on a
+    part end, on each other, or both, open against closed."""
     lo, hi = sorted((draw(_sixths), draw(_sixths)))
     if draw(st.booleans()):
         lo = hi
@@ -540,28 +546,131 @@ def half_line_cases(draw):
     for _ in range(draw(st.integers(0, 4))):
         alpha = draw(st.integers(-3, 3))
         root = draw(st.one_of(st.sampled_from((lo, hi)), _sixths))
-        rows.append((alpha * root.denominator, -alpha * root.numerator) if alpha else (0, draw(st.integers(-2, 2))))
+        a, b = (alpha * root.denominator, -alpha * root.numerator) if alpha else (0, draw(st.integers(-2, 2)))
+        rows.append((a, b, draw(st.booleans())))
     return rows, (k * lo.numerator, k * lo.denominator, k * hi.numerator, k * hi.denominator)
 
 
 def _brute_meets(rows, lo, hi):
     # the set is an interval whose ends are part ends or roots: test those points and the midpoints between them
-    points = sorted({lo, hi} | {F(-b, a) for a, b in rows if a and lo < F(-b, a) < hi})
+    points = sorted({lo, hi} | {F(-b, a) for a, b, _ in rows if a and lo < F(-b, a) < hi})
     points += [(u + v) / 2 for u, v in zip(points, points[1:])]
-    return any(all(a * x + b > 0 for a, b in rows) for x in points)
+    return any(all(a * x + b > 0 or closed and a * x + b == 0 for a, b, closed in rows) for x in points)
 
 
 @settings(max_examples=400, deadline=None)
 @given(half_line_cases())
-@example(([(1, -1)], (1, 1, 1, 1)))  # x > 1 on the point part [1, 1]: open at the point, empty
-@example(([(1, -1)], (0, 1, 1, 1)))  # x > 1 on [0, 1]: the bound is the part's closed end, empty
-@example(([(-1, 1)], (1, 1, 2, 1)))  # x < 1 on [1, 2]
-@example(([(1, -1), (-1, 1)], (0, 1, 2, 1)))  # x > 1 and x < 1: equal open bounds, empty
-@example(([(0, 0)], (0, 1, 1, 1)))  # α = 0, β = 0: 0 > 0 nowhere
-@example(([(0, 1), (2, -1)], (1, 2, 1, 2)))  # α = 0, β > 0 holds; 2x − 1 > 0 fails at the point 1/2
+@example(([(1, -1, False)], (1, 1, 1, 1)))  # x > 1 on the point part [1, 1]: open at the point, empty
+@example(([(1, -1, True)], (1, 1, 1, 1)))  # x ≥ 1 on the point part [1, 1]: the point
+@example(([(1, -1, False)], (0, 1, 1, 1)))  # x > 1 on [0, 1]: the bound is the part's closed end, empty
+@example(([(-1, 1, False)], (1, 1, 2, 1)))  # x < 1 on [1, 2]
+@example(([(1, -1, False), (-1, 1, False)], (0, 1, 2, 1)))  # x > 1 and x < 1: equal open bounds, empty
+@example(([(1, -1, True), (-1, 1, True)], (0, 1, 2, 1)))  # x ≥ 1 and x ≤ 1: the point 1
+@example(([(1, -1, False), (1, -1, True)], (0, 1, 2, 1)))  # x > 1, then x ≥ 1 on the same root: stays open
+@example(([(1, -1, True), (1, -1, False), (-1, 1, True)], (0, 1, 2, 1)))  # x ≥ 1, then x > 1: turns open, empty
+@example(([(0, 0, False)], (0, 1, 1, 1)))  # α = 0, β = 0: 0 > 0 nowhere
+@example(([(0, 0, True)], (0, 1, 1, 1)))  # α = 0, β = 0 closed: 0 ≥ 0 everywhere
+@example(([(0, 1, False), (2, -1, False)], (1, 2, 1, 2)))  # α = 0, β > 0 holds; 2x − 1 > 0 fails at the point 1/2
 def test_half_line_pass_matches_brute_force_over_ends_and_roots(case):
     rows, (ln, ld, hn, hd) = case
     assert _int_meets(rows, ln, ld, hn, hd) == _brute_meets(rows, F(ln, ld), F(hn, hd))
+
+
+def _critical_radii(system):
+    # where two cuts b ± ε meet: every bⱼ − bᵢ and (bⱼ − bᵢ)/2, in Fractions
+    bps = system.breakpoints
+    return sorted({(v - u) * k for u in bps for v in bps if u < v for k in (1, F(1, 2))})
+
+
+_BALL_MAPS = st.one_of(
+    st.sampled_from((F(2), F(19, 10), F(9, 5), F(8, 5), F(3, 2))).map(tent_map),
+    st.integers(0, 2 ** 32 - 1).map(lambda seed: random_zigzag_map(seed, 2, 5)),
+    st.integers(0, 2 ** 32 - 1).map(lambda seed: random_lap_map(random.Random(seed))),
+)
+_24ths = st.integers(0, 24).map(lambda k: F(k, 24))
+
+
+@st.composite
+def ball_run_cases(draw):
+    """A lap map, zigzag or tent; an ε grid below ν, where ν is twice or 3/2 times a critical radius (the
+    grid straddles it, and holds it when its size allows), the radius itself, or 1/20; a carrier that is
+    the space, a part, a part plus a point, or a part or point ending on a cut b ± ε of a grid ε; and μ
+    at, above or below the least slope."""
+    system = draw(_BALL_MAPS)
+    c = draw(st.sampled_from(_critical_radii(system)))
+    nu = draw(st.sampled_from((2 * c, c * F(3, 2), c, F(1, 20))))
+    grid = interior_grid(nu, draw(st.integers(2, 12)))
+    lo, hi = sorted((draw(_24ths), draw(_24ths)))
+    eps = draw(st.sampled_from(grid))
+    cut = min(max(draw(st.sampled_from(system.breakpoints)) + draw(st.sampled_from((-eps, eps))), F(0)), F(1))
+    carrier = draw(st.sampled_from((
+        from_pairs([(0, 1)]), from_pairs([(lo, hi)]), normalize([ClosedInterval(lo, hi), ClosedInterval(*[draw(_24ths)] * 2)]),
+        from_pairs([(min(lo, cut), cut)]), point_set(cut))))
+    mu = system.min_slope_modulus() * draw(st.sampled_from((1, F(9, 8), F(7, 8))))
+    return system, carrier, mu, grid
+
+
+@settings(max_examples=500, deadline=None)
+@given(ball_run_cases())
+def test_cleared_ball_runs_hold_no_failing_eps(case):
+    # a run the (x, ε) face test clears must hold no failing ε, on the grid or between its points, and the
+    # grid route must answer what the plain per-ε loop answers; tent(2) at μ = 2 fails nowhere (its margins
+    # touch 0 along whole edges), so there every run of two or more must clear
+    system, carrier, mu, grid = case
+    table = _pl_ball_table(system, carrier)
+    plain = next(((eps, *hit) for eps in grid if (hit := _pl_ball_step(table, mu, eps)) is not None), None)
+    assert _pl_ball_failure(table, mu, grid) == plain
+    constants = {"gridSize": len(grid)}
+    expected = (ExpansivityVerdict("ballExpanding", "certified", constants) if plain is None
+                else _ball_falsified(system, plain[1], plain[0], mu, plain[2], constants))
+    assert _pl_ball_expanding(system, carrier, mu, grid, constants).to_json() == expected.to_json()
+    crit, runs = _critical_radii(system), {}
+    for eps in grid:
+        if eps not in crit:
+            runs.setdefault(bisect_right(crit, eps), []).append(eps)
+    for run in (sorted(run) for run in runs.values() if len(run) > 1):
+        lo, hi = run[0], run[-1]
+        if _pl_ball_run_clear(table, mu, (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)):
+            probes = run + [(u + v) / 2 for u, v in zip(run, run[1:])]
+            assert all(_pl_ball_step(table, mu, eps) is None for eps in probes), (system, carrier, mu, run)
+        else:
+            assert not (system == T2 and mu == 2), (carrier, run)
+
+
+@pytest.mark.parametrize("lam, mu, carrier, nu, size, lo, hi", [
+    (F(9, 5), F(9, 5), ("2/3", "2/3"), F(1, 2), 5, F(1, 12), F(1, 6)),
+    (F(2), F(9, 4), ("7/24", "7/24"), F(1, 2), 11, F(7, 24), F(11, 24)),
+    (F(3, 2), F(3, 2), ("1/24", "1/6"), F(3, 8), 8, F(7, 24), F(1, 3)),
+])
+def test_ball_run_whose_failing_set_only_touches_the_face_is_cleared(lam, mu, carrier, nu, size, lo, hi):
+    # the closure of a failing set meets these faces, the set itself does not: only a strict pair of a strict
+    # and a closed bound (a bound of the face) keeps the elimination exact here and clears the run
+    system, carrier = tent_map(lam), from_pairs([carrier])
+    table = _pl_ball_table(system, carrier)
+    run = [eps for eps in interior_grid(nu, size) if lo <= eps <= hi]
+    assert len(run) > 1 and not any(c in run for c in _critical_radii(system))
+    assert _pl_ball_run_clear(table, mu, (lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+    assert all(_pl_ball_step(table, mu, eps) is None for eps in run)
+
+
+@pytest.mark.parametrize("grid, cleared, verdict", [
+    (10, True, {"property": "ballExpanding", "holds": "certified",
+                "constants": {"gridSize": "10", "mu": "77/50", "nu": "1/8"}, "counterexample": None}),
+    (24, False, {"property": "ballExpanding", "holds": "falsified",
+                 "constants": {"gridSize": "24", "mu": "77/50", "nu": "1/8"},
+                 "counterexample": {"x": "39/100", "epsilon": "23/200", "missingPoint": "8011/10000",
+                                    "statement": "point 8011/10000 lies within 1771/10000 of f(x)=78/125 "
+                                                 "but outside the image of the ε-ball"}}),
+])
+def test_peak_four_fifths_tent_run_is_cleared_only_below_its_failure(grid, cleared, verdict):
+    # the tent with peak 4/5 on [33/100, 39/100] at μ = 77/50 fails only for ε > 0.1143; both grids below
+    # ν = 1/8 lie in one run (the least critical radius is 1/4).  The grid-10 run ends at 10ν/11 ≈ 0.1136,
+    # so its face test clears it; the grid-24 run reaches 23/200, is stepped, and keeps the per-ε answer
+    system, region, mu, nu = tent_map(F(8, 5)), region_of(("33/100", "39/100")), F(77, 50), F(1, 8)
+    eps = interior_grid(nu, grid)
+    lo, hi = (eps[0].numerator, eps[0].denominator), (eps[-1].numerator, eps[-1].denominator)
+    assert _pl_ball_run_clear(_pl_ball_table(system, region.carrier), mu, lo, hi) is cleared
+    assert check_ball_expanding(system, region, mu, nu, eps).to_json() == verdict
 
 
 def test_constant_search_finds_tent_constants():
