@@ -27,6 +27,7 @@ from .systems import (
     ShiftSystem,
     SymbolicPoint,
     SystemSpec,
+    _known_fields,
     cylinder_length,
     require,
 )
@@ -258,8 +259,12 @@ def orbit_to_csv(system: SystemSpec, orbit: PseudoOrbit) -> str:
 
 
 def orbit_from_csv(system: SystemSpec, text: str) -> PseudoOrbit:
-    pts = [system.point_from_str(row[0]) for row in csv.reader(io.StringIO(text)) if row]
-    return PseudoOrbit(tuple(pts))
+    """Parse an orbit CSV file, one point per row; a row of two non-empty columns raises ValueError."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    for row in rows:
+        if sum(1 for cell in row if cell.strip()) > 1:
+            raise ValueError(f"orbit CSV row {','.join(row)!r} has more than one column")
+    return PseudoOrbit(tuple(system.point_from_str(row[0]) for row in rows))
 
 
 def orbit_to_json(system: SystemSpec, orbit: PseudoOrbit) -> dict:
@@ -272,11 +277,12 @@ def orbit_to_json(system: SystemSpec, orbit: PseudoOrbit) -> dict:
 
 
 def orbit_from_json(system: SystemSpec, data) -> PseudoOrbit:
-    """Parse an orbit document; a missing field raises ValueError naming it."""
+    """Parse an orbit document; a missing or unknown field raises ValueError naming it."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError(f"orbit JSON must be an object, not {type(data).__name__}")
+    _known_fields("orbit", data, "points", "claimedDelta", "decaySchedule")
     if "points" not in data:
         raise ValueError("orbit JSON lacks the field 'points'")
     for key in ("points", "decaySchedule"):

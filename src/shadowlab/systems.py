@@ -174,12 +174,31 @@ class PiecewiseAffineSystem(IntervalSystem):
         return tuple(int_affine([(*parts[0][:2], *parts[-1][2:])], a, b, q) for parts, a, b, q in self._int_cells)
 
     def _int_forward(self, s: Sequence[IntPart]) -> list[IntPart]:
-        """f(s) for s in the space: each cell's share of s through its map, merged."""
-        out = []
+        """f(s) for s inside the space: each cell's share of s through its map, merged.  The
+        space meets a cell's hull in that cell alone, so one walk over s and the ascending cells
+        gives each share: the run of s's parts that start by the hull's right end, the first
+        clipped at its left end and the last at its right end, a clipped last part staying
+        current for the next cell; a cell that ends before the current part is skipped."""
+        out, i, n = [], 0, len(s)
         for parts, a, b, q in self._int_cells:
-            hit = int_intersect(s, parts)
-            if hit:
-                out += int_affine(hit, a, b, q)
+            if i == n:
+                break
+            (cn, cd, _, _), (hn, hd) = parts[0], parts[-1][2:]
+            j = i
+            while j < n and s[j][0] * hd <= hn * s[j][1]:
+                j += 1
+            if j == i:
+                continue
+            share = list(s[i:j])
+            ln, ld, en, ed = share[0]
+            if ln * cd < cn * ld:
+                share[0] = (cn, cd, en, ed)
+            ln, ld, en, ed = share[-1]
+            if en * hd > hn * ed:
+                share[-1] = (ln, ld, hn, hd)
+                j -= 1
+            out += int_affine(share, a, b, q)
+            i = j
         return int_normalize(out)
 
     def _int_preimage(self, target: Sequence[IntPart]) -> list[IntPart]:
@@ -213,7 +232,7 @@ class PiecewiseAffineSystem(IntervalSystem):
         sp, t = self._int_space, s.int_parts
         if t and (t[0][0] * sp[0][1] < sp[0][0] * t[0][1] or t[-1][2] * sp[-1][3] > sp[-1][2] * t[-1][3]):
             raise DomainError(f"{s} not inside {self.space().hull()}")
-        return from_int_set(self._int_forward(s.int_parts))
+        return from_int_set(self._int_forward(int_intersect(t, sp)))
 
     def preimage(self, target: RationalIntervalSet) -> RationalIntervalSet:
         return from_int_set(self._int_preimage(target.int_parts))
@@ -984,15 +1003,22 @@ def iterate(system: SystemSpec, x: Point, n: int) -> Point:
     return orbit(system, x, n)[-1]
 
 
+# the fields each kind reads besides "kind"
+_SYSTEM_FIELDS = dict(pl=("breakpoints", "values"), quadratic=("family", "parameter"), cantor=("depth", "negative_image_mode"),
+                      sft=("alphabet", "forbidden"), odometer=("depth",), slimit=("tail_depth",))
+
+
 def system_from_json(data: Union[dict, str]) -> SystemSpec:
-    """Parse a system document; a missing field or one of the wrong type
-    raises ValueError naming it."""
+    """Parse a system document; a missing field, one of the wrong type or one
+    that its kind does not read raises ValueError naming it."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError(f"system JSON must be an object, not {type(data).__name__}")
     try:
         kind = data["kind"]
+        if isinstance(kind, str) and kind in _SYSTEM_FIELDS:  # an unknown kind is refused below
+            _known_fields("system", data, "kind", *_SYSTEM_FIELDS[kind])
         if kind == "pl":
             return PiecewiseLinearMap(tuple(rat(b) for b in _list_field("breakpoints", data["breakpoints"])),
                                       tuple(rat(v) for v in _list_field("values", data["values"])))
@@ -1011,6 +1037,13 @@ def system_from_json(data: Union[dict, str]) -> SystemSpec:
     except KeyError as missing:
         raise ValueError(f"system JSON lacks the field {missing.args[0]!r}") from None
     raise ValueError(f"unknown system kind {kind!r}")
+
+
+def _known_fields(what: str, data: dict, *known: str) -> None:
+    """Refuse a document field that its parser does not read, by name."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"{what} JSON has the unknown field {unknown[0]!r}")
 
 
 def _check_depth(name: str, value) -> None:

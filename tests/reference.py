@@ -4,10 +4,19 @@ of a loop that a faster one replaced, that a test compares the package with."""
 from bisect import bisect_right
 from fractions import Fraction
 from fractions import Fraction as F
+from functools import lru_cache
 from typing import Optional
 
 from shadowlab.expansivity import IntCell, _affine_cells, _out_of_reach, _pair_bound_clears, _pair_violation
-from shadowlab.numerics import ClosedInterval, RationalIntervalSet, intersect, normalize
+from shadowlab.numerics import (
+    ClosedInterval,
+    RationalIntervalSet,
+    int_affine,
+    int_intersect,
+    int_normalize,
+    intersect,
+    normalize,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,6 +58,17 @@ def ref_preimage(f, target):
             u, v = (lo - c) / s, (hi - c) / s
             out.extend(ref_intersect(normalize([ClosedInterval(min(u, v), max(u, v))]), normalize([dom])))
     return ref_normalize([ClosedInterval(lo, hi) for lo, hi in out])
+
+
+def ref_int_forward(system, s):
+    """The cell-table forward step as first written: s met with every cell by a
+    full sweep, each share through its cell's map, merged."""
+    out = []
+    for parts, a, b, q in system._int_cells:
+        hit = int_intersect(s, parts)
+        if hit:
+            out += int_affine(hit, a, b, q)
+    return int_normalize(out)
 
 
 def ref_image_bounds(f, lo, hi):
@@ -162,57 +182,78 @@ def _small_step(iv: ClosedInterval, shrink: Fraction) -> Fraction:
     return w * shrink / 4
 
 
-def ref_pl_ball_expanding_once(system, carrier, mu, eps):
-    """The PL ball route as first written, on Fraction arithmetic throughout:
-    the lap by a linear scan, f(x) as s·x + c, window bounds as the min and max
-    of the window ends and the interior breakpoint values."""
+@lru_cache(maxsize=64)
+def _ref_laps(system):
+    """A PL map's laps as the reference reads them, built once per map: the left
+    ends, each lap's (slope, offset), and the breakpoints with their values."""
     laps = system.laps()
-    lefts = [dom.lo for dom, _, _ in laps]
+    return [dom.lo for dom, _, _ in laps], [(s, c) for _, s, c in laps], system.breakpoints, system.values
 
-    def lap_at(t):  # the rightmost lap whose left end is at most t
-        _, s, c = laps[bisect_right(lefts, t) - 1]
-        return s, c
 
-    def f(t):
-        s, c = lap_at(t)
-        return s * t + c
+def ref_pl_ball_expanding_once(system, carrier, mu, eps):
+    """The PL ball route in its first form, on Fraction arithmetic throughout: every
+    test point is a carrier part's end or a crossing of two candidate lines inside a
+    segment between the breakpoints and their shifts by ±ε, and each is evaluated
+    directly: the lap by bisection over the laps' left ends, f(x) as s·x + c, window
+    bounds as the min and max of f at the window ends and the breakpoint values
+    between them."""
+    lefts, laps, bps, values = _ref_laps(system)
+    reach = mu * eps
+
+    def lap_at(t):  # (index of the first breakpoint right of t, t's lap as (slope, offset))
+        k = bisect_right(lefts, t)
+        return k, laps[k - 1]
 
     def violation_at(x):
-        lo, hi = max(F(0), x - eps), min(F(1), x + eps)
-        window = [f(lo), f(hi)] + [v for b, v in zip(system.breakpoints, system.values) if lo < b < hi]
-        fx = f(x)
-        top, bot = min(F(1), fx + mu * eps), max(F(0), fx - mu * eps)
+        lo, hi = max(ZERO, x - eps), min(ONE, x + eps)
+        (i, (s, c)), (j, (u, v)) = lap_at(lo), lap_at(hi)
+        window = [s * lo + c, u * hi + v, *values[i:j]]  # a breakpoint on an end repeats f there
+        s, c = lap_at(x)[1]
+        fx = s * x + c
+        top, bot = min(ONE, fx + reach), max(ZERO, fx - reach)
         if top > max(window):
             return top
         if bot < min(window):
             return bot
         return None
 
-    base = sorted({F(0), F(1)} | {v for b in system.breakpoints for v in (b, b + eps, b - eps) if 0 <= v <= 1})
+    base = sorted([*bps, *(b + eps for b in bps if b + eps < ONE), *(b - eps for b in bps if b - eps > ZERO)])
+    base = [b for k, b in enumerate(base) if not k or b != base[k - 1]]
+    last = None
     for lo, hi in zip(base, base[1:]):
         seg = intersect(RationalIntervalSet((ClosedInterval(lo, hi),)), carrier)
         if seg.is_empty:
             continue
         xm = (lo + hi) / 2
-        cands = []
-        if xm - eps <= 0:
-            cands.append((F(0), f(F(0))))
+        left, right = xm - eps, xm + eps
+        if left <= ZERO:
+            i, cands = 1, [(ZERO, values[0])]
         else:
-            s, c = lap_at(xm - eps)
-            cands.append((s, c - s * eps))
-        if xm + eps >= 1:
-            cands.append((F(0), f(F(1))))
+            i, (s, c) = lap_at(left)
+            cands = [(s, c - s * eps)]
+        if right >= ONE:
+            j = len(lefts)
+            cands.append((ZERO, values[-1]))
         else:
-            s, c = lap_at(xm + eps)
+            j, (s, c) = lap_at(right)
             cands.append((s, c + s * eps))
-        cands += [(F(0), v) for b, v in zip(system.breakpoints, system.values) if xm - eps < b < xm + eps]
-        s, c = lap_at(xm)
-        cands += [(s, c + mu * eps), (s, c - mu * eps), (F(0), F(1)), (F(0), F(0))]
-        crossings = {(c2 - c1) / (s1 - s2) for i, (s1, c1) in enumerate(cands) for s2, c2 in cands[i + 1:] if s1 != s2}
+        cands += [(ZERO, v) for v in values[i:j]]
+        s, c = lap_at(xm)[1]
+        cands += [(s, c + reach), (s, c - reach), (ZERO, ONE), (ZERO, ZERO)]
+        # every crossing of two candidates strictly inside (lo, hi): a line of slope s ≠ 0
+        # meets a level k there when k lies strictly between the line's values at lo and hi
+        lines = [(s, c) for s, c in cands if s]
+        levels = {c for s, c in cands if not s}
+        crossings = [(c2 - c1) / (s1 - s2) for k, (s1, c1) in enumerate(lines) for s2, c2 in lines[k + 1:] if s1 != s2]
         crossings = [x for x in crossings if lo < x < hi]
+        for s, c in lines:
+            ends = sorted((s * lo + c, s * hi + c))
+            crossings += [(k - c) / s for k in levels if ends[0] < k < ends[1]]
         for part in seg.parts:
-            for x in sorted({part.lo, part.hi} | {x for x in crossings if part.lo < x < part.hi}):
-                missing = violation_at(x)
+            for x in sorted({part.lo, part.hi, *(x for x in crossings if part.lo < x < part.hi)}):
+                if x == last:  # the last part's end, already tested
+                    continue
+                last, missing = x, violation_at(x)
                 if missing is not None:
                     return x, missing
     return None

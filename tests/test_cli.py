@@ -192,6 +192,30 @@ def test_cli_rejects_system_json_missing_a_field(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "'breakpoints'" in captured.err
 
 
+@pytest.mark.parametrize("system, orbit_file, orbit_text, args, message", [
+    ({"kind": "cantor", "depth": 6, "negative_image_mod": "mirror"}, None, None,
+     ["expansivity", "check", "--property", "expanding", "--delta", "1/9", "--mu", "3"],
+     "system JSON has the unknown field 'negative_image_mod'"),
+    (tent_map(2).to_json(), "orbit.json", json.dumps({"points": ["0", "1/2"], "claimed_delta": "0"}),
+     ["shadow", "oracle", "--epsilon", "1/100"], "orbit JSON has the unknown field 'claimed_delta'"),
+    (tent_map(2).to_json(), "orbit.csv", "1/2,3/4\n1/3\n",
+     ["shadow", "oracle", "--epsilon", "1/100"], "orbit CSV row '1/2,3/4' has more than one column"),
+], ids=["misspelt-system-key", "misspelt-orbit-key", "two-column-csv"])
+def test_cli_refuses_input_it_does_not_read(tmp_path, capsys, system, orbit_file, orbit_text, args, message):
+    # each used to get an answer: the fold map's falsified (exit 1), the oracle
+    # without the jump check (exit 1), and the oracle on a 2-point orbit without 3/4
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps(system))
+    argv = [*args, "--system", str(sys_path)]
+    if orbit_file:
+        (tmp_path / orbit_file).write_text(orbit_text)
+        argv += ["--orbit", str(tmp_path / orbit_file)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"shadowlab: error: {message}\n"
+
+
 def test_cli_expansivity_check(tmp_path, capsys):
     sys_path = tmp_path / "system.json"
     sys_path.write_text(json.dumps(tent_map(2).to_json()))

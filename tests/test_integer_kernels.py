@@ -13,17 +13,30 @@ from hypothesis import strategies as st
 from shadowlab.numerics import (
     ClosedInterval,
     RationalIntervalSet,
+    _reduced,
     affine_image,
     closed_ball,
+    from_int_set,
     from_pairs,
     int_contains,
+    int_intersect,
+    int_normalize,
+    int_tube,
     intersect,
     normalize,
 )
 from shadowlab.systems import CantorSystem, DomainError, PiecewiseLinearMap, random_zigzag_map, tent_map
 from test_expansivity import random_lap_map  # seeded maps whose laps are seldom onto [0, 1]
 
-from reference import ref_evaluate, ref_image_bounds, ref_intersect, ref_normalize, ref_point_preimages, ref_preimage
+from reference import (
+    ref_evaluate,
+    ref_image_bounds,
+    ref_int_forward,
+    ref_intersect,
+    ref_normalize,
+    ref_point_preimages,
+    ref_preimage,
+)
 
 # -- endpoint strategies ------------------------------------------------------
 
@@ -210,10 +223,14 @@ def list_and_filter_leftmost(system, yn, yd, within):
     return next((c for c in out if int_contains(within, *c)), None)
 
 
+def cell_ends(system):
+    return sorted({end for dom, _, _ in system.affine_cells() for end in (dom.lo, dom.hi)})
+
+
 def leftmost_cases(system, rng):
     """Targets at cell ends, inside cells and outside the space, each reduced and
     unreduced, against ``within`` sets of one part and of several."""
-    ends = sorted({end for dom, _, _ in system.affine_cells() for end in (dom.lo, dom.hi)})
+    ends = cell_ends(system)
     inside = [dom.lo + (dom.hi - dom.lo) * F(rng.randint(1, 15), 16) for dom, _, _ in system.affine_cells()]
     targets = {system.evaluate(x) for x in ends + inside} | {F(-3, 2), F(5, 4), F(7, 3)}
     lo, hi = ends[0], ends[-1]
@@ -243,3 +260,81 @@ def test_leftmost_preimage_matches_the_list_and_filter_walk(family):
             assert got == list_and_filter_leftmost(system, yn, yd, within), (system, yn, yd, within)
             found, missed = found + (got is not None), missed + (got is None)
     assert found >= 100 and missed >= 100, (found, missed)
+
+
+# -- the cell-table forward step ---------------------------------------------------
+
+forward_systems = st.one_of(
+    st.sampled_from([F(2), F(9, 5), F(1), F(1, 3)]).map(tent_map),
+    st.integers(0, 200).map(random_zigzag_map),
+    st.builds(CantorSystem, st.integers(2, 7), st.sampled_from(["fold", "mirror"])),
+)
+
+
+@st.composite
+def sets_in_the_space(draw, system):
+    """Canonical integer sets inside the space, as a list or a tuple: pieces of the
+    space's parts cut at cell ends and grid points (on a PL map they straddle the
+    shared lap ends), point parts on cell ends (the shared ends and the cell {0}),
+    and tubes about cell ends and grid points; some ends unreduced."""
+    space, ends = system.space().parts, cell_ends(system)
+    raw = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["piece", "point", "tube"]))
+        if kind == "point":
+            x = draw(st.sampled_from(ends))
+            raw.append(ClosedInterval(x, x))
+            continue
+        part = draw(st.sampled_from(space))
+        cuts = [part.lo + (part.hi - part.lo) * F(k, 8) for k in range(9)] + [e for e in ends if part.contains(e)]
+        if kind == "piece":
+            lo, hi = sorted(draw(st.lists(st.sampled_from(cuts), min_size=2, max_size=2)))
+            raw.append(ClosedInterval(lo, hi))
+        else:
+            c, r = draw(st.sampled_from(cuts)), draw(st.sampled_from([F(0), F(1, 3**8), F(1, 40), F(1, 9), F(1, 3)]))
+            raw += from_int_set(int_tube(system._int_space, c.numerator, c.denominator, r.numerator, r.denominator)).parts
+    k = draw(st.integers(1, 3))
+    s = [(k * ln, k * ld, k * hn, k * hd) for ln, ld, hn, hd in normalize(raw).int_parts]
+    return tuple(s) if draw(st.booleans()) else s
+
+
+def assert_forward_matches(system, s):
+    assert _reduced(system._int_forward(s)) == _reduced(ref_int_forward(system, s)), (system, s)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_forward_walk_matches_the_per_cell_sweep(data):
+    system = data.draw(forward_systems)
+    assert_forward_matches(system, data.draw(sets_in_the_space(system)))
+
+
+@pytest.mark.parametrize("system", [tent_map(2), tent_map(F(9, 5)), random_zigzag_map(0), random_zigzag_map(6),
+                                    CantorSystem(2), CantorSystem(5, "mirror")],
+                         ids=["tent2", "tent9/5", "zigzag0", "zigzag6", "cantor2fold", "cantor5mirror"])
+def test_forward_walk_at_cell_ends(system):
+    # every cell end as a point, and parts that reach it from the left, from the
+    # right and across it, alone and next to a part in the cell beyond
+    space = system._int_space
+    for x in cell_ends(system):
+        w = F(1, 3**9)
+        near = int_tube(space, x.numerator, x.denominator, w.numerator, w.denominator)
+        lo, hi = x - w, x + 2 * w
+        wide = int_intersect(space, [(lo.numerator, lo.denominator, hi.numerator, hi.denominator)])
+        for s in ([(x.numerator, x.denominator) * 2], near, near[:1], near[-1:], wide,
+                  int_normalize(near + [space[-1][2:] * 2]), int_intersect(space, [(-1, 1, x.numerator, x.denominator)])):
+            assert_forward_matches(system, s)
+            assert_forward_matches(system, tuple(s))
+
+
+@pytest.mark.parametrize("mode", ["fold", "mirror"])
+def test_public_forward_image_meets_the_space_first(mode):
+    # a set with gap points: the walk alone assumes a set inside the space, so the
+    # public step meets the set with the space before it walks
+    system = CantorSystem(4, mode)
+    for s in (from_pairs([(-1, 1)]), from_pairs([("1/2", "1/2"), ("2/3", "2/3")]),
+              from_pairs([("-1/2", "-1/4"), ("1/9", "1/2"), ("5/6", "8/9")])):
+        image = system.forward_image(s)
+        assert image == system.forward_image(intersect(s, system.space()))
+        assert image == from_int_set(ref_int_forward(system, s.int_parts))
+    assert system.forward_image(from_pairs([("1/2", "1/2")])).is_empty

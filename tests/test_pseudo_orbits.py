@@ -297,6 +297,18 @@ def test_orbit_serialization_round_trips():
     assert orbit_from_csv(gm, orbit_to_csv(gm, sym)).points == sym.points
 
 
+def test_orbit_parsers_refuse_what_they_do_not_read():
+    # a misspelt claimedDelta used to switch the jump check off, and a second CSV
+    # column was dropped without a word
+    t2 = tent_map(2)
+    with pytest.raises(ValueError, match="orbit JSON has the unknown field 'claimed_delta'"):
+        orbit_from_json(t2, {"points": ["0", "1/2"], "claimed_delta": "0"})
+    with pytest.raises(ValueError, match="orbit CSV row '1/2,3/4' has more than one column"):
+        orbit_from_csv(t2, "1/2,3/4\n1/3\n")
+    # an empty trailing column is still one point per row
+    assert orbit_from_csv(t2, "1/2,\n1/3, \n").points == (F(1, 2), F(1, 3))
+
+
 # -- early-stopping tracing test ----------------------------------------------------
 
 # (system, start point, jump bound) per kind; logistic orbits stay short because

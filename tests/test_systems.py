@@ -805,6 +805,28 @@ def test_system_json_missing_field_is_named():
         system_from_json({})
 
 
+@pytest.mark.parametrize("system", [tent_map(2), logistic_map(F(39, 10)), CantorSystem(6, "mirror"),
+                                    golden_mean_shift(), OdometerSystem(4), SLimitSystem(3)],
+                         ids=["pl", "quadratic", "cantor", "sft", "odometer", "slimit"])
+def test_system_json_unknown_field_is_named(system):
+    # a field that the kind does not read used to be ignored
+    data = system.to_json()
+    assert system_from_json(data) == system
+    with pytest.raises(ValueError, match="system JSON has the unknown field 'extra'"):
+        system_from_json({**data, "extra": 1})
+
+
+def test_system_json_misspelt_field_is_not_read_as_the_default():
+    # the misspelt negative_image_mod used to run the default fold map; an
+    # unknown kind is still named as such, whatever its fields
+    with pytest.raises(ValueError, match="system JSON has the unknown field 'negative_image_mod'"):
+        system_from_json({"kind": "cantor", "depth": 6, "negative_image_mod": "mirror"})
+    with pytest.raises(ValueError, match="unknown system kind 'nope'"):
+        system_from_json({"kind": "nope", "extra": 1})
+    with pytest.raises(ValueError, match=r"unknown system kind \['pl'\]"):
+        system_from_json({"kind": ["pl"]})
+
+
 @pytest.mark.parametrize("make, name, value", [
     (CantorSystem, "depth", 2.5), (SLimitSystem, "tail_depth", 2.5),
     (OdometerSystem, "depth", 2.5), (OdometerSystem, "depth", True),
